@@ -5,18 +5,24 @@ Usage: python3 one_pass.py ROOT WORKLOAD SEED TRACE
 
 ROOT is the checkout holding src/binsums.  The pass prints "ready" once
 binsums.cli is imported and the registry is built, so the caller can time
-set-up from process start, then prints one JSON line with the pass wall
-time, per-op outcomes and times, a host calibration time, peak RSS and,
-when TRACE is 1, the per-layer span summary.  A fresh process per pass keeps
-every memo table cold, as it is for each real binsums invocation.
+set-up from process start, then prints one JSON line with a host speed probe
+taken just after "ready" and, unless --setup-only, the pass wall time,
+per-op outcomes and times, a host calibration time, peak RSS and, when TRACE
+is 1, the per-layer span summary.  Op and pass times are in reference
+seconds (see hostspeed.py); the measured ones are kept as *_raw_s.  A fresh
+process per pass keeps every memo table cold, as it is for each real
+binsums invocation.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import io
 import json
+import math
 import os
 import resource
+import statistics
 import sys
 import time
 
@@ -30,8 +36,12 @@ REGISTRY = identities.builtin_registry()
 print("ready", flush=True)
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
+
+READY_PROBE_S = hostspeed.probe()  # the caller scales set-up time with it
+PROBE_EVERY_S = 0.1  # ops closer together than this share a probe
 
 
 def calibrate() -> float:
@@ -47,15 +57,42 @@ def calibrate() -> float:
 
 
 class Ops:
-    """Per-op wall times; also stamps the tracer's op id."""
+    """Per-op wall times with host speed probes between ops; also stamps the
+    tracer's op id."""
 
     def __init__(self, tracer: Tracer | None) -> None:
         self.tracer = tracer
         self.labels: list[str] = []
         self.seconds: list[float] = []
         self.outcomes: list[dict] = []
+        self.probes: list[tuple[int, float]] = []  # (ops run before it, probe seconds)
+        self.probe_spent = 0.0
+        self.last_probe = -math.inf
+        # Traced, the probe is a span of its own, so it stays out of the
+        # self time of the layer it runs under (cli.run).
+        self._probe = tracer.wrap("host.probe", hostspeed.probe) if tracer else hostspeed.probe
+
+    def probe(self) -> None:
+        t0 = time.perf_counter()
+        self.probes.append((len(self.labels), self._probe()))
+        self.last_probe = time.perf_counter()
+        self.probe_spent += self.last_probe - t0
+
+    def scales(self) -> list[float]:
+        """Per op, REFERENCE_S over the mean of the probes just before and after it.
+
+        Call after the closing probe, so that every op has one after it."""
+        at = [k for k, _ in self.probes]
+        out = []
+        for i in range(len(self.labels)):
+            after = bisect.bisect_right(at, i)
+            out.append(2 * hostspeed.REFERENCE_S
+                       / (self.probes[after - 1][1] + self.probes[after][1]))
+        return out
 
     def run(self, label: str, fn, *args):
+        if time.perf_counter() - self.last_probe >= PROBE_EVERY_S:
+            self.probe()
         self.labels.append(label)
         if self.tracer is not None:
             self.tracer.op_id = len(self.labels)
@@ -124,6 +161,7 @@ def derive_scan(ops: Ops, seed: int) -> dict:
 
 def main() -> None:
     if sys.argv[2] == "--setup-only":
+        print(json.dumps({"ready_probe_s": READY_PROBE_S}))
         return
     workload, seed, trace = sys.argv[2], int(sys.argv[3]), sys.argv[4] == "1"
     calib_s = calibrate()
@@ -138,19 +176,30 @@ def main() -> None:
         extra = verify_perturbed(ops, seed)
     else:
         extra = derive_scan(ops, seed)
-    wall_s = time.perf_counter() - t0
+    wall_raw_s = time.perf_counter() - t0 - ops.probe_spent
+    ops.probe()
+    scales = ops.scales()
+    probes = [s for _, s in ops.probes]
+    pass_scale = hostspeed.REFERENCE_S / statistics.median(probes)
+    op_s = [s * k for s, k in zip(ops.seconds, scales)]
+    between_s = (wall_raw_s - sum(ops.seconds)) * pass_scale
     result = {
-        "wall_s": wall_s,
+        "ready_probe_s": READY_PROBE_S,
+        "wall_s": sum(op_s) + between_s,
+        "wall_raw_s": wall_raw_s,
         "calib_s": calib_s,
+        "probe_s": statistics.median(probes),
+        "probes": ops.probes,
         "op_labels": ops.labels,
-        "op_s": ops.seconds,
+        "op_s": op_s,
+        "op_raw_s": ops.seconds,
         "outcomes": ops.outcomes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         **extra,
     }
     if tracer is not None:
         tracer.uninstall()
-        result["trace"] = tracer.summary(ops.labels)
+        result["trace"] = tracer.summary(ops.labels, [pass_scale, *scales])
     print(json.dumps(result))
 
 

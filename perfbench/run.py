@@ -6,9 +6,11 @@ Run from the root of a checkout that holds src/binsums.  The run first
 times set-up in several fresh interpreters, then runs whole passes of the
 workload, one process at a time, until --seconds is spent, checks every
 op's outcome against an expectation computed here, and prints one line per
-metric followed by a JSON summary as the last line.  --trace 0 reports the
-end-to-end metrics; --trace 1 alternates untraced and traced passes and
-reports the per-layer metrics, including the tracing overhead.
+metric followed by a JSON summary as the last line.  Every time is in
+reference seconds: measured seconds scaled by a host speed probe taken next
+to them (see hostspeed.py).  --trace 0 reports the end-to-end metrics;
+--trace 1 alternates untraced and traced passes and reports the per-layer
+metrics, including the tracing overhead.
 --workload all runs the three workloads in turn and ends with one JSON
 line whose metric names carry the workload as a prefix.
 """
@@ -27,6 +29,9 @@ from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.getcwd()
+sys.path.insert(0, HERE)
+import hostspeed  # noqa: E402
+
 SETUP_SAMPLES = 7
 RUN_LIMIT_S = 170  # a run must end within 180 s, even when a pass hangs
 WORKLOADS = ("verify-all-n200", "verify-perturbed-n200", "derive-scan-p20")
@@ -37,40 +42,42 @@ END_TO_END_UNITS = {
 }
 
 
-def run_child(deadline: float, *args: str) -> tuple[float | None, str | None]:
+def run_child(deadline: float, *args: str) -> tuple[float | None, dict | None]:
     """Run one_pass.py in a fresh interpreter.
 
-    Returns the seconds from process start to its "ready" line (None if it
-    never came) and its last stdout line (None if it failed or ran past
-    `deadline`, a perf_counter time).  The child is always waited for.
+    Returns its set-up time in reference seconds, from process start to its
+    "ready" line, scaled by the mean of a probe taken here just before the
+    start and one the child takes just after "ready" (None if either never
+    came), and its JSON result line (None if it failed, printed something
+    else last or ran past `deadline`, a perf_counter time).  The child is
+    always waited for.
     """
+    probe_s = hostspeed.probe()
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, os.path.join(HERE, "one_pass.py"), ROOT, *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    setup_s = None
+    setup_raw_s = None
     try:
         ready, _, _ = select.select([proc.stdout], [], [], max(deadline - t0, 0))
         if ready and proc.stdout.readline().strip() == "ready":
-            setup_s = time.perf_counter() - t0
+            setup_raw_s = time.perf_counter() - t0
         out, err = proc.communicate(timeout=max(deadline - time.perf_counter(), 0.1))
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.communicate()
         print("pass killed at the run's deadline", file=sys.stderr)
-        return setup_s, None
-    if setup_s is None or proc.returncode != 0:
+        return None, None
+    line = (out.strip().splitlines() or [""])[-1]
+    if setup_raw_s is None or proc.returncode != 0:
         print(err, file=sys.stderr)
-        return setup_s, None
-    return setup_s, (out.strip().splitlines() or [None])[-1]
-
-
-def parse_result(line: str | None) -> dict | None:
-    """The pass's JSON line, or None when the pass printed something else last."""
+        return None, None
     try:
-        return None if line is None else json.loads(line)
+        result = json.loads(line)
     except ValueError:
         print(f"pass printed no result: {line[:200]!r}", file=sys.stderr)
-        return None
+        return None, None
+    scale = 2 * hostspeed.REFERENCE_S / (probe_s + result["ready_probe_s"])
+    return setup_raw_s * scale, result
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +89,6 @@ class Checker:
 
     def __init__(self, workload: str, seed: int) -> None:
         sys.path.insert(0, os.path.join(ROOT, "src"))
-        sys.path.insert(0, HERE)
         import workloads
         from binsums import identities, sequences
 
@@ -205,6 +211,15 @@ def median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def op_medians(passes: list[dict]) -> list[float]:
+    """Each op's median time over the run's passes, in seconds."""
+    per_op: dict[str, list[float]] = {}
+    for p in passes:
+        for label, s in zip(p["op_labels"], p["op_s"]):
+            per_op.setdefault(label, []).append(s)
+    return [median(v) for v in per_op.values()]
+
+
 def pass_wall(passes: list[dict]) -> float:
     """Wall time of one pass, robust to bursts of host load.
 
@@ -212,17 +227,16 @@ def pass_wall(passes: list[dict]) -> float:
     pass spends outside its ops.  A burst that slows one op of one pass
     moves one sample of one op instead of a whole pass.
     """
-    per_op: dict[str, list[float]] = {}
-    for p in passes:
-        for label, s in zip(p["op_labels"], p["op_s"]):
-            per_op.setdefault(label, []).append(s)
     between = median([p["wall_s"] - sum(p["op_s"]) for p in passes])
-    return sum(median(v) for v in per_op.values()) + between
+    return sum(op_medians(passes)) + between
 
 
 def end_to_end(checker: Checker, setups: list[float], passes: list[dict]) -> dict:
+    """The end-to-end metrics.  Op percentiles are taken over the ops' medians:
+    pooled samples put the p90 of verify-perturbed-n200 on the edge between
+    two groups of ops, where one slow sample moves it by a fifth."""
     wall = pass_wall(passes)
-    ops = [1000 * s for p in passes for s in p["op_s"]]
+    ops = [1000 * s for s in op_medians(passes)]
     deciles = statistics.quantiles(ops, n=10) if len(ops) > 1 else ops * 9
     return {
         "setup_s": median(setups),
@@ -237,7 +251,7 @@ def end_to_end(checker: Checker, setups: list[float], passes: list[dict]) -> dic
 
 def per_layer(checker: Checker, plain: list[dict], traced: list[dict]) -> dict:
     out: dict[str, tuple[float, str]] = {}
-    names = list(traced[0]["trace"]["layers"]) if traced else []
+    names = [n for n in traced[0]["trace"]["layers"] if n != "host.probe"] if traced else []
     for name in names:
         rows = [p["trace"]["layers"][name] for p in traced]
         out[f"{name}.calls"] = (rows[0]["calls"], "count")  # identical in every traced pass
@@ -247,12 +261,14 @@ def per_layer(checker: Checker, plain: list[dict], traced: list[dict]) -> dict:
     unique = sum(o.get("status") == "unique" for o in traced[0]["outcomes"]) if traced else 0
     out["discovery.unique_ratio"] = (unique / derive_calls if derive_calls else 0.0, "ratio")
     out["host.calib_s"] = (median([p["calib_s"] for p in plain + traced]), "s")
+    out["host.probe_s"] = (median([p["probe_s"] for p in plain + traced]), "s")
     traced_wall = pass_wall(traced)
     plain_wall = pass_wall(plain)
     out["trace.wall_s"] = (traced_wall, "s")
     out["trace.untraced_wall_s"] = (plain_wall, "s")
     out["trace.overhead_s"] = (traced_wall - plain_wall, "s")
-    out["trace.spans"] = (traced[0]["trace"]["spans"], "count")
+    probe_spans = traced[0]["trace"]["layers"].get("host.probe", {"calls": 0})["calls"]
+    out["trace.spans"] = (traced[0]["trace"]["spans"] - probe_spans, "count")
     return out
 
 
@@ -269,8 +285,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace_run: bool) -> d
     while True:
         trace = trace_run and len(passes[False]) > len(passes[True])
         t0 = time.perf_counter()
-        setup_s, line = run_child(deadline, workload, str(seed), "1" if trace else "0")
-        result = parse_result(line)
+        setup_s, result = run_child(deadline, workload, str(seed), "1" if trace else "0")
         pass_s.append(time.perf_counter() - t0)
         if setup_s is not None:
             setups.append(setup_s)
@@ -280,7 +295,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace_run: bool) -> d
         if result is not None:
             passes[trace].append(result)
             print(f"pass {len(pass_s)}{' traced' if trace else ''}: wall_s={result['wall_s']:.4f}"
-                  f" host.calib_s={result['calib_s']:.4f} failed_ops={bad}")
+                  f" measured {result['wall_raw_s']:.4f} s, median of {len(result['probes'])} probes"
+                  f" {1000 * result['probe_s']:.3f} ms; host.calib_s={result['calib_s']:.4f}"
+                  f" failed_ops={bad}")
         spent = time.perf_counter() - measure_start
         enough = len(passes[False]) >= 1 and (not trace_run or passes[True])
         next_pass = statistics.median(pass_s)
@@ -307,12 +324,13 @@ def run_workload(workload: str, seed: int, seconds: float, trace_run: bool) -> d
                     top = f"  (most in {row['top_op']}: {row['top_op_self_s']:.4f} s)"
             print(f"{name} = {value} {unit}{top}")
     else:
-        ops_count = sum(len(p["op_s"]) for p in passes[False])
+        ops_count = len(passes[False][0]["op_s"]) if passes[False] else 0
         values = end_to_end(checker, setups, passes[False]) if passes[False] else {}
         metrics = {k: (v, END_TO_END_UNITS[k]) for k, v in values.items()}
         for name, (value, unit) in metrics.items():
             print(f"{name} = {value} {unit}")
-        print(f"op timings from {ops_count} ops; points per pass {checker.points}")
+        print(f"op percentiles over {ops_count} ops, each the median of"
+              f" {len(passes[False])} passes; points per pass {checker.points}")
     return {
         "correct": failed == 0 and bool(metrics),
         "attempted": attempted,

@@ -103,13 +103,22 @@ class Tracer:
                 self._undo.append((target, attr, original))
                 setattr(target, attr, wrapped)
 
+    def wrap(self, name: str, fn):
+        """fn, recording each call as a span of a layer of the benchmark's own."""
+        self.names.append(name)
+        return self._wrap(len(self.names) - 1, fn)
+
     def uninstall(self) -> None:
         for target, attr, original in reversed(self._undo):
             setattr(target, attr, original)
         self._undo.clear()
 
-    def summary(self, op_labels: list[str]) -> dict:
-        """Per-layer calls and self time, and the op that spent most self time there."""
+    def summary(self, op_labels: list[str], op_scale: list[float]) -> dict:
+        """Per-layer calls and self time, and the op that spent most self time there.
+
+        A span's self time is multiplied by op_scale[its op id], the factor
+        that turns the op's seconds into reference seconds (op id 0, outside
+        any op, takes the pass's factor)."""
         n = len(self.end)
         child = [0.0] * n
         dur = [e - s for s, e in zip(self.start, self.end)]
@@ -120,7 +129,7 @@ class Tracer:
         self_s = [0.0] * len(self.names)
         per_op: dict[tuple[int, int], float] = {}
         for sid in range(n):
-            idx, own = self.layer[sid], dur[sid] - child[sid]
+            idx, own = self.layer[sid], (dur[sid] - child[sid]) * op_scale[self.op[sid]]
             calls[idx] += 1
             self_s[idx] += own
             key = (idx, self.op[sid])
