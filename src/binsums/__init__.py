@@ -31,6 +31,7 @@ from .identities import (
     identity_json,
     registry_json,
     rhs_eval,
+    rhs_values,
     verify,
 )
 from .oeis import AlignmentReport, BFileTable, compare, fetch, load_fixture, parse_bfile
@@ -74,6 +75,7 @@ __all__ = [
     "registry",
     "registry_json",
     "rhs_eval",
+    "rhs_values",
     "seq_eval",
     "seq_slice",
     "verify",

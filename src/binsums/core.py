@@ -35,6 +35,17 @@ def central_row(n: int) -> list[int]:
     return row
 
 
+def binomial_row(m: int) -> list[int]:
+    """Row m of Pascal's triangle, [C(m, k) for k = 0..m], by the same
+    multiplicative sweep as central_row."""
+    if m < 0:
+        raise ValueError("binomial_row requires m >= 0")
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
+
+
 def kronecker(a: int, m: int) -> int:
     """Kronecker-Jacobi symbol (a|m) for any nonzero modulus m.
 
@@ -110,7 +121,6 @@ def rec_eval(spec: RecurrenceSpec, n: int) -> int:
     table = spec._table
     if not table:
         table.extend(spec.seeds)
-    d = len(spec.coeffs)
     while len(table) <= n:
         table.append(sum(c * table[-i - 1] for i, c in enumerate(spec.coeffs)))
     return table[n]

@@ -16,13 +16,16 @@ identity of coefficient vectors.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .core import binomial, central_row, kronecker
+from .core import binomial, binomial_row, central_row, kronecker
 from .cyclo import centered_reduction, cos_power_vector
 from .quadratic import QuadValue
 from .sequences import seq_eval
@@ -136,6 +139,89 @@ class CenteredSum:
                 out.append((row, n + k, w))
         return out
 
+    def signed_table(self) -> tuple:
+        """The weight table with the k-dependent sign folded in, over period
+        lcm(M, 2) for (-1)^k and (-1)^(n-k), or 2M for (-1)^j.  The (-1)^n
+        part of (-1)^(n-k) is left to the caller."""
+        m = self.period
+        if self.sign == SIGN_NONE:
+            return self.weights
+        if self.sign == SIGN_ALT_J:
+            return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
+        return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
+
+    def _combine(self, groups: list, n: int, middle: int, class_sums: list[int]):
+        """center * C(row, n) plus each weight times its classes' sums, signed."""
+        total = sum(w * sum(class_sums[r] for r in rs) for w, rs in groups)
+        if self.center:
+            total = total + self.center * middle
+        return -total if self.sign == SIGN_ALT_NK and n % 2 else total
+
+    @staticmethod
+    def _weight_groups(table: tuple) -> list:
+        """(weight, residues carrying it) for each distinct nonzero weight,
+        so a step costs one exact multiply per distinct weight."""
+        groups: dict = {}
+        for r, w in enumerate(table):
+            if w:
+                groups.setdefault(w, []).append(r)
+        return list(groups.items())
+
+    def sweep(self, ns: list[int]) -> list:
+        """evaluate(n) for every n in ns, in one pass over n = 0..max(ns).
+
+        Without a weight oracle, the class sums S_r = sum of C(2n, n+k) over
+        k >= 1, k = r (mod P) step from n to n+1 by Pascal's rule applied
+        twice, with the boundary terms c0 = C(2n, n) and c1 = C(2n, n+1):
+        O(P) integer additions per step.  Odd rows read
+        S_(r-1) + S_r (+ c0 when r = 1) and center c0 + c1.  With a weight
+        oracle each row is read once as integers instead.
+        """
+        if self.weight_oracle is not None:
+            return self._oracle_weighted_sweep(ns)
+        table = self.signed_table()
+        groups = self._weight_groups(table)
+        p = len(table)
+        one = 1 % p
+        wanted = set(ns)
+        out = {}
+        s = [0] * p
+        c0, c1 = 1, 0
+        for n in range(max(ns) + 1):
+            if n in wanted:
+                if self.row_odd:
+                    t = [s[r - 1] + s[r] for r in range(p)]
+                    t[one] += c0
+                    out[n] = self._combine(groups, n, c0 + c1, t)
+                else:
+                    out[n] = self._combine(groups, n, c0, s)
+            s = [s[r - 1] + 2 * s[r] + s[(r + 1) % p] for r in range(p)]
+            s[one] += c0
+            s[0] -= c1
+            c0 = 2 * (c0 + c1)
+            c1 = c0 * (n + 1) // (n + 2)
+        return [out[n] for n in ns]
+
+    def _oracle_weighted_sweep(self, ns: list[int]) -> list:
+        table = self.signed_table()
+        groups = self._weight_groups(table)
+        p = len(table)
+        oracle = self.weight_oracle
+
+        def factors(n: int) -> list[int]:
+            # k = 0..k_max; k = 0 is the center, which the oracle does not weight
+            k_max = n + 1 if self.row_odd else n
+            return [oracle.value(k, n) if k and table[k % p] else 0 for k in range(k_max + 1)]
+
+        shared = None if oracle.param_from_n else factors(max(ns))
+        out = []
+        for n in ns:
+            row = binomial_row(2 * n + 1)[n:] if self.row_odd else central_row(n)
+            f = factors(n) if shared is None else shared
+            sums = [sum(map(operator.mul, row[r::p], f[r::p])) for r in range(p)]
+            out.append(self._combine(groups, n, row[0], sums))
+        return out
+
 
 @dataclass(frozen=True)
 class ScaledBinomial:
@@ -211,6 +297,20 @@ class BinomialTransform:
             j += 1
         return total
 
+    def sweep(self, ns: list[int]) -> list[Fraction]:
+        """evaluate(n) for every n in ns: each row stepped multiplicatively,
+        summed in integers, the oracle read once per j."""
+        def factors(n: int) -> list[int]:
+            return [self.oracle.value(j, n) for j in range((n - self.offset) // self.stride + 1)]
+
+        shared = None if self.oracle.param_from_n else factors(max(ns))
+        out = []
+        for n in ns:
+            f = factors(n) if shared is None else shared
+            row = binomial_row(n)[self.offset::self.stride]
+            out.append(Fraction(sum(map(operator.mul, row, f))))
+        return out
+
 
 @dataclass(frozen=True)
 class SignedRowConvolution:
@@ -233,6 +333,19 @@ class SignedRowConvolution:
             total += sign * binomial(row, k) * seq_eval(self.oracle_name, self.an * n + self.ak * k + self.c)
         return total
 
+    def sweep(self, ns: list[int]) -> list[Fraction]:
+        """evaluate(n) for every n in ns: each row stepped multiplicatively,
+        summed in integers, the oracle read once per distinct index."""
+        oracle = functools.cache(lambda i: seq_eval(self.oracle_name, i))
+        out = []
+        for n in ns:
+            total = 0
+            for k, c in enumerate(binomial_row(2 * n + 1)):
+                v = c * oracle(self.an * n + self.ak * k + self.c)
+                total += -v if k % 2 else v
+            out.append(Fraction(total))
+        return out
+
 
 @dataclass(frozen=True)
 class DiagonalSum:
@@ -244,6 +357,19 @@ class DiagonalSum:
         return Fraction(
             sum((-1) ** r * binomial(2 * n - r, r) * self.base ** (n - r) for r in range(n + 1))
         )
+
+    def sweep(self, ns: list[int]) -> list[Fraction]:
+        """evaluate(n) for every n in ns, stepping C(2n-r+1, r-1) to
+        C(2n-r, r) multiplicatively and summing in integers."""
+        powers = [self.base ** e for e in range(max(ns) + 1)]
+        out = []
+        for n in ns:
+            total, c = powers[n], 1
+            for r in range(1, n + 1):
+                c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
+                total += (-c if r % 2 else c) * powers[n - r]
+            out.append(Fraction(total))
+        return out
 
 
 @dataclass(frozen=True)
@@ -346,6 +472,33 @@ def rhs_eval(identity: Identity, n: int, extra: int = 0) -> int:
     for term in identity.terms:
         v = term.evaluate(n, extra=extra) if isinstance(term, CenteredSum) else term.evaluate(n)
         total = total + v  # stays a Fraction unless a QuadValue enters
+    return _integer_total(identity, n, total)
+
+
+_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum)
+
+
+def rhs_values(identity: Identity, ns) -> list[int]:
+    """[rhs_eval(identity, n) for n in ns], with each term swept over all of
+    ns at once instead of evaluated directly at each n.
+
+    The surd and integrality checks still run per n, on the summed terms,
+    and raise the same errors as rhs_eval.
+    """
+    if identity.kind != "sum":
+        raise ValueError(f"{identity.label} is not a sum-shaped identity")
+    ns = list(ns)
+    if not ns:
+        return []
+    if min(ns) < 0:  # the sweeps start from row 0
+        return [rhs_eval(identity, n) for n in ns]
+    columns = [t.sweep(ns) if isinstance(t, _SWEPT_TERMS) else [t.evaluate(n) for n in ns]
+               for t in identity.terms]
+    return [_integer_total(identity, n, sum(values, Fraction(0)))
+            for n, *values in zip(ns, *columns)]
+
+
+def _integer_total(identity: Identity, n: int, total) -> int:
     if isinstance(total, QuadValue):
         # surds may cancel across terms, but any leftover is a registry typo
         if not total.is_rational:
@@ -377,10 +530,15 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     per_n: list[bool] = []
     first = None
     lhs_s = rhs_s = None
-    for n in identity.domain.indices(n_min, n_max):
+    ns = identity.domain.indices(n_min, n_max)
+    if identity.kind == "profile":
+        table = _mod5_profile_table()
+    elif identity.kind == "sum" and identity.exact:
+        rhs_at = dict(zip(ns, rhs_values(identity, ns)))
+    for n in ns:
         checked.append(n)
         if identity.kind == "profile":
-            ok, ls, rs = _mod5_profile_check(identity, n)
+            ok, ls, rs = _mod5_profile_check(table, n)
         elif identity.kind == "vector":
             ok, ls, rs = _verify_vector(identity, n)
         else:
@@ -391,7 +549,7 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
                 ok = rounded == lhs and residual < RESIDUAL_TOLERANCE
                 ls, rs = str(lhs), f"{rounded} (residual {residual:.3g})"
             else:
-                rhs = rhs_eval(identity, n)
+                rhs = rhs_at[n]
                 ok = lhs == rhs
                 ls, rs = str(lhs), str(rhs)
         per_n.append(ok)
@@ -409,10 +567,13 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     )
 
 
-def _mod5_profile_check(identity: Identity, n: int) -> tuple[bool, str, str]:
+def _mod5_profile_table() -> list[QuadValue]:
     from .discovery import profile_from_angles
 
-    table = profile_from_angles(5, [(1, QuadValue(1)), (3, QuadValue(-1))], QuadValue(1), 5)
+    return profile_from_angles(5, [(1, QuadValue(1)), (3, QuadValue(-1))], QuadValue(1), 5)
+
+
+def _mod5_profile_check(table: list[QuadValue], n: int) -> tuple[bool, str, str]:
     k = n % 5
     want = QuadValue(0, kronecker(k, 5), 5)
     return table[k] == want, str(want), str(table[k])
@@ -627,17 +788,9 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
         if isinstance(term, CenteredSum):
             if term.row_odd or term.weight_oracle is not None or term.has_surd:
                 raise ValueError("not a foldable centered sum")
-            if term.sign == SIGN_NONE:
-                tables.append(term.weights)
-            elif term.sign == SIGN_ALT_K:
-                m = term.period
-                p = m if m % 2 == 0 else 2 * m
-                tables.append(tuple(term.weights[r % m] * (-1) ** r for r in range(p)))
-            elif term.sign == SIGN_ALT_J:
-                m = term.period
-                tables.append(tuple(term.weights[r % m] * (-1) ** (r // m) for r in range(2 * m)))
-            else:
+            if term.sign == SIGN_ALT_NK:
                 raise ValueError("n-dependent signs cannot be folded")
+            tables.append(term.signed_table())
             center += term.center
         elif isinstance(term, ScaledBinomial):
             if term.which == "C(2n,n)":
@@ -654,26 +807,14 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
             tables.append((2 * c,))
         else:
             raise ValueError(f"cannot fold a {type(term).__name__} term")
-    period = 1
-    for t in tables:
-        period = period * len(t) // _gcd(period, len(t))
+    period = math.lcm(*(len(t) for t in tables))
     weights = tuple(sum((t[r % len(t)] for t in tables), Fraction(0)) for r in range(period))
     return center, weights
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange format
 # ---------------------------------------------------------------------------
-
-def _weight_str(w) -> str:
-    return str(w)
-
 
 def _term_json(term) -> dict:
     if isinstance(term, CenteredSum):
@@ -682,7 +823,7 @@ def _term_json(term) -> dict:
             "row": "2n+1" if term.row_odd else "2n",
             "center": str(term.center),
             "period": term.period,
-            "weights": [_weight_str(w) for w in term.weights],
+            "weights": [str(w) for w in term.weights],
             "sign": term.sign,
             "weight_oracle": None if term.weight_oracle is None else {
                 "sequence": term.weight_oracle.name,

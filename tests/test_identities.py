@@ -5,13 +5,16 @@ import pytest
 
 from binsums.core import binomial
 from binsums.identities import (
+    _SIGNS,
     FAMILIES,
+    BinomialTransform,
     CenteredSum,
     Domain,
     Identity,
     OracleRef,
     SIGN_ALT_NK,
     SIGN_NONE,
+    VerificationReport,
     builtin_registry,
     expand_terms,
     find,
@@ -20,6 +23,7 @@ from binsums.identities import (
     perturbed,
     registry_json,
     rhs_eval,
+    rhs_values,
     verify,
 )
 from binsums.quadratic import QuadValue
@@ -126,6 +130,15 @@ def test_lewis_sign_rules():
     assert [alt._sign_at(4, k) for k in range(4)] == [1, -1, 1, -1]
 
 
+def _assert_verify_raises_like_rhs_eval(ident, first_bad_n):
+    with pytest.raises(ValueError) as direct:
+        rhs_eval(ident, first_bad_n)
+    with pytest.raises(ValueError) as swept:
+        verify(ident, first_bad_n + 5)
+    assert str(swept.value) == str(direct.value)
+    assert str(swept.value).endswith(f"at n = {first_bad_n}")
+
+
 def test_surviving_surd_is_an_error():
     # sqrt(5) times the Legendre weights cannot sum to a rational
     weights = tuple(QuadValue(0, seq_eval("fib", 0) + w, 5) for w in (0, 1, -1, -1, 1))
@@ -133,6 +146,7 @@ def test_surviving_surd_is_an_error():
                      (CenteredSum(weights, 5),), Domain(1))
     with pytest.raises(ValueError, match="quadratic part"):
         rhs_eval(ident, 2)
+    _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
 def test_non_integer_total_is_an_error():
@@ -140,6 +154,7 @@ def test_non_integer_total_is_an_error():
                      (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
     with pytest.raises(ValueError, match="not an integer"):
         rhs_eval(ident, 1)
+    _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
 def test_quadratic_weights_that_cancel_across_terms_are_fine():
@@ -151,6 +166,74 @@ def test_quadratic_weights_that_cancel_across_terms_are_fine():
     for n in range(0, 10):
         direct = sum(binomial(2 * n, n + k) for k in range(1, n + 1))
         assert rhs_eval(ident, n) == direct
+    assert rhs_values(ident, range(10)) == [rhs_eval(ident, n) for n in range(10)]
+
+
+@pytest.mark.parametrize("n_min", [0, 7])
+def test_sweep_equals_direct_evaluation_on_the_registry(n_min):
+    for ident in builtin_registry():
+        if ident.kind != "sum" or not ident.exact:
+            continue
+        ns = ident.domain.indices(n_min, 80)
+        assert rhs_values(ident, ns) == [rhs_eval(ident, n) for n in ns], ident.label
+
+
+def _synthetic_sums():
+    fractional = (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7))
+    root5 = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
+    for sign in _SIGNS:
+        for row_odd in (False, True):
+            yield CenteredSum(fractional[:3], 3, row_odd, Fraction(3, 4), sign)
+            yield CenteredSum(fractional, 4, row_odd, Fraction(-1, 6), sign)
+            yield CenteredSum((root5, 0, QuadValue(0, -2, 5)), 3, row_odd, 2, sign)
+            yield CenteredSum((1, Fraction(1, 3)), 2, row_odd, 1, sign,
+                              weight_oracle=OracleRef("lucas", a=3, b=-1))
+            yield CenteredSum((0, 2, -1), 3, row_odd, 0, sign,
+                              weight_oracle=OracleRef("lewis", param_from_n=True))
+
+
+def test_sweep_equals_direct_evaluation_on_synthetic_sums():
+    """Every sign rule, both row parities, fractional and surd weights, and
+    weight oracles with and without an n-dependent parameter."""
+    ns = list(range(2, 40)) + [45, 52]
+    for term in _synthetic_sums():
+        swept = term.sweep(ns)
+        direct = [term.evaluate(n) for n in ns]
+        assert [QuadValue.of(v) for v in swept] == [QuadValue.of(v) for v in direct], term
+
+
+def test_stepped_binomial_transform_equals_direct_evaluation():
+    for term in (BinomialTransform(OracleRef("lewis", param_from_n=True), 3, 4),
+                 BinomialTransform(OracleRef("fib", a=2, b=-3), 2, 1)):
+        ns = list(range(2, 30))
+        assert term.sweep(ns) == [term.evaluate(n) for n in ns]
+
+
+def _direct_report(ident: Identity, n_max: int) -> VerificationReport:
+    ns = ident.domain.indices(0, n_max)
+    sides = [(ident.lhs.value(n, n), rhs_eval(ident, n)) for n in ns]
+    bad = [(n, lhs, rhs) for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs]
+    first, lhs, rhs = bad[0] if bad else (None, None, None)
+    return VerificationReport(ident.label, tuple(ns), tuple(l == r for l, r in sides), first,
+                              None if first is None else str(lhs),
+                              None if first is None else str(rhs), 0.0)
+
+
+def test_perturbed_reports_equal_direct_evaluation():
+    fields = ("checked", "per_n", "first_divergence", "lhs_at_divergence", "rhs_at_divergence")
+    for ident in builtin_registry():
+        cs = next((t for t in ident.terms if isinstance(t, CenteredSum)), None)
+        if cs is None:
+            continue
+        for residue, weight in enumerate(cs.weights):
+            if not weight:
+                continue
+            for change in (-1, 1):
+                bad = perturbed(ident, residue, weight + change)
+                swept, direct = verify(bad, 40), _direct_report(bad, 40)
+                assert not swept.passed
+                for name in fields:
+                    assert getattr(swept, name) == getattr(direct, name), (bad.label, residue, name)
 
 
 def test_domains():
