@@ -214,7 +214,8 @@ def _direct_report(ident: Identity, n_max: int) -> VerificationReport:
     sides = [(ident.lhs.value(n, n), rhs_eval(ident, n)) for n in ns]
     bad = [(n, lhs, rhs) for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs]
     first, lhs, rhs = bad[0] if bad else (None, None, None)
-    return VerificationReport(ident.label, tuple(ns), tuple(l == r for l, r in sides), first,
+    per_n = tuple(left == right for left, right in sides)
+    return VerificationReport(ident.label, tuple(ns), per_n, first,
                               None if first is None else str(lhs),
                               None if first is None else str(rhs), 0.0)
 
