@@ -4,6 +4,8 @@ Everything in this module is exact; no floating point is used anywhere.
 """
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -44,6 +46,38 @@ def binomial_row(m: int) -> list[int]:
     for k in range(m):
         row.append(row[-1] * (m - k) // (k + 1))
     return row
+
+
+def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[int]]]:
+    """For n = 0, 1, 2, ... yield (C(row, n), sums) with row = 2n or 2n+1 and
+    sums[r] = sum of C(row, n+k) over k >= 1, k = r (mod period).
+
+    The sums S_r of row 2n step from n to n+1 by Pascal's rule applied
+    twice, with the boundary terms c0 = C(2n, n) and c1 = C(2n, n+1):
+    O(period) integer additions per step.  Odd rows read
+    C(2n+1, n+k) = C(2n, n+k-1) + C(2n, n+k), so their sums are
+    S_(r-1) + S_r (+ c0 when r = 1) and their middle term is c0 + c1.
+    Every yielded list is new; the generator never touches it again.
+    """
+    if period < 1:
+        raise ValueError("class_sums requires period >= 1")
+    one = 1 % period
+    s = [0] * period
+    c0, c1 = 1, 0
+    n = 0
+    while True:
+        if row_odd:
+            t = [s[r - 1] + s[r] for r in range(period)]
+            t[one] += c0
+            yield c0 + c1, t
+        else:
+            yield c0, s
+        s = [s[r - 1] + 2 * s[r] + s[(r + 1) % period] for r in range(period)]
+        s[one] += c0
+        s[0] -= c1
+        c0 = 2 * (c0 + c1)
+        c1 = c0 * (n + 1) // (n + 2)
+        n += 1
 
 
 def kronecker(a: int, m: int) -> int:
@@ -106,11 +140,17 @@ class RecurrenceSpec:
             raise ValueError(f"unknown negative rule {self.negative_rule!r}")
 
 
+# Serializes the extension of every RecurrenceSpec memo table.
+_TABLE_LOCK = threading.Lock()
+
+
 def rec_eval(spec: RecurrenceSpec, n: int) -> int:
     """Evaluate the recurrence at index n (iteratively, memoized per spec).
 
-    The memo table is append-only, so repeated calls are deterministic and
-    one RecurrenceSpec can be shared between threads.
+    The memo table is append-only and is extended only under a module lock,
+    re-checking its length there, so no two threads append the same entry
+    and one RecurrenceSpec can be shared between threads.  Reading an entry
+    that is already there takes no lock.
     """
     if n < 0:
         if spec.negative_rule is None:
@@ -119,8 +159,10 @@ def rec_eval(spec: RecurrenceSpec, n: int) -> int:
         sign = -1 if (t + (spec.negative_rule == "odd")) % 2 else 1
         return sign * rec_eval(spec, t)
     table = spec._table
-    if not table:
-        table.extend(spec.seeds)
-    while len(table) <= n:
-        table.append(sum(c * table[-i - 1] for i, c in enumerate(spec.coeffs)))
+    if len(table) <= n:
+        with _TABLE_LOCK:
+            if not table:
+                table.extend(spec.seeds)
+            while len(table) <= n:
+                table.append(sum(c * table[-i - 1] for i, c in enumerate(spec.coeffs)))
     return table[n]

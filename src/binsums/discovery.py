@@ -7,44 +7,56 @@ the center coefficient and weight table that make
 
 hold on a solve range, classifies the solution by rank, and then insists
 that a unique solution keep working on held-out indices it never saw.
-All linear algebra is exact rational Gaussian elimination; nothing is ever
-rounded.
+The equation rows are the residue-class sums of the same Pascal-step
+kernel that verify sweeps (core.class_sums).  All linear algebra is exact
+fraction-free elimination over the integers; Fractions appear only in the
+back-substitution, and nothing is ever rounded.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .core import binomial, central_row
+from .core import class_sums
 from .cyclo import CycloVec, recognize_quad
 from .quadratic import QuadValue
 from .sequences import get_oracle
 
 
 class _Eliminator:
-    """Incremental exact Gaussian elimination.
+    """Incremental fraction-free Gaussian elimination over the integers.
 
     Equations are fed one at a time so that an inconsistency can be blamed
-    on the exact index that introduced it.
+    on the exact index that introduced it.  A row [coeffs..., rhs] is
+    reduced by each stored pivot row as p*row - c*prow, where p is the
+    pivot entry and c the row's entry in the pivot column.  The reduced row
+    is divided by its content (the gcd of its entries) and its pivot made
+    positive, so it stays a nonzero integer multiple of the row rational
+    elimination would store.
     """
 
     def __init__(self, unknowns: int) -> None:
         self.unknowns = unknowns
-        self.rows: dict[int, tuple[list[Fraction], Fraction]] = {}  # pivot -> row
+        self.rows: dict[int, list[int]] = {}  # pivot -> [coeffs..., rhs]
 
-    def add(self, coeffs: list[Fraction], rhs: Fraction) -> bool:
+    def add(self, coeffs: list[int], rhs: int) -> bool:
         """Absorb one equation; False means it contradicts the others."""
-        coeffs = list(coeffs)
-        for pivot, (prow, prhs) in self.rows.items():
-            c = coeffs[pivot]
+        row = [*coeffs, rhs]
+        for pivot, prow in self.rows.items():
+            c = row[pivot]
             if c:
-                coeffs = [a - c * b for a, b in zip(coeffs, prow)]
-                rhs = rhs - c * prhs
-        pivot = next((j for j, c in enumerate(coeffs) if c), None)
+                p = prow[pivot]
+                row = [p * a - c * b for a, b in zip(row, prow)]
+        pivot = next((j for j in range(self.unknowns) if row[j]), None)
         if pivot is None:
-            return rhs == 0
-        inv = Fraction(1) / coeffs[pivot]
-        self.rows[pivot] = ([c * inv for c in coeffs], rhs * inv)
+            return row[-1] == 0
+        g = math.gcd(*row)
+        if row[pivot] < 0:
+            g = -g
+        self.rows[pivot] = [a // g for a in row]
         return True
 
     @property
@@ -55,8 +67,9 @@ class _Eliminator:
         assert self.rank == self.unknowns
         sol = [Fraction(0)] * self.unknowns
         for pivot in sorted(self.rows, reverse=True):
-            prow, prhs = self.rows[pivot]
-            sol[pivot] = prhs - sum(prow[j] * sol[j] for j in range(pivot + 1, self.unknowns))
+            prow = self.rows[pivot]
+            rest = sum(prow[j] * sol[j] for j in range(pivot + 1, self.unknowns))
+            sol[pivot] = Fraction(prow[-1] - rest, prow[pivot])
         return sol
 
 
@@ -78,26 +91,28 @@ class ProfileSolution:
     target_index: tuple[int, int] = (1, 0)
 
 
-def _profile_equation(n: int, period: int, row_odd: bool) -> list[Fraction]:
-    """Coefficient row of the sum at index n.
+def _equation_rows(period: int, row_odd: bool, ns: list[int]):
+    """Integer coefficient row of the sum at each n of the ascending list ns.
 
     Even rows have period + 1 unknowns [center, w_0, ..., w_(M-1)]; odd rows
     have no center column (C(2n+1, n) duplicates the k = 1 column), so only
     the M weights are solved for.
     """
-    if row_odd:
-        row, k_max = 2 * n + 1, n + 1
-        vals = [binomial(row, n + k) for k in range(k_max + 1)]
-        coeffs = [Fraction(0)] * period
-        for k in range(1, k_max + 1):
-            coeffs[k % period] += vals[k]
-        return coeffs
-    vals = central_row(n)
-    coeffs = [Fraction(0)] * (period + 1)
-    coeffs[0] = Fraction(vals[0])
-    for k in range(1, n + 1):
-        coeffs[1 + k % period] += vals[k]
-    return coeffs
+    sums = class_sums(period, row_odd)
+    at = 0
+    for n in ns:
+        middle, row = next(islice(sums, n - at, None))
+        at = n + 1
+        yield row if row_odd else [middle, *row]
+
+
+def _target_value(target, n: int, stage: str, span: tuple[int, int]) -> int:
+    try:
+        return target.value(n)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(
+            f"target {target.name}({target.index_str()}) has no value at n = {n}, "
+            f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
 
 
 def derive_profile(
@@ -111,12 +126,14 @@ def derive_profile(
     """Solve for the weight profile that expresses `target` as a centered sum.
 
     `target` is an OracleRef (sequence name, optional parameter, affine
-    index map).  The solve range must supply at least period + 2 equations.
+    index map).  The solve range must start at n >= 0 and supply at least
+    period + 2 equations.
     When the target is defined at n = 0 that trivial row (every side
     binomial vanishes) is included as well; it pins the center coefficient,
     which for even periods is otherwise entangled with the alternating-sign
     row identity.  A unique solution is re-verified on the `holdout`
     indices after the solve range and demoted to infeasible if any fails.
+    A target with no value at an index of either range raises ValueError.
     """
     from .identities import OracleRef  # reuse the reference type
 
@@ -124,6 +141,8 @@ def derive_profile(
         target = OracleRef(*target) if isinstance(target, tuple) else OracleRef(target)
     if period < 1:
         raise ValueError("period must be >= 1")
+    if solve_start < 0:
+        raise ValueError("solve_start must be >= 0")
     if solve_stop is None:
         solve_stop = solve_start + period + 3
     if solve_stop - solve_start + 1 < period + 2:
@@ -132,6 +151,8 @@ def derive_profile(
 
     unknowns = period if row_odd else period + 1
     elim = _Eliminator(unknowns)
+    solve = (solve_start, solve_stop)
+    hold = (solve_stop + 1, solve_stop + holdout)
     ns = list(range(solve_start, solve_stop + 1))
     if not row_odd and 0 not in ns:
         try:
@@ -140,37 +161,34 @@ def derive_profile(
             pass
         else:
             ns.insert(0, 0)
-    for n in ns:
-        coeffs = _profile_equation(n, period, row_odd)
-        if not elim.add(coeffs, Fraction(target.value(n))):
+    hold_ns = range(hold[0], hold[1] + 1)
+    rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
+    for n, coeffs in zip(ns, rows):
+        if not elim.add(coeffs, _target_value(target, n, "solve", solve)):
             return ProfileSolution(target.name, target.param, period, row_odd,
-                                   "infeasible", violated_n=n,
-                                   solve_range=(solve_start, solve_stop),
+                                   "infeasible", violated_n=n, solve_range=solve,
                                    target_index=(target.a, target.b))
     if elim.rank < unknowns:
         return ProfileSolution(target.name, target.param, period, row_odd,
                                "underdetermined", dimension=unknowns - elim.rank,
-                               solve_range=(solve_start, solve_stop),
-                               target_index=(target.a, target.b))
+                               solve_range=solve, target_index=(target.a, target.b))
     sol = elim.solve()
+    # clear denominators once, so each holdout check is an integer dot product
+    scale = math.lcm(*(x.denominator for x in sol))
+    scaled = [x.numerator * (scale // x.denominator) for x in sol]
+    for n, coeffs in zip(hold_ns, rows):
+        if sum(map(operator.mul, coeffs, scaled)) != scale * _target_value(
+                target, n, "holdout", hold):
+            return ProfileSolution(target.name, target.param, period, row_odd,
+                                   "infeasible", violated_n=n, solve_range=solve,
+                                   holdout_range=hold, target_index=(target.a, target.b))
     if row_odd:
         center, weights = Fraction(0), tuple(sol)
     else:
         center, weights = sol[0], tuple(sol[1:])
-    hold = (solve_stop + 1, solve_stop + holdout)
-    for n in range(hold[0], hold[1] + 1):
-        coeffs = _profile_equation(n, period, row_odd)
-        w_coeffs = coeffs if row_odd else coeffs[1:]
-        predicted = (Fraction(0) if row_odd else coeffs[0] * center) + sum(
-            c * w for c, w in zip(w_coeffs, weights))
-        if predicted != target.value(n):
-            return ProfileSolution(target.name, target.param, period, row_odd,
-                                   "infeasible", violated_n=n,
-                                   solve_range=(solve_start, solve_stop), holdout_range=hold,
-                                   target_index=(target.a, target.b))
     return ProfileSolution(target.name, target.param, period, row_odd, "unique",
                            center=center, weights=weights,
-                           solve_range=(solve_start, solve_stop), holdout_range=hold,
+                           solve_range=solve, holdout_range=hold,
                            target_index=(target.a, target.b))
 
 

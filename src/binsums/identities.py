@@ -23,9 +23,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
-from .core import binomial, binomial_row, central_row, kronecker
+from .core import binomial, binomial_row, central_row, class_sums, kronecker
 from .cyclo import centered_reduction, cos_power_vector
 from .quadratic import QuadValue
 from .sequences import seq_eval
@@ -170,36 +168,20 @@ class CenteredSum:
     def sweep(self, ns: list[int]) -> list:
         """evaluate(n) for every n in ns, in one pass over n = 0..max(ns).
 
-        Without a weight oracle, the class sums S_r = sum of C(2n, n+k) over
-        k >= 1, k = r (mod P) step from n to n+1 by Pascal's rule applied
-        twice, with the boundary terms c0 = C(2n, n) and c1 = C(2n, n+1):
-        O(P) integer additions per step.  Odd rows read
-        S_(r-1) + S_r (+ c0 when r = 1) and center c0 + c1.  With a weight
-        oracle each row is read once as integers instead.
+        Without a weight oracle, the class sums of each row come from the
+        Pascal-step kernel core.class_sums, at O(P) integer additions per
+        step, and are combined with the signed table.  With a weight oracle
+        each row is read once as integers instead.
         """
         if self.weight_oracle is not None:
             return self._oracle_weighted_sweep(ns)
         table = self.signed_table()
         groups = self._weight_groups(table)
-        p = len(table)
-        one = 1 % p
         wanted = set(ns)
         out = {}
-        s = [0] * p
-        c0, c1 = 1, 0
-        for n in range(max(ns) + 1):
+        for n, (middle, sums) in zip(range(max(ns) + 1), class_sums(len(table), self.row_odd)):
             if n in wanted:
-                if self.row_odd:
-                    t = [s[r - 1] + s[r] for r in range(p)]
-                    t[one] += c0
-                    out[n] = self._combine(groups, n, c0 + c1, t)
-                else:
-                    out[n] = self._combine(groups, n, c0, s)
-            s = [s[r - 1] + 2 * s[r] + s[(r + 1) % p] for r in range(p)]
-            s[one] += c0
-            s[0] -= c1
-            c0 = 2 * (c0 + c1)
-            c1 = c0 * (n + 1) // (n + 2)
+                out[n] = self._combine(groups, n, middle, sums)
         return [out[n] for n in ns]
 
     def _oracle_weighted_sweep(self, ns: list[int]) -> list:
@@ -382,6 +364,8 @@ class CosProduct:
     """
 
     def evaluate_numeric(self, n: int) -> tuple[int, float]:
+        from mpmath import mp, mpf  # deferred: only this product uses mpmath (~4 MB)
+
         with mp.workprec(64 + 4 * n):
             prod = mpf(1)
             for s in range(1, n + 1):

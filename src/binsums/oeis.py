@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
@@ -161,6 +160,8 @@ def fetch(seq_id: str, allow_network: bool = False, cache_dir: str | None = None
             f"no cached b-file for {seq_id} and network fetching is disabled"
         )
     url = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
+    import urllib.request  # deferred: only a network fetch needs the HTTP stack
+
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         text = resp.read().decode("ascii")
     table = parse_bfile(text, seq_id, source=url)  # validate before caching

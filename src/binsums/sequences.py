@@ -6,6 +6,7 @@ or a small closed rule.  All of them return exact integers on their domain.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -63,12 +64,19 @@ def lucas(n: int) -> int:
 _GENLUCAS_POLY: dict[int, IntPolynomial] = {}
 _SCRIPTL_POLY: dict[int, IntPolynomial] = {}
 _POWER_TABLE: dict[tuple[str, int], list[int]] = {}
+_POWER_LOCK = threading.Lock()
 
 
 def _powers(kind: str, m: int, poly: IntPolynomial, n: int) -> int:
-    table = _POWER_TABLE.setdefault((kind, m), power_sums(poly, 0))
+    # A published table is never changed: a longer one replaces it, built
+    # and published under the lock, so no thread ever sees a table shrink.
+    table = _POWER_TABLE.get((kind, m), ())
     if len(table) <= n:
-        table[:] = power_sums(poly, max(n, 2 * len(table)))
+        with _POWER_LOCK:
+            table = _POWER_TABLE.get((kind, m), ())
+            if len(table) <= n:
+                table = power_sums(poly, max(n, 2 * len(table)))
+                _POWER_TABLE[(kind, m)] = table
     return table[n]
 
 

@@ -132,6 +132,19 @@ def test_derive_unknown_target_exits_2(capsys):
     assert code == 2
 
 
+def test_derive_negative_solve_start_exits_2(capsys):
+    code = run(["derive", "--target", "fib", "--index", "2n", "--period", "5",
+                "--solve-range=-1..8"])
+    assert code == 2
+    assert "solve_start must be >= 0" in capsys.readouterr().err
+
+
+def test_derive_target_out_of_data_in_the_holdout_exits_2(capsys):
+    code = run(["derive", "--target", "A094667", "--period", "60"])
+    assert code == 2
+    assert "holdout range 65..84" in capsys.readouterr().err
+
+
 def test_oeis_check_uses_bundled_fixture(capsys):
     code, out = invoke(capsys, "oeis-check", "--sequence", "pellX", "--id", "A001075")
     assert code == 0

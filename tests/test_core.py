@@ -1,6 +1,17 @@
+import sys
+import threading
+
 import pytest
 
-from binsums.core import RecurrenceSpec, binomial, central_row, kronecker, rec_eval
+from binsums.core import (
+    RecurrenceSpec,
+    binomial,
+    binomial_row,
+    central_row,
+    class_sums,
+    kronecker,
+    rec_eval,
+)
 
 
 def pascal_triangle(rows):
@@ -177,6 +188,49 @@ def test_negative_index_rejected_without_rule():
         rec_eval(W, -1)
 
 
+def run_threads(work):
+    """Run work(barrier) on 4 threads with a tiny switch interval, so that
+    the interpreter interleaves them as often as it can."""
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def guarded():
+        try:
+            work(barrier)
+        except Exception as exc:  # reported to the test below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+def test_rec_eval_memo_survives_concurrent_extension():
+    # Every thread extends the same fresh table from its seeds; a lost
+    # check-then-append race shows as a duplicated entry.
+    reference = RecurrenceSpec("ref", (1, 1), (0, 1))
+    expected = [rec_eval(reference, n) for n in range(400)]
+    for _ in range(10):
+        spec = RecurrenceSpec("shared", (1, 1), (0, 1))
+
+        def work(barrier):
+            barrier.wait()
+            for n in range(0, 400, 3):
+                rec_eval(spec, n)
+
+        run_threads(work)
+        assert spec._table == expected
+
+
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec("bad", (1, 1), (0,))
@@ -184,3 +238,20 @@ def test_recurrence_spec_validation():
         RecurrenceSpec("bad", (), ())
     with pytest.raises(ValueError):
         RecurrenceSpec("bad", (1,), (0,), negative_rule="sideways")
+
+
+def test_class_sums_match_folded_rows():
+    # folding each whole row of binomial_row is the independent route
+    for period in range(1, 13):
+        for row_odd in (False, True):
+            for n, (middle, sums) in zip(range(61), class_sums(period, row_odd)):
+                row = binomial_row(2 * n + 1 if row_odd else 2 * n)
+                folded = [0] * period
+                for k in range(1, len(row) - n):
+                    folded[k % period] += row[n + k]
+                assert (middle, sums) == (row[n], folded), (period, row_odd, n)
+
+
+def test_class_sums_rejects_empty_period():
+    with pytest.raises(ValueError):
+        next(class_sums(0))

@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
 from binsums.cyclo import CycloVec, recognize_quad
 from binsums.discovery import (
+    _Eliminator,
     derive_profile,
     identity_from_profile,
     profile_from_angles,
     profile_json,
 )
-from binsums.identities import OracleRef, find, folded_profile, verify
+from binsums.identities import OracleRef, builtin_registry, find, folded_profile, verify
 from binsums.quadratic import QuadValue
 
 
@@ -66,6 +69,179 @@ def test_anchor_resolves_even_period_degeneracy():
 def test_solve_range_precondition():
     with pytest.raises(ValueError, match="at least"):
         derive_profile(OracleRef("fib", a=2), 5, solve_start=1, solve_stop=5)
+
+
+def test_negative_solve_start_is_rejected_up_front():
+    with pytest.raises(ValueError, match="solve_start must be >= 0"):
+        derive_profile(OracleRef("fib", a=2), 5, solve_start=-1, solve_stop=8)
+
+
+def test_target_that_runs_out_in_the_holdout_names_it():
+    # the bundled A094667 b-file stops at index 80; period 60 solves on
+    # 1..64 and holds out 65..84, so the holdout reaches past the data
+    with pytest.raises(ValueError) as info:
+        derive_profile(OracleRef("A094667"), 60)
+    message = str(info.value)
+    assert "A094667" in message and "n = 81" in message
+    assert "holdout range 65..84" in message
+    with pytest.raises(ValueError, match=r"n = 81, needed by the solve range 1\.\.84"):
+        derive_profile(OracleRef("A094667"), 80)
+
+
+# --- the integer solver against a rational reference --------------------------
+
+class FractionEliminator:
+    """Reference: incremental rational Gaussian elimination, each pivot row
+    normalized to a leading 1."""
+
+    def __init__(self, unknowns):
+        self.unknowns = unknowns
+        self.rows = {}  # pivot -> (row, rhs)
+
+    def add(self, coeffs, rhs):
+        coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
+        for pivot, (prow, prhs) in self.rows.items():
+            c = coeffs[pivot]
+            if c:
+                coeffs = [a - c * b for a, b in zip(coeffs, prow)]
+                rhs = rhs - c * prhs
+        pivot = next((j for j, c in enumerate(coeffs) if c), None)
+        if pivot is None:
+            return rhs == 0
+        inv = 1 / coeffs[pivot]
+        self.rows[pivot] = ([c * inv for c in coeffs], rhs * inv)
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def solve(self):
+        sol = [Fraction(0)] * self.unknowns
+        for pivot in sorted(self.rows, reverse=True):
+            prow, prhs = self.rows[pivot]
+            sol[pivot] = prhs - sum(prow[j] * sol[j] for j in range(pivot + 1, self.unknowns))
+        return sol
+
+
+def comb_equation(n, period, row_odd):
+    """Coefficient row at n, folded from math.comb one k at a time."""
+    if row_odd:
+        coeffs = [0] * period
+        for k in range(1, n + 2):
+            coeffs[k % period] += comb(2 * n + 1, n + k)
+        return coeffs
+    coeffs = [comb(2 * n, n)] + [0] * period
+    for k in range(1, n + 1):
+        coeffs[1 + k % period] += comb(2 * n, n + k)
+    return coeffs
+
+
+def reference_derive(target, period, row_odd):
+    """derive_profile's default ranges, solved and held out in Fractions."""
+    solve_stop = period + 4
+    unknowns = period if row_odd else period + 1
+    elim = FractionEliminator(unknowns)
+    ns = list(range(1, solve_stop + 1))
+    if not row_odd:
+        try:
+            target.value(0)
+        except (ValueError, KeyError):
+            pass
+        else:
+            ns.insert(0, 0)
+    out = {"status": "unique", "violated_n": None, "dimension": 0,
+           "center": None, "weights": None, "solve_range": (1, solve_stop),
+           "holdout_range": (0, 0)}
+    for n in ns:
+        if not elim.add(comb_equation(n, period, row_odd), target.value(n)):
+            return {**out, "status": "infeasible", "violated_n": n}
+    if elim.rank < unknowns:
+        return {**out, "status": "underdetermined", "dimension": unknowns - elim.rank}
+    sol = elim.solve()
+    hold = (solve_stop + 1, solve_stop + 20)
+    for n in range(hold[0], hold[1] + 1):
+        predicted = sum(c * x for c, x in zip(comb_equation(n, period, row_odd), sol))
+        if predicted != target.value(n):
+            return {**out, "status": "infeasible", "violated_n": n, "holdout_range": hold}
+    center, weights = (Fraction(0), tuple(sol)) if row_odd else (sol[0], tuple(sol[1:]))
+    return {**out, "center": center, "weights": weights, "holdout_range": hold}
+
+
+def foldable_left_sides():
+    out = []
+    for ident in builtin_registry():
+        if ident.kind != "sum":
+            continue
+        try:
+            folded_profile(ident)
+        except ValueError:
+            continue
+        if ident.lhs not in out:
+            out.append(ident.lhs)
+    return out
+
+
+def test_integer_derive_equals_the_fraction_reference():
+    targets = foldable_left_sides()
+    assert len(targets) == 29
+    statuses = set()
+    for target in targets:
+        for period in range(1, 11):
+            for row_odd in (False, True):
+                sol = derive_profile(target, period, row_odd)
+                got = {"status": sol.status, "violated_n": sol.violated_n,
+                       "dimension": sol.dimension, "center": sol.center,
+                       "weights": sol.weights, "solve_range": sol.solve_range,
+                       "holdout_range": sol.holdout_range}
+                assert got == reference_derive(target, period, row_odd), (
+                    target, period, row_odd)
+                statuses.add(sol.status)
+    assert statuses == {"unique", "underdetermined", "infeasible"}
+
+
+def random_system(rng, unknowns, rank, inconsistent):
+    """Equations whose coefficient rows span a space of the given rank;
+    an inconsistent system gets one right side off by 1."""
+    basis = [[rng.randint(-9, 9) for _ in range(unknowns)] for _ in range(rank)]
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(unknowns)]
+    denominator = lcm(*(v.denominator for v in x))
+    equations = []
+    for _ in range(unknowns + 3):
+        mix = [rng.randint(-3, 3) for _ in range(rank)]
+        row = [sum(m * b[j] for m, b in zip(mix, basis)) for j in range(unknowns)]
+        row = [c * denominator for c in row]
+        equations.append((row, int(sum(c * v for c, v in zip(row, x)))))
+    if inconsistent:
+        at = rng.randrange(len(equations))
+        row, rhs = equations[at]
+        equations[at] = (row, rhs + 1)
+    return equations
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_eliminator_equals_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(60):
+        unknowns = rng.randint(1, 6)
+        rank = rng.randint(0, unknowns)
+        inconsistent = rng.random() < 0.3
+        ints, ref = _Eliminator(unknowns), FractionEliminator(unknowns)
+        for row, rhs in random_system(rng, unknowns, rank, inconsistent):
+            ok = ints.add(row, rhs)
+            assert ok == ref.add(row, rhs)
+            assert ints.rank == ref.rank
+            if not ok:
+                seen.add("inconsistent")
+                break
+        else:
+            if ints.rank == unknowns:
+                seen.add("full")
+                assert ints.solve() == ref.solve()
+            else:
+                seen.add("deficient")
+    assert seen == {"full", "deficient", "inconsistent"}
 
 
 ROUND_TRIP_FAMILIES = [

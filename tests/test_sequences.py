@@ -104,3 +104,31 @@ def test_scaled_helpers_are_integral_at_zero():
     for n in range(1, 20):
         assert seq_eval("fibscaled", n) == 2 ** (n - 1) * seq_eval("fib", n)
         assert seq_eval("lucasscaled", n) == 2 ** (n - 1) * seq_eval("lucas", n)
+
+
+def test_power_sum_tables_survive_concurrent_extension():
+    # Four threads extend one fresh table to four different lengths at
+    # once.  A table published over a longer one would lose entries: a
+    # thread could then read past its end, and the memo would end up
+    # shorter than what was asked of it.
+    from binsums import sequences
+    from binsums.cyclo import power_sums
+    from test_core import run_threads
+
+    poly = sequences.genlucas_poly(3)
+    expected = power_sums(poly, 400)
+    keys = [("stress", trial) for trial in range(10)]
+    try:
+        for kind, trial in keys:
+            got = {}
+
+            def work(barrier):
+                n = 400 - barrier.wait()  # 397..400, one per thread
+                got[n] = sequences._powers(kind, trial, poly, n)
+
+            run_threads(work)
+            assert got == {n: expected[n] for n in range(397, 401)}
+            assert len(sequences._POWER_TABLE[kind, trial]) > 400
+    finally:
+        for key in keys:
+            sequences._POWER_TABLE.pop(key, None)
