@@ -190,6 +190,22 @@ def canonical_coeffs(vec: CycloVec) -> tuple[int, ...]:
     return tuple(rem)
 
 
+def cos_product_resultant(m: int) -> int:
+    """prod_{s=1}^{m-1} (3 - 2cos(2*pi*s/m)), exactly, for m >= 1.
+
+    With zeta = e^(2*pi*i/m), each factor is -zeta^(-s) * g(zeta^s) for
+    g(z) = z^2 - 3z + 1, and the -zeta^(-s) multiply to 1.  The product is
+    therefore Res(1 + z + ... + z^(m-1), g) = (c0 + c1*b1)(c0 + c1*b2) over
+    the roots b1, b2 of g (sum 3, product 1), where c0 + c1*z is the
+    remainder of 1 + z + ... + z^(m-1) modulo g: O(m) integer steps.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    _, rem = _poly_divmod_monic([1] * m, [1, -3, 1])
+    c0, c1 = (rem + [0])[:2]
+    return c0 * c0 + 3 * c0 * c1 + c1 * c1
+
+
 def as_integer(vec: CycloVec) -> int:
     """The rational integer a vector evaluates to, or ValueError if it is
     not rational."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import binomial, binomial_row, central_row, class_sums, kronecker
-from .cyclo import centered_reduction, cos_power_vector
+from .cyclo import centered_reduction, cos_power_vector, cos_product_resultant
 from .quadratic import QuadValue
 from .sequences import seq_eval
 
@@ -51,10 +51,8 @@ class OracleRef:
         param = n if self.param_from_n else self.param
         return seq_eval(self.name, self.a * v + self.b, param)
 
-    def index_str(self) -> str:
-        if self.a == 1 and self.b == 0:
-            return "n"
-        lead = "n" if self.a == 1 else f"{self.a}n"
+    def index_str(self, var: str = "n") -> str:
+        lead = var if self.a == 1 else f"{self.a}{var}"
         if self.b == 0:
             return lead
         return f"{lead}{'+' if self.b > 0 else '-'}{abs(self.b)}"
@@ -356,28 +354,19 @@ class DiagonalSum:
 
 @dataclass(frozen=True)
 class CosProduct:
-    """prod_{s=1}^n (3 - 2cos(2 pi s/(2n+1))): the lone numeric term.
+    """prod_{s=1}^n (3 - 2cos(2 pi s/(2n+1))), evaluated exactly.
 
-    Everything else in the catalogue is exact; this product has no integer
-    evaluation path here, so it is computed with correctly rounded
-    arithmetic at 64 + 4n bits and compared after rounding.
+    Factors s and 2n+1-s are equal, so the product over s = 1..2n, the
+    resultant `cos_product_resultant(2n+1)`, is the square of this one; every
+    factor is at least 1, so this product is its positive square root.
     """
 
-    def evaluate_numeric(self, n: int) -> tuple[int, float]:
-        from mpmath import mp, mpf  # deferred: only this product uses mpmath (~4 MB)
-
-        with mp.workprec(64 + 4 * n):
-            prod = mpf(1)
-            for s in range(1, n + 1):
-                prod *= 3 - 2 * mp.cos(2 * mp.pi * s / (2 * n + 1))
-            nearest = mp.nint(prod)
-            return int(nearest), float(abs(prod - nearest))
-
     def evaluate(self, n: int) -> Fraction:
-        return Fraction(self.evaluate_numeric(n)[0])
-
-
-RESIDUAL_TOLERANCE = 1e-9
+        full = cos_product_resultant(2 * n + 1)
+        half = math.isqrt(full)
+        if half * half != full:
+            raise ValueError(f"cosine product: resultant {full} is not a square at n = {n}")
+        return Fraction(half)
 
 
 @dataclass(frozen=True)
@@ -423,10 +412,6 @@ class Identity:
         if self.param is None or pname is None:
             return self.family
         return f"{self.family}[{pname}={self.param}]"
-
-    @property
-    def exact(self) -> bool:
-        return not any(isinstance(t, CosProduct) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -504,11 +489,8 @@ def _verify_vector(identity: Identity, n: int) -> tuple[bool, str, str]:
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
-    """Compare the two sides at every admissible n in [n_min, n_max].
-
-    All comparisons are exact except for a CosProduct term, which must both
-    round to the oracle value and leave a residual below 1e-9.
-    """
+    """Compare the two sides at every admissible n in [n_min, n_max], by
+    exact equality."""
     t0 = time.perf_counter()
     checked: list[int] = []
     per_n: list[bool] = []
@@ -517,7 +499,7 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     ns = identity.domain.indices(n_min, n_max)
     if identity.kind == "profile":
         table = _mod5_profile_table()
-    elif identity.kind == "sum" and identity.exact:
+    elif identity.kind == "sum":
         rhs_at = dict(zip(ns, rhs_values(identity, ns)))
     for n in ns:
         checked.append(n)
@@ -526,16 +508,9 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
         elif identity.kind == "vector":
             ok, ls, rs = _verify_vector(identity, n)
         else:
-            lhs = identity.lhs.value(n, n)
-            numeric = next((t for t in identity.terms if isinstance(t, CosProduct)), None)
-            if numeric is not None:
-                rounded, residual = numeric.evaluate_numeric(n)
-                ok = rounded == lhs and residual < RESIDUAL_TOLERANCE
-                ls, rs = str(lhs), f"{rounded} (residual {residual:.3g})"
-            else:
-                rhs = rhs_at[n]
-                ok = lhs == rhs
-                ls, rs = str(lhs), str(rhs)
+            lhs, rhs = identity.lhs.value(n, n), rhs_at[n]
+            ok = lhs == rhs
+            ls, rs = str(lhs), str(rhs)
         per_n.append(ok)
         if not ok and first is None:
             first = n
@@ -721,7 +696,7 @@ def _build_registry() -> tuple[Identity, ...]:
         description="odd-index Lucas as a signed shallow-diagonal sum")
     add("sury-product", OracleRef("lucas", a=2, b=1),
         [CosProduct()],
-        description="odd-index Lucas as a cosine product (numeric check)")
+        description="odd-index Lucas as a cosine product")
     add("A094831-S", OracleRef("S"),
         [CenteredSum((2, 0, 0, -1, 0, 0, -1, 0, 0), 9, center=1)],
         description="the x^3-6x^2+9x-1 sequence from residues mod 3 and mod 9")
@@ -811,8 +786,7 @@ def _term_json(term) -> dict:
             "sign": term.sign,
             "weight_oracle": None if term.weight_oracle is None else {
                 "sequence": term.weight_oracle.name,
-                "index": f"{term.weight_oracle.a}k{term.weight_oracle.b:+d}"
-                if term.weight_oracle.b else f"{term.weight_oracle.a}k",
+                "index": term.weight_oracle.index_str("k"),
             },
         }
     if isinstance(term, ScaledBinomial):
@@ -836,7 +810,7 @@ def _term_json(term) -> dict:
     if isinstance(term, DiagonalSum):
         return {"kind": "diagonal-sum", "base": term.base}
     if isinstance(term, CosProduct):
-        return {"kind": "cos-product", "numeric": True}
+        return {"kind": "cos-product"}
     raise TypeError(f"unknown term {term!r}")
 
 

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; every comparison is exact except where a tolerance is stated
-inline (the single numeric cosine-product entry).
+lines; every comparison is exact, with no tolerance anywhere.
 """
 import time
 
@@ -143,13 +142,12 @@ def test_criterion_10_cosine_product():
     from binsums.identities import CosProduct
 
     term = CosProduct()
-    worst = 0.0
-    ok = True
-    for n in range(1, 31):
-        rounded, residual = term.evaluate_numeric(n)
-        worst = max(worst, residual)
+    bad = []
+    for n in range(0, 201):
+        product = term.evaluate(n)
         lucas_val = seq_eval("lucas", 2 * n + 1)
         diagonal = rhs_eval(find("sury-diagonal")[0], n)
-        ok = ok and residual < 1e-9 and rounded == lucas_val == diagonal
-    report(10, ok, f"product rounds to L(2n+1) for n <= 30, worst residual {worst:.2e}, "
-                   f"agrees with the exact diagonal form")
+        if not product == lucas_val == diagonal:
+            bad.append(n)
+    report(10, not bad, f"product equals L(2n+1) and the diagonal form exactly for "
+                        f"n <= 200, failures: {bad}")

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import binsums
 from binsums.cli import run
 from binsums.identities import builtin_registry, perturbed
 
@@ -24,6 +29,18 @@ def test_verify_all_summary_line(capsys):
     code, out = invoke(capsys, "verify", "--all", "--n-max", "12")
     assert code == 0
     assert out.strip().splitlines()[-1] == "PASS 37/37"
+
+
+def test_verify_all_runs_without_mpmath():
+    # a None entry in sys.modules makes any `import mpmath` raise ImportError
+    script = ('import sys; sys.modules["mpmath"] = None\n'
+              'from binsums.cli import run\n'
+              'sys.exit(run(["verify", "--all", "--n-max", "30"]))')
+    env = {**os.environ, "PYTHONPATH": str(Path(binsums.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "PASS 37/37"
 
 
 def test_verify_json_schema_and_round_trip(capsys):

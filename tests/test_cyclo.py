@@ -13,6 +13,7 @@ from binsums.cyclo import (
     char_poly_from_roots,
     chebyshev_monic,
     cos_power_vector,
+    cos_product_resultant,
     cyclo_mul,
     cyclotomic_polynomial,
     power_sum,
@@ -93,6 +94,18 @@ def test_canonical_reduction_identifies_equal_values():
     assert as_integer(v) == 1
     with pytest.raises(ValueError):
         as_integer(CycloVec.monomial(10, 1))
+
+
+def test_cos_product_resultant_matches_the_direct_product():
+    # every m = 2n+1 for n <= 30, and the even m in between
+    for m in range(1, 62):
+        prod = CycloVec.one(m)
+        for s in range(1, m):
+            prod = prod * (CycloVec.one(m).scale(3) - CycloVec.two_cos(m, s))
+        assert cos_product_resultant(m) == as_integer(prod), m
+    assert [cos_product_resultant(m) for m in range(1, 8)] == [1, 5, 16, 45, 121, 320, 841]
+    with pytest.raises(ValueError):
+        cos_product_resultant(0)
 
 
 def test_char_poly_examples():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from binsums.core import binomial
+from binsums.cyclo import CycloVec, as_integer
 from binsums.identities import (
     _SIGNS,
     FAMILIES,
     BinomialTransform,
     CenteredSum,
+    CosProduct,
     Domain,
     Identity,
     OracleRef,
@@ -172,10 +174,28 @@ def test_quadratic_weights_that_cancel_across_terms_are_fine():
 @pytest.mark.parametrize("n_min", [0, 7])
 def test_sweep_equals_direct_evaluation_on_the_registry(n_min):
     for ident in builtin_registry():
-        if ident.kind != "sum" or not ident.exact:
+        if ident.kind != "sum":
             continue
         ns = ident.domain.indices(n_min, 80)
         assert rhs_values(ident, ns) == [rhs_eval(ident, n) for n in ns], ident.label
+
+
+def test_cos_product_equals_the_product_in_the_group_ring():
+    """The slow, independent route: multiply out prod_{s=1}^n (3 - z^s - z^-s)
+    in Z[z]/(z^(2n+1) - 1) and read it back as a rational integer."""
+    for n in range(0, 31):
+        m = 2 * n + 1
+        prod = CycloVec.one(m)
+        for s in range(1, n + 1):
+            prod = prod * (CycloVec.one(m).scale(3) - CycloVec.two_cos(m, s))
+        assert CosProduct().evaluate(n) == as_integer(prod), n
+
+
+def test_cos_product_failure_reports_exact_values():
+    ident = Identity("synthetic-cos-product", OracleRef("lucas", a=2, b=3), (CosProduct(),))
+    rep = verify(ident, 10)
+    assert rep.first_divergence == 0
+    assert (rep.lhs_at_divergence, rep.rhs_at_divergence) == ("4", "1")
 
 
 def _synthetic_sums():
@@ -290,6 +310,20 @@ def test_json_export():
     assert fib_even["lhs"] == {"sequence": "fib", "param": None, "index": "2n"}
     surd = json.dumps(identity_json(find("mod5-profile")[0]))
     assert json.loads(surd)["kind"] == "profile"
+
+
+def test_weight_oracle_index_follows_index_str():
+    def index(oracle):
+        term = CenteredSum((1,), 1, weight_oracle=oracle)
+        return identity_json(Identity("synthetic", OracleRef("fib"), (term,)))[
+            "terms"][0]["weight_oracle"]["index"]
+
+    assert index(OracleRef("lucas")) == "k"
+    assert index(OracleRef("lucas", b=2)) == "k+2"
+    assert index(OracleRef("lucas", a=3, b=-1)) == "3k-1"
+    assert identity_json(find("lewis-family")[1])["terms"][0]["weight_oracle"] == {
+        "sequence": "lucas", "index": "4k"}
+    assert identity_json(find("sury-product")[0])["terms"] == [{"kind": "cos-product"}]
 
 
 def test_labels():
