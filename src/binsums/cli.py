@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import discovery, identities, oeis
 from .cyclo import cos_power_vector
@@ -22,35 +21,13 @@ from .sequences import get_oracle, seq_slice
 DEFAULT_N_MAX = 50
 
 
-@dataclass
-class RunConfig:
-    command: str
-    identity: str | None = None
-    n_max: int = DEFAULT_N_MAX
-    sequence: str | None = None
-    param: int | None = None
-    count: int = 20
-    period: int = 0
-    row_odd: bool = False
-    solve_range: tuple[int, int] | None = None
-    index: tuple[int, int] = (1, 0)
-    seq_id: str | None = None
-    bfile: str | None = None
-    allow_fetch: bool = False
-    cache_dir: str | None = None  # None defers to $OEIS_CACHE_DIR
-    fmt: str = "text"
-    modulus: int = 0
-    exp: int = 0
-    power: int = 0
-
-
 def _parse_index(text: str) -> tuple[int, int]:
-    """Affine index maps like 'n', '2n', '2n+1', 'n-1'."""
+    """Affine index maps like 'n', '2n', '2n+1', 'n-1', '-n+70'."""
     s = text.replace(" ", "")
     if "n" not in s:
         raise ValueError(f"index map {text!r} must mention n")
     head, _, tail = s.partition("n")
-    a = int(head) if head not in ("", "+") else (-1 if head == "-" else 1)
+    a = int(head + "1") if head in ("", "+", "-") else int(head)
     b = int(tail) if tail else 0
     return a, b
 
@@ -60,10 +37,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         entries = payload.get("entries", [payload])
         writer = csv.DictWriter(buf, fieldnames=list(entries[0].keys()))
@@ -76,21 +53,21 @@ def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_verify(config: RunConfig, registry) -> int:
-    if config.identity and config.identity != "all":
-        if not any(i.family == config.identity for i in registry):
-            print(f"unknown identity {config.identity!r}; known: {', '.join(identities.FAMILIES)}",
+def _cmd_verify(args: argparse.Namespace, registry) -> int:
+    if args.identity and args.identity != "all":
+        if not any(i.family == args.identity for i in registry):
+            print(f"unknown identity {args.identity!r}; known: {', '.join(identities.FAMILIES)}",
                   file=sys.stderr)
             return 2
-        families = [config.identity]
+        families = [args.identity]
     else:
         families = list(dict.fromkeys(i.family for i in registry))
     entries = []
     n_pass = 0
-    stream_text = config.fmt == "text"
+    stream_text = args.format == "text"
     for fam in families:
         members = [i for i in registry if i.family == fam]
-        reports = [verify(m, config.n_max) for m in members]
+        reports = [verify(m, args.n_max) for m in members]
         bad = next((r for r in reports if not r.passed), None)
         entry = {
             "id": fam,
@@ -116,40 +93,38 @@ def _cmd_verify(config: RunConfig, registry) -> int:
         tag = "PASS" if summary["fail"] == 0 else "FAIL"
         print(f"{tag} {n_pass}/{len(families)}")
     else:
-        _emit(config, payload, [])
+        _emit(args, payload, [])
     return 0 if summary["fail"] == 0 else 1
 
 
-def _cmd_table(config: RunConfig) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     try:
-        values = seq_slice(config.sequence, config.count, config.param)
+        values = seq_slice(args.sequence, args.count, args.m)
     except (KeyError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    start = get_oracle(config.sequence).start
-    payload = {"command": "table", "sequence": config.sequence, "param": config.param,
+    start = get_oracle(args.sequence).start
+    payload = {"command": "table", "sequence": args.sequence, "param": args.m,
                "start": start, "values": [str(v) for v in values]}
-    _emit(config, payload, [", ".join(str(v) for v in values)])
+    _emit(args, payload, [", ".join(str(v) for v in values)])
     return 0
 
 
-def _cmd_derive(config: RunConfig) -> int:
-    a, b = config.index
-    target = OracleRef(config.sequence, param=config.param, a=a, b=b)
+def _cmd_derive(args: argparse.Namespace, index: tuple[int, int],
+                solve_range: tuple[int, ...]) -> int:
+    a, b = index
+    target = OracleRef(args.target, param=args.m, a=a, b=b)
+    row_odd = args.row == "odd"
     try:
-        get_oracle(config.sequence)
-        if config.solve_range:
-            lo, hi = config.solve_range
-            solution = discovery.derive_profile(target, config.period, config.row_odd, lo, hi)
-        else:
-            solution = discovery.derive_profile(target, config.period, config.row_odd)
+        get_oracle(args.target)
+        solution = discovery.derive_profile(target, args.period, row_odd, *solve_range)
     except (KeyError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     payload = discovery.profile_json(solution)
     payload["command"] = "derive"
-    lines = [f"target {config.sequence} period {config.period} "
-             f"rows {'2n+1' if config.row_odd else '2n'}: {solution.status}"]
+    lines = [f"target {args.target} period {args.period} "
+             f"rows {'2n+1' if row_odd else '2n'}: {solution.status}"]
     if solution.status == "unique":
         lines.append(f"center  {solution.center}")
         lines.append(f"weights {', '.join(str(w) for w in solution.weights)}")
@@ -158,54 +133,53 @@ def _cmd_derive(config: RunConfig) -> int:
         lines.append(f"solution space dimension {solution.dimension}")
     else:
         lines.append(f"no profile exists; first violated n = {solution.violated_n}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0 if solution.status == "unique" else 1
 
 
-def _cmd_oeis_check(config: RunConfig) -> int:
+def _cmd_oeis_check(args: argparse.Namespace) -> int:
     try:
-        get_oracle(config.sequence)
-        if config.bfile:
-            with open(config.bfile, "r", encoding="ascii") as fh:
-                table = oeis.parse_bfile(fh.read(), config.seq_id, source=config.bfile)
-        elif config.allow_fetch:
-            table = oeis.fetch(config.seq_id, allow_network=True, cache_dir=config.cache_dir)
+        get_oracle(args.sequence)
+        if args.bfile:
+            with open(args.bfile, "r", encoding="ascii") as fh:
+                table = oeis.parse_bfile(fh.read(), args.seq_id, source=args.bfile)
+        elif args.fetch:
+            table = oeis.fetch(args.seq_id, allow_network=True, cache_dir=args.cache_dir)
         else:
             try:
-                table = oeis.fetch(config.seq_id, allow_network=False,
-                                   cache_dir=config.cache_dir)
+                table = oeis.fetch(args.seq_id, allow_network=False, cache_dir=args.cache_dir)
             except oeis.FetchDisabled:
-                table = oeis.load_fixture(config.seq_id)
+                table = oeis.load_fixture(args.seq_id)
     except (KeyError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    report = oeis.compare(config.sequence, table, config.count, config.param)
-    payload = {"command": "oeis-check", "sequence": config.sequence, "id": config.seq_id,
+    report = oeis.compare(args.sequence, table, args.count, args.m)
+    payload = {"command": "oeis-check", "sequence": args.sequence, "id": args.seq_id,
                "shift": report.shift, "matched": report.matched,
                "match": report.is_match,
                "first_mismatch": None if report.first_mismatch is None else
                {"index": report.first_mismatch[0],
                 "local": str(report.first_mismatch[1]),
                 "bfile": str(report.first_mismatch[2])}}
-    lines = [f"{config.sequence} vs {config.seq_id}: "
+    lines = [f"{args.sequence} vs {args.seq_id}: "
              f"{'MATCH' if report.is_match else 'MISMATCH'} "
              f"({report.matched} terms at shift {report.shift:+d})"]
     if report.first_mismatch:
         i, lv, bv = report.first_mismatch
         lines.append(f"first divergence at n={i}: local {lv}, b-file {bv}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return 0 if report.is_match else 1
 
 
-def _cmd_cospow(config: RunConfig) -> int:
-    vec = cos_power_vector(config.modulus, config.exp, config.power)
-    payload = {"command": "cospow", "modulus": config.modulus, "exp": config.exp,
-               "power": config.power, "coeffs": [str(c) for c in vec.coeffs]}
-    _emit(config, payload, ["[" + ", ".join(str(c) for c in vec.coeffs) + "]"])
+def _cmd_cospow(args: argparse.Namespace) -> int:
+    vec = cos_power_vector(args.modulus, args.exp, args.power)
+    payload = {"command": "cospow", "modulus": args.modulus, "exp": args.exp,
+               "power": args.power, "coeffs": [str(c) for c in vec.coeffs]}
+    _emit(args, payload, ["[" + ", ".join(str(c) for c in vec.coeffs) + "]"])
     return 0
 
 
-def _cmd_export(config: RunConfig) -> int:
+def _cmd_export(args: argparse.Namespace) -> int:
     print(json.dumps(identities.registry_json(), indent=2))
     return 0
 
@@ -270,38 +244,20 @@ def run(argv: list[str] | None = None, registry=None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, fmt=getattr(args, "format", "text"))
     if args.command == "verify":
-        config.identity = "all" if args.all else args.identity
         if args.n_max < 1:
             parser.error("--n-max must be >= 1")
-        config.n_max = args.n_max
-        return _cmd_verify(config, registry if registry is not None else builtin_registry())
-    if args.command == "table":
-        config.sequence, config.param, config.count = args.sequence, args.m, args.count
-        return _cmd_table(config)
+        return _cmd_verify(args, registry if registry is not None else builtin_registry())
     if args.command == "derive":
-        config.sequence, config.param, config.period = args.target, args.m, args.period
-        config.row_odd = args.row == "odd"
         try:
-            config.index = _parse_index(args.index)
-            if args.solve_range:
-                config.solve_range = _parse_range(args.solve_range)
+            index = _parse_index(args.index)
+            solve_range = _parse_range(args.solve_range) if args.solve_range else ()
         except ValueError as exc:
             parser.error(str(exc))
-        return _cmd_derive(config)
-    if args.command == "oeis-check":
-        config.sequence, config.seq_id, config.param = args.sequence, args.seq_id, args.m
-        config.bfile, config.allow_fetch, config.count = args.bfile, args.fetch, args.count
-        config.cache_dir = args.cache_dir
-        return _cmd_oeis_check(config)
-    if args.command == "cospow":
-        config.modulus, config.exp, config.power = args.modulus, args.exp, args.power
-        return _cmd_cospow(config)
-    if args.command == "export":
-        return _cmd_export(config)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+        return _cmd_derive(args, index, solve_range)
+    commands = {"table": _cmd_table, "oeis-check": _cmd_oeis_check,
+                "cospow": _cmd_cospow, "export": _cmd_export}
+    return commands[args.command](args)
 
 
 def main() -> None:

@@ -36,6 +36,14 @@ SIGN_ALT_NK = "(-1)^(n-k)"
 _SIGNS = (SIGN_NONE, SIGN_ALT_K, SIGN_ALT_J, SIGN_ALT_NK)
 
 
+def _affine_str(a: int, b: int, var: str) -> str:
+    """a*var + b as written in the JSON format: "n", "-n", "2n", "3k-1"."""
+    lead = {1: var, -1: f"-{var}"}.get(a, f"{a}{var}")
+    if b == 0:
+        return lead
+    return f"{lead}{'+' if b > 0 else '-'}{abs(b)}"
+
+
 @dataclass(frozen=True)
 class OracleRef:
     """A sequence evaluated along an affine index a*v + b of the running
@@ -52,10 +60,7 @@ class OracleRef:
         return seq_eval(self.name, self.a * v + self.b, param)
 
     def index_str(self, var: str = "n") -> str:
-        lead = var if self.a == 1 else f"{self.a}{var}"
-        if self.b == 0:
-            return lead
-        return f"{lead}{'+' if self.b > 0 else '-'}{abs(self.b)}"
+        return _affine_str(self.a, self.b, var)
 
 
 @dataclass(frozen=True)
@@ -610,7 +615,7 @@ def _build_registry() -> tuple[Identity, ...]:
         description="6-path walk counts from residues 0, 3, 4 mod 7")
     add("qr-difference", OracleRef("A094789"),
         [CenteredSum((0, 1, 0, -1, -1, 0, 1), 7)],
-        domain=Domain(1, 79),
+        domain=Domain(1),
         description="difference of the two walk-count slices")
     add("W-even", OracleRef("W", a=2),
         [ScaledBinomial(Fraction(7, 2), "C(2n,n)"), Power(-1, 2, 2, -1),
@@ -664,15 +669,14 @@ def _build_registry() -> tuple[Identity, ...]:
         description="three times the Kronecker mod 9 slice is 4^n - 1")
     add("kron20-A094667", OracleRef("A094667"),
         [CenteredSum(_kron_weights(20), 20)],
-        domain=Domain(0, 79),
-        description="Kronecker mod 20 slice against its pinned b-file")
+        description="Kronecker mod 20 slice against the order-4 recurrence of A094667")
     add("kron5-alt-fib", OracleRef("fib2trans"),
         [CenteredSum(_kron_weights(5, scale=-1), 5, sign=SIGN_ALT_K)],
         description="sign-alternating Legendre slice gives the F(2k) binomial transform")
     add("kron13-alt-A216597", OracleRef("A216597"),
         [CenteredSum(_kron_weights(13), 13, sign=SIGN_ALT_K)],
-        domain=Domain(0, 79),
-        description="sign-alternating Kronecker mod 13 slice against its pinned b-file")
+        description="sign-alternating Kronecker mod 13 slice against the order-6 recurrence "
+                    "of A216597")
     for t in range(1, 6):
         add("lewis-family", OracleRef("lewis", param=t),
             [CenteredSum((Fraction(1),), 1, center=1,
@@ -793,7 +797,7 @@ def _term_json(term) -> dict:
         return {"kind": "scaled-binomial", "coeff": str(term.coeff), "which": term.which}
     if isinstance(term, Power):
         return {"kind": "power", "coeff": str(term.coeff), "base": term.base,
-                "exponent": f"{term.ea}n{term.eb:+d}" if term.eb else f"{term.ea}n"}
+                "exponent": _affine_str(term.ea, term.eb, "n")}
     if isinstance(term, Constant):
         return {"kind": "constant", "value": str(term.value)}
     if isinstance(term, ScaledOracle):

@@ -29,8 +29,8 @@ FIXTURES: dict[str, tuple[str, int | None]] = {
     "A095931": ("B", None),
     "A007052": ("scriptL", 4),
     "A081567": ("scriptL", 5),
-    "A094667": (None, None),  # consumed through the identity registry
-    "A216597": (None, None),
+    "A094667": ("A094667", None),
+    "A216597": ("A216597", None),
 }
 
 

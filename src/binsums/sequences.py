@@ -1,12 +1,12 @@
 """Named exact integer sequences: the ground truth side of every identity.
 
-Each oracle is backed by a linear recurrence, a Newton power sum over an
-integer characteristic polynomial, a partial-row sum over Pascal's triangle,
-or a small closed rule.  All of them return exact integers on their domain.
+Each oracle is backed by a linear recurrence (Newton power sums of an
+integer characteristic polynomial included), a partial-row sum over
+Pascal's triangle, or a small closed rule.  All of them return exact
+integers on their domain.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
@@ -50,6 +50,13 @@ W_SEQ = RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5))
 Q_SEQ = RecurrenceSpec("Q", (5, -6, 1), (1, 1, 2))
 R_SEQ = RecurrenceSpec("R", (5, -6, 1), (1, 2, 6))
 S_SEQ = RecurrenceSpec("S", (6, -9, 1), (1, 2, 6))
+# binomial transforms of the Pell numbers and of F(2k)
+PELL_TRANS = RecurrenceSpec("pelltrans", (4, -2), (0, 1))
+FIB2_TRANS = RecurrenceSpec("fib2trans", (5, -5), (0, 1))
+# the Kronecker mod 20 and sign-alternating mod 13 central-row sums
+A094667_SEQ = RecurrenceSpec("A094667", (8, -21, 20, -5), (0, 1, 4, 14))
+A216597_SEQ = RecurrenceSpec("A216597", (13, -65, 156, -182, 91, -13),
+                             (0, -1, -5, -22, -91, -364))
 
 
 def fib(n: int) -> int:
@@ -60,78 +67,54 @@ def lucas(n: int) -> int:
     return rec_eval(LUCAS, n)
 
 
-# characteristic polynomials and power-sum tables, cached per parameter
-_GENLUCAS_POLY: dict[int, IntPolynomial] = {}
-_SCRIPTL_POLY: dict[int, IntPolynomial] = {}
-_POWER_TABLE: dict[tuple[str, int], list[int]] = {}
-_POWER_LOCK = threading.Lock()
-
-
-def _powers(kind: str, m: int, poly: IntPolynomial, n: int) -> int:
-    # A published table is never changed: a longer one replaces it, built
-    # and published under the lock, so no thread ever sees a table shrink.
-    table = _POWER_TABLE.get((kind, m), ())
-    if len(table) <= n:
-        with _POWER_LOCK:
-            table = _POWER_TABLE.get((kind, m), ())
-            if len(table) <= n:
-                table = power_sums(poly, max(n, 2 * len(table)))
-                _POWER_TABLE[(kind, m)] = table
-    return table[n]
-
-
 def genlucas_poly(m: int) -> IntPolynomial:
     """Characteristic polynomial of the 2cos((2t+1)pi/(2m+1)) family."""
-    poly = _GENLUCAS_POLY.get(m)
-    if poly is None:
-        poly = char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2)))
-        _GENLUCAS_POLY[m] = poly
-    return poly
-
-
-def _genlucas(m: int, n: int) -> int:
-    return _powers("genlucas", m, genlucas_poly(m), n)
+    return char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2)))
 
 
 def scriptl_poly(m: int) -> IntPolynomial:
     """Polynomial whose roots are the squares (2cos((2t-1)pi/(2m)))^2."""
-    poly = _SCRIPTL_POLY.get(m)
-    if poly is None:
-        poly = squared_root_poly(chebyshev_monic(m))
-        _SCRIPTL_POLY[m] = poly
-    return poly
+    return squared_root_poly(chebyshev_monic(m))
+
+
+# one power-sum recurrence per (family, m), built on first use
+_POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
+
+
+def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n: int) -> int:
+    """Sum of the n-th powers of the roots of make_poly(m).
+
+    By Newton's identities the power sums satisfy the polynomial's own
+    recurrence: with x^d + a_1 x^(d-1) + ... + a_d the coefficients are
+    -a_1..-a_d, seeded with the power sums p_0..p_(d-1).
+    """
+    spec = _POWER_SUM_SPECS.get((family, m))
+    if spec is None:
+        poly = make_poly(m)
+        d = poly.degree
+        coeffs = tuple(-poly.coeffs[d - i] for i in range(1, d + 1))
+        spec = RecurrenceSpec(f"{family}({m})", coeffs, tuple(power_sums(poly, d - 1)))
+        # setdefault keeps the first spec published, so threads share one memo
+        spec = _POWER_SUM_SPECS.setdefault((family, m), spec)
+    return rec_eval(spec, n)
 
 
 def _scriptl(m: int, n: int) -> int:
     # every root square occurs twice (the middle zero root for odd m
     # contributes nothing once n >= 1), hence the divisor 2m
-    total = _powers("scriptL", m, scriptl_poly(m), n)
-    q, r = divmod(total, 2 * m)
+    q, r = divmod(_power_sum("scriptL", scriptl_poly, m, n), 2 * m)
     if r:
         raise ValueError(f"scriptL({m}) power sum not divisible by {2 * m} at n = {n}")
     return q
 
 
+def _qrdiff(_, n: int) -> int:
+    return rec_eval(R_SEQ, n) - rec_eval(Q_SEQ, n)
+
+
 def _partial_row(n: int, residues: set[int], modulus: int) -> int:
     row = central_row(n)
     return sum(row[k] for k in range(1, n + 1) if k % modulus in residues)
-
-
-def _pell_transform(n: int) -> int:
-    return sum(binomial(n, k) * rec_eval(PELL, k) for k in range(n + 1))
-
-
-def _fib2_transform(n: int) -> int:
-    return sum(binomial(n, k) * fib(2 * k) for k in range(n + 1))
-
-
-def _bfile_value(seq_id: str, n: int) -> int:
-    from . import oeis  # deferred: oeis also consults this registry
-
-    table = oeis.load_fixture(seq_id)
-    if n not in table.entries:
-        raise ValueError(f"{seq_id} fixture has no index {n}")
-    return table.entries[n]
 
 
 def _o(name, rule, **kw) -> SequenceOracle:
@@ -156,9 +139,9 @@ _REGISTRY: dict[str, SequenceOracle] = {
            description="closed walk counts at the middle of the 6-path"),
         _o("S", lambda _, n: rec_eval(S_SEQ, n), oeis_id="A094831",
            description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
-        _o("qrdiff", lambda _, n: rec_eval(R_SEQ, n) - rec_eval(Q_SEQ, n), start=1,
-           oeis_id="A094789", description="R minus Q"),
-        _o("genlucas", lambda m, n: _genlucas(m, n), param_name="m", param_min=2,
+        _o("qrdiff", _qrdiff, start=1, oeis_id="A094789", description="R minus Q"),
+        _o("genlucas", lambda m, n: _power_sum("genlucas", genlucas_poly, m, n),
+           param_name="m", param_min=2,
            description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
         _o("scriptL", lambda m, n: _scriptl(m, n), start=1, param_name="m", param_min=2,
            description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
@@ -176,9 +159,9 @@ _REGISTRY: dict[str, SequenceOracle] = {
         _o("pow3", lambda _, n: 3**n, oeis_id="A000244", description="powers of 3"),
         _o("pow4", lambda _, n: 4**n, description="powers of 4"),
         _o("pow5", lambda _, n: 5**n, description="powers of 5"),
-        _o("pelltrans", lambda _, n: _pell_transform(n),
+        _o("pelltrans", lambda _, n: rec_eval(PELL_TRANS, n),
            description="binomial transform of the Pell numbers"),
-        _o("fib2trans", lambda _, n: _fib2_transform(n),
+        _o("fib2trans", lambda _, n: rec_eval(FIB2_TRANS, n),
            description="binomial transform of the even-index Fibonacci numbers"),
         _o("fibscaled", lambda _, n: 0 if n == 0 else 2 ** (n - 1) * fib(n),
            description="2^(n-1) F(n)"),
@@ -188,12 +171,12 @@ _REGISTRY: dict[str, SequenceOracle] = {
            description="5^n F(t)^(2n)"),
         _o("fiboddpow", lambda p, n: 2 * 5**n * fib(2 * p) ** (2 * n + 1),
            param_name="p", param_min=1, description="2 * 5^n F(2p)^(2n+1)"),
-        _o("A094789", lambda _, n: _bfile_value("A094789", n), start=1,
-           oeis_id="A094789", description="pinned b-file values of A094789"),
-        _o("A094667", lambda _, n: _bfile_value("A094667", n),
-           oeis_id="A094667", description="pinned b-file values of A094667"),
-        _o("A216597", lambda _, n: _bfile_value("A216597", n),
-           oeis_id="A216597", description="pinned b-file values of A216597"),
+        _o("A094789", _qrdiff, start=1, oeis_id="A094789", description="R minus Q"),
+        _o("A094667", lambda _, n: rec_eval(A094667_SEQ, n), oeis_id="A094667",
+           description="Kronecker mod 20 central-row sums, by their order-4 recurrence"),
+        _o("A216597", lambda _, n: rec_eval(A216597_SEQ, n), oeis_id="A216597",
+           description="sign-alternating Kronecker mod 13 central-row sums, by their "
+                       "order-6 recurrence"),
     ]
 }
 

@@ -124,17 +124,17 @@ def test_criterion_8_kronecker_against_brute_force():
 
 def test_criterion_9_oeis_fixtures():
     bad = []
-    ten = [(sid, seq, param) for sid, (seq, param) in FIXTURES.items()
-           if seq is not None and sid not in ("A007052", "A081567")]
-    assert len(ten) == 10
-    for sid, seq, param in ten:
+    twelve = [(sid, seq, param) for sid, (seq, param) in FIXTURES.items()
+              if sid not in ("A007052", "A081567")]
+    assert len(twelve) == 12
+    for sid, seq, param in twelve:
         rep = compare(seq, load_fixture(sid), count=50, param=param)
         if not (rep.is_match and rep.matched >= 50):
             bad.append(sid)
     signed = load_fixture("A094648").entries[7] == -57
     control = compare("pellX", load_fixture("A001353"), count=50)
     ok = not bad and signed and not control.is_match and control.first_mismatch is not None
-    report(9, ok, f"10 bundled fixtures match >= 50 terms (failures: {bad}); "
+    report(9, ok, f"12 bundled fixtures match >= 50 terms (failures: {bad}); "
                   f"signed prefix kept; wrong pairing diverges at n={control.first_mismatch[0]}")
 
 

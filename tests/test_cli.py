@@ -157,9 +157,13 @@ def test_derive_negative_solve_start_exits_2(capsys):
 
 
 def test_derive_target_out_of_data_in_the_holdout_exits_2(capsys):
-    code = run(["derive", "--target", "A094667", "--period", "60"])
+    code = run(["derive", "--target", "C", "--index=-n+4", "--period", "1",
+                "--solve-range", "0..4"])
     assert code == 2
-    assert "holdout range 65..84" in capsys.readouterr().err
+    assert "holdout range 5..24" in capsys.readouterr().err
+    code = run(["derive", "--target", "pell", "--index=-n+70", "--period", "80"])
+    assert code == 2
+    assert "n = 71, needed by the solve range 1..84" in capsys.readouterr().err
 
 
 def test_oeis_check_uses_bundled_fixture(capsys):

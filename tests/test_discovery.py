@@ -77,15 +77,15 @@ def test_negative_solve_start_is_rejected_up_front():
 
 
 def test_target_that_runs_out_in_the_holdout_names_it():
-    # the bundled A094667 b-file stops at index 80; period 60 solves on
-    # 1..64 and holds out 65..84, so the holdout reaches past the data
+    # C vanishes below index 5, so C(4-n) is the zero sum on the solve range
+    # 0..4 and solves uniquely; the holdout 5..24 then asks for C(-1)
     with pytest.raises(ValueError) as info:
-        derive_profile(OracleRef("A094667"), 60)
+        derive_profile(OracleRef("C", a=-1, b=4), 1, solve_start=0, solve_stop=4)
     message = str(info.value)
-    assert "A094667" in message and "n = 81" in message
-    assert "holdout range 65..84" in message
-    with pytest.raises(ValueError, match=r"n = 81, needed by the solve range 1\.\.84"):
-        derive_profile(OracleRef("A094667"), 80)
+    assert "C(-n+4)" in message and "n = 5" in message
+    assert "holdout range 5..24" in message
+    with pytest.raises(ValueError, match=r"n = 71, needed by the solve range 1\.\.84"):
+        derive_profile(OracleRef("pell", a=-1, b=70), 80)
 
 
 # --- the integer solver against a rational reference --------------------------

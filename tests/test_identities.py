@@ -14,6 +14,7 @@ from binsums.identities import (
     Domain,
     Identity,
     OracleRef,
+    Power,
     SIGN_ALT_NK,
     SIGN_NONE,
     VerificationReport,
@@ -266,6 +267,8 @@ def test_domains():
     dom = find("central-delight")[0].domain
     assert dom.start == 2 and dom.even_only
     assert dom.indices(0, 11) == [2, 4, 6, 8, 10]
+    # no left side is read from bundled data, so no domain stops short
+    assert all(i.domain.stop is None for i in builtin_registry())
 
 
 def test_folded_profiles():
@@ -324,6 +327,18 @@ def test_weight_oracle_index_follows_index_str():
     assert identity_json(find("lewis-family")[1])["terms"][0]["weight_oracle"] == {
         "sequence": "lucas", "index": "4k"}
     assert identity_json(find("sury-product")[0])["terms"] == [{"kind": "cos-product"}]
+
+
+def test_power_exponents_follow_index_str():
+    def exported(term):
+        return identity_json(Identity("synthetic", OracleRef("fib", a=-1, b=3), (term,)))
+
+    doc = exported(Power(1, 2, 1))
+    assert doc["lhs"]["index"] == "-n+3"
+    assert doc["terms"][0]["exponent"] == "n"
+    assert exported(Power(1, 2, -1, 2))["terms"][0]["exponent"] == "-n+2"
+    assert exported(Power(1, 2, 2, -1))["terms"][0]["exponent"] == "2n-1"
+    assert exported(Power(1, 2, 2))["terms"][0]["exponent"] == "2n"
 
 
 def test_labels():

@@ -57,11 +57,12 @@ def test_fixtures_are_long_enough():
         assert len(load_fixture(seq_id).entries) >= 60, seq_id
 
 
-TEN_BUNDLED = [(sid, seq, param) for sid, (seq, param) in FIXTURES.items()
-               if seq is not None and sid not in ("A007052", "A081567")]
+# the two scriptL fixtures need a shift and are checked on their own below
+UNSHIFTED = [(sid, seq, param) for sid, (seq, param) in FIXTURES.items()
+             if sid not in ("A007052", "A081567")]
 
 
-@pytest.mark.parametrize("seq_id,sequence,param", TEN_BUNDLED)
+@pytest.mark.parametrize("seq_id,sequence,param", UNSHIFTED)
 def test_fixtures_match_their_oracles(seq_id, sequence, param):
     report = compare(sequence, load_fixture(seq_id), count=50, param=param)
     assert report.is_match and report.matched >= 50, (seq_id, report)

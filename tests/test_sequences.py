@@ -1,6 +1,7 @@
 import pytest
 
-from binsums.core import binomial
+from binsums.core import binomial, kronecker
+from binsums.cyclo import char_poly_from_roots, chebyshev_monic, power_sums, squared_root_poly
 from binsums.sequences import get_oracle, registry, seq_eval, seq_slice
 
 
@@ -71,6 +72,36 @@ def test_qrdiff_is_r_minus_q():
     assert seq_slice("qrdiff", 6) == [1, 4, 14, 47, 155, 507]
 
 
+def test_transform_recurrences_match_their_binomial_transforms():
+    for n in range(0, 61):
+        assert seq_eval("pelltrans", n) == sum(
+            binomial(n, k) * seq_eval("pell", k) for k in range(n + 1))
+        assert seq_eval("fib2trans", n) == sum(
+            binomial(n, k) * seq_eval("fib", 2 * k) for k in range(n + 1))
+
+
+def test_kronecker_recurrences_match_the_direct_sums():
+    for n in range(0, 81):
+        row = [binomial(2 * n, n + k) for k in range(n + 1)]
+        assert seq_eval("A094667", n) == sum(c * kronecker(k, 20) for k, c in enumerate(row))
+        assert seq_eval("A216597", n) == sum(
+            (-1) ** k * c * kronecker(k, 13) for k, c in enumerate(row))
+
+
+def test_power_sum_recurrences_match_newton_power_sums():
+    for m in range(2, 9):
+        genlucas = power_sums(char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2))), 100)
+        scriptl = power_sums(squared_root_poly(chebyshev_monic(m)), 100)
+        for n in range(0, 101):
+            assert seq_eval("genlucas", n, param=m) == genlucas[n]
+        for n in range(1, 101):
+            assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
+    # central-delight reads scriptL with m = n, one fresh recurrence per n
+    for n in range(2, 61):
+        assert seq_eval("scriptL", n, param=n) * 2 * n == power_sums(
+            squared_root_poly(chebyshev_monic(n)), n)[n]
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         seq_eval("genlucas", 3)  # missing m
@@ -104,31 +135,3 @@ def test_scaled_helpers_are_integral_at_zero():
     for n in range(1, 20):
         assert seq_eval("fibscaled", n) == 2 ** (n - 1) * seq_eval("fib", n)
         assert seq_eval("lucasscaled", n) == 2 ** (n - 1) * seq_eval("lucas", n)
-
-
-def test_power_sum_tables_survive_concurrent_extension():
-    # Four threads extend one fresh table to four different lengths at
-    # once.  A table published over a longer one would lose entries: a
-    # thread could then read past its end, and the memo would end up
-    # shorter than what was asked of it.
-    from binsums import sequences
-    from binsums.cyclo import power_sums
-    from test_core import run_threads
-
-    poly = sequences.genlucas_poly(3)
-    expected = power_sums(poly, 400)
-    keys = [("stress", trial) for trial in range(10)]
-    try:
-        for kind, trial in keys:
-            got = {}
-
-            def work(barrier):
-                n = 400 - barrier.wait()  # 397..400, one per thread
-                got[n] = sequences._powers(kind, trial, poly, n)
-
-            run_threads(work)
-            assert got == {n: expected[n] for n in range(397, 401)}
-            assert len(sequences._POWER_TABLE[kind, trial]) > 400
-    finally:
-        for key in keys:
-            sequences._POWER_TABLE.pop(key, None)
