@@ -17,7 +17,6 @@ from .cyclo import (
     chebyshev_monic,
     cos_power_vector,
     centered_reduction,
-    cyclo_mul,
     power_sum,
     power_sums,
     squared_root_poly,
@@ -60,7 +59,6 @@ __all__ = [
     "chebyshev_monic",
     "compare",
     "cos_power_vector",
-    "cyclo_mul",
     "derive_profile",
     "fetch",
     "identity_from_profile",

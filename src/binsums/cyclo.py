@@ -8,6 +8,7 @@ reducing modulo the cyclotomic polynomial of the modulus.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,11 +83,6 @@ class CycloVec:
     def _check(self, other: "CycloVec") -> None:
         if self.modulus != other.modulus:
             raise ValueError(f"mismatched moduli {self.modulus} and {other.modulus}")
-
-
-def cyclo_mul(x: CycloVec, y: CycloVec) -> CycloVec:
-    """Convolution product in Z[z]/(z^N - 1)."""
-    return x * y
 
 
 def cyclo_pow(x: CycloVec, n: int) -> CycloVec:
@@ -336,16 +332,19 @@ def chebyshev_monic(m: int) -> IntPolynomial:
 
     Its roots are exactly 2cos((2t-1)*pi/(2m)) for t = 1..m, so it is the
     fast route to the odd-numerator cosine families; char_poly_from_roots
-    on the same angles must agree (cross-checked in the tests).
+    on the same angles must agree (cross-checked in the tests).  Built from
+    the closed form: the coefficient of x^(m-2j) is (-1)^j m/(m-j) C(m-j, j),
+    each stepped from the last by one exact multiply and divide, so the
+    whole polynomial costs O(m) big-integer steps.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    prev, cur = [2], [0, 1]  # D_0, D_1 under D_(k+1) = x*D_k - D_(k-1)
-    for _ in range(m - 1):
-        shifted = [0] + cur
-        padded = prev + [0] * (len(shifted) - len(prev))
-        prev, cur = cur, _poly_trim([s - p for s, p in zip(shifted, padded)])
-    return IntPolynomial(tuple(cur))
+    coeffs = [0] * (m + 1)
+    coeffs[m] = c = 1
+    for j in range(m // 2):
+        c = -c * (m - 2 * j) * (m - 2 * j - 1) // ((j + 1) * (m - j - 1))
+        coeffs[m - 2 * j - 2] = c
+    return IntPolynomial(tuple(coeffs))
 
 
 def power_sums(poly: IntPolynomial, upto: int) -> list[int]:
@@ -359,10 +358,10 @@ def power_sums(poly: IntPolynomial, upto: int) -> list[int]:
     a = [0] + [poly.coeffs[d - i] for i in range(1, d + 1)]
     p = [d]
     for k in range(1, upto + 1):
+        j = min(k - 1, d)  # a_1..a_j pair with p_(k-1)..p_(k-j)
+        val = -sum(map(operator.mul, a[1:j + 1], p[k - 1:k - j - 1:-1]))
         if k <= d:
-            val = -k * a[k] - sum(a[i] * p[k - i] for i in range(1, k))
-        else:
-            val = -sum(a[i] * p[k - i] for i in range(1, d + 1))
+            val -= k * a[k]
         p.append(val)
     return p
 

@@ -11,8 +11,11 @@ verification failure is a genuine counterexample, never round-off.
 
 Two entry kinds do not fit the sum shape and are dispatched specially:
 "profile" compares an exact cosine-combination table against a scaled
-Kronecker table, and "vector" re-checks the cosine power expansion as an
-identity of coefficient vectors.
+Kronecker table, and "vector" checks the cosine power expansion as an
+identity of coefficient vectors.  For each of four moduli N it steps the
+ring power (z^e + z^-e)^row in Z[z]/(z^N - 1) from n to n+1 and compares it
+with the residue-class sums of the binomial row; the coefficient sum of
+the power must then equal the left side, 2^row.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import binomial, binomial_row, central_row, class_sums, kronecker
-from .cyclo import centered_reduction, cos_power_vector, cos_product_resultant
+from .cyclo import CycloVec, cos_power_vector, cos_product_resultant
 from .quadratic import QuadValue
 from .sequences import seq_eval
 
@@ -483,46 +486,87 @@ def _integer_total(identity: Identity, n: int, total) -> int:
     return total.numerator
 
 
-def _verify_vector(identity: Identity, n: int) -> tuple[bool, str, str]:
-    power = 2 * n + 1 if identity.param else 2 * n
-    for n_mod, e in ((5, 1), (7, 2), (12, 1), (24, 5)):
-        fast = cos_power_vector(n_mod, e, power)
-        direct = centered_reduction(n_mod, e, power)
-        if fast != direct:
-            return False, str(list(direct.coeffs)), str(list(fast.coeffs))
-    return True, "", ""
+# the (modulus, exponent) pairs of the "vector" check
+_COSPOW_MODULI = ((5, 1), (7, 2), (12, 1), (24, 5))
+
+
+def _cospow_step(n_mod: int, e: int) -> CycloVec:
+    """z^(2e) + 2 + z^(-2e) = (z^e + z^-e)^2, which takes power p to p + 2."""
+    return CycloVec.two_cos(n_mod, 2 * e) + CycloVec.one(n_mod).scale(2)
+
+
+def _cospow_fold(n_mod: int, e: int, odd: bool, middle: int, sums: list[int]) -> list[int]:
+    """The class sums of row 2n (or 2n+1) placed on the exponents of
+    (z^e + z^-e)^row: class r of k >= 1 goes to +-2er on row 2n, where the
+    center goes to 0, and to +-e(2r-1) on row 2n+1, whose classes cover the
+    whole row."""
+    out = [0] * n_mod
+    if not odd:
+        out[0] = middle
+    for r, s in enumerate(sums):
+        j = e * (2 * r - 1) if odd else 2 * e * r
+        out[j % n_mod] += s
+        out[-j % n_mod] += s
+    return out
+
+
+def _cospow_vectors(n_mod: int, e: int, odd: bool):
+    """For n = 0, 1, 2, ... yield (binomial side, ring power) of
+    (z^e + z^-e)^(2n+odd) mod z^n_mod - 1.
+
+    The binomial side folds core.class_sums; the ring power is seeded by
+    cos_power_vector and multiplied by the three-term _cospow_step, O(n_mod)
+    per step."""
+    power = cos_power_vector(n_mod, e, int(odd))
+    step = _cospow_step(n_mod, e)
+    for middle, sums in class_sums(n_mod, odd):
+        yield _cospow_fold(n_mod, e, odd, middle, sums), power
+        power = step * power
+
+
+def _cospow_sides(identity: Identity, ns: list[int]):
+    """(lhs, rhs) at each n of ns (ascending) for a "vector" identity.
+
+    At each n the binomial side must equal the ring power at every modulus,
+    or the pair is the two coefficient lists; then the power's coefficient
+    sum must equal the left side, pow2 of the row."""
+    if ns[0] < 0:
+        raise ValueError(f"{identity.label}: the cosine power is not defined at n = {ns[0]}")
+    odd = bool(identity.param)
+    walks = zip(*(_cospow_vectors(n_mod, e, odd) for n_mod, e in _COSPOW_MODULI))
+    wanted = set(ns)
+    for n, pairs in zip(range(ns[-1] + 1), walks):
+        if n not in wanted:
+            continue
+        bad = next(((fold, list(power.coeffs)) for fold, power in pairs
+                    if fold != list(power.coeffs)), None)
+        yield bad or (identity.lhs.value(n, n), pairs[0][1].eval_at_one)
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
     """Compare the two sides at every admissible n in [n_min, n_max], by
     exact equality."""
     t0 = time.perf_counter()
-    checked: list[int] = []
-    per_n: list[bool] = []
-    first = None
-    lhs_s = rhs_s = None
     ns = identity.domain.indices(n_min, n_max)
-    if identity.kind == "profile":
+    if not ns:
+        sides = []
+    elif identity.kind == "profile":
         table = _mod5_profile_table()
-    elif identity.kind == "sum":
-        rhs_at = dict(zip(ns, rhs_values(identity, ns)))
-    for n in ns:
-        checked.append(n)
-        if identity.kind == "profile":
-            ok, ls, rs = _mod5_profile_check(table, n)
-        elif identity.kind == "vector":
-            ok, ls, rs = _verify_vector(identity, n)
-        else:
-            lhs, rhs = identity.lhs.value(n, n), rhs_at[n]
-            ok = lhs == rhs
-            ls, rs = str(lhs), str(rhs)
+        sides = (_mod5_profile_sides(table, n) for n in ns)
+    elif identity.kind == "vector":
+        sides = _cospow_sides(identity, ns)
+    else:
+        sides = zip((identity.lhs.value(n, n) for n in ns), rhs_values(identity, ns))
+    per_n: list[bool] = []
+    first = lhs_s = rhs_s = None
+    for n, (lhs, rhs) in zip(ns, sides):
+        ok = lhs == rhs
         per_n.append(ok)
         if not ok and first is None:
-            first = n
-            lhs_s, rhs_s = ls, rs
+            first, lhs_s, rhs_s = n, str(lhs), str(rhs)
     return VerificationReport(
         label=identity.label,
-        checked=tuple(checked),
+        checked=tuple(ns),
         per_n=tuple(per_n),
         first_divergence=first,
         lhs_at_divergence=lhs_s,
@@ -537,10 +581,9 @@ def _mod5_profile_table() -> list[QuadValue]:
     return profile_from_angles(5, [(1, QuadValue(1)), (3, QuadValue(-1))], QuadValue(1), 5)
 
 
-def _mod5_profile_check(table: list[QuadValue], n: int) -> tuple[bool, str, str]:
+def _mod5_profile_sides(table: list[QuadValue], n: int) -> tuple[QuadValue, QuadValue]:
     k = n % 5
-    want = QuadValue(0, kronecker(k, 5), 5)
-    return table[k] == want, str(want), str(table[k])
+    return QuadValue(0, kronecker(k, 5), 5), table[k]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .core import RecurrenceSpec, binomial, central_row, rec_eval
-from .cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums, squared_root_poly
+from .cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,18 @@ def genlucas_poly(m: int) -> IntPolynomial:
 
 
 def scriptl_poly(m: int) -> IntPolynomial:
-    """Polynomial whose roots are the squares (2cos((2t-1)pi/(2m)))^2."""
-    return squared_root_poly(chebyshev_monic(m))
+    """Monic polynomial of degree floor(m/2) whose roots are the distinct
+    nonzero squares (2cos((2t-1)pi/(2m)))^2, for m >= 2.
+
+    D_m = chebyshev_monic(m) is even in x for even m and odd for odd m, so
+    D_m(x) = E(x^2) or x*E(x^2); E is the parity split of D_m's
+    coefficients.  Each root square of D_m other than 0 is a root of E once.
+    """
+    return IntPolynomial(chebyshev_monic(m).coeffs[m % 2::2])
 
 
-# one power-sum recurrence per (family, m), built on first use
+# one power-sum recurrence per (family, m), built on first use; a read with
+# n <= m does not build one (see _scriptl)
 _POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
 
 
@@ -100,11 +107,17 @@ def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n
 
 
 def _scriptl(m: int, n: int) -> int:
-    # every root square occurs twice (the middle zero root for odd m
-    # contributes nothing once n >= 1), hence the divisor 2m
-    q, r = divmod(_power_sum("scriptL", scriptl_poly, m, n), 2 * m)
+    # scriptl_poly has each root square of D_m once, except the zero root
+    # of odd m, which adds nothing once n >= 1; hence the divisor m.
+    # central-delight reads m = n once per n: Newton's identities up to n
+    # answer that read, and a memoized spec for it would never be read again.
+    if n <= m:
+        total = power_sums(scriptl_poly(m), n)[n]
+    else:
+        total = _power_sum("scriptL", scriptl_poly, m, n)
+    q, r = divmod(total, m)
     if r:
-        raise ValueError(f"scriptL({m}) power sum not divisible by {2 * m} at n = {n}")
+        raise ValueError(f"scriptL({m}) power sum not divisible by {m} at n = {n}")
     return q
 
 

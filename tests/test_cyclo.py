@@ -14,7 +14,6 @@ from binsums.cyclo import (
     chebyshev_monic,
     cos_power_vector,
     cos_product_resultant,
-    cyclo_mul,
     cyclotomic_polynomial,
     power_sum,
     power_sums,
@@ -28,16 +27,16 @@ from binsums.quadratic import QuadValue
 def test_cyclo_mul_examples():
     z1 = CycloVec(5, (0, 1, 0, 0, 0))
     z4 = CycloVec(5, (0, 0, 0, 0, 1))
-    assert cyclo_mul(z1, z4).coeffs == (1, 0, 0, 0, 0)  # z * z^4 = 1
+    assert (z1 * z4).coeffs == (1, 0, 0, 0, 0)  # z * z^4 = 1
     x = CycloVec(5, (3, 1, 4, 1, 5))
-    assert cyclo_mul(x, CycloVec.one(5)) == x
+    assert x * CycloVec.one(5) == x
     fib_root = CycloVec(5, (0, 1, 0, 0, 1))
-    assert cyclo_mul(fib_root, fib_root).coeffs == (2, 0, 1, 1, 0)
+    assert (fib_root * fib_root).coeffs == (2, 0, 1, 1, 0)
 
 
 def test_cyclo_mul_rejects_mismatched_moduli():
     with pytest.raises(ValueError):
-        cyclo_mul(CycloVec.one(5), CycloVec.one(7))
+        CycloVec.one(5) * CycloVec.one(7)
 
 
 def test_eval_at_one_is_multiplicative():
@@ -165,6 +164,40 @@ def test_chebyshev_matches_generic_construction():
         fast = chebyshev_monic(m)
         generic = char_poly_from_roots(2 * m, list(range(1, 2 * m, 2)))
         assert fast == generic, m
+
+
+def _chebyshev_by_recurrence(m: int) -> tuple[int, ...]:
+    """D_m from D_0 = 2, D_1 = x and D_(k+1) = x*D_k - D_(k-1)."""
+    prev, cur = [2], [0, 1]
+    for _ in range(m - 1):
+        shifted = [0] + cur
+        padded = prev + [0] * (len(shifted) - len(prev))
+        prev, cur = cur, [s - p for s, p in zip(shifted, padded)]
+    return tuple(cur)
+
+
+def test_chebyshev_closed_form_matches_the_recurrence():
+    for m in range(1, 81):
+        assert chebyshev_monic(m).coeffs == _chebyshev_by_recurrence(m), m
+    with pytest.raises(ValueError):
+        chebyshev_monic(0)
+
+
+def _power_sums_by_newton(coeffs: tuple[int, ...], upto: int) -> list[int]:
+    """Newton's identities term by term: p_k = -k*a_k - sum a_i p_(k-i)."""
+    d = len(coeffs) - 1
+    a = [coeffs[d - i] if i <= d else 0 for i in range(upto + 1)]
+    p = [d]
+    for k in range(1, upto + 1):
+        p.append(-k * a[k] - sum(a[i] * p[k - i] for i in range(1, k)))
+    return p
+
+
+def test_power_sums_match_newtons_identities_term_by_term():
+    for coeffs in [(-1, -1, 1), (1, -2, -1, 1), (-1, 6, -5, 1), (-3, 1), (2, 0, -4, 0, 1),
+                   (5, -1, 0, 3, -2, 7, 1)]:
+        for upto in (0, 1, len(coeffs) - 1, 30):
+            assert power_sums(IntPolynomial(coeffs), upto) == _power_sums_by_newton(coeffs, upto)
 
 
 def test_chebyshev_known_values():

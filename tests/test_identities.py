@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from binsums.core import binomial
-from binsums.cyclo import CycloVec, as_integer
+from binsums import identities
+from binsums.core import binomial, kronecker
+from binsums.cyclo import CycloVec, as_integer, centered_reduction, cos_power_vector
 from binsums.identities import (
+    _COSPOW_MODULI,
     _SIGNS,
     FAMILIES,
     BinomialTransform,
@@ -30,7 +33,7 @@ from binsums.identities import (
     verify,
 )
 from binsums.quadratic import QuadValue
-from binsums.sequences import seq_eval
+from binsums.sequences import _POWER_SUM_SPECS, seq_eval
 
 
 def test_registry_shape():
@@ -230,9 +233,25 @@ def test_stepped_binomial_transform_equals_direct_evaluation():
         assert term.sweep(ns) == [term.evaluate(n) for n in ns]
 
 
-def _direct_report(ident: Identity, n_max: int) -> VerificationReport:
-    ns = ident.domain.indices(0, n_max)
-    sides = [(ident.lhs.value(n, n), rhs_eval(ident, n)) for n in ns]
+def _reference_sides(ident: Identity, n: int) -> tuple:
+    """Both sides at n the direct way, one n at a time, for every kind."""
+    if ident.kind == "profile":
+        table = identities._mod5_profile_table()
+        return QuadValue(0, kronecker(n % 5, 5), 5), table[n % 5]
+    if ident.kind == "vector":
+        power = 2 * n + ident.param
+        for n_mod, e in _COSPOW_MODULI:
+            direct = centered_reduction(n_mod, e, power)
+            fast = cos_power_vector(n_mod, e, power)
+            if direct != fast:
+                return list(direct.coeffs), list(fast.coeffs)
+        return ident.lhs.value(n, n), 2**power
+    return ident.lhs.value(n, n), rhs_eval(ident, n)
+
+
+def _reference_report(ident: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
+    ns = ident.domain.indices(n_min, n_max)
+    sides = [_reference_sides(ident, n) for n in ns]
     bad = [(n, lhs, rhs) for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs]
     first, lhs, rhs = bad[0] if bad else (None, None, None)
     per_n = tuple(left == right for left, right in sides)
@@ -241,8 +260,98 @@ def _direct_report(ident: Identity, n_max: int) -> VerificationReport:
                               None if first is None else str(rhs), 0.0)
 
 
+_REPORT_FIELDS = ("label", "checked", "per_n", "first_divergence",
+                  "lhs_at_divergence", "rhs_at_divergence")
+
+
+def _assert_same_report(got: VerificationReport, want: VerificationReport, *context) -> None:
+    for name in _REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (*context, name)
+
+
+def test_registry_reports_equal_the_reference():
+    for ident in builtin_registry():
+        _assert_same_report(verify(ident, 40), _reference_report(ident, 40), ident.label)
+
+
+def test_stepped_cospow_vectors_equal_the_per_n_vectors():
+    for n_mod, e in _COSPOW_MODULI:
+        for odd in (False, True):
+            walk = identities._cospow_vectors(n_mod, e, odd)
+            for n, (fold, power) in zip(range(61), walk):
+                row = 2 * n + odd
+                assert fold == list(centered_reduction(n_mod, e, row).coeffs), (n_mod, e, row)
+                assert power == cos_power_vector(n_mod, e, row), (n_mod, e, row)
+
+
+def _cospow_variants():
+    for family in ("cospow-even", "cospow-odd"):
+        ident = find(family)[0]
+        yield ident
+        for lhs in (OracleRef("pow2", a=2, b=1 - ident.param), OracleRef("pow3", a=2)):
+            yield replace(ident, lhs=lhs)
+        yield replace(ident, domain=Domain(start=3, even_only=True))
+
+
+def test_stepped_cospow_reports_equal_the_per_n_route():
+    for ident in _cospow_variants():
+        for n_min in (0, 7, 33):
+            _assert_same_report(verify(ident, 60, n_min), _reference_report(ident, 60, n_min),
+                                ident.label, ident.lhs, n_min)
+
+
+def test_cospow_compares_its_left_side():
+    ident = find("cospow-even")[0]
+    assert verify(ident, 60).passed
+    wrong = replace(ident, lhs=OracleRef("pow2", a=2, b=1))
+    rep = verify(wrong, 30)
+    assert (rep.first_divergence, rep.lhs_at_divergence, rep.rhs_at_divergence) == (0, "2", "1")
+    rep = verify(wrong, 30, n_min=5)
+    assert (rep.first_divergence, rep.lhs_at_divergence, rep.rhs_at_divergence) == (5, "2048", "1024")
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("slipped", range(5))
+def test_cospow_fold_slip_is_caught_at_its_first_n(monkeypatch, odd, slipped):
+    """Class r of k >= 1 first reaches row 2n at n = k and row 2n+1 at
+    n = k - 1, with k = r or, for r = 0, the smallest modulus 5; moving it
+    by one residue must fail there, on the first modulus."""
+    fold = identities._cospow_fold
+
+    def slipped_fold(n_mod, e, odd_row, middle, sums):
+        out = fold(n_mod, e, odd_row, middle, sums)
+        j = e * (2 * slipped - 1) if odd_row else 2 * e * slipped
+        out[j % n_mod] -= sums[slipped]
+        out[(j + 1) % n_mod] += sums[slipped]
+        return out
+
+    monkeypatch.setattr(identities, "_cospow_fold", slipped_fold)
+    ident = find("cospow-odd" if odd else "cospow-even")[0]
+    first = (slipped or 5) - odd
+    rep = verify(ident, 40)
+    assert rep.first_divergence == first
+    assert rep.per_n[:first] == (True,) * first
+    assert rep.rhs_at_divergence == str(list(cos_power_vector(5, 1, 2 * first + odd).coeffs))
+    assert rep.lhs_at_divergence != rep.rhs_at_divergence
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_wrong_cospow_step_is_caught_at_the_first_step(monkeypatch, odd):
+    ident = find("cospow-odd" if odd else "cospow-even")[0]
+    for wrong in (lambda n_mod, e: CycloVec.two_cos(n_mod, 2 * e) + CycloVec.one(n_mod),
+                  lambda n_mod, e: (CycloVec.two_cos(n_mod, 2 * e + 1)
+                                    + CycloVec.one(n_mod).scale(2))):
+        monkeypatch.setattr(identities, "_cospow_step", wrong)
+        assert verify(ident, 20).first_divergence == 1
+        assert verify(ident, 20, n_min=3).first_divergence == 3
+
+
+def test_central_delight_keeps_no_power_sum_spec_per_n():
+    assert verify(find("central-delight")[0], 200).passed
+    assert not [key for key in _POWER_SUM_SPECS if key[0] == "scriptL" and key[1] > 8]
+
+
 def test_perturbed_reports_equal_direct_evaluation():
-    fields = ("checked", "per_n", "first_divergence", "lhs_at_divergence", "rhs_at_divergence")
     for ident in builtin_registry():
         cs = next((t for t in ident.terms if isinstance(t, CenteredSum)), None)
         if cs is None:
@@ -252,10 +361,9 @@ def test_perturbed_reports_equal_direct_evaluation():
                 continue
             for change in (-1, 1):
                 bad = perturbed(ident, residue, weight + change)
-                swept, direct = verify(bad, 40), _direct_report(bad, 40)
+                swept = verify(bad, 40)
                 assert not swept.passed
-                for name in fields:
-                    assert getattr(swept, name) == getattr(direct, name), (bad.label, residue, name)
+                _assert_same_report(swept, _reference_report(bad, 40), bad.label, residue)
 
 
 def test_domains():

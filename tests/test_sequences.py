@@ -2,7 +2,7 @@ import pytest
 
 from binsums.core import binomial, kronecker
 from binsums.cyclo import char_poly_from_roots, chebyshev_monic, power_sums, squared_root_poly
-from binsums.sequences import get_oracle, registry, seq_eval, seq_slice
+from binsums.sequences import get_oracle, registry, scriptl_poly, seq_eval, seq_slice
 
 
 def test_registry_contains_the_documented_names():
@@ -96,10 +96,22 @@ def test_power_sum_recurrences_match_newton_power_sums():
             assert seq_eval("genlucas", n, param=m) == genlucas[n]
         for n in range(1, 101):
             assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
-    # central-delight reads scriptL with m = n, one fresh recurrence per n
+    # central-delight reads scriptL with m = n, by Newton's identities up to n
     for n in range(2, 61):
         assert seq_eval("scriptL", n, param=n) * 2 * n == power_sums(
             squared_root_poly(chebyshev_monic(n)), n)[n]
+
+
+def test_scriptl_poly_halves_the_squared_root_power_sums():
+    """The parity split of D_m has each nonzero root square of D_m once;
+    squared_root_poly has each twice (and the zero root of odd m once)."""
+    for m in range(2, 61):
+        poly = scriptl_poly(m)
+        assert poly.degree == m // 2
+        split = power_sums(poly, 60)
+        doubled = power_sums(squared_root_poly(chebyshev_monic(m)), 60)
+        for n in range(1, 61):
+            assert 2 * split[n] == doubled[n], (m, n)
 
 
 def test_parameter_validation():
