@@ -83,8 +83,8 @@ def scriptl_poly(m: int) -> IntPolynomial:
     return IntPolynomial(chebyshev_monic(m).coeffs[m % 2::2])
 
 
-# one power-sum recurrence per (family, m), built on first use; a read with
-# n <= m does not build one (see _scriptl)
+# one power-sum recurrence per (family, m), built on first use; a scriptL
+# read with n <= m does not build one (see _scriptl)
 _POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
 
 
@@ -109,9 +109,10 @@ def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n
 def _scriptl(m: int, n: int) -> int:
     # scriptl_poly has each root square of D_m once, except the zero root
     # of odd m, which adds nothing once n >= 1; hence the divisor m.
-    # central-delight reads m = n once per n: Newton's identities up to n
-    # answer that read, and a memoized spec for it would never be read again.
-    if n <= m:
+    # central-delight reads m = n once per n, and a spec built for that read
+    # would never be read again: a read with n <= m that finds no spec runs
+    # Newton's identities up to n instead.
+    if n <= m and ("scriptL", m) not in _POWER_SUM_SPECS:
         total = power_sums(scriptl_poly(m), n)[n]
     else:
         total = _power_sum("scriptL", scriptl_poly, m, n)

@@ -96,6 +96,9 @@ def test_power_sum_recurrences_match_newton_power_sums():
             assert seq_eval("genlucas", n, param=m) == genlucas[n]
         for n in range(1, 101):
             assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
+        # a read with n <= m uses the spec once a read past m has built it
+        for n in range(1, m + 1):
+            assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
     # central-delight reads scriptL with m = n, by Newton's identities up to n
     for n in range(2, 61):
         assert seq_eval("scriptL", n, param=n) * 2 * n == power_sums(
