@@ -107,8 +107,9 @@ def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n
 
 
 def _scriptl(m: int, n: int) -> int:
-    # scriptl_poly has each root square of D_m once, except the zero root
-    # of odd m, which adds nothing once n >= 1; hence the divisor m.
+    # scriptl_poly has each distinct nonzero root square of D_m once, so for
+    # n >= 1 its power sum is half the sum over the m roots of D_m of their
+    # 2n-th powers; hence the divisor m.
     # central-delight reads m = n once per n, and a spec built for that read
     # would never be read again: a read with n <= m that finds no spec runs
     # Newton's identities up to n instead.
