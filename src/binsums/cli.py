@@ -27,6 +27,8 @@ def _parse_index(text: str) -> tuple[int, int]:
     if "n" not in s:
         raise ValueError(f"index map {text!r} must mention n")
     head, _, tail = s.partition("n")
+    if tail and tail[0] not in "+-":
+        raise ValueError(f"index map {text!r}: the offset after n needs a sign, as in 2n+1")
     a = int(head + "1") if head in ("", "+", "-") else int(head)
     b = int(tail) if tail else 0
     return a, b
@@ -116,7 +118,6 @@ def _cmd_derive(args: argparse.Namespace, index: tuple[int, int],
     target = OracleRef(args.target, param=args.m, a=a, b=b)
     row_odd = args.row == "odd"
     try:
-        get_oracle(args.target)
         solution = discovery.derive_profile(target, args.period, row_odd, *solve_range)
     except (KeyError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

@@ -14,6 +14,7 @@ back-substitution, and nothing is ever rounded.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from itertools import islice
 
 from .core import class_sums
 from .cyclo import CycloVec, recognize_quad
+from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
 from .quadratic import QuadValue
 from .sequences import get_oracle
 
@@ -77,8 +79,7 @@ class _Eliminator:
 class ProfileSolution:
     """Outcome of a profile derivation."""
 
-    target: str
-    target_param: int | None
+    target: OracleRef
     period: int
     row_odd: bool
     status: str  # "unique" | "underdetermined" | "infeasible"
@@ -88,7 +89,6 @@ class ProfileSolution:
     violated_n: int | None = None
     solve_range: tuple[int, int] = (0, 0)
     holdout_range: tuple[int, int] = (0, 0)
-    target_index: tuple[int, int] = (1, 0)
 
 
 def _equation_rows(period: int, row_odd: bool, ns: list[int]):
@@ -106,7 +106,7 @@ def _equation_rows(period: int, row_odd: bool, ns: list[int]):
         yield row if row_odd else [middle, *row]
 
 
-def _target_value(target, n: int, stage: str, span: tuple[int, int]) -> int:
+def _target_value(target: OracleRef, n: int, stage: str, span: tuple[int, int]) -> int:
     try:
         return target.value(n)
     except (KeyError, ValueError) as exc:
@@ -116,7 +116,7 @@ def _target_value(target, n: int, stage: str, span: tuple[int, int]) -> int:
 
 
 def derive_profile(
-    target,
+    target: OracleRef,
     period: int,
     row_odd: bool = False,
     solve_start: int = 1,
@@ -133,12 +133,9 @@ def derive_profile(
     which for even periods is otherwise entangled with the alternating-sign
     row identity.  A unique solution is re-verified on the `holdout`
     indices after the solve range and demoted to infeasible if any fails.
-    A target with no value at an index of either range raises ValueError.
+    A target with no value at an index of either range raises ValueError,
+    and an unknown sequence name KeyError.
     """
-    from .identities import OracleRef  # reuse the reference type
-
-    if not isinstance(target, OracleRef):
-        target = OracleRef(*target) if isinstance(target, tuple) else OracleRef(target)
     if period < 1:
         raise ValueError("period must be >= 1")
     if solve_start < 0:
@@ -163,15 +160,12 @@ def derive_profile(
             ns.insert(0, 0)
     hold_ns = range(hold[0], hold[1] + 1)
     rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
+    result = functools.partial(ProfileSolution, target, period, row_odd, solve_range=solve)
     for n, coeffs in zip(ns, rows):
         if not elim.add(coeffs, _target_value(target, n, "solve", solve)):
-            return ProfileSolution(target.name, target.param, period, row_odd,
-                                   "infeasible", violated_n=n, solve_range=solve,
-                                   target_index=(target.a, target.b))
+            return result("infeasible", violated_n=n)
     if elim.rank < unknowns:
-        return ProfileSolution(target.name, target.param, period, row_odd,
-                               "underdetermined", dimension=unknowns - elim.rank,
-                               solve_range=solve, target_index=(target.a, target.b))
+        return result("underdetermined", dimension=unknowns - elim.rank)
     sol = elim.solve()
     # clear denominators once, so each holdout check is an integer dot product
     scale = math.lcm(*(x.denominator for x in sol))
@@ -179,17 +173,12 @@ def derive_profile(
     for n, coeffs in zip(hold_ns, rows):
         if sum(map(operator.mul, coeffs, scaled)) != scale * _target_value(
                 target, n, "holdout", hold):
-            return ProfileSolution(target.name, target.param, period, row_odd,
-                                   "infeasible", violated_n=n, solve_range=solve,
-                                   holdout_range=hold, target_index=(target.a, target.b))
+            return result("infeasible", violated_n=n, holdout_range=hold)
     if row_odd:
         center, weights = Fraction(0), tuple(sol)
     else:
         center, weights = sol[0], tuple(sol[1:])
-    return ProfileSolution(target.name, target.param, period, row_odd, "unique",
-                           center=center, weights=weights,
-                           solve_range=solve, holdout_range=hold,
-                           target_index=(target.a, target.b))
+    return result("unique", center=center, weights=weights, holdout_range=hold)
 
 
 def profile_from_angles(n_angle: int, terms, scale, d: int) -> list[QuadValue]:
@@ -214,33 +203,34 @@ def profile_from_angles(n_angle: int, terms, scale, d: int) -> list[QuadValue]:
     return out
 
 
-def identity_from_profile(solution: ProfileSolution, domain_start: int = 0):
+def identity_from_profile(solution: ProfileSolution) -> Identity:
     """Package a unique profile as an Identity so it can be fed to verify()."""
-    from .identities import CenteredSum, Domain, Identity, OracleRef
-
     if solution.status != "unique":
         raise ValueError(f"cannot build an identity from a {solution.status} profile")
     term = CenteredSum(solution.weights, solution.period, row_odd=solution.row_odd,
                        center=solution.center)
-    a, b = solution.target_index
-    oracle_start = get_oracle(solution.target).start
-    start = max(domain_start, -((b - oracle_start) // a)) if a > 0 else domain_start
+    target = solution.target
+    oracle = get_oracle(target.name)
+    # keep the index a*n + b at or past the oracle's start
+    start, stop = 0, None
+    if target.a > 0:
+        start = max(0, -((target.b - oracle.start) // target.a))
+    elif target.a < 0 and not oracle.negative_ok:
+        stop = (target.b - oracle.start) // -target.a
     return Identity(
-        family=f"derived-{solution.target}-M{solution.period}",
-        lhs=OracleRef(solution.target, param=solution.target_param, a=a, b=b),
+        family=f"derived-{target.name}-M{solution.period}",
+        lhs=target,
         terms=(term,),
-        domain=Domain(start),
+        domain=Domain(start, stop),
         description="profile recovered by exact linear solving",
     )
 
 
 def profile_json(solution: ProfileSolution) -> dict:
     """ProfileSolution in the same interchange format as the registry."""
-    from .identities import identity_json
-
     body = {
-        "target": solution.target,
-        "param": solution.target_param,
+        "target": solution.target.name,
+        "param": solution.target.param,
         "period": solution.period,
         "row": "2n+1" if solution.row_odd else "2n",
         "status": solution.status,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .core import binomial, binomial_row, central_row, class_sums, kronecker
 from .cyclo import CycloVec, cos_power_vector, cos_product_resultant
 from .quadratic import QuadValue
-from .sequences import seq_eval
+from .sequences import get_oracle, seq_eval
 
 SIGN_NONE = "none"
 SIGN_ALT_K = "(-1)^k"
@@ -56,11 +56,9 @@ class OracleRef:
     param: int | None = None
     a: int = 1
     b: int = 0
-    param_from_n: bool = False
 
-    def value(self, v: int, n: int | None = None) -> int:
-        param = n if self.param_from_n else self.param
-        return seq_eval(self.name, self.a * v + self.b, param)
+    def value(self, v: int) -> int:
+        return seq_eval(self.name, self.a * v + self.b, self.param)
 
     def index_str(self, var: str = "n") -> str:
         return _affine_str(self.a, self.b, var)
@@ -102,17 +100,13 @@ class CenteredSum:
             return -1 if (n + k) % 2 else 1
         return 1
 
-    def evaluate(self, n: int, extra: int = 0):
-        """Exact value at n.  `extra` widens the truncation bound past the
-        point where every binomial vanishes (used to test truncation
-        soundness; it can never change the result)."""
-        row = 2 * n + 1 if self.row_odd else 2 * n
-        k_max = (n + 1 if self.row_odd else n) + extra
+    def evaluate(self, n: int):
+        """Exact value at n."""
+        k_max = n + 1 if self.row_odd else n
         if self.row_odd:
-            row_vals = [binomial(row, n + k) for k in range(0, k_max + 1)]
+            row_vals = [binomial(2 * n + 1, n + k) for k in range(0, k_max + 1)]
         else:
-            half = central_row(n)
-            row_vals = half + [0] * (k_max + 1 - len(half))
+            row_vals = central_row(n)
         total = QuadValue(Fraction(0)) if self.has_surd else Fraction(0)
         if self.center:
             total = total + self.center * self._sign_at(n, 0) * row_vals[0]
@@ -125,7 +119,7 @@ class CenteredSum:
                 continue
             piece = w * self._sign_at(n, k) * b
             if self.weight_oracle is not None:
-                piece = piece * self.weight_oracle.value(k, n)
+                piece = piece * self.weight_oracle.value(k)
             total = total + piece
         return total
 
@@ -194,18 +188,12 @@ class CenteredSum:
         table = self.signed_table()
         groups = self._weight_groups(table)
         p = len(table)
-        oracle = self.weight_oracle
-
-        def factors(n: int) -> list[int]:
-            # k = 0..k_max; k = 0 is the center, which the oracle does not weight
-            k_max = n + 1 if self.row_odd else n
-            return [oracle.value(k, n) if k and table[k % p] else 0 for k in range(k_max + 1)]
-
-        shared = None if oracle.param_from_n else factors(max(ns))
+        # k = 0..k_max; k = 0 is the center, which the oracle does not weight
+        k_max = max(ns) + 1 if self.row_odd else max(ns)
+        f = [self.weight_oracle.value(k) if k and table[k % p] else 0 for k in range(k_max + 1)]
         out = []
         for n in ns:
             row = binomial_row(2 * n + 1)[n:] if self.row_odd else central_row(n)
-            f = factors(n) if shared is None else shared
             sums = [sum(map(operator.mul, row[r::p], f[r::p])) for r in range(p)]
             out.append(self._combine(groups, n, row[0], sums))
         return out
@@ -264,7 +252,7 @@ class ScaledOracle:
     oracle: OracleRef
 
     def evaluate(self, n: int) -> Fraction:
-        return Fraction(self.coeff) * self.oracle.value(n, n)
+        return Fraction(self.coeff) * self.oracle.value(n)
 
 
 @dataclass(frozen=True)
@@ -281,20 +269,16 @@ class BinomialTransform:
         while self.stride * j + self.offset <= n:
             c = binomial(n, self.stride * j + self.offset)
             if c:
-                total += c * self.oracle.value(j, n)
+                total += c * self.oracle.value(j)
             j += 1
         return total
 
     def sweep(self, ns: list[int]) -> list[Fraction]:
         """evaluate(n) for every n in ns: each row stepped multiplicatively,
         summed in integers, the oracle read once per j."""
-        def factors(n: int) -> list[int]:
-            return [self.oracle.value(j, n) for j in range((n - self.offset) // self.stride + 1)]
-
-        shared = None if self.oracle.param_from_n else factors(max(ns))
+        f = [self.oracle.value(j) for j in range((max(ns) - self.offset) // self.stride + 1)]
         out = []
         for n in ns:
-            f = factors(n) if shared is None else shared
             row = binomial_row(n)[self.offset::self.stride]
             out.append(Fraction(sum(map(operator.mul, row, f))))
         return out
@@ -385,6 +369,10 @@ class Domain:
     stop: int | None = None  # inclusive
     even_only: bool = False
 
+    def __post_init__(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"a domain starts at n >= 0, not {self.start}")
+
     def indices(self, lo: int, hi: int) -> list[int]:
         lo = max(lo, self.start)
         hi = hi if self.stop is None else min(hi, self.stop)
@@ -411,13 +399,10 @@ class Identity:
     kind: str = "sum"  # "sum" | "profile" | "vector"
     description: str = ""
 
-    _PARAM_NAMES = {"genlucas-even": "m", "genlucas-odd": "m", "scriptL-merca": "m",
-                    "lewis-family": "t", "lucas1878-odd-power": "p"}
-
     @property
     def label(self) -> str:
-        pname = self._PARAM_NAMES.get(self.family)
-        if self.param is None or pname is None:
+        pname = None if self.param is None else get_oracle(self.lhs.name).param_name
+        if pname is None:
             return self.family
         return f"{self.family}[{pname}={self.param}]"
 
@@ -437,7 +422,7 @@ class VerificationReport:
         return self.first_divergence is None
 
 
-def rhs_eval(identity: Identity, n: int, extra: int = 0) -> int:
+def rhs_eval(identity: Identity, n: int) -> int:
     """Exact value of the right side at n.
 
     Raises if a quadratic part survives (a mis-specified weight table) or if
@@ -447,8 +432,7 @@ def rhs_eval(identity: Identity, n: int, extra: int = 0) -> int:
         raise ValueError(f"{identity.label} is not a sum-shaped identity")
     total = Fraction(0)
     for term in identity.terms:
-        v = term.evaluate(n, extra=extra) if isinstance(term, CenteredSum) else term.evaluate(n)
-        total = total + v  # stays a Fraction unless a QuadValue enters
+        total = total + term.evaluate(n)  # stays a Fraction unless a QuadValue enters
     return _integer_total(identity, n, total)
 
 
@@ -460,15 +444,16 @@ def rhs_values(identity: Identity, ns) -> list[int]:
     ns at once instead of evaluated directly at each n.
 
     The surd and integrality checks still run per n, on the summed terms,
-    and raise the same errors as rhs_eval.
+    and raise the same errors as rhs_eval.  The sweeps start from row 0, so
+    a negative n raises ValueError.
     """
     if identity.kind != "sum":
         raise ValueError(f"{identity.label} is not a sum-shaped identity")
     ns = list(ns)
     if not ns:
         return []
-    if min(ns) < 0:  # the sweeps start from row 0
-        return [rhs_eval(identity, n) for n in ns]
+    if min(ns) < 0:
+        raise ValueError(f"{identity.label}: the right side is not defined at n = {min(ns)}")
     columns = [t.sweep(ns) if isinstance(t, _SWEPT_TERMS) else [t.evaluate(n) for n in ns]
                for t in identity.terms]
     return [_integer_total(identity, n, sum(values, Fraction(0)))
@@ -530,8 +515,6 @@ def _cospow_sides(identity: Identity, ns: list[int]):
     At each n the binomial side must equal the ring power at every modulus,
     or the pair is the two coefficient lists; then the power's coefficient
     sum must equal the left side, pow2 of the row."""
-    if ns[0] < 0:
-        raise ValueError(f"{identity.label}: the cosine power is not defined at n = {ns[0]}")
     odd = bool(identity.param)
     walks = zip(*(_cospow_vectors(n_mod, e, odd) for n_mod, e in _COSPOW_MODULI))
     wanted = set(ns)
@@ -540,7 +523,7 @@ def _cospow_sides(identity: Identity, ns: list[int]):
             continue
         bad = next(((fold, list(power.coeffs)) for fold, power in pairs
                     if fold != list(power.coeffs)), None)
-        yield bad or (identity.lhs.value(n, n), pairs[0][1].eval_at_one)
+        yield bad or (identity.lhs.value(n), pairs[0][1].eval_at_one)
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
@@ -556,7 +539,7 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     elif identity.kind == "vector":
         sides = _cospow_sides(identity, ns)
     else:
-        sides = zip((identity.lhs.value(n, n) for n in ns), rhs_values(identity, ns))
+        sides = zip((identity.lhs.value(n) for n in ns), rhs_values(identity, ns))
     per_n: list[bool] = []
     first = lhs_s = rhs_s = None
     for n, (lhs, rhs) in zip(ns, sides):
@@ -701,7 +684,7 @@ def _build_registry() -> tuple[Identity, ...]:
             domain=Domain(1), param=m,
             description="even-denominator cosine family as an alternating stride-m slice")
     add("central-delight", OracleRef("halfcentral"),
-        [Constant(1), ScaledOracle(1, OracleRef("scriptL", param_from_n=True))],
+        [Constant(1), ScaledOracle(1, OracleRef("scriptLdiag"))],
         domain=Domain(2, even_only=True),
         description="half central binomial from its own cosine power sum")
     add("kron8-pell", OracleRef("pelltrans"),
@@ -822,6 +805,11 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
 # JSON interchange format
 # ---------------------------------------------------------------------------
 
+def _oracle_json(ref: OracleRef, var: str) -> dict:
+    """A sequence reference, its index written in the running variable var."""
+    return {"sequence": ref.name, "param": ref.param, "index": ref.index_str(var)}
+
+
 def _term_json(term) -> dict:
     if isinstance(term, CenteredSum):
         return {
@@ -831,10 +819,8 @@ def _term_json(term) -> dict:
             "period": term.period,
             "weights": [str(w) for w in term.weights],
             "sign": term.sign,
-            "weight_oracle": None if term.weight_oracle is None else {
-                "sequence": term.weight_oracle.name,
-                "index": term.weight_oracle.index_str("k"),
-            },
+            "weight_oracle": None if term.weight_oracle is None else _oracle_json(
+                term.weight_oracle, "k"),
         }
     if isinstance(term, ScaledBinomial):
         return {"kind": "scaled-binomial", "coeff": str(term.coeff), "which": term.which}
@@ -845,15 +831,14 @@ def _term_json(term) -> dict:
         return {"kind": "constant", "value": str(term.value)}
     if isinstance(term, ScaledOracle):
         return {"kind": "scaled-oracle", "coeff": str(term.coeff),
-                "sequence": term.oracle.name, "param": term.oracle.param,
-                "index": term.oracle.index_str(),
-                "param_from_n": term.oracle.param_from_n}
+                **_oracle_json(term.oracle, "n")}
     if isinstance(term, BinomialTransform):
         return {"kind": "binomial-transform", "stride": term.stride, "offset": term.offset,
-                "sequence": term.oracle.name, "param": term.oracle.param}
+                **_oracle_json(term.oracle, "j")}
     if isinstance(term, SignedRowConvolution):
+        k_part = _affine_str(term.ak, term.c, "k")
         return {"kind": "signed-row-convolution", "sequence": term.oracle_name,
-                "index": f"{term.an}n{term.ak:+d}k{term.c:+d}"}
+                "index": _affine_str(term.an, 0, "n") + ("+" if term.ak > 0 else "") + k_part}
     if isinstance(term, DiagonalSum):
         return {"kind": "diagonal-sum", "base": term.base}
     if isinstance(term, CosProduct):
@@ -874,8 +859,7 @@ def identity_json(identity: Identity) -> dict:
         "description": identity.description,
         "domain": {"start": identity.domain.start, "stop": identity.domain.stop,
                    "even_only": identity.domain.even_only},
-        "lhs": {"sequence": identity.lhs.name, "param": identity.lhs.param,
-                "index": identity.lhs.index_str()},
+        "lhs": _oracle_json(identity.lhs, "n"),
         "terms": [_term_json(t) for t in identity.terms],
     }
 

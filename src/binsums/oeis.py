@@ -23,7 +23,7 @@ FIXTURES: dict[str, tuple[str, int | None]] = {
     "A080937": ("Q", None),
     "A052975": ("R", None),
     "A094648": ("W", None),
-    "A094789": ("qrdiff", None),
+    "A094789": ("A094789", None),
     "A094831": ("S", None),
     "A095930": ("A", None),
     "A095931": ("B", None),

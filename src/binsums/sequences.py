@@ -25,7 +25,6 @@ class SequenceOracle:
     param_name: str | None = None
     param_min: int = 0
     negative_ok: bool = False
-    oeis_id: str | None = None
     description: str = ""
 
     def __call__(self, n: int, param: int | None = None) -> int:
@@ -83,8 +82,7 @@ def scriptl_poly(m: int) -> IntPolynomial:
     return IntPolynomial(chebyshev_monic(m).coeffs[m % 2::2])
 
 
-# one power-sum recurrence per (family, m), built on first use; a scriptL
-# read with n <= m does not build one (see _scriptl)
+# one power-sum recurrence per (family, m), built on first use
 _POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
 
 
@@ -106,25 +104,24 @@ def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n
     return rec_eval(spec, n)
 
 
-def _scriptl(m: int, n: int) -> int:
+def _divide_by_m(total: int, m: int, n: int) -> int:
     # scriptl_poly has each distinct nonzero root square of D_m once, so for
     # n >= 1 its power sum is half the sum over the m roots of D_m of their
     # 2n-th powers; hence the divisor m.
-    # central-delight reads m = n once per n, and a spec built for that read
-    # would never be read again: a read with n <= m that finds no spec runs
-    # Newton's identities up to n instead.
-    if n <= m and ("scriptL", m) not in _POWER_SUM_SPECS:
-        total = power_sums(scriptl_poly(m), n)[n]
-    else:
-        total = _power_sum("scriptL", scriptl_poly, m, n)
     q, r = divmod(total, m)
     if r:
         raise ValueError(f"scriptL({m}) power sum not divisible by {m} at n = {n}")
     return q
 
 
-def _qrdiff(_, n: int) -> int:
-    return rec_eval(R_SEQ, n) - rec_eval(Q_SEQ, n)
+def _scriptl(m: int, n: int) -> int:
+    return _divide_by_m(_power_sum("scriptL", scriptl_poly, m, n), m, n)
+
+
+def _scriptl_diag(n: int) -> int:
+    # m = n: a spec built for this read would never be read again, so Newton's
+    # identities run up to n and nothing is stored
+    return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
 
 
 def _partial_row(n: int, residues: set[int], modulus: int) -> int:
@@ -132,66 +129,68 @@ def _partial_row(n: int, residues: set[int], modulus: int) -> int:
     return sum(row[k] for k in range(1, n + 1) if k % modulus in residues)
 
 
-def _o(name, rule, **kw) -> SequenceOracle:
-    return SequenceOracle(name, rule, **kw)
-
-
 _REGISTRY: dict[str, SequenceOracle] = {
     o.name: o
     for o in [
-        _o("fib", lambda _, n: fib(n), negative_ok=True, oeis_id="A000045", description="Fibonacci numbers"),
-        _o("lucas", lambda _, n: lucas(n), negative_ok=True, oeis_id="A000032", description="Lucas numbers"),
-        _o("pell", lambda _, n: rec_eval(PELL, n), oeis_id="A000129", description="Pell numbers"),
-        _o("pellX", lambda _, n: rec_eval(PELL_X, n), oeis_id="A001075",
-           description="x solving x^2 - 3y^2 = 1"),
-        _o("pellY", lambda _, n: rec_eval(PELL_Y, n), oeis_id="A001353",
-           description="y solving x^2 - 3y^2 = 1"),
-        _o("W", lambda _, n: rec_eval(W_SEQ, n), oeis_id="A094648",
-           description="signed Lucas-type sequence for the heptagon cosines"),
-        _o("Q", lambda _, n: rec_eval(Q_SEQ, n), oeis_id="A080937",
-           description="bounded-height Catalan path counts"),
-        _o("R", lambda _, n: rec_eval(R_SEQ, n), oeis_id="A052975",
-           description="closed walk counts at the middle of the 6-path"),
-        _o("S", lambda _, n: rec_eval(S_SEQ, n), oeis_id="A094831",
-           description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
-        _o("qrdiff", _qrdiff, start=1, oeis_id="A094789", description="R minus Q"),
-        _o("genlucas", lambda m, n: _power_sum("genlucas", genlucas_poly, m, n),
-           param_name="m", param_min=2,
-           description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
-        _o("scriptL", lambda m, n: _scriptl(m, n), start=1, param_name="m", param_min=2,
-           description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
-        _o("A", lambda _, n: _partial_row(n, {1, 4}, 5), oeis_id="A095930",
-           description="central-row sum over k = 1,4 (mod 5)"),
-        _o("B", lambda _, n: _partial_row(n, {2, 3}, 5), oeis_id="A095931",
-           description="central-row sum over k = 2,3 (mod 5)"),
-        _o("C", lambda _, n: _partial_row(n, {0}, 5),
-           description="central-row sum over positive multiples of 5"),
-        _o("halfrow", lambda _, n: (4**n - binomial(2 * n, n)) // 2,
-           description="(4^n - C(2n,n))/2, the half row sum"),
-        _o("halfcentral", lambda _, n: binomial(2 * n - 1, n - 1), start=1,
-           description="C(2n-1, n-1), half the central binomial coefficient"),
-        _o("pow2", lambda _, n: 2**n, description="powers of 2"),
-        _o("pow3", lambda _, n: 3**n, oeis_id="A000244", description="powers of 3"),
-        _o("pow4", lambda _, n: 4**n, description="powers of 4"),
-        _o("pow5", lambda _, n: 5**n, description="powers of 5"),
-        _o("pelltrans", lambda _, n: rec_eval(PELL_TRANS, n),
-           description="binomial transform of the Pell numbers"),
-        _o("fib2trans", lambda _, n: rec_eval(FIB2_TRANS, n),
-           description="binomial transform of the even-index Fibonacci numbers"),
-        _o("fibscaled", lambda _, n: 0 if n == 0 else 2 ** (n - 1) * fib(n),
-           description="2^(n-1) F(n)"),
-        _o("lucasscaled", lambda _, n: 1 if n == 0 else 2 ** (n - 1) * lucas(n),
-           description="2^(n-1) L(n)"),
-        _o("lewis", lambda t, n: 5**n * fib(t) ** (2 * n), param_name="t", param_min=1,
-           description="5^n F(t)^(2n)"),
-        _o("fiboddpow", lambda p, n: 2 * 5**n * fib(2 * p) ** (2 * n + 1),
-           param_name="p", param_min=1, description="2 * 5^n F(2p)^(2n+1)"),
-        _o("A094789", _qrdiff, start=1, oeis_id="A094789", description="R minus Q"),
-        _o("A094667", lambda _, n: rec_eval(A094667_SEQ, n), oeis_id="A094667",
-           description="Kronecker mod 20 central-row sums, by their order-4 recurrence"),
-        _o("A216597", lambda _, n: rec_eval(A216597_SEQ, n), oeis_id="A216597",
-           description="sign-alternating Kronecker mod 13 central-row sums, by their "
-                       "order-6 recurrence"),
+        SequenceOracle("fib", lambda _, n: fib(n), negative_ok=True,
+                       description="Fibonacci numbers"),
+        SequenceOracle("lucas", lambda _, n: lucas(n), negative_ok=True,
+                       description="Lucas numbers"),
+        SequenceOracle("pell", lambda _, n: rec_eval(PELL, n), description="Pell numbers"),
+        SequenceOracle("pellX", lambda _, n: rec_eval(PELL_X, n),
+                       description="x solving x^2 - 3y^2 = 1"),
+        SequenceOracle("pellY", lambda _, n: rec_eval(PELL_Y, n),
+                       description="y solving x^2 - 3y^2 = 1"),
+        SequenceOracle("W", lambda _, n: rec_eval(W_SEQ, n),
+                       description="signed Lucas-type sequence for the heptagon cosines"),
+        SequenceOracle("Q", lambda _, n: rec_eval(Q_SEQ, n),
+                       description="bounded-height Catalan path counts"),
+        SequenceOracle("R", lambda _, n: rec_eval(R_SEQ, n),
+                       description="closed walk counts at the middle of the 6-path"),
+        SequenceOracle("S", lambda _, n: rec_eval(S_SEQ, n),
+                       description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
+        SequenceOracle("genlucas", lambda m, n: _power_sum("genlucas", genlucas_poly, m, n),
+                       param_name="m", param_min=2,
+                       description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
+        SequenceOracle("scriptL", lambda m, n: _scriptl(m, n), start=1,
+                       param_name="m", param_min=2,
+                       description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
+        SequenceOracle("scriptLdiag", lambda _, n: _scriptl_diag(n), start=2,
+                       description="scriptL with m = n, read at n"),
+        SequenceOracle("A", lambda _, n: _partial_row(n, {1, 4}, 5),
+                       description="central-row sum over k = 1,4 (mod 5)"),
+        SequenceOracle("B", lambda _, n: _partial_row(n, {2, 3}, 5),
+                       description="central-row sum over k = 2,3 (mod 5)"),
+        SequenceOracle("C", lambda _, n: _partial_row(n, {0}, 5),
+                       description="central-row sum over positive multiples of 5"),
+        SequenceOracle("halfrow", lambda _, n: (4**n - binomial(2 * n, n)) // 2,
+                       description="(4^n - C(2n,n))/2, the half row sum"),
+        SequenceOracle("halfcentral", lambda _, n: binomial(2 * n - 1, n - 1), start=1,
+                       description="C(2n-1, n-1), half the central binomial coefficient"),
+        SequenceOracle("pow2", lambda _, n: 2**n, description="powers of 2"),
+        SequenceOracle("pow3", lambda _, n: 3**n, description="powers of 3"),
+        SequenceOracle("pow4", lambda _, n: 4**n, description="powers of 4"),
+        SequenceOracle("pow5", lambda _, n: 5**n, description="powers of 5"),
+        SequenceOracle("pelltrans", lambda _, n: rec_eval(PELL_TRANS, n),
+                       description="binomial transform of the Pell numbers"),
+        SequenceOracle("fib2trans", lambda _, n: rec_eval(FIB2_TRANS, n),
+                       description="binomial transform of the even-index Fibonacci numbers"),
+        SequenceOracle("fibscaled", lambda _, n: 0 if n == 0 else 2 ** (n - 1) * fib(n),
+                       description="2^(n-1) F(n)"),
+        SequenceOracle("lucasscaled", lambda _, n: 1 if n == 0 else 2 ** (n - 1) * lucas(n),
+                       description="2^(n-1) L(n)"),
+        SequenceOracle("lewis", lambda t, n: 5**n * fib(t) ** (2 * n),
+                       param_name="t", param_min=1, description="5^n F(t)^(2n)"),
+        SequenceOracle("fiboddpow", lambda p, n: 2 * 5**n * fib(2 * p) ** (2 * n + 1),
+                       param_name="p", param_min=1, description="2 * 5^n F(2p)^(2n+1)"),
+        SequenceOracle("A094789", lambda _, n: rec_eval(R_SEQ, n) - rec_eval(Q_SEQ, n),
+                       start=1, description="R minus Q"),
+        SequenceOracle("A094667", lambda _, n: rec_eval(A094667_SEQ, n),
+                       description="Kronecker mod 20 central-row sums, by their order-4 "
+                                   "recurrence"),
+        SequenceOracle("A216597", lambda _, n: rec_eval(A216597_SEQ, n),
+                       description="sign-alternating Kronecker mod 13 central-row sums, "
+                                   "by their order-6 recurrence"),
     ]
 }
 

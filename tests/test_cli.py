@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import binsums
-from binsums.cli import run
+from binsums.cli import _parse_index, run
 from binsums.identities import builtin_registry, perturbed
 
 
@@ -149,6 +150,20 @@ def test_derive_unknown_target_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("index", ["2n1", "n1", "n 1"])
+def test_derive_index_offset_without_a_sign_exits_2(capsys, index):
+    with pytest.raises(SystemExit) as info:
+        run(["derive", "--target", "fib", "--index", index, "--period", "5"])
+    assert info.value.code == 2
+    assert "needs a sign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, parsed", [("n", (1, 0)), ("2n+1", (2, 1)),
+                                           ("-n+70", (-1, 70)), ("n-1", (1, -1))])
+def test_index_maps_parse(index, parsed):
+    assert _parse_index(index) == parsed
+
+
 def test_derive_negative_solve_start_exits_2(capsys):
     code = run(["derive", "--target", "fib", "--index", "2n", "--period", "5",
                 "--solve-range=-1..8"])
@@ -235,3 +250,27 @@ def test_n_max_validation():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--n-max", "0"])
     assert exc.value.code == 2
+
+
+def _readme_cli_lines() -> list[tuple[list[str], str]]:
+    """(argv, trailing comment) of each `binsums ...` line of the README's
+    CLI block, with a `> file` redirect dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        command = command.split(">", 1)[0]
+        if command.startswith("binsums "):
+            out.append((shlex.split(command)[1:], comment.strip()))
+    return out
+
+
+def test_readme_cli_lines_run(capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 9
+    for argv, comment in lines:
+        code, out = invoke(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "table" and comment:
+            assert out.strip() == comment, argv

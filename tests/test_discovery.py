@@ -290,6 +290,25 @@ def test_identity_from_profile_feeds_back_into_verify():
                                              solve_start=1, solve_stop=8))
 
 
+def test_solution_carries_the_target_it_solved_for():
+    pell = OracleRef("pell", a=-1, b=70)
+    for period in (1, 5, 12):
+        assert derive_profile(pell, period).target == pell
+    fib_odd = OracleRef("fib", a=2, b=1)
+    sol = derive_profile(fib_odd, 5, row_odd=True)
+    assert sol.status == "unique" and sol.target == fib_odd
+    assert identity_from_profile(sol).lhs == fib_odd
+
+
+def test_derived_domain_ends_where_a_decreasing_index_leaves_the_oracle():
+    target = OracleRef("C", a=-1, b=4)
+    sol = derive_profile(target, 1, solve_start=0, solve_stop=4, holdout=0)
+    ident = identity_from_profile(sol)
+    assert ident.lhs == target and (ident.domain.start, ident.domain.stop) == (0, 4)
+    rep = verify(ident, 10)
+    assert rep.passed and rep.checked == (0, 1, 2, 3, 4)
+
+
 def test_profile_json_shapes():
     unique = profile_json(derive_profile(OracleRef("Q"), 7, solve_start=1, solve_stop=10))
     assert unique["status"] == "unique"

@@ -20,6 +20,7 @@ from binsums.identities import (
     Power,
     SIGN_ALT_NK,
     SIGN_NONE,
+    SignedRowConvolution,
     VerificationReport,
     builtin_registry,
     expand_terms,
@@ -90,16 +91,6 @@ def test_exit_values_of_reports():
     assert all(report.per_n)
     assert report.first_divergence is None
     assert report.elapsed >= 0
-
-
-def test_truncation_soundness():
-    """Widening any sum's cutoff by three extra periods changes nothing."""
-    for family in ("fib-even", "fib-odd", "lucas-odd", "catalan-paths-Q",
-                   "pellY-stride6", "A094831-S", "kron20-A094667"):
-        ident = find(family)[0]
-        period = max(t.period for t in ident.terms if isinstance(t, CenteredSum))
-        for n in ident.domain.indices(0, 20):
-            assert rhs_eval(ident, n) == rhs_eval(ident, n, extra=3 * period)
 
 
 def test_equivalence_pairs():
@@ -213,12 +204,12 @@ def _synthetic_sums():
             yield CenteredSum((1, Fraction(1, 3)), 2, row_odd, 1, sign,
                               weight_oracle=OracleRef("lucas", a=3, b=-1))
             yield CenteredSum((0, 2, -1), 3, row_odd, 0, sign,
-                              weight_oracle=OracleRef("lewis", param_from_n=True))
+                              weight_oracle=OracleRef("lewis", param=2))
 
 
 def test_sweep_equals_direct_evaluation_on_synthetic_sums():
     """Every sign rule, both row parities, fractional and surd weights, and
-    weight oracles with and without an n-dependent parameter."""
+    weight oracles with and without a parameter."""
     ns = list(range(2, 40)) + [45, 52]
     for term in _synthetic_sums():
         swept = term.sweep(ns)
@@ -227,7 +218,7 @@ def test_sweep_equals_direct_evaluation_on_synthetic_sums():
 
 
 def test_stepped_binomial_transform_equals_direct_evaluation():
-    for term in (BinomialTransform(OracleRef("lewis", param_from_n=True), 3, 4),
+    for term in (BinomialTransform(OracleRef("lewis", param=2), 3, 4),
                  BinomialTransform(OracleRef("fib", a=2, b=-3), 2, 1)):
         ns = list(range(2, 30))
         assert term.sweep(ns) == [term.evaluate(n) for n in ns]
@@ -245,8 +236,8 @@ def _reference_sides(ident: Identity, n: int) -> tuple:
             fast = cos_power_vector(n_mod, e, power)
             if direct != fast:
                 return list(direct.coeffs), list(fast.coeffs)
-        return ident.lhs.value(n, n), 2**power
-    return ident.lhs.value(n, n), rhs_eval(ident, n)
+        return ident.lhs.value(n), 2**power
+    return ident.lhs.value(n), rhs_eval(ident, n)
 
 
 def _reference_report(ident: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
@@ -347,8 +338,16 @@ def test_wrong_cospow_step_is_caught_at_the_first_step(monkeypatch, odd):
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():
+    before = set(_POWER_SUM_SPECS)
     assert verify(find("central-delight")[0], 200).passed
-    assert not [key for key in _POWER_SUM_SPECS if key[0] == "scriptL" and key[1] > 8]
+    assert set(_POWER_SUM_SPECS) == before
+
+
+def test_domains_and_sweeps_reject_negative_n():
+    with pytest.raises(ValueError, match="n >= 0"):
+        Domain(-1)
+    with pytest.raises(ValueError, match="not defined at n = -1"):
+        rhs_values(find("fib-even")[0], [-1, 0])
 
 
 def test_perturbed_reports_equal_direct_evaluation():
@@ -433,8 +432,45 @@ def test_weight_oracle_index_follows_index_str():
     assert index(OracleRef("lucas", b=2)) == "k+2"
     assert index(OracleRef("lucas", a=3, b=-1)) == "3k-1"
     assert identity_json(find("lewis-family")[1])["terms"][0]["weight_oracle"] == {
-        "sequence": "lucas", "index": "4k"}
+        "sequence": "lucas", "param": None, "index": "4k"}
     assert identity_json(find("sury-product")[0])["terms"] == [{"kind": "cos-product"}]
+
+
+def _oracle_refs(doc: dict):
+    """Every sequence reference of an exported identity: its left side, each
+    weight oracle, and the reference fields of each oracle-citing term."""
+    yield doc["lhs"]
+    for term in doc["terms"]:
+        if term["kind"] in ("scaled-oracle", "binomial-transform"):
+            yield {key: value for key, value in term.items()
+                   if key not in ("kind", "coeff", "stride", "offset")}
+        elif term["kind"] == "centered-sum" and term["weight_oracle"] is not None:
+            yield term["weight_oracle"]
+
+
+def test_every_oracle_reference_exports_sequence_param_and_index():
+    refs = [ref for ident in builtin_registry() for ref in _oracle_refs(identity_json(ident))]
+    assert len(refs) == 61 + 4 + 5 + 2
+    assert all(set(ref) == {"sequence", "param", "index"} for ref in refs)
+    delight = identity_json(find("central-delight")[0])["terms"][1]
+    assert delight == {"kind": "scaled-oracle", "coeff": "1",
+                       "sequence": "scriptLdiag", "param": None, "index": "n"}
+    transform = BinomialTransform(OracleRef("fib", a=2, b=-3), 2, 1)
+    doc = identity_json(Identity("synthetic", OracleRef("fib"), (transform,)))
+    assert doc["terms"][0]["index"] == "2j-3"
+
+
+def test_row_convolution_index_follows_affine_str():
+    def index(**kw):
+        term = SignedRowConvolution("fib", **kw)
+        return identity_json(Identity("synthetic", OracleRef("fib"), (term,)))[
+            "terms"][0]["index"]
+
+    assert index(an=1, ak=-1, c=0) == "n-k"
+    assert index(an=1, ak=1, c=0) == "n+k"
+    assert index(an=-2, ak=3, c=-1) == "-2n+3k-1"
+    assert [t["index"] for i in find("lucas1878-odd-power")
+            for t in identity_json(i)["terms"]] == ["4n-4k+2", "8n-8k+4", "12n-12k+6"]
 
 
 def test_power_exponents_follow_index_str():

@@ -83,7 +83,7 @@ def test_signed_fixture_values_survive():
 
 
 def test_qr_difference_alignment():
-    report = compare("qrdiff", load_fixture("A094789"), count=50)
+    report = compare("A094789", load_fixture("A094789"), count=50)
     assert report.is_match and report.shift == 0
 
 

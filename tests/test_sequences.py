@@ -68,8 +68,8 @@ def test_partial_row_sums_match_their_definitions():
 
 def test_qrdiff_is_r_minus_q():
     for n in range(1, 40):
-        assert seq_eval("qrdiff", n) == seq_eval("R", n) - seq_eval("Q", n)
-    assert seq_slice("qrdiff", 6) == [1, 4, 14, 47, 155, 507]
+        assert seq_eval("A094789", n) == seq_eval("R", n) - seq_eval("Q", n)
+    assert seq_slice("A094789", 6) == [1, 4, 14, 47, 155, 507]
 
 
 def test_transform_recurrences_match_their_binomial_transforms():
@@ -96,13 +96,16 @@ def test_power_sum_recurrences_match_newton_power_sums():
             assert seq_eval("genlucas", n, param=m) == genlucas[n]
         for n in range(1, 101):
             assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
-        # a read with n <= m uses the spec once a read past m has built it
-        for n in range(1, m + 1):
-            assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
-    # central-delight reads scriptL with m = n, by Newton's identities up to n
     for n in range(2, 61):
         assert seq_eval("scriptL", n, param=n) * 2 * n == power_sums(
             squared_root_poly(chebyshev_monic(n)), n)[n]
+
+
+def test_scriptl_diagonal_reads_scriptl_at_m_equal_to_n():
+    for n in range(2, 61):
+        direct = power_sums(scriptl_poly(n), n)[n] // n
+        assert seq_eval("scriptLdiag", n) == direct == seq_eval("scriptL", n, param=n), n
+    assert get_oracle("scriptLdiag").start == 2
 
 
 def test_scriptl_poly_halves_the_squared_root_power_sums():
@@ -139,7 +142,7 @@ def test_domain_validation():
 
 def test_natural_start_indices():
     assert get_oracle("scriptL").start == 1
-    assert get_oracle("qrdiff").start == 1
+    assert get_oracle("A094789").start == 1
     assert get_oracle("halfcentral").start == 1
     assert get_oracle("fib").start == 0
 
