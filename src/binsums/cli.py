@@ -151,10 +151,11 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
                 table = oeis.fetch(args.seq_id, allow_network=False, cache_dir=args.cache_dir)
             except oeis.FetchDisabled:
                 table = oeis.load_fixture(args.seq_id)
+        # a missing or out-of-range --m, or a --count below 20, is a usage error
+        report = oeis.compare(args.sequence, table, args.count, args.m)
     except (KeyError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    report = oeis.compare(args.sequence, table, args.count, args.m)
     payload = {"command": "oeis-check", "sequence": args.sequence, "id": args.seq_id,
                "shift": report.shift, "matched": report.matched,
                "match": report.is_match,

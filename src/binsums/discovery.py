@@ -211,12 +211,13 @@ def identity_from_profile(solution: ProfileSolution) -> Identity:
                        center=solution.center)
     target = solution.target
     oracle = get_oracle(target.name)
-    # keep the index a*n + b at or past the oracle's start
+    # without a backward rule, keep the index a*n + b at or past the oracle's start
     start, stop = 0, None
-    if target.a > 0:
-        start = max(0, -((target.b - oracle.start) // target.a))
-    elif target.a < 0 and not oracle.negative_ok:
-        stop = (target.b - oracle.start) // -target.a
+    if not oracle.negative_ok:
+        if target.a > 0:
+            start = max(0, -((target.b - oracle.start) // target.a))
+        elif target.a < 0:
+            stop = (target.b - oracle.start) // -target.a
     return Identity(
         family=f"derived-{target.name}-M{solution.period}",
         lhs=target,

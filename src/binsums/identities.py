@@ -8,14 +8,6 @@ terms (its right side).  Every centered sum is kept in one canonical shape,
 optionally carrying an extra oracle-valued factor per summand.  The
 evaluator works in exact rational (or quadratic-ring) arithmetic, so a
 verification failure is a genuine counterexample, never round-off.
-
-Two entry kinds do not fit the sum shape and are dispatched specially:
-"profile" compares an exact cosine-combination table against a scaled
-Kronecker table, and "vector" checks the cosine power expansion as an
-identity of coefficient vectors.  For each of four moduli N it steps the
-ring power (z^e + z^-e)^row in Z[z]/(z^N - 1) from n to n+1 and compares it
-with the residue-class sums of the binomial row; the coefficient sum of
-the power must then equal the left side, 2^row.
 """
 from __future__ import annotations
 
@@ -25,9 +17,10 @@ import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import ClassVar
 
 from .core import binomial, binomial_row, central_row, class_sums, kronecker
-from .cyclo import CycloVec, cos_power_vector, cos_product_resultant
+from .cyclo import cos_product_resultant
 from .quadratic import QuadValue
 from .sequences import get_oracle, seq_eval
 
@@ -395,16 +388,15 @@ class Identity:
     lhs: OracleRef
     terms: tuple
     domain: Domain = field(default_factory=Domain)
-    param: int | None = None
-    kind: str = "sum"  # "sum" | "profile" | "vector"
     description: str = ""
+    kind: ClassVar[str] = "sum"  # no other kind; the JSON format and perfbench still read it
 
     @property
     def label(self) -> str:
-        pname = None if self.param is None else get_oracle(self.lhs.name).param_name
+        pname = None if self.lhs.param is None else get_oracle(self.lhs.name).param_name
         if pname is None:
             return self.family
-        return f"{self.family}[{pname}={self.param}]"
+        return f"{self.family}[{pname}={self.lhs.param}]"
 
 
 @dataclass(frozen=True)
@@ -428,8 +420,6 @@ def rhs_eval(identity: Identity, n: int) -> int:
     Raises if a quadratic part survives (a mis-specified weight table) or if
     the final rational is not an integer (a mis-typed coefficient).
     """
-    if identity.kind != "sum":
-        raise ValueError(f"{identity.label} is not a sum-shaped identity")
     total = Fraction(0)
     for term in identity.terms:
         total = total + term.evaluate(n)  # stays a Fraction unless a QuadValue enters
@@ -447,8 +437,6 @@ def rhs_values(identity: Identity, ns) -> list[int]:
     and raise the same errors as rhs_eval.  The sweeps start from row 0, so
     a negative n raises ValueError.
     """
-    if identity.kind != "sum":
-        raise ValueError(f"{identity.label} is not a sum-shaped identity")
     ns = list(ns)
     if not ns:
         return []
@@ -471,75 +459,12 @@ def _integer_total(identity: Identity, n: int, total) -> int:
     return total.numerator
 
 
-# the (modulus, exponent) pairs of the "vector" check
-_COSPOW_MODULI = ((5, 1), (7, 2), (12, 1), (24, 5))
-
-
-def _cospow_step(n_mod: int, e: int) -> CycloVec:
-    """z^(2e) + 2 + z^(-2e) = (z^e + z^-e)^2, which takes power p to p + 2."""
-    return CycloVec.two_cos(n_mod, 2 * e) + CycloVec.one(n_mod).scale(2)
-
-
-def _cospow_fold(n_mod: int, e: int, odd: bool, middle: int, sums: list[int]) -> list[int]:
-    """The class sums of row 2n (or 2n+1) placed on the exponents of
-    (z^e + z^-e)^row: class r of k >= 1 goes to +-2er on row 2n, where the
-    center goes to 0, and to +-e(2r-1) on row 2n+1, whose classes cover the
-    whole row."""
-    out = [0] * n_mod
-    if not odd:
-        out[0] = middle
-    for r, s in enumerate(sums):
-        j = e * (2 * r - 1) if odd else 2 * e * r
-        out[j % n_mod] += s
-        out[-j % n_mod] += s
-    return out
-
-
-def _cospow_vectors(n_mod: int, e: int, odd: bool):
-    """For n = 0, 1, 2, ... yield (binomial side, ring power) of
-    (z^e + z^-e)^(2n+odd) mod z^n_mod - 1.
-
-    The binomial side folds core.class_sums; the ring power is seeded by
-    cos_power_vector and multiplied by the three-term _cospow_step, O(n_mod)
-    per step."""
-    power = cos_power_vector(n_mod, e, int(odd))
-    step = _cospow_step(n_mod, e)
-    for middle, sums in class_sums(n_mod, odd):
-        yield _cospow_fold(n_mod, e, odd, middle, sums), power
-        power = step * power
-
-
-def _cospow_sides(identity: Identity, ns: list[int]):
-    """(lhs, rhs) at each n of ns (ascending) for a "vector" identity.
-
-    At each n the binomial side must equal the ring power at every modulus,
-    or the pair is the two coefficient lists; then the power's coefficient
-    sum must equal the left side, pow2 of the row."""
-    odd = bool(identity.param)
-    walks = zip(*(_cospow_vectors(n_mod, e, odd) for n_mod, e in _COSPOW_MODULI))
-    wanted = set(ns)
-    for n, pairs in zip(range(ns[-1] + 1), walks):
-        if n not in wanted:
-            continue
-        bad = next(((fold, list(power.coeffs)) for fold, power in pairs
-                    if fold != list(power.coeffs)), None)
-        yield bad or (identity.lhs.value(n), pairs[0][1].eval_at_one)
-
-
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
     """Compare the two sides at every admissible n in [n_min, n_max], by
     exact equality."""
     t0 = time.perf_counter()
     ns = identity.domain.indices(n_min, n_max)
-    if not ns:
-        sides = []
-    elif identity.kind == "profile":
-        table = _mod5_profile_table()
-        sides = (_mod5_profile_sides(table, n) for n in ns)
-    elif identity.kind == "vector":
-        sides = _cospow_sides(identity, ns)
-    else:
-        sides = zip((identity.lhs.value(n) for n in ns), rhs_values(identity, ns))
+    sides = zip((identity.lhs.value(n) for n in ns), rhs_values(identity, ns))
     per_n: list[bool] = []
     first = lhs_s = rhs_s = None
     for n, (lhs, rhs) in zip(ns, sides):
@@ -556,17 +481,6 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
         rhs_at_divergence=rhs_s,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _mod5_profile_table() -> list[QuadValue]:
-    from .discovery import profile_from_angles
-
-    return profile_from_angles(5, [(1, QuadValue(1)), (3, QuadValue(-1))], QuadValue(1), 5)
-
-
-def _mod5_profile_sides(table: list[QuadValue], n: int) -> tuple[QuadValue, QuadValue]:
-    k = n % 5
-    return QuadValue(0, kronecker(k, 5), 5), table[k]
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +507,8 @@ def _single_residue(m: int, residue: int, value) -> tuple[Fraction, ...]:
 def _build_registry() -> tuple[Identity, ...]:
     ids: list[Identity] = []
 
-    def add(family, lhs, terms, domain=Domain(), param=None, kind="sum", description=""):
-        ids.append(Identity(family, lhs, tuple(terms), domain, param, kind, description))
+    def add(family, lhs, terms, domain=Domain(), description=""):
+        ids.append(Identity(family, lhs, tuple(terms), domain, description))
 
     fifth = Fraction(1, 5)
 
@@ -604,8 +518,6 @@ def _build_registry() -> tuple[Identity, ...]:
     add("fib-odd", OracleRef("fib", a=2, b=1),
         [CenteredSum(tuple(Fraction(-kronecker(r + 2, 5)) for r in range(5)), 5, row_odd=True)],
         description="odd-index Fibonacci from the shifted Legendre weights")
-    add("mod5-profile", OracleRef("fib"), [], kind="profile",
-        description="2cos(2k pi/5) - 2cos(6k pi/5) equals sqrt(5) times the Legendre symbol (k|5)")
     add("lucas-even", OracleRef("lucas", a=2),
         [ScaledBinomial(5, "C(2n-1,n)"), Power(-1, 2, 2, -1),
          CenteredSum(_single_residue(5, 0, 5), 5)],
@@ -655,12 +567,10 @@ def _build_registry() -> tuple[Identity, ...]:
         add("genlucas-even", OracleRef("genlucas", param=m, a=2),
             [ScaledBinomial(Fraction(mm, 2), "C(2n,n)"), Power(-1, 2, 2, -1),
              CenteredSum(_single_residue(mm, 0, mm), mm)],
-            param=m,
             description="even-index generalized Lucas from multiples of 2m+1")
         add("genlucas-odd", OracleRef("genlucas", param=m, a=2, b=1),
             [Power(1, 2, 2),
              CenteredSum(_single_residue(mm, m + 1, -mm), mm, row_odd=True)],
-            param=m,
             description="odd-index generalized Lucas from one odd-row residue")
     add("pellX-alternating", OracleRef("pellX"),
         [ScaledBinomial(1, "C(2n,n)"),
@@ -681,7 +591,7 @@ def _build_registry() -> tuple[Identity, ...]:
         add("scriptL-merca", OracleRef("scriptL", param=m),
             [ScaledBinomial(1, "C(2n-1,n-1)"),
              CenteredSum(_single_residue(m, 0, 1), m, sign=SIGN_ALT_J)],
-            domain=Domain(1), param=m,
+            domain=Domain(1),
             description="even-denominator cosine family as an alternating stride-m slice")
     add("central-delight", OracleRef("halfcentral"),
         [Constant(1), ScaledOracle(1, OracleRef("scriptLdiag"))],
@@ -708,7 +618,6 @@ def _build_registry() -> tuple[Identity, ...]:
             [CenteredSum((Fraction(1),), 1, center=1,
                          sign=SIGN_NONE if t % 2 else SIGN_ALT_NK,
                          weight_oracle=OracleRef("lucas", a=2 * t))],
-            param=t,
             description="powers of 5 F(t)^2 from Lucas-weighted central rows")
     add("lucas1878-F", OracleRef("fibscaled"),
         [BinomialTransform(OracleRef("pow5"), stride=2, offset=1)],
@@ -719,7 +628,6 @@ def _build_registry() -> tuple[Identity, ...]:
     for p in range(1, 4):
         add("lucas1878-odd-power", OracleRef("fiboddpow", param=p),
             [SignedRowConvolution("fib", an=4 * p, ak=-4 * p, c=2 * p)],
-            param=p,
             description="odd powers of F(2p) as a signed full-row Fibonacci convolution")
     add("sury-diagonal", OracleRef("lucas", a=2, b=1),
         [DiagonalSum(base=5)],
@@ -730,10 +638,6 @@ def _build_registry() -> tuple[Identity, ...]:
     add("A094831-S", OracleRef("S"),
         [CenteredSum((2, 0, 0, -1, 0, 0, -1, 0, 0), 9, center=1)],
         description="the x^3-6x^2+9x-1 sequence from residues mod 3 and mod 9")
-    add("cospow-even", OracleRef("pow2", a=2), [], kind="vector", param=0,
-        description="even cosine power expansion as a vector identity")
-    add("cospow-odd", OracleRef("pow2", a=2, b=1), [], kind="vector", param=1,
-        description="odd cosine power expansion as a vector identity")
     return tuple(ids)
 
 
@@ -837,7 +741,7 @@ def _term_json(term) -> dict:
                 **_oracle_json(term.oracle, "j")}
     if isinstance(term, SignedRowConvolution):
         k_part = _affine_str(term.ak, term.c, "k")
-        return {"kind": "signed-row-convolution", "sequence": term.oracle_name,
+        return {"kind": "signed-row-convolution", "sequence": term.oracle_name, "param": None,
                 "index": _affine_str(term.an, 0, "n") + ("+" if term.ak > 0 else "") + k_part}
     if isinstance(term, DiagonalSum):
         return {"kind": "diagonal-sum", "base": term.base}
@@ -854,7 +758,7 @@ def identity_json(identity: Identity) -> dict:
     """
     return {
         "id": identity.family,
-        "param": identity.param,
+        "param": identity.lhs.param,
         "kind": identity.kind,
         "description": identity.description,
         "domain": {"start": identity.domain.start, "stop": identity.domain.stop,

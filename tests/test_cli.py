@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import binsums
 from binsums.cli import _parse_index, run
-from binsums.identities import builtin_registry, perturbed
+from binsums.identities import FAMILIES, builtin_registry, perturbed
 
 
 def invoke(capsys, *argv, registry=None):
@@ -29,7 +30,7 @@ def test_verify_single_identity_text(capsys):
 def test_verify_all_summary_line(capsys):
     code, out = invoke(capsys, "verify", "--all", "--n-max", "12")
     assert code == 0
-    assert out.strip().splitlines()[-1] == "PASS 37/37"
+    assert out.strip().splitlines()[-1] == "PASS 34/34"
 
 
 def test_verify_all_runs_without_mpmath():
@@ -41,7 +42,7 @@ def test_verify_all_runs_without_mpmath():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "PASS 37/37"
+    assert proc.stdout.strip().splitlines()[-1] == "PASS 34/34"
 
 
 def test_verify_json_schema_and_round_trip(capsys):
@@ -63,7 +64,7 @@ def test_verify_csv(capsys):
     code, out = invoke(capsys, "verify", "--all", "--n-max", "5", "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 37
+    assert len(rows) == 34
     assert all(r["status"] == "pass" for r in rows)
 
 
@@ -72,7 +73,7 @@ def test_injected_failure_flips_exit_status(capsys):
     registry[0] = perturbed(registry[0], 2, +1)  # fib-even, one flipped weight
     code, out = invoke(capsys, "verify", "--all", "--n-max", "10", registry=registry)
     assert code == 1
-    assert "FAIL 36/37" in out
+    assert "FAIL 33/34" in out
     assert "first divergence n=2" in out
 
 
@@ -219,6 +220,18 @@ def test_oeis_check_cache_dir_flag(tmp_path, capsys):
     assert code == 0 and "MATCH (21 terms" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    ((), "needs parameter m"),
+    (("--m", "1"), "m must be >= 2"),
+    (("--m", "4", "--count", "10"), "count must be >= 20"),
+])
+def test_oeis_check_usage_errors_exit_2(capsys, flags, message):
+    code = run(["oeis-check", "--sequence", "scriptL", "--id", "A007052", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 def test_oeis_check_json(capsys):
     code, out = invoke(capsys, "oeis-check", "--sequence", "Q", "--id", "A080937",
                        "--format", "json")
@@ -237,7 +250,7 @@ def test_export_registry(capsys):
     code, out = invoke(capsys, "export")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["identities"]) == 61
+    assert len(doc["identities"]) == 58
 
 
 def test_usage_error_exit_code():
@@ -252,10 +265,14 @@ def test_n_max_validation():
     assert exc.value.code == 2
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_cli_lines() -> list[tuple[list[str], str]]:
     """(argv, trailing comment) of each `binsums ...` line of the README's
     CLI block, with a `> file` redirect dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = _readme()
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     out = []
     for line in block.splitlines():
@@ -274,3 +291,12 @@ def test_readme_cli_lines_run(capsys):
         assert code == 0, argv
         if argv[0] == "table" and comment:
             assert out.strip() == comment, argv
+
+
+def test_readme_family_counts_match_the_catalogue():
+    text = _readme()
+    stated = [int(count) for pattern in (r"catalogue\s+of\s+(\d+)", r"PASS (\d+)/\d+",
+                                         r"PASS \d+/(\d+)", r'"pass": (\d+)')
+              for count in re.findall(pattern, text)]
+    assert len(stated) == 4
+    assert set(stated) == {len(FAMILIES)}

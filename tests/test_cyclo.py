@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from binsums.core import binomial
+from binsums.core import binomial, class_sums
 from binsums.cyclo import (
     CycloVec,
     IntPolynomial,
@@ -76,6 +76,39 @@ def test_direct_reduction_collects_central_row():
             if (2 * e * k) % n_mod == j
         )
         assert vec.coeffs[j] == want
+
+
+# (modulus, exponent) pairs at which the cosine power expansion is checked
+_COSPOW_MODULI = ((5, 1), (7, 2), (12, 1), (24, 5))
+
+
+def _fold_class_sums(n_mod: int, e: int, odd: bool, middle: int, sums: list[int]) -> list[int]:
+    """The class sums of row 2n (or 2n+1) placed on the exponents of
+    (z^e + z^-e)^row mod z^n_mod - 1: class r of k >= 1 goes to +-2er on row
+    2n, whose center goes to 0, and to +-e(2r-1) on row 2n+1, whose classes
+    cover the whole row."""
+    out = [0] * n_mod
+    if not odd:
+        out[0] = middle
+    for r, s in enumerate(sums):
+        j = e * (2 * r - 1) if odd else 2 * e * r
+        out[j % n_mod] += s
+        out[-j % n_mod] += s
+    return out
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("n_mod, e", _COSPOW_MODULI)
+def test_folded_class_sums_equal_the_cosine_power_expansion(n_mod, e, odd):
+    """The Pascal-step class sums that verify sweeps, folded onto the ring,
+    against the direct reduction and the binary-powered ring power; the
+    coefficients of (z^e + z^-e)^row sum to 2^row."""
+    for n, (middle, sums) in zip(range(201), class_sums(n_mod, odd)):
+        row = 2 * n + odd
+        fold = _fold_class_sums(n_mod, e, odd, middle, sums)
+        assert fold == list(centered_reduction(n_mod, e, row).coeffs), row
+        assert fold == list(cos_power_vector(n_mod, e, row).coeffs), row
+        assert sum(fold) == 2**row, row
 
 
 def test_cyclotomic_polynomials():

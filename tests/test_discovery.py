@@ -12,7 +12,14 @@ from binsums.discovery import (
     profile_from_angles,
     profile_json,
 )
-from binsums.identities import OracleRef, builtin_registry, find, folded_profile, verify
+from binsums.identities import (
+    OracleRef,
+    builtin_registry,
+    find,
+    folded_profile,
+    identity_json,
+    verify,
+)
 from binsums.quadratic import QuadValue
 
 
@@ -171,8 +178,6 @@ def reference_derive(target, period, row_odd):
 def foldable_left_sides():
     out = []
     for ident in builtin_registry():
-        if ident.kind != "sum":
-            continue
         try:
             folded_profile(ident)
         except ValueError:
@@ -307,6 +312,25 @@ def test_derived_domain_ends_where_a_decreasing_index_leaves_the_oracle():
     assert ident.lhs == target and (ident.domain.start, ident.domain.stop) == (0, 4)
     rep = verify(ident, 10)
     assert rep.passed and rep.checked == (0, 1, 2, 3, 4)
+
+
+def test_derived_domain_of_an_increasing_index_starts_at_zero_with_a_backward_rule():
+    # fib(2n-3) reads fib(-3) and fib(-1) in its solve rows n = 0 and 1
+    sol = derive_profile(OracleRef("fib", a=2, b=-3), 5)
+    assert sol.status == "unique"
+    ident = identity_from_profile(sol)
+    assert ident.domain.start == 0
+    rep = verify(ident, 30)
+    assert rep.passed and rep.checked[0] == 0
+    # pow4 has no backward rule, so pow4(n-1) still starts where n-1 = 0
+    assert identity_from_profile(derive_profile(OracleRef("pow4", b=-1), 1)).domain.start == 1
+
+
+def test_derived_identity_keeps_its_parameter():
+    ident = identity_from_profile(derive_profile(OracleRef("genlucas", param=3, a=2), 7))
+    assert ident.label == "derived-genlucas-M7[m=3]"
+    doc = identity_json(ident)
+    assert doc["param"] == doc["lhs"]["param"] == 3
 
 
 def test_profile_json_shapes():

@@ -1,14 +1,11 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from binsums import identities
-from binsums.core import binomial, kronecker
-from binsums.cyclo import CycloVec, as_integer, centered_reduction, cos_power_vector
+from binsums.core import binomial
+from binsums.cyclo import CycloVec, as_integer
 from binsums.identities import (
-    _COSPOW_MODULI,
     _SIGNS,
     FAMILIES,
     BinomialTransform,
@@ -38,12 +35,12 @@ from binsums.sequences import _POWER_SUM_SPECS, seq_eval
 
 
 def test_registry_shape():
-    assert len(FAMILIES) == 37
+    assert len(FAMILIES) == 34
     reg = builtin_registry()
-    assert len(reg) == 61  # 32 singles + 7 + 7 + 7 + 5 + 3 parameter expansions
+    assert len(reg) == 58  # 29 singles + 7 + 7 + 7 + 5 + 3 parameter expansions
     assert [i.family for i in reg if i.family == "genlucas-even"] == ["genlucas-even"] * 7
-    assert [i.param for i in find("lewis-family")] == [1, 2, 3, 4, 5]
-    assert [i.param for i in find("lucas1878-odd-power")] == [1, 2, 3]
+    assert [i.lhs.param for i in find("lewis-family")] == [1, 2, 3, 4, 5]
+    assert [i.lhs.param for i in find("lucas1878-odd-power")] == [1, 2, 3]
 
 
 def test_rhs_eval_examples():
@@ -114,14 +111,13 @@ def test_mod5_profile_table():
     from binsums.core import kronecker
 
     assert table == [QuadValue(0, kronecker(k, 5), 5) for k in range(5)]
-    assert verify(find("mod5-profile")[0], 20).passed
 
 
 def test_lewis_sign_rules():
     # odd t: t + 1 even, so every sign degenerates to +1
     for ident in find("lewis-family"):
         term = ident.terms[0]
-        assert term.sign == (SIGN_NONE if ident.param % 2 else SIGN_ALT_NK)
+        assert term.sign == (SIGN_NONE if ident.lhs.param % 2 else SIGN_ALT_NK)
     alt = CenteredSum((Fraction(1),), 1, sign=SIGN_ALT_NK)
     assert [alt._sign_at(3, k) for k in range(4)] == [-1, 1, -1, 1]
     assert [alt._sign_at(4, k) for k in range(4)] == [1, -1, 1, -1]
@@ -169,8 +165,6 @@ def test_quadratic_weights_that_cancel_across_terms_are_fine():
 @pytest.mark.parametrize("n_min", [0, 7])
 def test_sweep_equals_direct_evaluation_on_the_registry(n_min):
     for ident in builtin_registry():
-        if ident.kind != "sum":
-            continue
         ns = ident.domain.indices(n_min, 80)
         assert rhs_values(ident, ns) == [rhs_eval(ident, n) for n in ns], ident.label
 
@@ -225,18 +219,7 @@ def test_stepped_binomial_transform_equals_direct_evaluation():
 
 
 def _reference_sides(ident: Identity, n: int) -> tuple:
-    """Both sides at n the direct way, one n at a time, for every kind."""
-    if ident.kind == "profile":
-        table = identities._mod5_profile_table()
-        return QuadValue(0, kronecker(n % 5, 5), 5), table[n % 5]
-    if ident.kind == "vector":
-        power = 2 * n + ident.param
-        for n_mod, e in _COSPOW_MODULI:
-            direct = centered_reduction(n_mod, e, power)
-            fast = cos_power_vector(n_mod, e, power)
-            if direct != fast:
-                return list(direct.coeffs), list(fast.coeffs)
-        return ident.lhs.value(n), 2**power
+    """Both sides at n the direct way, one n at a time."""
     return ident.lhs.value(n), rhs_eval(ident, n)
 
 
@@ -263,78 +246,6 @@ def _assert_same_report(got: VerificationReport, want: VerificationReport, *cont
 def test_registry_reports_equal_the_reference():
     for ident in builtin_registry():
         _assert_same_report(verify(ident, 40), _reference_report(ident, 40), ident.label)
-
-
-def test_stepped_cospow_vectors_equal_the_per_n_vectors():
-    for n_mod, e in _COSPOW_MODULI:
-        for odd in (False, True):
-            walk = identities._cospow_vectors(n_mod, e, odd)
-            for n, (fold, power) in zip(range(61), walk):
-                row = 2 * n + odd
-                assert fold == list(centered_reduction(n_mod, e, row).coeffs), (n_mod, e, row)
-                assert power == cos_power_vector(n_mod, e, row), (n_mod, e, row)
-
-
-def _cospow_variants():
-    for family in ("cospow-even", "cospow-odd"):
-        ident = find(family)[0]
-        yield ident
-        for lhs in (OracleRef("pow2", a=2, b=1 - ident.param), OracleRef("pow3", a=2)):
-            yield replace(ident, lhs=lhs)
-        yield replace(ident, domain=Domain(start=3, even_only=True))
-
-
-def test_stepped_cospow_reports_equal_the_per_n_route():
-    for ident in _cospow_variants():
-        for n_min in (0, 7, 33):
-            _assert_same_report(verify(ident, 60, n_min), _reference_report(ident, 60, n_min),
-                                ident.label, ident.lhs, n_min)
-
-
-def test_cospow_compares_its_left_side():
-    ident = find("cospow-even")[0]
-    assert verify(ident, 60).passed
-    wrong = replace(ident, lhs=OracleRef("pow2", a=2, b=1))
-    rep = verify(wrong, 30)
-    assert (rep.first_divergence, rep.lhs_at_divergence, rep.rhs_at_divergence) == (0, "2", "1")
-    rep = verify(wrong, 30, n_min=5)
-    assert (rep.first_divergence, rep.lhs_at_divergence, rep.rhs_at_divergence) == (5, "2048", "1024")
-
-
-@pytest.mark.parametrize("odd", [False, True])
-@pytest.mark.parametrize("slipped", range(5))
-def test_cospow_fold_slip_is_caught_at_its_first_n(monkeypatch, odd, slipped):
-    """Class r of k >= 1 first reaches row 2n at n = k and row 2n+1 at
-    n = k - 1, with k = r or, for r = 0, the smallest modulus 5; moving it
-    by one residue must fail there, on the first modulus."""
-    fold = identities._cospow_fold
-
-    def slipped_fold(n_mod, e, odd_row, middle, sums):
-        out = fold(n_mod, e, odd_row, middle, sums)
-        j = e * (2 * slipped - 1) if odd_row else 2 * e * slipped
-        out[j % n_mod] -= sums[slipped]
-        out[(j + 1) % n_mod] += sums[slipped]
-        return out
-
-    monkeypatch.setattr(identities, "_cospow_fold", slipped_fold)
-    ident = find("cospow-odd" if odd else "cospow-even")[0]
-    first = (slipped or 5) - odd
-    rep = verify(ident, 40)
-    assert rep.first_divergence == first
-    assert rep.per_n[:first] == (True,) * first
-    assert rep.rhs_at_divergence == str(list(cos_power_vector(5, 1, 2 * first + odd).coeffs))
-    assert rep.lhs_at_divergence != rep.rhs_at_divergence
-
-
-@pytest.mark.parametrize("odd", [False, True])
-def test_wrong_cospow_step_is_caught_at_the_first_step(monkeypatch, odd):
-    ident = find("cospow-odd" if odd else "cospow-even")[0]
-    for wrong in (lambda n_mod, e: CycloVec.two_cos(n_mod, 2 * e) + CycloVec.one(n_mod),
-                  lambda n_mod, e: (CycloVec.two_cos(n_mod, 2 * e + 1)
-                                    + CycloVec.one(n_mod).scale(2))):
-        monkeypatch.setattr(identities, "_cospow_step", wrong)
-        assert verify(ident, 20).first_divergence == 1
-        assert verify(ident, 20, n_min=3).first_divergence == 3
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():
@@ -383,7 +294,7 @@ def test_folded_profiles():
     assert folded_profile(find("lucas-even")[0]) == (2, (4, -1, -1, -1, -1))
     for ident in find("genlucas-even"):
         center, weights = folded_profile(ident)
-        m = ident.param
+        m = ident.lhs.param
         assert center == m
         assert weights == (2 * m,) + (-1,) * (2 * m)
     center, weights = folded_profile(find("pow3")[0])
@@ -412,14 +323,13 @@ def test_unfoldable_terms_are_rejected():
 
 def test_json_export():
     doc = registry_json()
-    assert len(doc["identities"]) == 61
+    assert len(doc["identities"]) == 58
     text = json.dumps(doc)
     assert json.loads(text) == doc
+    assert {i["kind"] for i in doc["identities"]} == {"sum"}
     fib_even = identity_json(find("fib-even")[0])
     assert fib_even["terms"][0]["weights"] == ["0", "1", "-1", "-1", "1"]
     assert fib_even["lhs"] == {"sequence": "fib", "param": None, "index": "2n"}
-    surd = json.dumps(identity_json(find("mod5-profile")[0]))
-    assert json.loads(surd)["kind"] == "profile"
 
 
 def test_weight_oracle_index_follows_index_str():
@@ -441,7 +351,7 @@ def _oracle_refs(doc: dict):
     weight oracle, and the reference fields of each oracle-citing term."""
     yield doc["lhs"]
     for term in doc["terms"]:
-        if term["kind"] in ("scaled-oracle", "binomial-transform"):
+        if term["kind"] in ("scaled-oracle", "binomial-transform", "signed-row-convolution"):
             yield {key: value for key, value in term.items()
                    if key not in ("kind", "coeff", "stride", "offset")}
         elif term["kind"] == "centered-sum" and term["weight_oracle"] is not None:
@@ -450,7 +360,7 @@ def _oracle_refs(doc: dict):
 
 def test_every_oracle_reference_exports_sequence_param_and_index():
     refs = [ref for ident in builtin_registry() for ref in _oracle_refs(identity_json(ident))]
-    assert len(refs) == 61 + 4 + 5 + 2
+    assert len(refs) == 58 + 4 + 5 + 2 + 3
     assert all(set(ref) == {"sequence", "param", "index"} for ref in refs)
     delight = identity_json(find("central-delight")[0])["terms"][1]
     assert delight == {"kind": "scaled-oracle", "coeff": "1",
@@ -489,4 +399,4 @@ def test_labels():
     assert find("fib-even")[0].label == "fib-even"
     assert find("scriptL-merca")[1].label == "scriptL-merca[m=3]"
     assert find("lewis-family")[2].label == "lewis-family[t=3]"
-    assert find("cospow-even")[0].label == "cospow-even"
+    assert find("lucas1878-odd-power")[1].label == "lucas1878-odd-power[p=2]"
