@@ -174,6 +174,10 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cospow(args: argparse.Namespace) -> int:
+    for flag, value, least in (("--modulus", args.modulus, 1), ("--power", args.power, 0)):
+        if value < least:
+            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     vec = cos_power_vector(args.modulus, args.exp, args.power)
     payload = {"command": "cospow", "modulus": args.modulus, "exp": args.exp,
                "power": args.power, "coeffs": [str(c) for c in vec.coeffs]}

@@ -5,13 +5,17 @@ terms (its right side).  Every centered sum is kept in one canonical shape,
 
     center * C(row, n) + sum_{k >= 1} C(row, n+k) * w(k mod M) * sign(n, k),
 
-optionally carrying an extra oracle-valued factor per summand.  The
-evaluator works in exact rational (or quadratic-ring) arithmetic, so a
-verification failure is a genuine counterexample, never round-off.
+optionally carrying an extra oracle-valued factor per summand.  Every
+value is exact, so a verification failure is a genuine counterexample,
+never round-off.  `verify` sweeps each term over all the n it checks in
+Python ints: a centered sum scales its table and center by D, the lcm of
+their denominators, and divides by D once per n, and a row convolution
+steps a difference table of its oracle.  `rhs_eval` and each term's
+`evaluate` are the direct route, one n at a time in Fraction (or
+quadratic-ring) arithmetic, that the tests hold the sweeps to.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import time
@@ -38,6 +42,12 @@ def _affine_str(a: int, b: int, var: str) -> str:
     if b == 0:
         return lead
     return f"{lead}{'+' if b > 0 else '-'}{abs(b)}"
+
+
+def _exact(q):
+    """q as an int when it is integral, else as a Fraction."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -141,12 +151,31 @@ class CenteredSum:
             return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
-    def _combine(self, groups: list, n: int, middle: int, class_sums: list[int]):
-        """center * C(row, n) plus each weight times its classes' sums, signed."""
+    def _scaled(self) -> tuple[int, tuple, int]:
+        """(D, signed table * D, center * D) with D the lcm of the
+        denominators of the center and of every table entry (both parts of
+        a QuadValue), so the scaled weights and center are integral."""
+        table = self.signed_table()
+        parts = [self.center]
+        for w in table:
+            parts.extend((w.a, w.b) if isinstance(w, QuadValue) else (w,))
+        d = math.lcm(*(q.denominator for q in parts))
+        scaled = tuple(w * d if isinstance(w, QuadValue) else (w * d).numerator for w in table)
+        return d, scaled, (self.center * d).numerator
+
+    def _combine(self, groups: list, center: int, d: int, n: int, middle: int,
+                 class_sums: list[int]):
+        """center * C(row, n) plus each weight times its classes' sums,
+        signed, over the scaled table: an int when d is 1, else divided by
+        d once."""
         total = sum(w * sum(class_sums[r] for r in rs) for w, rs in groups)
-        if self.center:
-            total = total + self.center * middle
-        return -total if self.sign == SIGN_ALT_NK and n % 2 else total
+        if center:
+            total = total + center * middle
+        if self.sign == SIGN_ALT_NK and n % 2:
+            total = -total
+        if d == 1:
+            return total
+        return total * Fraction(1, d) if isinstance(total, QuadValue) else Fraction(total, d)
 
     @staticmethod
     def _weight_groups(table: tuple) -> list:
@@ -163,22 +192,22 @@ class CenteredSum:
 
         Without a weight oracle, the class sums of each row come from the
         Pascal-step kernel core.class_sums, at O(P) integer additions per
-        step, and are combined with the signed table.  With a weight oracle
+        step, and are combined with the scaled table.  With a weight oracle
         each row is read once as integers instead.
         """
         if self.weight_oracle is not None:
             return self._oracle_weighted_sweep(ns)
-        table = self.signed_table()
+        d, table, center = self._scaled()
         groups = self._weight_groups(table)
         wanted = set(ns)
         out = {}
         for n, (middle, sums) in zip(range(max(ns) + 1), class_sums(len(table), self.row_odd)):
             if n in wanted:
-                out[n] = self._combine(groups, n, middle, sums)
+                out[n] = self._combine(groups, center, d, n, middle, sums)
         return [out[n] for n in ns]
 
     def _oracle_weighted_sweep(self, ns: list[int]) -> list:
-        table = self.signed_table()
+        d, table, center = self._scaled()
         groups = self._weight_groups(table)
         p = len(table)
         # k = 0..k_max; k = 0 is the center, which the oracle does not weight
@@ -188,7 +217,7 @@ class CenteredSum:
         for n in ns:
             row = binomial_row(2 * n + 1)[n:] if self.row_odd else central_row(n)
             sums = [sum(map(operator.mul, row[r::p], f[r::p])) for r in range(p)]
-            out.append(self._combine(groups, n, row[0], sums))
+            out.append(self._combine(groups, center, d, n, row[0], sums))
         return out
 
 
@@ -215,6 +244,12 @@ class ScaledBinomial:
         ra, rb, ka, kb = self._SHAPES[self.which]
         return self.coeff * binomial(ra * n + rb, ka * n + kb)
 
+    def sweep(self, ns: list[int]) -> list:
+        """evaluate(n) for every n in ns, an int when coeff is integral."""
+        coeff = _exact(self.coeff)
+        ra, rb, ka, kb = self._SHAPES[self.which]
+        return [coeff * binomial(ra * n + rb, ka * n + kb) for n in ns]
+
 
 @dataclass(frozen=True)
 class Power:
@@ -228,6 +263,16 @@ class Power:
     def evaluate(self, n: int) -> Fraction:
         return Fraction(self.coeff) * Fraction(self.base) ** (self.ea * n + self.eb)
 
+    def sweep(self, ns: list[int]) -> list:
+        """evaluate(n) for every n in ns, an int when coeff is integral and
+        the exponent is not negative."""
+        coeff = _exact(self.coeff)
+        out = []
+        for n in ns:
+            e = self.ea * n + self.eb
+            out.append(coeff * self.base ** e if e >= 0 else self.evaluate(n))
+        return out
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -235,6 +280,9 @@ class Constant:
 
     def evaluate(self, n: int) -> Fraction:
         return Fraction(self.value)
+
+    def sweep(self, ns: list[int]) -> list:
+        return [_exact(self.value)] * len(ns)
 
 
 @dataclass(frozen=True)
@@ -246,6 +294,10 @@ class ScaledOracle:
 
     def evaluate(self, n: int) -> Fraction:
         return Fraction(self.coeff) * self.oracle.value(n)
+
+    def sweep(self, ns: list[int]) -> list:
+        coeff = _exact(self.coeff)
+        return [coeff * self.oracle.value(n) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -266,15 +318,11 @@ class BinomialTransform:
             j += 1
         return total
 
-    def sweep(self, ns: list[int]) -> list[Fraction]:
+    def sweep(self, ns: list[int]) -> list[int]:
         """evaluate(n) for every n in ns: each row stepped multiplicatively,
         summed in integers, the oracle read once per j."""
         f = [self.oracle.value(j) for j in range((max(ns) - self.offset) // self.stride + 1)]
-        out = []
-        for n in ns:
-            row = binomial_row(n)[self.offset::self.stride]
-            out.append(Fraction(sum(map(operator.mul, row, f))))
-        return out
+        return [sum(map(operator.mul, binomial_row(n)[self.offset::self.stride], f)) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -298,18 +346,43 @@ class SignedRowConvolution:
             total += sign * binomial(row, k) * seq_eval(self.oracle_name, self.an * n + self.ak * k + self.c)
         return total
 
-    def sweep(self, ns: list[int]) -> list[Fraction]:
-        """evaluate(n) for every n in ns: each row stepped multiplicatively,
-        summed in integers, the oracle read once per distinct index."""
-        oracle = functools.cache(lambda i: seq_eval(self.oracle_name, i))
-        out = []
-        for n in ns:
-            total = 0
-            for k, c in enumerate(binomial_row(2 * n + 1)):
-                v = c * oracle(self.an * n + self.ak * k + self.c)
-                total += -v if k % 2 else v
-            out.append(Fraction(total))
-        return out
+    def sweep(self, ns: list[int]) -> list[int]:
+        """evaluate(n) for every n in ns, by a difference table of the oracle g.
+
+        U_m(j) = sum_k (-1)^k C(m, k) g(j + ak*k) steps as
+        U_(m+2)(j) = U_m(j) - 2 U_m(j+ak) + U_m(j+2ak), and the value at n
+        is U_(2n+1)(an*n + c).  Every index lies on the lattice c + d*Z,
+        d = gcd(an, ak), so g is read once over one window of it, and each
+        level costs additions only.
+        """
+        if not self.ak:
+            return [0] * len(ns)  # sum_k (-1)^k C(2n+1, k) = 0
+        d = math.gcd(self.an, self.ak)
+        t, s = self.an // d, self.ak // d
+        q = abs(s)
+        last = max(ns)
+        # lattice positions x (oracle index c + d*x) of the first and last
+        # summands at n = 0 and n = last; every other one lies between them
+        ends = (0, s, t * last, t * last + s * (2 * last + 1))
+        lo, hi = min(ends), max(ends)
+        g = [seq_eval(self.oracle_name, self.c + d * x) for x in range(lo, hi + 1)]
+        # level holds U_m at positions x = base, base+1, ...; U_m at x reads
+        # g from x to x + m*s, so its window is m*q shorter than g's: cut at
+        # the high end for a positive step, at the low end for a negative one
+        if s > 0:
+            level, base = [u - v for u, v in zip(g, g[q:])], lo
+        else:
+            level, base = [v - u for u, v in zip(g, g[q:])], lo + q
+        wanted = set(ns)
+        out = {}
+        for n in range(last + 1):
+            if n:
+                level = [u - 2 * v + w for u, v, w in zip(level, level[q:], level[2 * q:])]
+                if s < 0:
+                    base += 2 * q
+            if n in wanted:
+                out[n] = level[t * n - base]
+        return [out[n] for n in ns]
 
 
 @dataclass(frozen=True)
@@ -323,7 +396,7 @@ class DiagonalSum:
             sum((-1) ** r * binomial(2 * n - r, r) * self.base ** (n - r) for r in range(n + 1))
         )
 
-    def sweep(self, ns: list[int]) -> list[Fraction]:
+    def sweep(self, ns: list[int]) -> list[int]:
         """evaluate(n) for every n in ns, stepping C(2n-r+1, r-1) to
         C(2n-r, r) multiplicatively and summing in integers."""
         powers = [self.base ** e for e in range(max(ns) + 1)]
@@ -333,7 +406,7 @@ class DiagonalSum:
             for r in range(1, n + 1):
                 c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
                 total += (-c if r % 2 else c) * powers[n - r]
-            out.append(Fraction(total))
+            out.append(total)
         return out
 
 
@@ -426,12 +499,14 @@ def rhs_eval(identity: Identity, n: int) -> int:
     return _integer_total(identity, n, total)
 
 
-_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum)
+_SWEPT_TERMS = (CenteredSum, ScaledBinomial, Power, Constant, ScaledOracle, BinomialTransform,
+                SignedRowConvolution, DiagonalSum)
 
 
 def rhs_values(identity: Identity, ns) -> list[int]:
     """[rhs_eval(identity, n) for n in ns], with each term swept over all of
-    ns at once instead of evaluated directly at each n.
+    ns at once instead of evaluated directly at each n, in ints wherever
+    the term's coefficients are integral.
 
     The surd and integrality checks still run per n, on the summed terms,
     and raise the same errors as rhs_eval.  The sweeps start from row 0, so
@@ -444,11 +519,12 @@ def rhs_values(identity: Identity, ns) -> list[int]:
         raise ValueError(f"{identity.label}: the right side is not defined at n = {min(ns)}")
     columns = [t.sweep(ns) if isinstance(t, _SWEPT_TERMS) else [t.evaluate(n) for n in ns]
                for t in identity.terms]
-    return [_integer_total(identity, n, sum(values, Fraction(0)))
-            for n, *values in zip(ns, *columns)]
+    return [_integer_total(identity, n, sum(values)) for n, *values in zip(ns, *columns)]
 
 
 def _integer_total(identity: Identity, n: int, total) -> int:
+    if isinstance(total, int):
+        return total
     if isinstance(total, QuadValue):
         # surds may cancel across terms, but any leftover is a registry typo
         if not total.is_rational:

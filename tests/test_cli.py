@@ -246,6 +246,18 @@ def test_cospow(capsys):
     assert out.strip() == "[2, 0, 1, 1, 0]"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--modulus", "0", "--power", "2"], "--modulus must be >= 1, got 0"),
+    (["--modulus", "-3", "--power", "2"], "--modulus must be >= 1, got -3"),
+    (["--modulus", "5", "--power", "-1"], "--power must be >= 0, got -1"),
+])
+def test_cospow_usage_errors_exit_2(capsys, flags, message):
+    code = run(["cospow", "--exp", "1", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 def test_export_registry(capsys):
     code, out = invoke(capsys, "export")
     assert code == 0

@@ -7,9 +7,11 @@ from binsums.core import binomial
 from binsums.cyclo import CycloVec, as_integer
 from binsums.identities import (
     _SIGNS,
+    _SWEPT_TERMS,
     FAMILIES,
     BinomialTransform,
     CenteredSum,
+    Constant,
     CosProduct,
     Domain,
     Identity,
@@ -123,11 +125,11 @@ def test_lewis_sign_rules():
     assert [alt._sign_at(4, k) for k in range(4)] == [1, -1, 1, -1]
 
 
-def _assert_verify_raises_like_rhs_eval(ident, first_bad_n):
+def _assert_verify_raises_like_rhs_eval(ident, first_bad_n, n_min=0):
     with pytest.raises(ValueError) as direct:
         rhs_eval(ident, first_bad_n)
     with pytest.raises(ValueError) as swept:
-        verify(ident, first_bad_n + 5)
+        verify(ident, first_bad_n + 5, n_min)
     assert str(swept.value) == str(direct.value)
     assert str(swept.value).endswith(f"at n = {first_bad_n}")
 
@@ -166,7 +168,34 @@ def test_quadratic_weights_that_cancel_across_terms_are_fine():
 def test_sweep_equals_direct_evaluation_on_the_registry(n_min):
     for ident in builtin_registry():
         ns = ident.domain.indices(n_min, 80)
-        assert rhs_values(ident, ns) == [rhs_eval(ident, n) for n in ns], ident.label
+        swept = rhs_values(ident, ns)
+        assert swept == [rhs_eval(ident, n) for n in ns], ident.label
+        assert all(type(v) is int for v in swept), ident.label
+
+
+def _coefficients(term) -> tuple:
+    """The rational numbers a term's value is built from, besides integers."""
+    if isinstance(term, CenteredSum):
+        return (term.center, *term.weights)
+    if isinstance(term, Constant):
+        return (term.value,)
+    return (getattr(term, "coeff", 1),)
+
+
+def test_swept_terms_with_integral_coefficients_yield_ints():
+    """From n = 1 every Power of the registry has a non-negative exponent."""
+    swept_types = set()
+    for ident in builtin_registry():
+        ns = ident.domain.indices(1, 80)
+        for term in ident.terms:
+            if not isinstance(term, _SWEPT_TERMS):
+                continue
+            values = term.sweep(ns)
+            assert values == [term.evaluate(n) for n in ns], (ident.label, term)
+            if all(Fraction(c).denominator == 1 for c in _coefficients(term)):
+                assert all(type(v) is int for v in values), (ident.label, term)
+                swept_types.add(type(term))
+    assert swept_types == set(_SWEPT_TERMS)
 
 
 def test_cos_product_equals_the_product_in_the_group_ring():
@@ -209,6 +238,46 @@ def test_sweep_equals_direct_evaluation_on_synthetic_sums():
         swept = term.sweep(ns)
         direct = [term.evaluate(n) for n in ns]
         assert [QuadValue.of(v) for v in swept] == [QuadValue.of(v) for v in direct], term
+        if all(isinstance(w, Fraction) and w.denominator == 1 for w in (term.center, *term.weights)):
+            assert all(type(v) is int for v in swept), term
+
+
+@pytest.mark.parametrize("n_min", [0, 5])
+def test_fractional_tables_raise_through_verify_like_rhs_eval(n_min):
+    """Mixed denominators, every sign rule and both row parities: verify
+    stops at the first n where the direct route finds no integer, with its
+    message."""
+    fractional = [term for term in _synthetic_sums() if not term.has_surd
+                  and any(w.denominator != 1 for w in (term.center, *term.weights))]
+    assert len(fractional) == 24
+    for term in fractional:
+        ident = Identity("synthetic-fraction", OracleRef("fib", a=2), (term,))
+        first_bad = n_min
+        while True:
+            try:
+                rhs_eval(ident, first_bad)
+            except ValueError:
+                break
+            first_bad += 1
+        _assert_verify_raises_like_rhs_eval(ident, first_bad, n_min)
+
+
+@pytest.mark.parametrize("ns", [list(range(41)), [3, 7, 8, 30]])
+def test_row_convolution_difference_table_equals_direct_evaluation(ns):
+    """A zero, a negative and a non-dividing k step, a zero n step, and an
+    ns with gaps and a late start."""
+    for an in (-3, -2, 0, 1, 4):
+        for ak in (-4, -1, 0, 2, 3):
+            for c in (-1, 0, 2):
+                term = SignedRowConvolution("fib", an, ak, c)
+                assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c)
+
+
+def test_lucas_row_convolutions_equal_direct_evaluation_to_120():
+    ns = list(range(121))
+    for ident in find("lucas1878-odd-power"):
+        (term,) = ident.terms
+        assert term.sweep(ns) == [term.evaluate(n) for n in ns], ident.label
 
 
 def test_stepped_binomial_transform_equals_direct_evaluation():
