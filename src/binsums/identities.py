@@ -10,9 +10,11 @@ value is exact, so a verification failure is a genuine counterexample,
 never round-off.  `verify` sweeps each term over all the n it checks in
 Python ints: a centered sum scales its table and center by D, the lcm of
 their denominators, and divides by D once per n, and a row convolution
-steps a difference table of its oracle.  `rhs_eval` and each term's
-`evaluate` are the direct route, one n at a time in Fraction (or
-quadratic-ring) arithmetic, that the tests hold the sweeps to.
+steps a difference table of its oracle.  `rhs_eval` and each swept
+term's `evaluate` are the direct route, one n at a time in Fraction (or
+quadratic-ring) arithmetic, that the tests hold the sweeps to.  The
+scalar terms have no sweep; their `evaluate` gives an int when the
+coefficient is integral.
 """
 from __future__ import annotations
 
@@ -44,9 +46,8 @@ def _affine_str(a: int, b: int, var: str) -> str:
     return f"{lead}{'+' if b > 0 else '-'}{abs(b)}"
 
 
-def _exact(q):
-    """q as an int when it is integral, else as a Fraction."""
-    q = Fraction(q)
+def _exact(q: int | Fraction) -> int | Fraction:
+    """q as an int when it is integral, else as it is."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -240,15 +241,9 @@ class ScaledBinomial:
             raise ValueError(f"unknown binomial shape {self.which!r}")
         object.__setattr__(self, "coeff", Fraction(self.coeff))
 
-    def evaluate(self, n: int) -> Fraction:
+    def evaluate(self, n: int) -> int | Fraction:
         ra, rb, ka, kb = self._SHAPES[self.which]
-        return self.coeff * binomial(ra * n + rb, ka * n + kb)
-
-    def sweep(self, ns: list[int]) -> list:
-        """evaluate(n) for every n in ns, an int when coeff is integral."""
-        coeff = _exact(self.coeff)
-        ra, rb, ka, kb = self._SHAPES[self.which]
-        return [coeff * binomial(ra * n + rb, ka * n + kb) for n in ns]
+        return _exact(self.coeff) * binomial(ra * n + rb, ka * n + kb)
 
 
 @dataclass(frozen=True)
@@ -260,29 +255,19 @@ class Power:
     ea: int
     eb: int = 0
 
-    def evaluate(self, n: int) -> Fraction:
-        return Fraction(self.coeff) * Fraction(self.base) ** (self.ea * n + self.eb)
-
-    def sweep(self, ns: list[int]) -> list:
-        """evaluate(n) for every n in ns, an int when coeff is integral and
-        the exponent is not negative."""
-        coeff = _exact(self.coeff)
-        out = []
-        for n in ns:
-            e = self.ea * n + self.eb
-            out.append(coeff * self.base ** e if e >= 0 else self.evaluate(n))
-        return out
+    def evaluate(self, n: int) -> int | Fraction:
+        e = self.ea * n + self.eb
+        if e < 0:
+            return Fraction(self.coeff) * Fraction(self.base) ** e
+        return _exact(self.coeff) * self.base ** e
 
 
 @dataclass(frozen=True)
 class Constant:
     value: Fraction
 
-    def evaluate(self, n: int) -> Fraction:
-        return Fraction(self.value)
-
-    def sweep(self, ns: list[int]) -> list:
-        return [_exact(self.value)] * len(ns)
+    def evaluate(self, n: int) -> int | Fraction:
+        return _exact(self.value)
 
 
 @dataclass(frozen=True)
@@ -292,12 +277,8 @@ class ScaledOracle:
     coeff: Fraction
     oracle: OracleRef
 
-    def evaluate(self, n: int) -> Fraction:
-        return Fraction(self.coeff) * self.oracle.value(n)
-
-    def sweep(self, ns: list[int]) -> list:
-        coeff = _exact(self.coeff)
-        return [coeff * self.oracle.value(n) for n in ns]
+    def evaluate(self, n: int) -> int | Fraction:
+        return _exact(self.coeff) * self.oracle.value(n)
 
 
 @dataclass(frozen=True)
@@ -360,10 +341,12 @@ class SignedRowConvolution:
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d
         q = abs(s)
-        last = max(ns)
+        first, last = min(ns), max(ns)
         # lattice positions x (oracle index c + d*x) of the first and last
-        # summands at n = 0 and n = last; every other one lies between them
-        ends = (0, s, t * last, t * last + s * (2 * last + 1))
+        # summands at n = first and n = last; every other one evaluate(n)
+        # reads for first <= n <= last lies between them, so g is defined
+        # on the whole window wherever evaluate is defined on ns
+        ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
         lo, hi = min(ends), max(ends)
         g = [seq_eval(self.oracle_name, self.c + d * x) for x in range(lo, hi + 1)]
         # level holds U_m at positions x = base, base+1, ...; U_m at x reads
@@ -499,8 +482,7 @@ def rhs_eval(identity: Identity, n: int) -> int:
     return _integer_total(identity, n, total)
 
 
-_SWEPT_TERMS = (CenteredSum, ScaledBinomial, Power, Constant, ScaledOracle, BinomialTransform,
-                SignedRowConvolution, DiagonalSum)
+_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum)
 
 
 def rhs_values(identity: Identity, ns) -> list[int]:

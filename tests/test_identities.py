@@ -19,6 +19,8 @@ from binsums.identities import (
     Power,
     SIGN_ALT_NK,
     SIGN_NONE,
+    ScaledBinomial,
+    ScaledOracle,
     SignedRowConvolution,
     VerificationReport,
     builtin_registry,
@@ -183,19 +185,23 @@ def _coefficients(term) -> tuple:
 
 
 def test_swept_terms_with_integral_coefficients_yield_ints():
-    """From n = 1 every Power of the registry has a non-negative exponent."""
-    swept_types = set()
+    """Each term's column of rhs_values: its sweep, or evaluate at each n
+    for the scalar terms.  From n = 1 every Power of the registry has a
+    non-negative exponent."""
+    scalar_types = {ScaledBinomial, Power, Constant, ScaledOracle}
+    int_types = set()
     for ident in builtin_registry():
         ns = ident.domain.indices(1, 80)
         for term in ident.terms:
-            if not isinstance(term, _SWEPT_TERMS):
+            if not isinstance(term, (*_SWEPT_TERMS, *scalar_types)):
                 continue
-            values = term.sweep(ns)
-            assert values == [term.evaluate(n) for n in ns], (ident.label, term)
+            direct = [term.evaluate(n) for n in ns]
+            values = term.sweep(ns) if isinstance(term, _SWEPT_TERMS) else direct
+            assert values == direct, (ident.label, term)
             if all(Fraction(c).denominator == 1 for c in _coefficients(term)):
                 assert all(type(v) is int for v in values), (ident.label, term)
-                swept_types.add(type(term))
-    assert swept_types == set(_SWEPT_TERMS)
+                int_types.add(type(term))
+    assert int_types == set(_SWEPT_TERMS) | scalar_types
 
 
 def test_cos_product_equals_the_product_in_the_group_ring():
@@ -271,6 +277,17 @@ def test_row_convolution_difference_table_equals_direct_evaluation(ns):
             for c in (-1, 0, 2):
                 term = SignedRowConvolution("fib", an, ak, c)
                 assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c)
+
+
+def test_row_convolution_difference_table_reads_only_from_the_first_n():
+    """pell has no backward rule: ns that start late keep every index the
+    table reads at or above the lowest one evaluate reads."""
+    with pytest.raises(ValueError, match="not defined"):
+        SignedRowConvolution("pell", 1, 1, -2).evaluate(1)
+    for an, ak, c, ns in ((1, 1, -2, [2, 3]), (1, 1, -2, [2, 5, 6, 17]),
+                          (3, -1, 0, [3, 4, 9]), (2, 3, -4, [2, 8, 11]), (-1, 4, 14, [5, 6, 12])):
+        term = SignedRowConvolution("pell", an, ak, c)
+        assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c, ns)
 
 
 def test_lucas_row_convolutions_equal_direct_evaluation_to_120():
