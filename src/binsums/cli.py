@@ -64,6 +64,13 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
         families = [args.identity]
     else:
         families = list(dict.fromkeys(i.family for i in registry))
+    # a PASS that checked no n would mean nothing
+    idle = next((i for i in registry
+                 if i.family in families and not i.domain.indices(0, args.n_max)), None)
+    if idle is not None:
+        print(f"{idle.label}: its domain {idle.domain} admits no n in 0..{args.n_max}",
+              file=sys.stderr)
+        return 2
     entries = []
     n_pass = 0
     stream_text = args.format == "text"

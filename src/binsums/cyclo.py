@@ -291,17 +291,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __str__(self) -> str:
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            mag = "" if (abs(c) == 1 and i > 0) else str(abs(c))
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag + mono)
-        return " ".join(parts) or "0"
-
 
 def char_poly_from_roots(n_angle: int, multiples: list[int]) -> IntPolynomial:
     """Monic product of (x - 2cos(a*pi/n_angle)) over the given multiples a.

@@ -5,16 +5,17 @@ terms (its right side).  Every centered sum is kept in one canonical shape,
 
     center * C(row, n) + sum_{k >= 1} C(row, n+k) * w(k mod M) * sign(n, k),
 
-optionally carrying an extra oracle-valued factor per summand.  Every
-value is exact, so a verification failure is a genuine counterexample,
-never round-off.  `verify` sweeps each term over all the n it checks in
-Python ints: a centered sum scales its table and center by D, the lcm of
-their denominators, and divides by D once per n, and a row convolution
-steps a difference table of its oracle.  `rhs_eval` and each swept
-term's `evaluate` are the direct route, one n at a time in Fraction (or
-quadratic-ring) arithmetic, that the tests hold the sweeps to.  The
-scalar terms have no sweep; their `evaluate` gives an int when the
-coefficient is integral.
+optionally carrying an extra oracle-valued factor per summand.  The
+center and the weights are rationals and every value is exact, so a
+verification failure is a genuine counterexample, never round-off.
+`verify` sweeps each term over all the n it checks in Python ints: a
+centered sum scales its table and center by D, the lcm of their
+denominators, and divides by D once per n, and a row convolution steps a
+difference table of its oracle.  `rhs_eval` and each swept term's
+`evaluate` are the direct route, one n at a time in Fraction arithmetic,
+that the tests hold the sweeps to; a centered sum's `evaluate` reads its
+entries from `terms_at`.  The scalar terms have no sweep; their
+`evaluate` gives an int when the coefficient is integral.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from typing import ClassVar
 
 from .core import binomial, binomial_row, central_row, class_sums, kronecker
 from .cyclo import cos_product_resultant
-from .quadratic import QuadValue
 from .sequences import get_oracle, seq_eval
 
 SIGN_NONE = "none"
@@ -80,20 +80,14 @@ class CenteredSum:
     weight_oracle: OracleRef | None = None  # extra factor, affine in k
 
     def __post_init__(self) -> None:
+        if self.period < 1:
+            raise ValueError(f"a weight table needs period >= 1, not {self.period}")
         if len(self.weights) != self.period:
             raise ValueError("weight table must have exactly `period` entries")
         if self.sign not in _SIGNS:
             raise ValueError(f"unknown sign rule {self.sign!r}")
         object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(
-            self,
-            "weights",
-            tuple(w if isinstance(w, QuadValue) else Fraction(w) for w in self.weights),
-        )
-
-    @property
-    def has_surd(self) -> bool:
-        return any(isinstance(w, QuadValue) and not w.is_rational for w in self.weights)
+        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
 
     def _sign_at(self, n: int, k: int) -> int:
         if self.sign == SIGN_ALT_K:
@@ -104,39 +98,24 @@ class CenteredSum:
             return -1 if (n + k) % 2 else 1
         return 1
 
-    def evaluate(self, n: int):
-        """Exact value at n."""
-        k_max = n + 1 if self.row_odd else n
-        if self.row_odd:
-            row_vals = [binomial(2 * n + 1, n + k) for k in range(0, k_max + 1)]
-        else:
-            row_vals = central_row(n)
-        total = QuadValue(Fraction(0)) if self.has_surd else Fraction(0)
-        if self.center:
-            total = total + self.center * self._sign_at(n, 0) * row_vals[0]
-        for k in range(1, k_max + 1):
-            w = self.weights[k % self.period]
-            if not w:
-                continue
-            b = row_vals[k]
-            if not b:
-                continue
-            piece = w * self._sign_at(n, k) * b
-            if self.weight_oracle is not None:
-                piece = piece * self.weight_oracle.value(k)
-            total = total + piece
-        return total
+    def evaluate(self, n: int) -> Fraction:
+        """Exact value at n: the center entry plus one binomial for each
+        entry of terms_at(n)."""
+        row = 2 * n + 1 if self.row_odd else 2 * n
+        middle = self.center * self._sign_at(n, 0) * binomial(row, n)
+        return sum((w * binomial(r, c) for r, c, w in self.terms_at(n)), middle)
 
     def terms_at(self, n: int) -> list[tuple[int, int, Fraction]]:
-        """The nonzero (row, column, coefficient) entries of the sum at n,
-        in k order.  Only defined for rational tables without extra factors."""
-        if self.has_surd or self.weight_oracle is not None:
-            raise ValueError("term expansion needs a plain rational table")
+        """The nonzero (row, column, coefficient) entries of the sum at n
+        for k >= 1, in k order, each coefficient carrying its weight, its
+        sign and the weight oracle's factor."""
         row = 2 * n + 1 if self.row_odd else 2 * n
         k_max = n + 1 if self.row_odd else n
         out = []
         for k in range(1, k_max + 1):
             w = self.weights[k % self.period] * self._sign_at(n, k)
+            if w and self.weight_oracle is not None:
+                w *= self.weight_oracle.value(k)
             if w:
                 out.append((row, n + k, w))
         return out
@@ -152,31 +131,23 @@ class CenteredSum:
             return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
-    def _scaled(self) -> tuple[int, tuple, int]:
+    def _scaled(self) -> tuple[int, tuple[int, ...], int]:
         """(D, signed table * D, center * D) with D the lcm of the
-        denominators of the center and of every table entry (both parts of
-        a QuadValue), so the scaled weights and center are integral."""
+        denominators of the center and of every table entry, so the scaled
+        weights and center are integral."""
         table = self.signed_table()
-        parts = [self.center]
-        for w in table:
-            parts.extend((w.a, w.b) if isinstance(w, QuadValue) else (w,))
-        d = math.lcm(*(q.denominator for q in parts))
-        scaled = tuple(w * d if isinstance(w, QuadValue) else (w * d).numerator for w in table)
-        return d, scaled, (self.center * d).numerator
+        d = math.lcm(*(q.denominator for q in (self.center, *table)))
+        return d, tuple((w * d).numerator for w in table), (self.center * d).numerator
 
     def _combine(self, groups: list, center: int, d: int, n: int, middle: int,
-                 class_sums: list[int]):
+                 class_sums: list[int]) -> int | Fraction:
         """center * C(row, n) plus each weight times its classes' sums,
         signed, over the scaled table: an int when d is 1, else divided by
         d once."""
-        total = sum(w * sum(class_sums[r] for r in rs) for w, rs in groups)
-        if center:
-            total = total + center * middle
+        total = center * middle + sum(w * sum(class_sums[r] for r in rs) for w, rs in groups)
         if self.sign == SIGN_ALT_NK and n % 2:
             total = -total
-        if d == 1:
-            return total
-        return total * Fraction(1, d) if isinstance(total, QuadValue) else Fraction(total, d)
+        return total if d == 1 else Fraction(total, d)
 
     @staticmethod
     def _weight_groups(table: tuple) -> list:
@@ -473,13 +444,10 @@ class VerificationReport:
 def rhs_eval(identity: Identity, n: int) -> int:
     """Exact value of the right side at n.
 
-    Raises if a quadratic part survives (a mis-specified weight table) or if
-    the final rational is not an integer (a mis-typed coefficient).
+    Raises if the sum of the terms is not an integer (a mis-typed
+    coefficient).
     """
-    total = Fraction(0)
-    for term in identity.terms:
-        total = total + term.evaluate(n)  # stays a Fraction unless a QuadValue enters
-    return _integer_total(identity, n, total)
+    return _integer_total(identity, n, sum((t.evaluate(n) for t in identity.terms), Fraction(0)))
 
 
 _SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum)
@@ -490,8 +458,8 @@ def rhs_values(identity: Identity, ns) -> list[int]:
     ns at once instead of evaluated directly at each n, in ints wherever
     the term's coefficients are integral.
 
-    The surd and integrality checks still run per n, on the summed terms,
-    and raise the same errors as rhs_eval.  The sweeps start from row 0, so
+    The integrality check still runs per n, on the summed terms, and
+    raises the same error as rhs_eval.  The sweeps start from row 0, so
     a negative n raises ValueError.
     """
     ns = list(ns)
@@ -504,14 +472,7 @@ def rhs_values(identity: Identity, ns) -> list[int]:
     return [_integer_total(identity, n, sum(values)) for n, *values in zip(ns, *columns)]
 
 
-def _integer_total(identity: Identity, n: int, total) -> int:
-    if isinstance(total, int):
-        return total
-    if isinstance(total, QuadValue):
-        # surds may cancel across terms, but any leftover is a registry typo
-        if not total.is_rational:
-            raise ValueError(f"{identity.label}: nonzero quadratic part {total} at n = {n}")
-        total = total.a
+def _integer_total(identity: Identity, n: int, total: int | Fraction) -> int:
     if total.denominator != 1:
         raise ValueError(f"{identity.label}: right side {total} is not an integer at n = {n}")
     return total.numerator
@@ -737,7 +698,7 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
     tables: list[tuple[Fraction, ...]] = []
     for term in identity.terms:
         if isinstance(term, CenteredSum):
-            if term.row_odd or term.weight_oracle is not None or term.has_surd:
+            if term.row_odd or term.weight_oracle is not None:
                 raise ValueError("not a foldable centered sum")
             if term.sign == SIGN_ALT_NK:
                 raise ValueError("n-dependent signs cannot be folded")
@@ -811,8 +772,8 @@ def _term_json(term) -> dict:
 def identity_json(identity: Identity) -> dict:
     """One identity in the documented interchange format.
 
-    Weights are decimal strings of the form "a", "a+b√d" so arbitrary
-    precision survives the round trip.
+    Weights, centers and coefficients are exact rationals written as
+    strings, "a" or "a/b", so arbitrary precision survives the round trip.
     """
     return {
         "id": identity.family,

@@ -1,9 +1,10 @@
 """Exact values a + b*sqrt(D) in a real quadratic ring.
 
-Weight tables mixing rationals with a single surd (sqrt(5), sqrt(3), ...)
-are stored as QuadValue so sums of them can be evaluated with zero
-tolerance.  D is kept squarefree; a purely rational value always has
-D == 0 and b == 0, which makes equality testing canonical.
+Cosine tables such as 2cos(2k*pi/5) - 2cos(6k*pi/5) = sqrt(5) * (k|5) are
+read back from the cyclotomic ring as QuadValue (`cyclo.recognize_quad`,
+`discovery.profile_from_angles`), with zero tolerance.  D is kept
+squarefree; a purely rational value always has D == 0 and b == 0, which
+makes equality testing canonical.
 """
 from __future__ import annotations
 

@@ -6,13 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import binsums
 from binsums.cli import _parse_index, run
-from binsums.identities import FAMILIES, builtin_registry, perturbed
+from binsums.identities import FAMILIES, Domain, builtin_registry, perturbed
 
 
 def invoke(capsys, *argv, registry=None):
@@ -91,6 +92,21 @@ def test_failure_entries_carry_values(capsys):
 def test_verify_unknown_identity_exits_2(capsys):
     code, _ = invoke(capsys, "verify", "--identity", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, registry", [
+    (["--identity", "central-delight", "--n-max", "1"], None),
+    (["--all", "--n-max", "1"], None),
+    (["--identity", "fib-even", "--n-max", "10"],
+     [replace(builtin_registry()[0], domain=Domain(5, stop=3))]),
+])
+def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
+    code = run(["verify", *argv], registry=registry)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    label, domain = ("fib-even", "5..3") if registry else ("central-delight", "2.., even")
+    assert captured.err.startswith(f"{label}: its domain {domain} admits no n in 0..")
 
 
 def test_table_output_matches_the_documented_format(capsys):

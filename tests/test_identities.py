@@ -35,7 +35,7 @@ from binsums.identities import (
     verify,
 )
 from binsums.quadratic import QuadValue
-from binsums.sequences import _POWER_SUM_SPECS, seq_eval
+from binsums.sequences import _POWER_SUM_SPECS
 
 
 def test_registry_shape():
@@ -136,16 +136,6 @@ def _assert_verify_raises_like_rhs_eval(ident, first_bad_n, n_min=0):
     assert str(swept.value).endswith(f"at n = {first_bad_n}")
 
 
-def test_surviving_surd_is_an_error():
-    # sqrt(5) times the Legendre weights cannot sum to a rational
-    weights = tuple(QuadValue(0, seq_eval("fib", 0) + w, 5) for w in (0, 1, -1, -1, 1))
-    ident = Identity("synthetic-surd", OracleRef("fib", a=2),
-                     (CenteredSum(weights, 5),), Domain(1))
-    with pytest.raises(ValueError, match="quadratic part"):
-        rhs_eval(ident, 2)
-    _assert_verify_raises_like_rhs_eval(ident, 1)
-
-
 def test_non_integer_total_is_an_error():
     ident = Identity("synthetic-half", OracleRef("fib", a=2),
                      (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
@@ -154,16 +144,23 @@ def test_non_integer_total_is_an_error():
     _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
-def test_quadratic_weights_that_cancel_across_terms_are_fine():
-    # phi + psi = 1: the surd parts of two sums cancel, leaving the half row
-    phi = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
-    psi = QuadValue(Fraction(1, 2), Fraction(-1, 2), 5)
-    ident = Identity("synthetic-cancel", OracleRef("halfrow"),
-                     (CenteredSum((phi,), 1), CenteredSum((psi,), 1)), Domain(0))
-    for n in range(0, 10):
-        direct = sum(binomial(2 * n, n + k) for k in range(1, n + 1))
-        assert rhs_eval(ident, n) == direct
-    assert rhs_values(ident, range(10)) == [rhs_eval(ident, n) for n in range(10)]
+@pytest.mark.parametrize("weight", [QuadValue(1), QuadValue(0, 1, 5)])
+def test_quadratic_weights_are_refused_when_the_sum_is_built(weight):
+    with pytest.raises(TypeError):
+        CenteredSum((weight, 0), 2)
+
+
+def test_period_below_one_is_refused():
+    with pytest.raises(ValueError, match="period >= 1"):
+        CenteredSum((), 0)
+
+
+def test_terms_at_folds_the_weight_oracle_into_each_coefficient():
+    (lewis1,) = [i for i in find("lewis-family") if i.lhs.param == 1]
+    (term,) = lewis1.terms
+    # sum_{k>=1} C(4, 2+k) L(2k), then the center C(4, 2)
+    assert term.terms_at(2) == [(4, 3, 3), (4, 4, 7)]
+    assert term.evaluate(2) == 6 + 4 * 3 + 1 * 7 == lewis1.lhs.value(2)
 
 
 @pytest.mark.parametrize("n_min", [0, 7])
@@ -224,12 +221,10 @@ def test_cos_product_failure_reports_exact_values():
 
 def _synthetic_sums():
     fractional = (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7))
-    root5 = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
     for sign in _SIGNS:
         for row_odd in (False, True):
             yield CenteredSum(fractional[:3], 3, row_odd, Fraction(3, 4), sign)
             yield CenteredSum(fractional, 4, row_odd, Fraction(-1, 6), sign)
-            yield CenteredSum((root5, 0, QuadValue(0, -2, 5)), 3, row_odd, 2, sign)
             yield CenteredSum((1, Fraction(1, 3)), 2, row_odd, 1, sign,
                               weight_oracle=OracleRef("lucas", a=3, b=-1))
             yield CenteredSum((0, 2, -1), 3, row_odd, 0, sign,
@@ -237,14 +232,14 @@ def _synthetic_sums():
 
 
 def test_sweep_equals_direct_evaluation_on_synthetic_sums():
-    """Every sign rule, both row parities, fractional and surd weights, and
-    weight oracles with and without a parameter."""
+    """Every sign rule, both row parities, fractional weights, and weight
+    oracles with and without a parameter."""
     ns = list(range(2, 40)) + [45, 52]
     for term in _synthetic_sums():
         swept = term.sweep(ns)
         direct = [term.evaluate(n) for n in ns]
-        assert [QuadValue.of(v) for v in swept] == [QuadValue.of(v) for v in direct], term
-        if all(isinstance(w, Fraction) and w.denominator == 1 for w in (term.center, *term.weights)):
+        assert swept == direct, term
+        if all(w.denominator == 1 for w in (term.center, *term.weights)):
             assert all(type(v) is int for v in swept), term
 
 
@@ -253,8 +248,8 @@ def test_fractional_tables_raise_through_verify_like_rhs_eval(n_min):
     """Mixed denominators, every sign rule and both row parities: verify
     stops at the first n where the direct route finds no integer, with its
     message."""
-    fractional = [term for term in _synthetic_sums() if not term.has_surd
-                  and any(w.denominator != 1 for w in (term.center, *term.weights))]
+    fractional = [term for term in _synthetic_sums()
+                  if any(w.denominator != 1 for w in (term.center, *term.weights))]
     assert len(fractional) == 24
     for term in fractional:
         ident = Identity("synthetic-fraction", OracleRef("fib", a=2), (term,))
