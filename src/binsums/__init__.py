@@ -17,11 +17,9 @@ from .cyclo import (
     chebyshev_monic,
     cos_power_vector,
     centered_reduction,
-    power_sum,
     power_sums,
-    squared_root_poly,
 )
-from .discovery import ProfileSolution, derive_profile, identity_from_profile, profile_from_angles
+from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
     Identity,
     OracleRef,
@@ -34,7 +32,6 @@ from .identities import (
     verify,
 )
 from .oeis import AlignmentReport, BFileTable, compare, fetch, load_fixture, parse_bfile
-from .quadratic import QuadValue
 from .sequences import SequenceOracle, registry, seq_eval, seq_slice
 
 __version__ = "0.1.0"
@@ -47,7 +44,6 @@ __all__ = [
     "IntPolynomial",
     "OracleRef",
     "ProfileSolution",
-    "QuadValue",
     "RecurrenceSpec",
     "SequenceOracle",
     "VerificationReport",
@@ -66,9 +62,7 @@ __all__ = [
     "kronecker",
     "load_fixture",
     "parse_bfile",
-    "power_sum",
     "power_sums",
-    "profile_from_angles",
     "rec_eval",
     "registry",
     "registry_json",

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .quadratic import QuadValue
 
 
 @dataclass(frozen=True)
@@ -130,15 +127,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
 def _poly_divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of p by a monic divisor d (exact, integer)."""
     assert d[-1] == 1
@@ -209,71 +197,6 @@ def as_integer(vec: CycloVec) -> int:
     if any(c[1:]):
         raise ValueError("vector does not evaluate to a rational integer")
     return c[0]
-
-
-def sqrt_vector(d: int, modulus: int) -> CycloVec:
-    """A vector evaluating to +sqrt(d) in Z[z]/(z^modulus - 1).
-
-    Built factor by factor: sqrt(2) = 2cos(pi/4) needs 8 | modulus; an odd
-    prime p = 1 (mod 4) uses the quadratic Gauss sum over z^(modulus/p),
-    which is +sqrt(p) by Gauss's sign theorem; p = 3 (mod 4) picks up a
-    factor -i = z^(3*modulus/4).
-    """
-    from .core import kronecker
-
-    if d < 2:
-        raise ValueError("need a squarefree d >= 2")
-    m = modulus
-    out = CycloVec.one(m)
-    rest = d
-    p = 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p:
-            p += 1
-            continue
-        rest //= p
-        if rest % p == 0:
-            raise ValueError("d must be squarefree")
-        if p == 2:
-            if m % 8:
-                raise ValueError(f"sqrt(2) needs 8 | modulus, got {m}")
-            out = out * CycloVec.two_cos(m, m // 8)
-            continue
-        if p % 4 == 3 and m % (4 * p):
-            raise ValueError(f"sqrt({p}) needs {4 * p} | modulus, got {m}")
-        if m % p:
-            raise ValueError(f"sqrt({p}) needs {p} | modulus, got {m}")
-        g = CycloVec.zero(m)
-        for t in range(1, p):
-            g = g + CycloVec.monomial(m, (m // p) * t, kronecker(t, p))
-        out = out * g
-        if p % 4 == 3:
-            out = out * CycloVec.monomial(m, 3 * m // 4)
-    return out
-
-
-def recognize_quad(vec: CycloVec, d: int) -> QuadValue:
-    """Read vec back as a + b*sqrt(d), or raise if it lies outside that ring.
-
-    The discriminant is declared by the caller, never searched for.
-    """
-    c = canonical_coeffs(vec)
-    if d in (0, 1):
-        if any(c[1:]):
-            raise ValueError("vector is not rational")
-        return QuadValue(Fraction(c[0]))
-    g = canonical_coeffs(sqrt_vector(d, vec.modulus))
-    pivot = next((j for j in range(1, len(g)) if g[j]), None)
-    if pivot is None:  # sqrt(d) rational would contradict d >= 2 squarefree
-        raise ValueError("degenerate sqrt vector")
-    b = Fraction(c[pivot], g[pivot])
-    a = Fraction(c[0]) - b * g[0]
-    for j in range(1, len(c)):
-        if Fraction(c[j]) != b * g[j]:
-            raise ValueError(f"vector is not of the form a + b*sqrt({d})")
-    return QuadValue(a, b, d)
 
 
 @dataclass(frozen=True)
@@ -353,29 +276,3 @@ def power_sums(poly: IntPolynomial, upto: int) -> list[int]:
             val -= k * a[k]
         p.append(val)
     return p
-
-
-def power_sum(poly: IntPolynomial, n: int) -> int:
-    """Sum of n-th powers of the roots of a monic integer polynomial."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return power_sums(poly, n)[n]
-
-
-def squared_root_poly(poly: IntPolynomial) -> IntPolynomial:
-    """Monic polynomial whose roots are the squares of poly's roots.
-
-    Resultant-free: split P(x) = E(x^2) + x*O(x^2); then E(y)^2 - y*O(y)^2
-    vanishes at every root square, and has degree deg P with leading
-    coefficient +-1.
-    """
-    even = list(poly.coeffs[0::2]) or [0]
-    odd = list(poly.coeffs[1::2]) or [0]
-    e2 = _poly_mul(even, even)
-    o2 = [0] + _poly_mul(odd, odd)
-    size = max(len(e2), len(o2), poly.degree + 1)
-    out = [(e2[i] if i < len(e2) else 0) - (o2[i] if i < len(o2) else 0) for i in range(size)]
-    out = _poly_trim(out)
-    if out[-1] == -1:
-        out = [-c for c in out]
-    return IntPolynomial(tuple(out))

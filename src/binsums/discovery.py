@@ -22,9 +22,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .core import class_sums
-from .cyclo import CycloVec, recognize_quad
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
-from .quadratic import QuadValue
 from .sequences import get_oracle
 
 
@@ -179,28 +177,6 @@ def derive_profile(
     else:
         center, weights = sol[0], tuple(sol[1:])
     return result("unique", center=center, weights=weights, holdout_range=hold)
-
-
-def profile_from_angles(n_angle: int, terms, scale, d: int) -> list[QuadValue]:
-    """Exact period-N table with entry k = scale * sum_s c_s * 2cos(2k*a_s*pi/N).
-
-    Each cosine is expanded in Z[z]/(z^(2N) - 1) and read back as an element
-    of Q(sqrt(d)); `d` is declared by the caller, never searched for.  A
-    value falling outside that ring reports the offending residue.
-    """
-    modulus = 2 * n_angle
-    out: list[QuadValue] = []
-    for k in range(n_angle):
-        total = QuadValue(Fraction(0))
-        for a, coeff in terms:
-            vec = CycloVec.two_cos(modulus, 2 * k * a)
-            try:
-                value = recognize_quad(vec, d)
-            except ValueError as exc:
-                raise ValueError(f"residue {k}: {exc}") from exc
-            total = total + QuadValue.of(coeff) * value
-        out.append(QuadValue.of(scale) * total)
-    return out
 
 
 def identity_from_profile(solution: ProfileSolution) -> Identity:

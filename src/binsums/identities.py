@@ -20,6 +20,7 @@ entries from `terms_at`.  The scalar terms have no sweep; their
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field, replace
@@ -44,6 +45,14 @@ def _affine_str(a: int, b: int, var: str) -> str:
     if b == 0:
         return lead
     return f"{lead}{'+' if b > 0 else '-'}{abs(b)}"
+
+
+def _rational(x) -> Fraction:
+    """A term's coefficient as a Fraction: ints and Fractions only, so no
+    float, string or complex can stand in for an exact value."""
+    if not isinstance(x, numbers.Rational):
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {x!r}")
+    return Fraction(x)
 
 
 def _exact(q: int | Fraction) -> int | Fraction:
@@ -86,8 +95,8 @@ class CenteredSum:
             raise ValueError("weight table must have exactly `period` entries")
         if self.sign not in _SIGNS:
             raise ValueError(f"unknown sign rule {self.sign!r}")
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "center", _rational(self.center))
+        object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
 
     def _sign_at(self, n: int, k: int) -> int:
         if self.sign == SIGN_ALT_K:
@@ -210,7 +219,7 @@ class ScaledBinomial:
     def __post_init__(self) -> None:
         if self.which not in self._SHAPES:
             raise ValueError(f"unknown binomial shape {self.which!r}")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", _rational(self.coeff))
 
     def evaluate(self, n: int) -> int | Fraction:
         ra, rb, ka, kb = self._SHAPES[self.which]
@@ -226,16 +235,22 @@ class Power:
     ea: int
     eb: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeff", _rational(self.coeff))
+
     def evaluate(self, n: int) -> int | Fraction:
         e = self.ea * n + self.eb
         if e < 0:
-            return Fraction(self.coeff) * Fraction(self.base) ** e
+            return self.coeff * Fraction(self.base) ** e
         return _exact(self.coeff) * self.base ** e
 
 
 @dataclass(frozen=True)
 class Constant:
     value: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", _rational(self.value))
 
     def evaluate(self, n: int) -> int | Fraction:
         return _exact(self.value)
@@ -247,6 +262,9 @@ class ScaledOracle:
 
     coeff: Fraction
     oracle: OracleRef
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeff", _rational(self.coeff))
 
     def evaluate(self, n: int) -> int | Fraction:
         return _exact(self.coeff) * self.oracle.value(n)
@@ -392,6 +410,8 @@ class Domain:
     def __post_init__(self) -> None:
         if self.start < 0:
             raise ValueError(f"a domain starts at n >= 0, not {self.start}")
+        if self.stop is not None and self.stop < self.start:
+            raise ValueError(f"a domain cannot stop at {self.stop}, before its start {self.start}")
 
     def indices(self, lo: int, hi: int) -> list[int]:
         lo = max(lo, self.start)
@@ -480,9 +500,16 @@ def _integer_total(identity: Identity, n: int, total: int | Fraction) -> int:
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
     """Compare the two sides at every admissible n in [n_min, n_max], by
-    exact equality."""
+    exact equality.
+
+    A domain that admits no n in that range raises ValueError: a report
+    that checked nothing would read as a pass.
+    """
     t0 = time.perf_counter()
     ns = identity.domain.indices(n_min, n_max)
+    if not ns:
+        raise ValueError(f"{identity.label}: its domain {identity.domain} "
+                         f"admits no n in {n_min}..{n_max}")
     sides = zip((identity.lhs.value(n) for n in ns), rhs_values(identity, ns))
     per_n: list[bool] = []
     first = lhs_s = rhs_s = None
@@ -795,7 +822,7 @@ def perturbed(identity: Identity, residue: int, new_weight) -> Identity:
     """Copy of a one-sum identity with one weight flipped (test helper)."""
     cs = next(t for t in identity.terms if isinstance(t, CenteredSum))
     weights = list(cs.weights)
-    weights[residue] = Fraction(new_weight)
+    weights[residue] = new_weight
     new_cs = replace(cs, weights=tuple(weights))
     terms = tuple(new_cs if t is cs else t for t in identity.terms)
     return replace(identity, terms=terms)

@@ -86,7 +86,7 @@ def scriptl_poly(m: int) -> IntPolynomial:
 _POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
 
 
-def _power_sum(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n: int) -> int:
+def _power_sum_at(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n: int) -> int:
     """Sum of the n-th powers of the roots of make_poly(m).
 
     By Newton's identities the power sums satisfy the polynomial's own
@@ -115,7 +115,7 @@ def _divide_by_m(total: int, m: int, n: int) -> int:
 
 
 def _scriptl(m: int, n: int) -> int:
-    return _divide_by_m(_power_sum("scriptL", scriptl_poly, m, n), m, n)
+    return _divide_by_m(_power_sum_at("scriptL", scriptl_poly, m, n), m, n)
 
 
 def _scriptl_diag(n: int) -> int:
@@ -149,7 +149,7 @@ _REGISTRY: dict[str, SequenceOracle] = {
                        description="closed walk counts at the middle of the 6-path"),
         SequenceOracle("S", lambda _, n: rec_eval(S_SEQ, n),
                        description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
-        SequenceOracle("genlucas", lambda m, n: _power_sum("genlucas", genlucas_poly, m, n),
+        SequenceOracle("genlucas", lambda m, n: _power_sum_at("genlucas", genlucas_poly, m, n),
                        param_name="m", param_min=2,
                        description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
         SequenceOracle("scriptL", lambda m, n: _scriptl(m, n), start=1,

@@ -98,14 +98,14 @@ def test_verify_unknown_identity_exits_2(capsys):
     (["--identity", "central-delight", "--n-max", "1"], None),
     (["--all", "--n-max", "1"], None),
     (["--identity", "fib-even", "--n-max", "10"],
-     [replace(builtin_registry()[0], domain=Domain(5, stop=3))]),
+     [replace(builtin_registry()[0], domain=Domain(20))]),
 ])
 def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
     code = run(["verify", *argv], registry=registry)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    label, domain = ("fib-even", "5..3") if registry else ("central-delight", "2.., even")
+    label, domain = ("fib-even", "20..") if registry else ("central-delight", "2.., even")
     assert captured.err.startswith(f"{label}: its domain {domain} admits no n in 0..")
 
 

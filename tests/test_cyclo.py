@@ -1,9 +1,6 @@
-import cmath
-from fractions import Fraction
-
 import pytest
 
-from binsums.core import binomial, class_sums
+from binsums.core import binomial, class_sums, kronecker
 from binsums.cyclo import (
     CycloVec,
     IntPolynomial,
@@ -15,13 +12,9 @@ from binsums.cyclo import (
     cos_power_vector,
     cos_product_resultant,
     cyclotomic_polynomial,
-    power_sum,
     power_sums,
-    recognize_quad,
-    sqrt_vector,
-    squared_root_poly,
 )
-from binsums.quadratic import QuadValue
+from binsums.identities import find
 
 
 def test_cyclo_mul_examples():
@@ -154,9 +147,9 @@ def test_char_poly_rejects_partial_orbits():
 
 
 def test_power_sum_examples():
-    assert power_sum(char_poly_from_roots(5, [1, 3]), 4) == 7
-    assert power_sum(IntPolynomial((-1, 6, -5, 1)), 1) == 5
-    assert power_sum(IntPolynomial((-3, 1)), 2) == 9
+    assert power_sums(char_poly_from_roots(5, [1, 3]), 4)[4] == 7
+    assert power_sums(IntPolynomial((-1, 6, -5, 1)), 1)[1] == 5
+    assert power_sums(IntPolynomial((-3, 1)), 2)[2] == 9
 
 
 def test_power_sums_satisfy_the_recurrence():
@@ -175,20 +168,6 @@ def test_power_sums_give_lucas_numbers():
     while len(lucas) < 31:
         lucas.append(lucas[-1] + lucas[-2])
     assert power_sums(poly, 30) == lucas
-
-
-def test_squared_root_poly_examples():
-    assert squared_root_poly(IntPolynomial((-1, -1, 1))).coeffs == (1, -3, 1)
-    assert squared_root_poly(IntPolynomial((1, -2, -1, 1))).coeffs == (-1, 6, -5, 1)
-    assert squared_root_poly(IntPolynomial((-2, 1))).coeffs == (-4, 1)
-
-
-def test_squared_root_poly_power_sum_consistency():
-    for coeffs in [(-1, -1, 1), (1, -2, -1, 1), (-1, 6, -5, 1)]:
-        poly = IntPolynomial(coeffs)
-        squared = squared_root_poly(poly)
-        for n in range(0, 21):
-            assert power_sum(squared, n) == power_sum(poly, 2 * n)
 
 
 def test_chebyshev_matches_generic_construction():
@@ -239,29 +218,39 @@ def test_chebyshev_known_values():
     assert chebyshev_monic(5).coeffs == (0, 5, 0, -5, 0, 1)
 
 
-@pytest.mark.parametrize("d,modulus", [(5, 10), (5, 20), (3, 12), (3, 24),
-                                       (2, 8), (2, 24), (6, 24), (13, 26), (7, 28), (15, 60)])
-def test_sqrt_vector_numeric(d, modulus):
-    vec = sqrt_vector(d, modulus)
-    z = cmath.exp(2j * cmath.pi / modulus)
-    value = sum(c * z**j for j, c in enumerate(vec.coeffs))
-    assert abs(value - d**0.5) < 1e-9
+# The paper's cosine tables, read in Z[z]/(z^10 - 1) and Z[z]/(z^24 - 1),
+# where z^a + z^-a stands for 2cos(2*pi*a/N).
+
+def _mod5_gauss_sum() -> CycloVec:
+    """sum_{t=1..4} (t|5) z^(2t): the primitive 5th roots weighted by the
+    Legendre symbol, which is sqrt(5)."""
+    g = CycloVec.zero(10)
+    for t in range(1, 5):
+        g = g + CycloVec.monomial(10, 2 * t, kronecker(t, 5))
+    return g
 
 
-def test_sqrt_vector_divisibility_errors():
-    with pytest.raises(ValueError):
-        sqrt_vector(5, 12)
-    with pytest.raises(ValueError):
-        sqrt_vector(3, 10)
-    with pytest.raises(ValueError):
-        sqrt_vector(12, 24)  # not squarefree
+def test_mod5_cosine_difference_is_the_legendre_table_times_the_gauss_sum():
+    gauss = _mod5_gauss_sum()
+    assert canonical_coeffs(gauss) == (1, 0, 2, -2)
+    assert as_integer(gauss * gauss) == 5
+    for k in range(12):
+        diff = CycloVec.two_cos(10, 2 * k) - CycloVec.two_cos(10, 6 * k)
+        want = tuple(kronecker(k, 5) * c for c in canonical_coeffs(gauss))
+        assert canonical_coeffs(diff) == want, k
+    # scaled by 1/sqrt(5), the table is the Legendre table of fib-even
+    assert find("fib-even")[0].terms[0].weights == tuple(kronecker(k, 5) for k in range(5))
 
 
-def test_recognize_quadratic_values():
-    phi = CycloVec.two_cos(10, 1)  # 2cos(pi/5) = (1 + sqrt 5)/2
-    assert recognize_quad(phi, 5) == QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
-    root3 = CycloVec.two_cos(24, 2)  # 2cos(pi/6)
-    assert recognize_quad(root3, 3) == QuadValue(0, 1, 3)
-    assert recognize_quad(CycloVec.one(10).scale(4), 5) == QuadValue(4)
-    with pytest.raises(ValueError):
-        recognize_quad(CycloVec.monomial(10, 1), 5)  # a bare 10th root is quartic
+def test_mod5_cosine_sum_is_the_lucas_block():
+    for k in range(12):
+        total = as_integer(CycloVec.two_cos(10, 2 * k) + CycloVec.two_cos(10, 6 * k))
+        assert total == (4, -1, -1, -1, -1)[k % 5], k
+
+
+def test_mod24_cosine_sum_is_twice_the_pell_cosine_table():
+    table = find("pellX-cosine")[0].terms[1].weights
+    assert table == (2, 0, 1, 0, -1, 0, -2, 0, -1, 0, 1, 0)
+    for k in range(36):
+        total = as_integer(CycloVec.two_cos(24, 2 * k) + CycloVec.two_cos(24, 10 * k))
+        assert total == 2 * table[k % 12], k

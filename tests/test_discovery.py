@@ -4,12 +4,10 @@ from math import comb, lcm
 
 import pytest
 
-from binsums.cyclo import CycloVec, recognize_quad
 from binsums.discovery import (
     _Eliminator,
     derive_profile,
     identity_from_profile,
-    profile_from_angles,
     profile_json,
 )
 from binsums.identities import (
@@ -20,7 +18,6 @@ from binsums.identities import (
     identity_json,
     verify,
 )
-from binsums.quadratic import QuadValue
 
 
 def test_legendre_profile_for_even_fibonacci():
@@ -340,42 +337,3 @@ def test_profile_json_shapes():
     assert unique["identity"]["terms"][0]["kind"] == "centered-sum"
     bad = profile_json(derive_profile(OracleRef("fib", a=2), 3, solve_start=1, solve_stop=8))
     assert bad["status"] == "infeasible" and "violated_n" in bad
-
-
-# --- exact angle profiles ----------------------------------------------------
-
-def test_profile_from_angles_legendre():
-    scale = QuadValue(0, Fraction(1, 5), 5)  # 1/sqrt(5)
-    table = profile_from_angles(5, [(1, 1), (3, -1)], scale, 5)
-    assert table == [QuadValue(k) for k in (0, 1, -1, -1, 1)]
-
-
-def test_profile_from_angles_lucas_block():
-    table = profile_from_angles(5, [(1, 1), (3, 1)], 1, 5)
-    assert table == [QuadValue(k) for k in (4, -1, -1, -1, -1)]
-
-
-def test_profile_from_angles_pell_cosine_table():
-    table = profile_from_angles(12, [(1, 1), (5, 1)], Fraction(1, 2), 3)
-    assert [w.a for w in table] == [2, 0, 1, 0, -1, 0, -2, 0, -1, 0, 1, 0]
-    assert all(w.is_rational for w in table)
-    # matches the period-12 registry table for the x-side Pell identity
-    registry_table = find("pellX-cosine")[0].terms[1].weights
-    assert tuple(w.a for w in table) == registry_table
-
-
-def test_profile_from_angles_periodicity():
-    n_angle = 12
-    table = profile_from_angles(n_angle, [(1, 1), (5, 1)], Fraction(1, 2), 3)
-    for k in range(3 * n_angle):
-        entry = QuadValue(Fraction(1, 2)) * (
-            recognize_quad(CycloVec.two_cos(2 * n_angle, 2 * k * 1), 3)
-            + recognize_quad(CycloVec.two_cos(2 * n_angle, 2 * k * 5), 3)
-        )
-        assert entry == table[k % n_angle]
-
-
-def test_profile_from_angles_reports_offending_residue():
-    # the golden-ratio cosines do not live in Q(sqrt 2)
-    with pytest.raises(ValueError, match="residue 0"):
-        profile_from_angles(5, [(1, 1), (3, -1)], 1, 2)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,6 @@ from binsums.identities import (
     rhs_values,
     verify,
 )
-from binsums.quadratic import QuadValue
 from binsums.sequences import _POWER_SUM_SPECS
 
 
@@ -108,15 +108,6 @@ def test_prop1_left_sides_fill_the_half_row():
         assert total == 2 ** (2 * n - 1) - binomial(2 * n - 1, n)
 
 
-def test_mod5_profile_table():
-    from binsums.discovery import profile_from_angles
-
-    table = profile_from_angles(5, [(1, 1), (3, -1)], 1, 5)
-    from binsums.core import kronecker
-
-    assert table == [QuadValue(0, kronecker(k, 5), 5) for k in range(5)]
-
-
 def test_lewis_sign_rules():
     # odd t: t + 1 even, so every sign degenerates to +1
     for ident in find("lewis-family"):
@@ -144,10 +135,22 @@ def test_non_integer_total_is_an_error():
     _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
-@pytest.mark.parametrize("weight", [QuadValue(1), QuadValue(0, 1, 5)])
-def test_quadratic_weights_are_refused_when_the_sum_is_built(weight):
-    with pytest.raises(TypeError):
-        CenteredSum((weight, 0), 2)
+_TERM_WITH_COEFFICIENT = {
+    "centered-sum weight": lambda c: CenteredSum((c, 0), 2),
+    "centered-sum center": lambda c: CenteredSum((0, 0), 2, center=c),
+    "scaled-binomial": lambda c: ScaledBinomial(c, "C(2n,n)"),
+    "power": lambda c: Power(c, 2, 1),
+    "constant": lambda c: Constant(c),
+    "scaled-oracle": lambda c: ScaledOracle(c, OracleRef("fib")),
+    "perturbed weight": lambda c: perturbed(find("fib-even")[0], 2, c),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/2", 1j], ids=repr)
+@pytest.mark.parametrize("term", _TERM_WITH_COEFFICIENT)
+def test_non_rational_coefficients_are_refused_when_the_term_is_built(term, bad):
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        _TERM_WITH_COEFFICIENT[term](bad)
 
 
 def test_period_below_one_is_refused():
@@ -338,6 +341,9 @@ def test_central_delight_keeps_no_power_sum_spec_per_n():
 def test_domains_and_sweeps_reject_negative_n():
     with pytest.raises(ValueError, match="n >= 0"):
         Domain(-1)
+    with pytest.raises(ValueError, match="cannot stop at 3, before its start 5"):
+        Domain(5, stop=3)
+    assert Domain(5, stop=5).indices(0, 10) == [5]
     with pytest.raises(ValueError, match="not defined at n = -1"):
         rhs_values(find("fib-even")[0], [-1, 0])
 
@@ -355,6 +361,19 @@ def test_perturbed_reports_equal_direct_evaluation():
                 swept = verify(bad, 40)
                 assert not swept.passed
                 _assert_same_report(swept, _reference_report(bad, 40), bad.label, residue)
+
+
+@pytest.mark.parametrize("ident, n_max, n_min, message", [
+    (find("central-delight")[0], 1, 0, "central-delight: its domain 2.., even admits no n in 0..1"),
+    (find("central-delight")[0], 3, 3, "central-delight: its domain 2.., even admits no n in 3..3"),
+    (replace(find("fib-even")[0], domain=Domain(20)), 10, 0,
+     "fib-even: its domain 20.. admits no n in 0..10"),
+    (find("fib-even")[0], 4, 5, "fib-even: its domain 0.. admits no n in 5..4"),
+], ids=["below-the-start", "between-even-n", "late-start", "reversed-range"])
+def test_verify_refuses_a_range_its_domain_does_not_meet(ident, n_max, n_min, message):
+    with pytest.raises(ValueError) as exc:
+        verify(ident, n_max, n_min)
+    assert str(exc.value) == message
 
 
 def test_domains():

@@ -1,7 +1,7 @@
 import pytest
 
 from binsums.core import binomial, kronecker
-from binsums.cyclo import char_poly_from_roots, chebyshev_monic, power_sums, squared_root_poly
+from binsums.cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums
 from binsums.sequences import get_oracle, registry, scriptl_poly, seq_eval, seq_slice
 
 
@@ -86,6 +86,48 @@ def test_kronecker_recurrences_match_the_direct_sums():
         assert seq_eval("A094667", n) == sum(c * kronecker(k, 20) for k, c in enumerate(row))
         assert seq_eval("A216597", n) == sum(
             (-1) ** k * c * kronecker(k, 13) for k, c in enumerate(row))
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def squared_root_poly(poly: IntPolynomial) -> IntPolynomial:
+    """Monic polynomial whose roots are the squares of poly's roots.
+
+    Resultant-free: split P(x) = E(x^2) + x*O(x^2); then E(y)^2 - y*O(y)^2
+    vanishes at every root square, and has degree deg P with leading
+    coefficient +-1.  The independent reference for scriptl_poly.
+    """
+    even = list(poly.coeffs[0::2])
+    odd = list(poly.coeffs[1::2])
+    e2 = _poly_mul(even, even)
+    o2 = [0] + _poly_mul(odd, odd)
+    out = [0] * (poly.degree + 1)
+    for i, c in enumerate(e2):
+        out[i] += c
+    for i, c in enumerate(o2):
+        out[i] -= c
+    if out[-1] == -1:
+        out = [-c for c in out]
+    return IntPolynomial(tuple(out))
+
+
+def test_squared_root_poly_examples():
+    assert squared_root_poly(IntPolynomial((-1, -1, 1))).coeffs == (1, -3, 1)
+    assert squared_root_poly(IntPolynomial((1, -2, -1, 1))).coeffs == (-1, 6, -5, 1)
+    assert squared_root_poly(IntPolynomial((-2, 1))).coeffs == (-4, 1)
+
+
+def test_squared_root_poly_power_sum_consistency():
+    for coeffs in [(-1, -1, 1), (1, -2, -1, 1), (-1, 6, -5, 1)]:
+        poly = IntPolynomial(coeffs)
+        squared = power_sums(squared_root_poly(poly), 20)
+        assert squared == power_sums(poly, 40)[::2]
 
 
 def test_power_sum_recurrences_match_newton_power_sums():
