@@ -4,6 +4,7 @@ Everything in this module is exact; no floating point is used anywhere.
 """
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -37,17 +38,6 @@ def central_row(n: int) -> list[int]:
     return row
 
 
-def binomial_row(m: int) -> list[int]:
-    """Row m of Pascal's triangle, [C(m, k) for k = 0..m], by the same
-    multiplicative sweep as central_row."""
-    if m < 0:
-        raise ValueError("binomial_row requires m >= 0")
-    row = [1]
-    for k in range(m):
-        row.append(row[-1] * (m - k) // (k + 1))
-    return row
-
-
 def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[int]]]:
     """For n = 0, 1, 2, ... yield (C(row, n), sums) with row = 2n or 2n+1 and
     sums[r] = sum of C(row, n+k) over k >= 1, k = r (mod period).
@@ -78,6 +68,22 @@ def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[i
         c0 = 2 * (c0 + c1)
         c1 = c0 * (n + 1) // (n + 2)
         n += 1
+
+
+def pascal_rows(g: list[int], stride: int = 1, alternate: bool = False) -> Iterator[list[int]]:
+    """For m = 0, 1, 2, ... yield [sum_i s^i C(m, i) g[x + stride*i] for x in
+    range(len(g) - m*stride)], s = -1 if alternate else 1, until it is empty.
+
+    By Pascal's rule row m+1 is row m plus s times row m shifted by stride:
+    one addition or subtraction per entry.  Every yielded list is new.
+    """
+    if stride < 1:
+        raise ValueError("pascal_rows requires stride >= 1")
+    step = operator.sub if alternate else operator.add
+    row = list(g)
+    while row:
+        yield row
+        row = list(map(step, row, row[stride:]))
 
 
 def kronecker(a: int, m: int) -> int:

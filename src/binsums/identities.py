@@ -10,24 +10,24 @@ center and the weights are rationals and every value is exact, so a
 verification failure is a genuine counterexample, never round-off.
 `verify` sweeps each term over all the n it checks in Python ints: a
 centered sum scales its table and center by D, the lcm of their
-denominators, and divides by D once per n, and a row convolution steps a
-difference table of its oracle.  `rhs_eval` and each swept term's
-`evaluate` are the direct route, one n at a time in Fraction arithmetic,
-that the tests hold the sweeps to; a centered sum's `evaluate` reads its
-entries from `terms_at`.  The scalar terms have no sweep; their
-`evaluate` gives an int when the coefficient is integral.
+denominators, and divides by D once per n, and the row sums against a
+sequence step one Pascal-rule kernel, core.pascal_rows.  `rhs_eval` and
+each swept term's `evaluate` are the direct route, one n at a time in
+Fraction arithmetic, that the tests hold the sweeps to; a centered sum's
+`evaluate` reads its entries from `terms_at`.  The scalar terms have no
+sweep; their `evaluate` gives an int when the coefficient is integral.
 """
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar
 
-from .core import binomial, binomial_row, central_row, class_sums, kronecker
+from .core import binomial, class_sums, kronecker, pascal_rows
 from .cyclo import cos_product_resultant
 from .sequences import get_oracle, seq_eval
 
@@ -55,9 +55,24 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer(x) -> None:
+    """Refuse a term's base or exponent unless it is an int, as _rational
+    refuses a coefficient that is not an int or a Fraction."""
+    if not isinstance(x, numbers.Integral):
+        raise TypeError(f"a base or an exponent must be an int, not {x!r}")
+
+
 def _exact(q: int | Fraction) -> int | Fraction:
     """q as an int when it is integral, else as it is."""
     return q.numerator if q.denominator == 1 else q
+
+
+def _pick(values, ns: list[int]) -> list:
+    """[v_n for n in ns] from the iterator values of v_0, v_1, ..., read
+    once up to v_max(ns)."""
+    wanted = set(ns)
+    out = {n: v for n, v in zip(range(max(ns) + 1), values) if n in wanted}
+    return [out[n] for n in ns]
 
 
 @dataclass(frozen=True)
@@ -140,66 +155,39 @@ class CenteredSum:
             return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
-    def _scaled(self) -> tuple[int, tuple[int, ...], int]:
-        """(D, signed table * D, center * D) with D the lcm of the
-        denominators of the center and of every table entry, so the scaled
-        weights and center are integral."""
-        table = self.signed_table()
-        d = math.lcm(*(q.denominator for q in (self.center, *table)))
-        return d, tuple((w * d).numerator for w in table), (self.center * d).numerator
-
-    def _combine(self, groups: list, center: int, d: int, n: int, middle: int,
-                 class_sums: list[int]) -> int | Fraction:
-        """center * C(row, n) plus each weight times its classes' sums,
-        signed, over the scaled table: an int when d is 1, else divided by
-        d once."""
-        total = center * middle + sum(w * sum(class_sums[r] for r in rs) for w, rs in groups)
-        if self.sign == SIGN_ALT_NK and n % 2:
-            total = -total
-        return total if d == 1 else Fraction(total, d)
-
-    @staticmethod
-    def _weight_groups(table: tuple) -> list:
-        """(weight, residues carrying it) for each distinct nonzero weight,
-        so a step costs one exact multiply per distinct weight."""
-        groups: dict = {}
-        for r, w in enumerate(table):
-            if w:
-                groups.setdefault(w, []).append(r)
-        return list(groups.items())
-
     def sweep(self, ns: list[int]) -> list:
         """evaluate(n) for every n in ns, in one pass over n = 0..max(ns).
 
         Without a weight oracle, the class sums of each row come from the
         Pascal-step kernel core.class_sums, at O(P) integer additions per
-        step, and are combined with the scaled table.  With a weight oracle
-        each row is read once as integers instead.
+        step, and are combined with the scaled table.  With one, the sum at
+        n is sum_x C(row, n+x) g(x) over g = 0 left of the center, the
+        scaled center at x = 0 and the scaled table times the oracle right
+        of it: entry -n of row 2n or 2n+1 of core.pascal_rows over g.
+        Either total then takes the (-1)^n of (-1)^(n-k) and is divided by
+        D once, unless D is 1.
         """
-        if self.weight_oracle is not None:
-            return self._oracle_weighted_sweep(ns)
-        d, table, center = self._scaled()
-        groups = self._weight_groups(table)
-        wanted = set(ns)
-        out = {}
-        for n, (middle, sums) in zip(range(max(ns) + 1), class_sums(len(table), self.row_odd)):
-            if n in wanted:
-                out[n] = self._combine(groups, center, d, n, middle, sums)
-        return [out[n] for n in ns]
-
-    def _oracle_weighted_sweep(self, ns: list[int]) -> list:
-        d, table, center = self._scaled()
-        groups = self._weight_groups(table)
-        p = len(table)
-        # k = 0..k_max; k = 0 is the center, which the oracle does not weight
-        k_max = max(ns) + 1 if self.row_odd else max(ns)
-        f = [self.weight_oracle.value(k) if k and table[k % p] else 0 for k in range(k_max + 1)]
-        out = []
-        for n in ns:
-            row = binomial_row(2 * n + 1)[n:] if self.row_odd else central_row(n)
-            sums = [sum(map(operator.mul, row[r::p], f[r::p])) for r in range(p)]
-            out.append(self._combine(groups, center, d, n, row[0], sums))
-        return out
+        # D, the lcm of the center's and the table's denominators, makes both integral
+        table = self.signed_table()
+        d = math.lcm(*(q.denominator for q in (self.center, *table)))
+        table, center = [(w * d).numerator for w in table], (self.center * d).numerator
+        if self.weight_oracle is None:
+            groups: dict = {}  # residues by weight: one multiply per distinct weight
+            for r, w in enumerate(table):
+                if w:
+                    groups.setdefault(w, []).append(r)
+            totals = (center * middle + sum(w * sum(sums[r] for r in rs)
+                                            for w, rs in groups.items())
+                      for middle, sums in class_sums(len(table), self.row_odd))
+        else:
+            p, last = len(table), max(ns)
+            g = [0] * last + [center] + [
+                w * self.weight_oracle.value(k) if (w := table[k % p]) else 0
+                for k in range(1, last + 1 + self.row_odd)]
+            rows = islice(pascal_rows(g), self.row_odd, None, 2)
+            totals = (row[last - n] for n, row in enumerate(rows))
+        signed = (-v if self.sign == SIGN_ALT_NK and n % 2 else v for n, v in enumerate(totals))
+        return _pick(signed if d == 1 else (Fraction(v, d) for v in signed), ns)
 
 
 @dataclass(frozen=True)
@@ -237,6 +225,8 @@ class Power:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", _rational(self.coeff))
+        for x in (self.base, self.ea, self.eb):
+            _integer(x)
 
     def evaluate(self, n: int) -> int | Fraction:
         e = self.ea * n + self.eb
@@ -278,6 +268,11 @@ class BinomialTransform:
     stride: int = 1
     offset: int = 0
 
+    def __post_init__(self) -> None:
+        if self.stride < 1 or self.offset < 0:
+            raise ValueError(f"a binomial transform needs stride >= 1 and offset >= 0, "
+                             f"not {self.stride} and {self.offset}")
+
     def evaluate(self, n: int) -> Fraction:
         total = Fraction(0)
         j = 0
@@ -289,10 +284,13 @@ class BinomialTransform:
         return total
 
     def sweep(self, ns: list[int]) -> list[int]:
-        """evaluate(n) for every n in ns: each row stepped multiplicatively,
-        summed in integers, the oracle read once per j."""
-        f = [self.oracle.value(j) for j in range((max(ns) - self.offset) // self.stride + 1)]
-        return [sum(map(operator.mul, binomial_row(n)[self.offset::self.stride], f)) for n in ns]
+        """evaluate(n) for every n in ns: entry 0 of row n of
+        core.pascal_rows over g, the oracle read once per j and placed on
+        column stride*j + offset, with zeros between."""
+        g = [0] * (max(ns) + 1)
+        for j, x in enumerate(range(self.offset, len(g), self.stride)):
+            g[x] = self.oracle.value(j)
+        return _pick((row[0] for row in pascal_rows(g)), ns)
 
 
 @dataclass(frozen=True)
@@ -317,19 +315,19 @@ class SignedRowConvolution:
         return total
 
     def sweep(self, ns: list[int]) -> list[int]:
-        """evaluate(n) for every n in ns, by a difference table of the oracle g.
+        """evaluate(n) for every n in ns, by core.pascal_rows over the oracle.
 
-        U_m(j) = sum_k (-1)^k C(m, k) g(j + ak*k) steps as
-        U_(m+2)(j) = U_m(j) - 2 U_m(j+ak) + U_m(j+2ak), and the value at n
-        is U_(2n+1)(an*n + c).  Every index lies on the lattice c + d*Z,
-        d = gcd(an, ak), so g is read once over one window of it, and each
-        level costs additions only.
+        Every index lies on the lattice c + d*Z, d = gcd(an, ak), so the
+        oracle is read once over one window g of it, reversed when the k
+        step is negative so that the step runs up the window.  The value at
+        n is then entry x_n of the alternating row 2n+1 with stride |ak| / d,
+        x_n the place of n's k = 0 summand in g; a row costs one subtraction
+        per entry.
         """
         if not self.ak:
             return [0] * len(ns)  # sum_k (-1)^k C(2n+1, k) = 0
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d
-        q = abs(s)
         first, last = min(ns), max(ns)
         # lattice positions x (oracle index c + d*x) of the first and last
         # summands at n = first and n = last; every other one evaluate(n)
@@ -338,23 +336,12 @@ class SignedRowConvolution:
         ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
         lo, hi = min(ends), max(ends)
         g = [seq_eval(self.oracle_name, self.c + d * x) for x in range(lo, hi + 1)]
-        # level holds U_m at positions x = base, base+1, ...; U_m at x reads
-        # g from x to x + m*s, so its window is m*q shorter than g's: cut at
-        # the high end for a positive step, at the low end for a negative one
-        if s > 0:
-            level, base = [u - v for u, v in zip(g, g[q:])], lo
-        else:
-            level, base = [v - u for u, v in zip(g, g[q:])], lo + q
-        wanted = set(ns)
-        out = {}
-        for n in range(last + 1):
-            if n:
-                level = [u - 2 * v + w for u, v, w in zip(level, level[q:], level[2 * q:])]
-                if s < 0:
-                    base += 2 * q
-            if n in wanted:
-                out[n] = level[t * n - base]
-        return [out[n] for n in ns]
+        if s < 0:
+            g.reverse()
+        rows = islice(pascal_rows(g, abs(s), alternate=True), 1, None, 2)
+        # x_n of a row before n = first can fall outside the window
+        return _pick((row[t * n - lo if s > 0 else hi - t * n] if n >= first else None
+                      for n, row in enumerate(rows)), ns)
 
 
 @dataclass(frozen=True)
@@ -362,6 +349,9 @@ class DiagonalSum:
     """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r)."""
 
     base: int = 5
+
+    def __post_init__(self) -> None:
+        _integer(self.base)
 
     def evaluate(self, n: int) -> Fraction:
         return Fraction(

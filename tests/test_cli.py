@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -279,6 +280,15 @@ def test_export_registry(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["identities"]) == 58
+
+
+def test_export_is_byte_identical_to_the_pinned_catalogue(capsys):
+    # a change to the catalogue or its JSON form must update this digest
+    code, out = invoke(capsys, "export")
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        45631, "eb4181010d58ea42bd12daf71d721e607561fb84c17b5c50b0779acd400fd16b")
 
 
 def test_usage_error_exit_code():

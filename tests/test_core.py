@@ -6,10 +6,10 @@ import pytest
 from binsums.core import (
     RecurrenceSpec,
     binomial,
-    binomial_row,
     central_row,
     class_sums,
     kronecker,
+    pascal_rows,
     rec_eval,
 )
 
@@ -23,7 +23,7 @@ def pascal_triangle(rows):
     return tri
 
 
-TRI = pascal_triangle(120)
+TRI = pascal_triangle(121)
 
 
 def test_binomial_examples():
@@ -241,11 +241,11 @@ def test_recurrence_spec_validation():
 
 
 def test_class_sums_match_folded_rows():
-    # folding each whole row of binomial_row is the independent route
+    # folding each whole row of the Pascal oracle is the independent route
     for period in range(1, 13):
         for row_odd in (False, True):
             for n, (middle, sums) in zip(range(61), class_sums(period, row_odd)):
-                row = binomial_row(2 * n + 1 if row_odd else 2 * n)
+                row = TRI[2 * n + 1 if row_odd else 2 * n]
                 folded = [0] * period
                 for k in range(1, len(row) - n):
                     folded[k % period] += row[n + k]
@@ -255,3 +255,22 @@ def test_class_sums_match_folded_rows():
 def test_class_sums_rejects_empty_period():
     with pytest.raises(ValueError):
         next(class_sums(0))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("alternate", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 7, 30])
+def test_pascal_rows_equal_the_direct_binomial_sums(stride, alternate, length):
+    g = [(-2) ** x + 3 * x * x - 5 for x in range(length)]
+    sign = -1 if alternate else 1
+    rows = list(pascal_rows(g, stride, alternate))
+    assert len(rows) == (length - 1) // stride + 1
+    for m, row in enumerate(rows):
+        assert row == [sum(sign ** i * binomial(m, i) * g[x + stride * i]
+                           for i in range((length - 1 - x) // stride + 1))
+                       for x in range(length - m * stride)], m
+
+
+def test_pascal_rows_rejects_a_stride_below_one():
+    with pytest.raises(ValueError, match="stride >= 1"):
+        next(pascal_rows([1, 2, 3], 0))

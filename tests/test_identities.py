@@ -14,6 +14,7 @@ from binsums.identities import (
     CenteredSum,
     Constant,
     CosProduct,
+    DiagonalSum,
     Domain,
     Identity,
     OracleRef,
@@ -151,6 +152,27 @@ _TERM_WITH_COEFFICIENT = {
 def test_non_rational_coefficients_are_refused_when_the_term_is_built(term, bad):
     with pytest.raises(TypeError, match="int or a Fraction"):
         _TERM_WITH_COEFFICIENT[term](bad)
+
+
+_TERM_WITH_INTEGER = {
+    "power base": lambda x: Power(1, x, 1),
+    "power exponent slope": lambda x: Power(1, 2, x),
+    "power exponent shift": lambda x: Power(1, 2, 1, x),
+    "diagonal-sum base": lambda x: DiagonalSum(x),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), "2"], ids=repr)
+@pytest.mark.parametrize("term", _TERM_WITH_INTEGER)
+def test_non_integer_bases_and_exponents_are_refused_when_the_term_is_built(term, bad):
+    with pytest.raises(TypeError, match="must be an int"):
+        _TERM_WITH_INTEGER[term](bad)
+
+
+@pytest.mark.parametrize("stride, offset", [(0, 0), (-1, 0), (2, -1), (1, -3)])
+def test_binomial_transform_refuses_a_stride_below_one_or_a_negative_offset(stride, offset):
+    with pytest.raises(ValueError, match="stride >= 1 and offset >= 0"):
+        BinomialTransform(OracleRef("fib"), stride, offset)
 
 
 def test_period_below_one_is_refused():
@@ -295,11 +317,22 @@ def test_lucas_row_convolutions_equal_direct_evaluation_to_120():
         assert term.sweep(ns) == [term.evaluate(n) for n in ns], ident.label
 
 
-def test_stepped_binomial_transform_equals_direct_evaluation():
-    for term in (BinomialTransform(OracleRef("lewis", param=2), 3, 4),
-                 BinomialTransform(OracleRef("fib", a=2, b=-3), 2, 1)):
-        ns = list(range(2, 30))
-        assert term.sweep(ns) == [term.evaluate(n) for n in ns]
+def test_lewis_weighted_sums_equal_direct_evaluation_to_200():
+    ns = list(range(201))
+    for ident in find("lewis-family"):
+        (term,) = ident.terms
+        assert term.sweep(ns) == [term.evaluate(n) for n in ns], ident.label
+
+
+@pytest.mark.parametrize("ns", [list(range(2, 30)), [0, 5, 6, 13, 29], [17, 18, 25]])
+def test_stepped_binomial_transform_equals_direct_evaluation(ns):
+    """Strides 1-4 and offsets 0-4, some past the smallest n, over ns with
+    gaps and a late start."""
+    for oracle in (OracleRef("lewis", param=2), OracleRef("fib", a=2, b=-3)):
+        for stride in range(1, 5):
+            for offset in range(5):
+                term = BinomialTransform(oracle, stride, offset)
+                assert term.sweep(ns) == [term.evaluate(n) for n in ns], (oracle, stride, offset)
 
 
 def _reference_sides(ident: Identity, n: int) -> tuple:
