@@ -56,14 +56,13 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _cmd_verify(args: argparse.Namespace, registry) -> int:
+    families = list(dict.fromkeys(i.family for i in registry))
     if args.identity and args.identity != "all":
-        if not any(i.family == args.identity for i in registry):
-            print(f"unknown identity {args.identity!r}; known: {', '.join(identities.FAMILIES)}",
+        if args.identity not in families:
+            print(f"unknown identity {args.identity!r}; known: {', '.join(families)}",
                   file=sys.stderr)
             return 2
         families = [args.identity]
-    else:
-        families = list(dict.fromkeys(i.family for i in registry))
     # a PASS that checked no n would mean nothing
     idle = next((i for i in registry
                  if i.family in families and not i.domain.indices(0, args.n_max)), None)

@@ -125,7 +125,7 @@ def derive_profile(
 
     `target` is an OracleRef (sequence name, optional parameter, affine
     index map).  The solve range must start at n >= 0 and supply at least
-    period + 2 equations.
+    period + 2 equations, and the holdout must be >= 0.
     When the target is defined at n = 0 that trivial row (every side
     binomial vanishes) is included as well; it pins the center coefficient,
     which for even periods is otherwise entangled with the alternating-sign
@@ -138,6 +138,8 @@ def derive_profile(
         raise ValueError("period must be >= 1")
     if solve_start < 0:
         raise ValueError("solve_start must be >= 0")
+    if holdout < 0:
+        raise ValueError("holdout must be >= 0")
     if solve_stop is None:
         solve_stop = solve_start + period + 3
     if solve_stop - solve_start + 1 < period + 2:

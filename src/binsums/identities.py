@@ -55,11 +55,12 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _integer(x) -> None:
-    """Refuse a term's base or exponent unless it is an int, as _rational
-    refuses a coefficient that is not an int or a Fraction."""
-    if not isinstance(x, numbers.Integral):
-        raise TypeError(f"a base or an exponent must be an int, not {x!r}")
+def _integer(*xs) -> None:
+    """Refuse each integer field of a term (index, bound, base, exponent or
+    period) unless it is an int, as _rational refuses an inexact coefficient."""
+    for x in xs:
+        if not isinstance(x, numbers.Integral):
+            raise TypeError(f"an integer field must be an int, not {x!r}")
 
 
 def _exact(q: int | Fraction) -> int | Fraction:
@@ -85,6 +86,11 @@ class OracleRef:
     a: int = 1
     b: int = 0
 
+    def __post_init__(self) -> None:
+        _integer(self.a, self.b)
+        if self.param is not None:
+            _integer(self.param)
+
     def value(self, v: int) -> int:
         return seq_eval(self.name, self.a * v + self.b, self.param)
 
@@ -104,6 +110,7 @@ class CenteredSum:
     weight_oracle: OracleRef | None = None  # extra factor, affine in k
 
     def __post_init__(self) -> None:
+        _integer(self.period)
         if self.period < 1:
             raise ValueError(f"a weight table needs period >= 1, not {self.period}")
         if len(self.weights) != self.period:
@@ -225,8 +232,7 @@ class Power:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", _rational(self.coeff))
-        for x in (self.base, self.ea, self.eb):
-            _integer(x)
+        _integer(self.base, self.ea, self.eb)
 
     def evaluate(self, n: int) -> int | Fraction:
         e = self.ea * n + self.eb
@@ -269,6 +275,7 @@ class BinomialTransform:
     offset: int = 0
 
     def __post_init__(self) -> None:
+        _integer(self.stride, self.offset)
         if self.stride < 1 or self.offset < 0:
             raise ValueError(f"a binomial transform needs stride >= 1 and offset >= 0, "
                              f"not {self.stride} and {self.offset}")
@@ -305,6 +312,9 @@ class SignedRowConvolution:
     an: int
     ak: int
     c: int = 0
+
+    def __post_init__(self) -> None:
+        _integer(self.an, self.ak, self.c)
 
     def evaluate(self, n: int) -> Fraction:
         row = 2 * n + 1
@@ -398,8 +408,11 @@ class Domain:
     even_only: bool = False
 
     def __post_init__(self) -> None:
+        _integer(self.start)
         if self.start < 0:
             raise ValueError(f"a domain starts at n >= 0, not {self.start}")
+        if self.stop is not None:
+            _integer(self.stop)
         if self.stop is not None and self.stop < self.start:
             raise ValueError(f"a domain cannot stop at {self.stop}, before its start {self.start}")
 

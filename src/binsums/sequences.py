@@ -1,9 +1,9 @@
 """Named exact integer sequences: the ground truth side of every identity.
 
-Each oracle is backed by a linear recurrence (Newton power sums of an
-integer characteristic polynomial included), a partial-row sum over
-Pascal's triangle, or a small closed rule.  All of them return exact
-integers on their domain.
+Each C-finite oracle (a linear recurrence with constant coefficients, Newton
+power sums of an integer characteristic polynomial included) is defined by
+its ``RecurrenceSpec``; the rest are partial-row sums over Pascal's triangle
+or small closed rules.  All of them return exact integers on their domain.
 """
 from __future__ import annotations
 
@@ -12,20 +12,30 @@ from types import MappingProxyType
 from typing import Callable
 
 from .core import RecurrenceSpec, binomial, central_row, rec_eval
-from .cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums
+from .cyclo import IntPolynomial, chebyshev_monic, power_sums
 
 
 @dataclass(frozen=True)
 class SequenceOracle:
-    """A named exact sequence.  ``rule(param, n)`` must be pure."""
+    """A named exact sequence, defined by exactly one of ``recurrence`` (a
+    RecurrenceSpec, or for a parameterized family a pure function from the
+    parameter to one) and ``rule(param, n)``, which must be pure."""
 
     name: str
-    rule: Callable[[int | None, int], int]
+    recurrence: RecurrenceSpec | Callable[[int], RecurrenceSpec] | None = None
+    rule: Callable[[int | None, int], int] | None = None
     start: int = 0
     param_name: str | None = None
     param_min: int = 0
-    negative_ok: bool = False
     description: str = ""
+
+    def __post_init__(self) -> None:
+        if (self.recurrence is None) == (self.rule is None):
+            raise ValueError(f"sequence {self.name} needs exactly one of a recurrence and a rule")
+
+    @property
+    def negative_ok(self) -> bool:
+        return getattr(self.recurrence, "negative_rule", None) is not None
 
     def __call__(self, n: int, param: int | None = None) -> int:
         if self.param_name is not None:
@@ -37,38 +47,33 @@ class SequenceOracle:
             raise ValueError(f"sequence {self.name} takes no parameter")
         if n < self.start and not self.negative_ok:
             raise ValueError(f"{self.name} is not defined at n = {n}")
-        return self.rule(param, n)
+        if self.rule is not None:
+            return self.rule(param, n)
+        spec = self.recurrence
+        if callable(spec):
+            spec = _family_spec(self.name, param, spec)
+        return rec_eval(spec, n)
 
 
-FIB = RecurrenceSpec("fib", (1, 1), (0, 1), negative_rule="odd")
-LUCAS = RecurrenceSpec("lucas", (1, 1), (2, 1), negative_rule="even")
-PELL = RecurrenceSpec("pell", (2, 1), (0, 1))
-PELL_X = RecurrenceSpec("pellX", (4, -1), (1, 2))
-PELL_Y = RecurrenceSpec("pellY", (4, -1), (0, 1))
-W_SEQ = RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5))
-Q_SEQ = RecurrenceSpec("Q", (5, -6, 1), (1, 1, 2))
-R_SEQ = RecurrenceSpec("R", (5, -6, 1), (1, 2, 6))
-S_SEQ = RecurrenceSpec("S", (6, -9, 1), (1, 2, 6))
-# binomial transforms of the Pell numbers and of F(2k)
-PELL_TRANS = RecurrenceSpec("pelltrans", (4, -2), (0, 1))
-FIB2_TRANS = RecurrenceSpec("fib2trans", (5, -5), (0, 1))
-# the Kronecker mod 20 and sign-alternating mod 13 central-row sums
-A094667_SEQ = RecurrenceSpec("A094667", (8, -21, 20, -5), (0, 1, 4, 14))
-A216597_SEQ = RecurrenceSpec("A216597", (13, -65, 156, -182, 91, -13),
-                             (0, -1, -5, -22, -91, -364))
+# one recurrence per (family, parameter), built on first use
+_FAMILY_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
 
 
-def fib(n: int) -> int:
-    return rec_eval(FIB, n)
-
-
-def lucas(n: int) -> int:
-    return rec_eval(LUCAS, n)
+def _family_spec(family: str, param: int, make: Callable[[int], RecurrenceSpec]) -> RecurrenceSpec:
+    # setdefault keeps the first spec published, so threads share one memo
+    key = (family, param)
+    return _FAMILY_SPECS.get(key) or _FAMILY_SPECS.setdefault(key, make(param))
 
 
 def genlucas_poly(m: int) -> IntPolynomial:
-    """Characteristic polynomial of the 2cos((2t+1)pi/(2m+1)) family."""
-    return char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2)))
+    """Characteristic polynomial of the 2cos((2t+1)pi/(2m+1)) family, from
+    its closed form: with h = ceil(j/2), the coefficient of x^(m-j) is
+    (-1)^h C(m-h, floor(j/2))."""
+    coeffs = [0] * (m + 1)
+    for j in range(m + 1):
+        h = (j + 1) // 2
+        coeffs[m - j] = (-1) ** h * binomial(m - h, j // 2)
+    return IntPolynomial(tuple(coeffs))
 
 
 def scriptl_poly(m: int) -> IntPolynomial:
@@ -82,26 +87,16 @@ def scriptl_poly(m: int) -> IntPolynomial:
     return IntPolynomial(chebyshev_monic(m).coeffs[m % 2::2])
 
 
-# one power-sum recurrence per (family, m), built on first use
-_POWER_SUM_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
-
-
-def _power_sum_at(family: str, make_poly: Callable[[int], IntPolynomial], m: int, n: int) -> int:
-    """Sum of the n-th powers of the roots of make_poly(m).
+def _power_sum_spec(name: str, poly: IntPolynomial) -> RecurrenceSpec:
+    """The recurrence of the sums of the n-th powers of poly's roots.
 
     By Newton's identities the power sums satisfy the polynomial's own
     recurrence: with x^d + a_1 x^(d-1) + ... + a_d the coefficients are
     -a_1..-a_d, seeded with the power sums p_0..p_(d-1).
     """
-    spec = _POWER_SUM_SPECS.get((family, m))
-    if spec is None:
-        poly = make_poly(m)
-        d = poly.degree
-        coeffs = tuple(-poly.coeffs[d - i] for i in range(1, d + 1))
-        spec = RecurrenceSpec(f"{family}({m})", coeffs, tuple(power_sums(poly, d - 1)))
-        # setdefault keeps the first spec published, so threads share one memo
-        spec = _POWER_SUM_SPECS.setdefault((family, m), spec)
-    return rec_eval(spec, n)
+    d = poly.degree
+    coeffs = tuple(-poly.coeffs[d - i] for i in range(1, d + 1))
+    return RecurrenceSpec(name, coeffs, tuple(power_sums(poly, d - 1)))
 
 
 def _divide_by_m(total: int, m: int, n: int) -> int:
@@ -115,7 +110,9 @@ def _divide_by_m(total: int, m: int, n: int) -> int:
 
 
 def _scriptl(m: int, n: int) -> int:
-    return _divide_by_m(_power_sum_at("scriptL", scriptl_poly, m, n), m, n)
+    # p_0/m is no integer, so scriptL starts at n = 1 and divides a recurrence
+    spec = _family_spec("scriptL", m, lambda m: _power_sum_spec(f"scriptL({m})", scriptl_poly(m)))
+    return _divide_by_m(rec_eval(spec, n), m, n)
 
 
 def _scriptl_diag(n: int) -> int:
@@ -132,65 +129,65 @@ def _partial_row(n: int, residues: set[int], modulus: int) -> int:
 _REGISTRY: dict[str, SequenceOracle] = {
     o.name: o
     for o in [
-        SequenceOracle("fib", lambda _, n: fib(n), negative_ok=True,
+        SequenceOracle("fib", RecurrenceSpec("fib", (1, 1), (0, 1), negative_rule="odd"),
                        description="Fibonacci numbers"),
-        SequenceOracle("lucas", lambda _, n: lucas(n), negative_ok=True,
+        SequenceOracle("lucas", RecurrenceSpec("lucas", (1, 1), (2, 1), negative_rule="even"),
                        description="Lucas numbers"),
-        SequenceOracle("pell", lambda _, n: rec_eval(PELL, n), description="Pell numbers"),
-        SequenceOracle("pellX", lambda _, n: rec_eval(PELL_X, n),
+        SequenceOracle("pell", RecurrenceSpec("pell", (2, 1), (0, 1)), description="Pell numbers"),
+        SequenceOracle("pellX", RecurrenceSpec("pellX", (4, -1), (1, 2)),
                        description="x solving x^2 - 3y^2 = 1"),
-        SequenceOracle("pellY", lambda _, n: rec_eval(PELL_Y, n),
+        SequenceOracle("pellY", RecurrenceSpec("pellY", (4, -1), (0, 1)),
                        description="y solving x^2 - 3y^2 = 1"),
-        SequenceOracle("W", lambda _, n: rec_eval(W_SEQ, n),
+        SequenceOracle("W", RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5)),
                        description="signed Lucas-type sequence for the heptagon cosines"),
-        SequenceOracle("Q", lambda _, n: rec_eval(Q_SEQ, n),
+        SequenceOracle("Q", RecurrenceSpec("Q", (5, -6, 1), (1, 1, 2)),
                        description="bounded-height Catalan path counts"),
-        SequenceOracle("R", lambda _, n: rec_eval(R_SEQ, n),
+        SequenceOracle("R", RecurrenceSpec("R", (5, -6, 1), (1, 2, 6)),
                        description="closed walk counts at the middle of the 6-path"),
-        SequenceOracle("S", lambda _, n: rec_eval(S_SEQ, n),
+        SequenceOracle("S", RecurrenceSpec("S", (6, -9, 1), (1, 2, 6)),
                        description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
-        SequenceOracle("genlucas", lambda m, n: _power_sum_at("genlucas", genlucas_poly, m, n),
+        SequenceOracle("genlucas", lambda m: _power_sum_spec(f"genlucas({m})", genlucas_poly(m)),
                        param_name="m", param_min=2,
                        description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
-        SequenceOracle("scriptL", lambda m, n: _scriptl(m, n), start=1,
-                       param_name="m", param_min=2,
+        SequenceOracle("scriptL", rule=_scriptl, start=1, param_name="m", param_min=2,
                        description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
-        SequenceOracle("scriptLdiag", lambda _, n: _scriptl_diag(n), start=2,
+        SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2,
                        description="scriptL with m = n, read at n"),
-        SequenceOracle("A", lambda _, n: _partial_row(n, {1, 4}, 5),
+        SequenceOracle("A", rule=lambda _, n: _partial_row(n, {1, 4}, 5),
                        description="central-row sum over k = 1,4 (mod 5)"),
-        SequenceOracle("B", lambda _, n: _partial_row(n, {2, 3}, 5),
+        SequenceOracle("B", rule=lambda _, n: _partial_row(n, {2, 3}, 5),
                        description="central-row sum over k = 2,3 (mod 5)"),
-        SequenceOracle("C", lambda _, n: _partial_row(n, {0}, 5),
+        SequenceOracle("C", rule=lambda _, n: _partial_row(n, {0}, 5),
                        description="central-row sum over positive multiples of 5"),
-        SequenceOracle("halfrow", lambda _, n: (4**n - binomial(2 * n, n)) // 2,
+        SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2,
                        description="(4^n - C(2n,n))/2, the half row sum"),
-        SequenceOracle("halfcentral", lambda _, n: binomial(2 * n - 1, n - 1), start=1,
+        SequenceOracle("halfcentral", rule=lambda _, n: binomial(2 * n - 1, n - 1), start=1,
                        description="C(2n-1, n-1), half the central binomial coefficient"),
-        SequenceOracle("pow2", lambda _, n: 2**n, description="powers of 2"),
-        SequenceOracle("pow3", lambda _, n: 3**n, description="powers of 3"),
-        SequenceOracle("pow4", lambda _, n: 4**n, description="powers of 4"),
-        SequenceOracle("pow5", lambda _, n: 5**n, description="powers of 5"),
-        SequenceOracle("pelltrans", lambda _, n: rec_eval(PELL_TRANS, n),
+        *(SequenceOracle(f"pow{b}", RecurrenceSpec(f"pow{b}", (b,), (1,)),
+                         description=f"powers of {b}") for b in range(2, 6)),
+        SequenceOracle("pelltrans", RecurrenceSpec("pelltrans", (4, -2), (0, 1)),
                        description="binomial transform of the Pell numbers"),
-        SequenceOracle("fib2trans", lambda _, n: rec_eval(FIB2_TRANS, n),
+        SequenceOracle("fib2trans", RecurrenceSpec("fib2trans", (5, -5), (0, 1)),
                        description="binomial transform of the even-index Fibonacci numbers"),
-        SequenceOracle("fibscaled", lambda _, n: 0 if n == 0 else 2 ** (n - 1) * fib(n),
+        SequenceOracle("fibscaled", RecurrenceSpec("fibscaled", (2, 4), (0, 1)),
                        description="2^(n-1) F(n)"),
-        SequenceOracle("lucasscaled", lambda _, n: 1 if n == 0 else 2 ** (n - 1) * lucas(n),
+        SequenceOracle("lucasscaled", RecurrenceSpec("lucasscaled", (2, 4), (1, 1)),
                        description="2^(n-1) L(n)"),
-        SequenceOracle("lewis", lambda t, n: 5**n * fib(t) ** (2 * n),
+        SequenceOracle("lewis", lambda t: RecurrenceSpec(
+                           f"lewis({t})", (5 * seq_eval("fib", t) ** 2,), (1,)),
                        param_name="t", param_min=1, description="5^n F(t)^(2n)"),
-        SequenceOracle("fiboddpow", lambda p, n: 2 * 5**n * fib(2 * p) ** (2 * n + 1),
+        SequenceOracle("fiboddpow", lambda p: RecurrenceSpec(
+                           f"fiboddpow({p})", (5 * seq_eval("fib", 2 * p) ** 2,),
+                           (2 * seq_eval("fib", 2 * p),)),
                        param_name="p", param_min=1, description="2 * 5^n F(2p)^(2n+1)"),
-        SequenceOracle("A094789", lambda _, n: rec_eval(R_SEQ, n) - rec_eval(Q_SEQ, n),
-                       start=1, description="R minus Q"),
-        SequenceOracle("A094667", lambda _, n: rec_eval(A094667_SEQ, n),
-                       description="Kronecker mod 20 central-row sums, by their order-4 "
-                                   "recurrence"),
-        SequenceOracle("A216597", lambda _, n: rec_eval(A216597_SEQ, n),
-                       description="sign-alternating Kronecker mod 13 central-row sums, "
-                                   "by their order-6 recurrence"),
+        # R and Q share their recurrence, so R - Q has it too
+        SequenceOracle("A094789", RecurrenceSpec("A094789", (5, -6, 1), (0, 1, 4)), start=1,
+                       description="R minus Q"),
+        SequenceOracle("A094667", RecurrenceSpec("A094667", (8, -21, 20, -5), (0, 1, 4, 14)),
+                       description="Kronecker mod 20 central-row sums"),
+        SequenceOracle("A216597", RecurrenceSpec("A216597", (13, -65, 156, -182, 91, -13),
+                                                 (0, -1, -5, -22, -91, -364)),
+                       description="sign-alternating Kronecker mod 13 central-row sums"),
     ]
 }
 

@@ -14,7 +14,7 @@ import pytest
 
 import binsums
 from binsums.cli import _parse_index, run
-from binsums.identities import FAMILIES, Domain, builtin_registry, perturbed
+from binsums.identities import FAMILIES, Domain, builtin_registry, find, perturbed
 
 
 def invoke(capsys, *argv, registry=None):
@@ -93,6 +93,13 @@ def test_failure_entries_carry_values(capsys):
 def test_verify_unknown_identity_exits_2(capsys):
     code, _ = invoke(capsys, "verify", "--identity", "nonsense")
     assert code == 2
+
+
+def test_unknown_identity_lists_the_families_of_the_given_registry(capsys):
+    registry = [*find("fib-even"), *find("pow3")]
+    code = run(["verify", "--identity", "lucas-odd"], registry=registry)
+    assert code == 2
+    assert capsys.readouterr().err == "unknown identity 'lucas-odd'; known: fib-even, pow3\n"
 
 
 @pytest.mark.parametrize("argv, registry", [

@@ -80,6 +80,13 @@ def test_negative_solve_start_is_rejected_up_front():
         derive_profile(OracleRef("fib", a=2), 5, solve_start=-1, solve_stop=8)
 
 
+def test_negative_holdout_is_rejected_up_front():
+    # holdout -5 would make the holdout range (10, 4), which checks nothing
+    with pytest.raises(ValueError, match="holdout must be >= 0"):
+        derive_profile(OracleRef("fib", a=2), 5, holdout=-5)
+    assert derive_profile(OracleRef("fib", a=2), 5, holdout=0).holdout_range == (10, 9)
+
+
 def test_target_that_runs_out_in_the_holdout_names_it():
     # C vanishes below index 5, so C(4-n) is the zero sum on the solve range
     # 0..4 and solves uniquely; the holdout 5..24 then asks for C(-1)

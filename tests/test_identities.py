@@ -36,7 +36,7 @@ from binsums.identities import (
     rhs_values,
     verify,
 )
-from binsums.sequences import _POWER_SUM_SPECS
+from binsums.sequences import _FAMILY_SPECS
 
 
 def test_registry_shape():
@@ -159,10 +159,21 @@ _TERM_WITH_INTEGER = {
     "power exponent slope": lambda x: Power(1, 2, x),
     "power exponent shift": lambda x: Power(1, 2, 1, x),
     "diagonal-sum base": lambda x: DiagonalSum(x),
+    "centered-sum period": lambda x: CenteredSum((0,), x),
+    "oracle-ref slope": lambda x: OracleRef("fib", a=x),
+    "oracle-ref shift": lambda x: OracleRef("fib", b=x),
+    "oracle-ref parameter": lambda x: OracleRef("genlucas", param=x),
+    "convolution n slope": lambda x: SignedRowConvolution("fib", x, 1),
+    "convolution k slope": lambda x: SignedRowConvolution("fib", 1, x),
+    "convolution shift": lambda x: SignedRowConvolution("fib", 1, 1, x),
+    "transform stride": lambda x: BinomialTransform(OracleRef("fib"), stride=x),
+    "transform offset": lambda x: BinomialTransform(OracleRef("fib"), offset=x),
+    "domain start": lambda x: Domain(x),
+    "domain stop": lambda x: Domain(0, stop=x),
 }
 
 
-@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), "2"], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, 2.0, 1.5, Fraction(1, 2), "2"], ids=repr)
 @pytest.mark.parametrize("term", _TERM_WITH_INTEGER)
 def test_non_integer_bases_and_exponents_are_refused_when_the_term_is_built(term, bad):
     with pytest.raises(TypeError, match="must be an int"):
@@ -366,9 +377,9 @@ def test_registry_reports_equal_the_reference():
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():
-    before = set(_POWER_SUM_SPECS)
+    before = set(_FAMILY_SPECS)
     assert verify(find("central-delight")[0], 200).passed
-    assert set(_POWER_SUM_SPECS) == before
+    assert set(_FAMILY_SPECS) == before
 
 
 def test_domains_and_sweeps_reject_negative_n():

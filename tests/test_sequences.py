@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
-from binsums.core import binomial, kronecker
+from binsums.core import RecurrenceSpec, binomial, kronecker
 from binsums.cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums
-from binsums.sequences import get_oracle, registry, scriptl_poly, seq_eval, seq_slice
+from binsums.sequences import (
+    SequenceOracle,
+    genlucas_poly,
+    get_oracle,
+    registry,
+    scriptl_poly,
+    seq_eval,
+    seq_slice,
+)
 
 
 def test_registry_contains_the_documented_names():
@@ -67,7 +77,7 @@ def test_partial_row_sums_match_their_definitions():
 
 
 def test_qrdiff_is_r_minus_q():
-    for n in range(1, 40):
+    for n in range(1, 201):
         assert seq_eval("A094789", n) == seq_eval("R", n) - seq_eval("Q", n)
     assert seq_slice("A094789", 6) == [1, 4, 14, 47, 155, 507]
 
@@ -192,6 +202,125 @@ def test_natural_start_indices():
 def test_scaled_helpers_are_integral_at_zero():
     assert seq_eval("fibscaled", 0) == 0
     assert seq_eval("lucasscaled", 0) == 1
-    for n in range(1, 20):
+    for n in range(1, 201):
         assert seq_eval("fibscaled", n) == 2 ** (n - 1) * seq_eval("fib", n)
         assert seq_eval("lucasscaled", n) == 2 ** (n - 1) * seq_eval("lucas", n)
+
+
+# --- every C-finite oracle is the recurrence it declares ----------------------
+
+_RULE_ORACLES = {"halfrow", "halfcentral", "A", "B", "C", "scriptL", "scriptLdiag"}
+
+
+def test_only_the_oracles_without_an_index_0_integer_recurrence_keep_a_rule():
+    for name, oracle in registry().items():
+        assert (oracle.recurrence is None) == (name in _RULE_ORACLES), name
+
+
+@pytest.mark.parametrize("recurrence, rule", [
+    (None, None), (RecurrenceSpec("pow2", (2,), (1,)), lambda _, n: 2**n)])
+def test_an_oracle_needs_exactly_one_of_a_recurrence_and_a_rule(recurrence, rule):
+    with pytest.raises(ValueError, match="exactly one of a recurrence and a rule"):
+        SequenceOracle("pow2", recurrence, rule)
+
+
+def test_the_backward_rule_is_read_from_the_declared_spec():
+    ok = {name for name, oracle in registry().items() if oracle.negative_ok}
+    assert ok == {"fib", "lucas"}
+    assert get_oracle("fib").recurrence.negative_rule == "odd"
+    assert get_oracle("lucas").recurrence.negative_rule == "even"
+
+
+def _fib(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _lucas(n: int) -> int:
+    return _fib(n - 1) + _fib(n + 1) if n else 2
+
+
+def _closed_form(name: str, param: int | None, n: int) -> int:
+    """The closed rules the declared recurrences replaced."""
+    if name.startswith("pow"):
+        return int(name[3:]) ** n
+    if name == "lewis":
+        return 5**n * _fib(param) ** (2 * n)
+    assert name == "fiboddpow"
+    return 2 * 5**n * _fib(2 * param) ** (2 * n + 1)
+
+
+@pytest.mark.parametrize("name, param", [
+    *((f"pow{b}", None) for b in range(2, 6)),
+    *(("lewis", t) for t in range(1, 6)), *(("fiboddpow", p) for p in range(1, 4))], ids=str)
+def test_declared_recurrences_equal_their_closed_forms(name, param):
+    for n in range(get_oracle(name).start, 201):
+        assert seq_eval(name, n, param) == _closed_form(name, param, n), n
+
+
+def test_fib_and_lucas_reflect_to_negative_indices():
+    for t in range(61):
+        assert seq_eval("fib", -t) == (-1) ** (t + 1) * _fib(t)
+        assert seq_eval("lucas", -t) == (-1) ** t * _lucas(t)
+    # the reflection is the recurrence run backward
+    for name in ("fib", "lucas"):
+        for n in range(-58, 61):
+            assert seq_eval(name, n) == seq_eval(name, n - 1) + seq_eval(name, n - 2), (name, n)
+
+
+def berlekamp_massey_length(values: list[int]) -> int:
+    """Length of the shortest linear recurrence over Q that generates values
+    (Massey, IEEE Trans. Inform. Theory 15 (1969); Kauers and Paule, The
+    Concrete Tetrahedron, ch. 4)."""
+    c, b = [Fraction(1)], [Fraction(1)]  # connection polynomials, constant term first
+    length, gap, last = 0, 1, Fraction(1)
+    for n, v in enumerate(values):
+        d = v + sum(c[i] * values[n - i] for i in range(1, min(length, len(c) - 1) + 1))
+        if d == 0:
+            gap += 1
+            continue
+        prev = list(c)
+        c += [Fraction(0)] * (len(b) + gap - len(c))
+        for i, x in enumerate(b):
+            c[i + gap] -= d / last * x
+        if 2 * length <= n:
+            length, b, last, gap = n + 1 - length, prev, d, 1
+        else:
+            gap += 1
+    return length
+
+
+def test_berlekamp_massey_finds_the_least_order():
+    assert berlekamp_massey_length([_fib(n) for n in range(20)]) == 2
+    assert berlekamp_massey_length([3**n for n in range(20)]) == 1
+    assert berlekamp_massey_length([n**3 for n in range(20)]) == 4
+    assert berlekamp_massey_length([0] * 9 + [1]) == 10
+
+
+_FAMILY_PARAMS = {"genlucas": range(2, 9), "lewis": range(1, 6), "fiboddpow": range(1, 4)}
+
+
+def _declared_oracles():
+    for name, oracle in registry().items():
+        if oracle.recurrence is None:
+            continue
+        if oracle.param_name is None:
+            yield name, None
+        else:
+            yield from ((name, p) for p in _FAMILY_PARAMS[name])
+
+
+@pytest.mark.parametrize("name, param", list(_declared_oracles()), ids=str)
+def test_declared_order_is_the_berlekamp_massey_length(name, param):
+    oracle = get_oracle(name)
+    spec = oracle.recurrence if param is None else oracle.recurrence(param)
+    d = len(spec.coeffs)
+    values = [seq_eval(name, oracle.start + i, param) for i in range(2 * d + 10)]
+    assert berlekamp_massey_length(values) == d
+
+
+def test_genlucas_poly_is_the_product_over_its_roots():
+    for m in range(1, 41):
+        assert genlucas_poly(m) == char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2))), m

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from binsums.core import binomial, kronecker
 from binsums.cyclo import IntPolynomial, power_sums
-from binsums.sequences import lucas
+from binsums.sequences import seq_eval
 
 TERMS = 81
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "binsums", "data")
@@ -120,11 +120,11 @@ def main() -> None:
                                      [1, 2, 6, 19, 62, 207]))
 
     # closed forms from the Lucas numbers
-    a_vals = [(4**n + lucas(2 * n - 1)) // 5 for n in range(TERMS)]
-    assert all((4**n + lucas(2 * n - 1)) % 5 == 0 for n in range(TERMS))
+    a_vals = [(4**n + seq_eval("lucas", 2 * n - 1)) // 5 for n in range(TERMS)]
+    assert all((4**n + seq_eval("lucas", 2 * n - 1)) % 5 == 0 for n in range(TERMS))
     write("A095930", a_vals)
-    b_vals = [(4**n - lucas(2 * n + 1)) // 5 for n in range(TERMS)]
-    assert all((4**n - lucas(2 * n + 1)) % 5 == 0 for n in range(TERMS))
+    b_vals = [(4**n - seq_eval("lucas", 2 * n + 1)) // 5 for n in range(TERMS)]
+    assert all((4**n - seq_eval("lucas", 2 * n + 1)) % 5 == 0 for n in range(TERMS))
     write("A095931", b_vals)
 
     write("A007052", from_recurrence([4, -2], [1, 3], TERMS, [1, 3, 10, 34, 116, 396]))
