@@ -10,21 +10,14 @@ b-files, and can solve exactly for the weight table that fits a target
 sequence.
 """
 from .core import RecurrenceSpec, binomial, central_row, kronecker, rec_eval
-from .cyclo import (
-    CycloVec,
-    IntPolynomial,
-    char_poly_from_roots,
-    chebyshev_monic,
-    cos_power_vector,
-    centered_reduction,
-    power_sums,
-)
+from .cyclo import IntPolynomial, chebyshev_monic, cos_power_vector, power_sums
 from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
     Identity,
     OracleRef,
     VerificationReport,
     builtin_registry,
+    find,
     identity_json,
     registry_json,
     rhs_eval,
@@ -39,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentReport",
     "BFileTable",
-    "CycloVec",
     "Identity",
     "IntPolynomial",
     "OracleRef",
@@ -50,13 +42,12 @@ __all__ = [
     "binomial",
     "builtin_registry",
     "central_row",
-    "centered_reduction",
-    "char_poly_from_roots",
     "chebyshev_monic",
     "compare",
     "cos_power_vector",
     "derive_profile",
     "fetch",
+    "find",
     "identity_from_profile",
     "identity_json",
     "kronecker",

@@ -184,10 +184,10 @@ def _cmd_cospow(args: argparse.Namespace) -> int:
         if value < least:
             print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
             return 2
-    vec = cos_power_vector(args.modulus, args.exp, args.power)
+    coeffs = cos_power_vector(args.modulus, args.exp, args.power)
     payload = {"command": "cospow", "modulus": args.modulus, "exp": args.exp,
-               "power": args.power, "coeffs": [str(c) for c in vec.coeffs]}
-    _emit(args, payload, ["[" + ", ".join(str(c) for c in vec.coeffs) + "]"])
+               "power": args.power, "coeffs": [str(c) for c in coeffs]}
+    _emit(args, payload, ["[" + ", ".join(str(c) for c in coeffs) + "]"])
     return 0
 
 

@@ -199,7 +199,7 @@ class CenteredSum:
 
 @dataclass(frozen=True)
 class ScaledBinomial:
-    """coeff * C(...) for one of the four fixed column shapes."""
+    """coeff * C(...) for one of the three fixed column shapes."""
 
     coeff: Fraction
     which: str
@@ -208,7 +208,6 @@ class ScaledBinomial:
         "C(2n,n)": (2, 0, 1, 0),
         "C(2n-1,n)": (2, -1, 1, 0),
         "C(2n-1,n-1)": (2, -1, 1, -1),
-        "C(2n+1,n+1)": (2, 1, 1, 1),
     }
 
     def __post_init__(self) -> None:
@@ -701,18 +700,10 @@ def builtin_registry() -> tuple[Identity, ...]:
 
 
 def find(family: str) -> list[Identity]:
+    """The built-in identities of one family, in catalogue order."""
     out = [i for i in _REGISTRY if i.family == family]
     if not out:
         raise KeyError(f"unknown identity {family!r}; known: {', '.join(FAMILIES)}")
-    return out
-
-
-def expand_terms(identity: Identity, n: int) -> list[tuple[int, int, Fraction]]:
-    """Signed binomial entries C(row, col) of all centered sums at n."""
-    out: list[tuple[int, int, Fraction]] = []
-    for term in identity.terms:
-        if isinstance(term, CenteredSum):
-            out.extend(term.terms_at(n))
     return out
 
 
@@ -735,12 +726,8 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
             tables.append(term.signed_table())
             center += term.center
         elif isinstance(term, ScaledBinomial):
-            if term.which == "C(2n,n)":
-                center += term.coeff
-            elif term.which in ("C(2n-1,n)", "C(2n-1,n-1)"):
-                center += term.coeff / 2
-            else:
-                raise ValueError(f"cannot fold {term.which}")
+            # C(2n-1,n) and C(2n-1,n-1) are both C(2n,n)/2
+            center += term.coeff if term.which == "C(2n,n)" else term.coeff / 2
         elif isinstance(term, Power):
             if term.base != 2 or term.ea != 2:
                 raise ValueError("only powers 2^(2n+e) fold through the row sum")

@@ -42,14 +42,6 @@ class BFileTable:
     entries: dict[int, int]
     source: str = ""
 
-    @property
-    def min_index(self) -> int:
-        return next(iter(self.entries))
-
-    @property
-    def max_index(self) -> int:
-        return next(reversed(self.entries))
-
 
 @dataclass(frozen=True)
 class AlignmentReport:
@@ -87,10 +79,6 @@ def parse_bfile(text: str, seq_id: str = "?", source: str = "") -> BFileTable:
         entries[idx] = val
         last = idx
     return BFileTable(seq_id, entries, source)
-
-
-def serialize_bfile(table: BFileTable) -> str:
-    return "".join(f"{i} {v}\n" for i, v in table.entries.items())
 
 
 _FIXTURE_CACHE: dict[str, BFileTable] = {}

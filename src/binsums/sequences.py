@@ -7,12 +7,18 @@ or small closed rules.  All of them return exact integers on their domain.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
 
 from .core import RecurrenceSpec, binomial, central_row, rec_eval
 from .cyclo import IntPolynomial, chebyshev_monic, power_sums
+
+
+def _is_integer(x) -> bool:
+    # the int test first: an ABC isinstance check costs about 20 times more
+    return isinstance(x, int) or isinstance(x, numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,10 @@ class SequenceOracle:
         return getattr(self.recurrence, "negative_rule", None) is not None
 
     def __call__(self, n: int, param: int | None = None) -> int:
+        if not _is_integer(n):
+            raise TypeError(f"{self.name}: n must be an int, not {n!r}")
+        if param is not None and not _is_integer(param):
+            raise TypeError(f"{self.name}: {self.param_name or 'a parameter'} must be an int, not {param!r}")
         if self.param_name is not None:
             if param is None:
                 raise ValueError(f"sequence {self.name} needs parameter {self.param_name}")

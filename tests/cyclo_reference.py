@@ -1,0 +1,113 @@
+"""Slow, list-based references for the cosine values behind binsums.cyclo.
+
+An element of the group ring Z[z]/(z^N - 1) is a length-N list of integers,
+and z^a + z^-a stands for 2cos(2*pi*a/N) at z = e^(2*pi*i/N).  A value is
+read back by reducing modulo the N-th cyclotomic polynomial Phi_N, which is
+built by dividing z^N - 1 by every Phi_d with d a proper divisor of N.  None
+of this shares code with the package.
+"""
+from functools import cache
+
+
+def scalar(n: int, c: int) -> list[int]:
+    return [c] + [0] * (n - 1)
+
+
+def monomial(n: int, j: int, c: int = 1) -> list[int]:
+    v = [0] * n
+    v[j % n] += c
+    return v
+
+
+def two_cos(n: int, a: int) -> list[int]:
+    """z^a + z^-a, the exact stand-in for 2cos(2*pi*a/n)."""
+    v = [0] * n
+    v[a % n] += 1
+    v[-a % n] += 1
+    return v
+
+
+def add(x: list[int], y: list[int]) -> list[int]:
+    return [a + b for a, b in zip(x, y, strict=True)]
+
+
+def sub(x: list[int], y: list[int]) -> list[int]:
+    return [a - b for a, b in zip(x, y, strict=True)]
+
+
+def mul(x: list[int], y: list[int]) -> list[int]:
+    """x * y mod z^N - 1."""
+    n = len(x)
+    assert len(y) == n
+    out = [0] * n
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[(i + j) % n] += a * b
+    return out
+
+
+def divmod_monic(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder (ascending, remainder of length deg d) of p by
+    the monic d, by schoolbook long division."""
+    assert d[-1] == 1
+    deg = len(d) - 1
+    rem = list(p) + [0] * max(0, deg - len(p))
+    q = [0] * max(1, len(rem) - deg)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            q[i - deg] = c
+            for j, b in enumerate(d):
+                rem[i - deg + j] -= c * b
+    return q, rem[:deg]
+
+
+@cache
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
+    p = [-1] + [0] * (n - 1) + [1]  # z^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            p, rem = divmod_monic(p, list(cyclotomic(d)))
+            assert not any(rem)
+    return tuple(p)
+
+
+def reduce(v: list[int]) -> tuple[int, ...]:
+    """v at z = e^(2*pi*i/N), in the power basis of Z[zeta_N]: two elements
+    stand for the same complex number iff these agree."""
+    return tuple(divmod_monic(v, list(cyclotomic(len(v))))[1])
+
+
+def as_integer(v: list[int]) -> int:
+    """The rational integer v evaluates to, or ValueError if it is not one."""
+    c = reduce(v)
+    if any(c[1:]):
+        raise ValueError("element does not evaluate to a rational integer")
+    return c[0]
+
+
+def chebyshev_by_recurrence(m: int) -> tuple[int, ...]:
+    """D_m from D_0 = 2, D_1 = x and D_(k+1) = x*D_k - D_(k-1)."""
+    prev, cur = [2], [0, 1]
+    for _ in range(m - 1):
+        shifted = [0] + cur
+        padded = prev + [0] * (len(shifted) - len(prev))
+        prev, cur = cur, [s - p for s, p in zip(shifted, padded)]
+    return tuple(cur)
+
+
+def fold_class_sums(n_mod: int, e: int, odd: bool, middle: int, sums: list[int]) -> list[int]:
+    """The class sums of row 2n (or 2n+1) from core.class_sums placed on the
+    exponents of (z^e + z^-e)^row mod z^n_mod - 1: class r of k >= 1 goes to
+    +-2er on row 2n, whose center goes to 0, and to +-e(2r-1) on row 2n+1,
+    whose classes cover the whole row."""
+    out = [0] * n_mod
+    if not odd:
+        out[0] = middle
+    for r, s in enumerate(sums):
+        j = e * (2 * r - 1) if odd else 2 * e * r
+        out[j % n_mod] += s
+        out[-j % n_mod] += s
+    return out

@@ -5,14 +5,14 @@ lines; every comparison is exact, with no tolerance anywhere.
 """
 import time
 
-from binsums.core import binomial, kronecker
-from binsums.cyclo import centered_reduction, cos_power_vector
+import cyclo_reference as ring
+from binsums.core import binomial, class_sums, kronecker
+from binsums.cyclo import cos_power_vector
 from binsums.discovery import derive_profile
 from binsums.identities import (
     FAMILIES,
     OracleRef,
     builtin_registry,
-    expand_terms,
     find,
     rhs_eval,
     verify,
@@ -45,11 +45,11 @@ def test_criterion_1_full_registry_sweep():
 
 
 def test_criterion_2_displayed_expansions():
-    fib_even = find("fib-even")[0]
+    terms_at = find("fib-even")[0].terms[0].terms_at
     want_12 = [(12, 7, 1), (12, 8, -1), (12, 9, -1), (12, 10, 1), (12, 12, 1)]
     want_14 = [(14, 8, 1), (14, 9, -1), (14, 10, -1), (14, 11, 1), (14, 13, 1), (14, 14, -1)]
-    got_12 = [(r, c, int(w)) for r, c, w in expand_terms(fib_even, 6)]
-    got_14 = [(r, c, int(w)) for r, c, w in expand_terms(fib_even, 7)]
+    got_12 = [(r, c, int(w)) for r, c, w in terms_at(6)]
+    got_14 = [(r, c, int(w)) for r, c, w in terms_at(7)]
     ok = (got_12 == want_12 and got_14 == want_14
           and sum(w * binomial(r, c) for r, c, w in got_12) == 144 == seq_eval("fib", 12)
           and sum(w * binomial(r, c) for r, c, w in got_14) == 377 == seq_eval("fib", 14))
@@ -57,13 +57,18 @@ def test_criterion_2_displayed_expansions():
 
 
 def test_criterion_3_cosine_power_oracle_equivalence():
+    """cos_power_vector against the class sums of core.class_sums folded
+    onto the exponents of the cosine power."""
     checked = 0
     for n_mod in range(1, 25):
-        for e in range(0, 6):
-            for power in range(0, 32):  # both parities of n <= 15
-                if cos_power_vector(n_mod, e, power) != centered_reduction(n_mod, e, power):
-                    report(3, False, f"divergence at N={n_mod}, e={e}, power={power}")
-                checked += 1
+        for odd in (False, True):
+            for n, (middle, sums) in zip(range(16), class_sums(n_mod, odd)):
+                power = 2 * n + odd  # both parities of n <= 15
+                for e in range(0, 6):
+                    fold = ring.fold_class_sums(n_mod, e, odd, middle, sums)
+                    if cos_power_vector(n_mod, e, power) != tuple(fold):
+                        report(3, False, f"divergence at N={n_mod}, e={e}, power={power}")
+                    checked += 1
     report(3, True, f"{checked} vector comparisons, zero tolerance")
 
 

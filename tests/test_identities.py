@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import cyclo_reference as ring
 from binsums.core import binomial
-from binsums.cyclo import CycloVec, as_integer
 from binsums.identities import (
     _SIGNS,
     _SWEPT_TERMS,
@@ -26,7 +26,6 @@ from binsums.identities import (
     SignedRowConvolution,
     VerificationReport,
     builtin_registry,
-    expand_terms,
     find,
     folded_profile,
     identity_json,
@@ -61,15 +60,15 @@ def test_rhs_eval_examples():
 
 def test_displayed_fibonacci_expansions():
     """The two printed signed expansions, reproduced term for term."""
-    fib_even = find("fib-even")[0]
-    assert expand_terms(fib_even, 6) == [
+    terms_at = find("fib-even")[0].terms[0].terms_at
+    assert terms_at(6) == [
         (12, 7, 1), (12, 8, -1), (12, 9, -1), (12, 10, 1), (12, 12, 1),
     ]
-    assert sum(w * binomial(r, c) for r, c, w in expand_terms(fib_even, 6)) == 144
-    assert expand_terms(fib_even, 7) == [
+    assert sum(w * binomial(r, c) for r, c, w in terms_at(6)) == 144
+    assert terms_at(7) == [
         (14, 8, 1), (14, 9, -1), (14, 10, -1), (14, 11, 1), (14, 13, 1), (14, 14, -1),
     ]
-    assert sum(w * binomial(r, c) for r, c, w in expand_terms(fib_even, 7)) == 377
+    assert sum(w * binomial(r, c) for r, c, w in terms_at(7)) == 377
 
 
 def test_full_registry_passes():
@@ -242,10 +241,10 @@ def test_cos_product_equals_the_product_in_the_group_ring():
     in Z[z]/(z^(2n+1) - 1) and read it back as a rational integer."""
     for n in range(0, 31):
         m = 2 * n + 1
-        prod = CycloVec.one(m)
+        prod = ring.scalar(m, 1)
         for s in range(1, n + 1):
-            prod = prod * (CycloVec.one(m).scale(3) - CycloVec.two_cos(m, s))
-        assert CosProduct().evaluate(n) == as_integer(prod), n
+            prod = ring.mul(prod, ring.sub(ring.scalar(m, 3), ring.two_cos(m, s)))
+        assert CosProduct().evaluate(n) == ring.as_integer(prod), n
 
 
 def test_cos_product_failure_reports_exact_values():

@@ -1,5 +1,6 @@
-"""Source checks that need no linter: every module-level import is read, and
-every public name resolves."""
+"""Source checks that need no linter: every module-level import is read,
+every top-level function and class is read or exported, and every public
+name resolves."""
 import ast
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 import binsums
 
-_MODULES = sorted(p for p in Path(binsums.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_PACKAGE = Path(binsums.__file__).parent
+_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unread_imports(source: str) -> list[str]:
@@ -35,3 +38,33 @@ def test_the_check_sees_an_unread_import():
 
 def test_every_public_name_resolves():
     assert [name for name in binsums.__all__ if not hasattr(binsums, name)] == []
+
+
+def _unread_definitions(defining: list[str], reading: list[str], exported) -> list[str]:
+    """Top-level functions and classes of the defining sources that no
+    expression in the reading sources reads as a name or an attribute, and
+    that are not exported."""
+    defined = [node.name for source in defining for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in defined if name not in read and name not in exported]
+
+
+def test_every_definition_is_read_or_exported():
+    defining = [p.read_text() for p in _MODULES]
+    readers = [*_PACKAGE.glob("*.py"), *(_ROOT / "tools").glob("*.py"),
+               *(_ROOT / "perfbench").glob("*.py")]
+    reading = [p.read_text() for p in readers]
+    assert _unread_definitions(defining, reading, set(binsums.__all__)) == []
+
+
+def test_the_check_sees_an_unread_definition():
+    lib = "def used(): pass\ndef dead(): pass\ndef public(): pass\nclass Unused: pass\n"
+    caller = "import lib\nlib.used()\ndead = 1\n"
+    assert _unread_definitions([lib], [lib, caller], {"public"}) == ["dead", "Unused"]

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import cyclo_reference as ring
 from binsums.core import RecurrenceSpec, binomial, kronecker
-from binsums.cyclo import IntPolynomial, char_poly_from_roots, chebyshev_monic, power_sums
+from binsums.cyclo import IntPolynomial, chebyshev_monic, power_sums
 from binsums.sequences import (
     SequenceOracle,
     genlucas_poly,
@@ -140,12 +141,20 @@ def test_squared_root_poly_power_sum_consistency():
         assert squared == power_sums(poly, 40)[::2]
 
 
+def _chebyshev_plus_two(m: int) -> list[int]:
+    """D_(2m+1)(x) + 2, from the recurrence: its roots are 2cos((2t+1)pi/(2m+1))
+    for t = 0..m, each twice but for the simple root -2 at t = m."""
+    shifted = list(ring.chebyshev_by_recurrence(2 * m + 1))
+    shifted[0] += 2
+    return shifted
+
+
 def test_power_sum_recurrences_match_newton_power_sums():
     for m in range(2, 9):
-        genlucas = power_sums(char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2))), 100)
+        doubled = power_sums(IntPolynomial(_chebyshev_plus_two(m)), 100)
         scriptl = power_sums(squared_root_poly(chebyshev_monic(m)), 100)
         for n in range(0, 101):
-            assert seq_eval("genlucas", n, param=m) == genlucas[n]
+            assert 2 * seq_eval("genlucas", n, param=m) + (-2) ** n == doubled[n]
         for n in range(1, 101):
             assert seq_eval("scriptL", n, param=m) * 2 * m == scriptl[n]
     for n in range(2, 61):
@@ -181,6 +190,18 @@ def test_parameter_validation():
         seq_eval("fib", 3, param=4)  # unexpected parameter
     with pytest.raises(KeyError):
         seq_eval("unheard-of", 1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("fib", 2.5), "fib: n must be an int, not 2.5"),
+    (("genlucas", 3, 2.5), "genlucas: m must be an int, not 2.5"),
+    (("scriptLdiag", 4.0), "scriptLdiag: n must be an int, not 4.0"),
+    (("fib", 3, Fraction(1)), "fib: a parameter must be an int, not Fraction(1, 1)"),
+], ids=["fib-index", "genlucas-param", "rule-index", "unexpected-param"])
+def test_non_integer_index_or_parameter_is_refused_before_evaluation(args, message):
+    with pytest.raises(TypeError) as exc:
+        seq_eval(*args)
+    assert str(exc.value) == message
 
 
 def test_domain_validation():
@@ -321,6 +342,9 @@ def test_declared_order_is_the_berlekamp_massey_length(name, param):
     assert berlekamp_massey_length(values) == d
 
 
-def test_genlucas_poly_is_the_product_over_its_roots():
+def test_genlucas_poly_squared_is_the_shifted_chebyshev_polynomial():
+    """(x + 2) G_m(x)^2 = D_(2m+1)(x) + 2, so G_m has exactly the roots
+    2cos((2t+1)pi/(2m+1)) for t = 0..m-1."""
     for m in range(1, 41):
-        assert genlucas_poly(m) == char_poly_from_roots(2 * m + 1, list(range(1, 2 * m, 2))), m
+        g = list(genlucas_poly(m).coeffs)
+        assert _poly_mul([2, 1], _poly_mul(g, g)) == _chebyshev_plus_two(m), m
