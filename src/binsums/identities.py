@@ -8,19 +8,21 @@ terms (its right side).  Every centered sum is kept in one canonical shape,
 optionally carrying an extra oracle-valued factor per summand.  The
 center and the weights are rationals and every value is exact, so a
 verification failure is a genuine counterexample, never round-off.
-`verify` sweeps each term over all the n it checks in Python ints: a
-centered sum scales its table and center by D, the lcm of their
-denominators, and divides by D once per n, and the row sums against a
-sequence step one Pascal-rule kernel, core.pascal_rows.  `rhs_eval` and
-each swept term's `evaluate` are the direct route, one n at a time in
-Fraction arithmetic, that the tests hold the sweeps to; a centered sum's
-`evaluate` reads its entries from `terms_at`.  The scalar terms have no
-sweep; their `evaluate` gives an int when the coefficient is integral.
+A term has a `sweep`, in Python ints over all the n `verify` checks, only
+when it steps a Pascal-rule kernel: a centered sum reads core.class_sums
+(core.pascal_rows with a weight oracle), scales its table and center by D,
+the lcm of their denominators, and divides by D once per n; the row sums
+against a sequence read core.pascal_rows.  `rhs_eval` and each swept
+term's `evaluate` are the direct route, in Fraction arithmetic, that the
+tests hold the sweeps to.  Every other term has one `evaluate`, an int
+when its coefficients are integral; the tests hold the diagonal sum and the
+cosine product to references of their own.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -71,9 +73,8 @@ def _exact(q: int | Fraction) -> int | Fraction:
 def _pick(values, ns: list[int]) -> list:
     """[v_n for n in ns] from the iterator values of v_0, v_1, ..., read
     once up to v_max(ns)."""
-    wanted = set(ns)
-    out = {n: v for n, v in zip(range(max(ns) + 1), values) if n in wanted}
-    return [out[n] for n in ns]
+    read = list(islice(values, max(ns) + 1))
+    return [read[n] for n in ns]
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,10 @@ class CenteredSum:
 
         Without a weight oracle, the class sums of each row come from the
         Pascal-step kernel core.class_sums, at O(P) integer additions per
-        step, and are combined with the scaled table.  With one, the sum at
-        n is sum_x C(row, n+x) g(x) over g = 0 left of the center, the
-        scaled center at x = 0 and the scaled table times the oracle right
-        of it: entry -n of row 2n or 2n+1 of core.pascal_rows over g.
+        step, and meet the scaled table in one dot product.  With one, the
+        sum at n is sum_x C(row, n+x) g(x) over g = 0 left of the center,
+        the scaled center at x = 0 and the scaled table times the oracle
+        right of it: entry -n of row 2n or 2n+1 of core.pascal_rows over g.
         Either total then takes the (-1)^n of (-1)^(n-k) and is divided by
         D once, unless D is 1.
         """
@@ -179,12 +180,7 @@ class CenteredSum:
         d = math.lcm(*(q.denominator for q in (self.center, *table)))
         table, center = [(w * d).numerator for w in table], (self.center * d).numerator
         if self.weight_oracle is None:
-            groups: dict = {}  # residues by weight: one multiply per distinct weight
-            for r, w in enumerate(table):
-                if w:
-                    groups.setdefault(w, []).append(r)
-            totals = (center * middle + sum(w * sum(sums[r] for r in rs)
-                                            for w, rs in groups.items())
+            totals = (center * middle + sum(map(operator.mul, table, sums))
                       for middle, sums in class_sums(len(table), self.row_odd))
         else:
             p, last = len(table), max(ns)
@@ -355,30 +351,23 @@ class SignedRowConvolution:
 
 @dataclass(frozen=True)
 class DiagonalSum:
-    """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r)."""
+    """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r); no kernel steps it."""
 
     base: int = 5
 
     def __post_init__(self) -> None:
         _integer(self.base)
 
-    def evaluate(self, n: int) -> Fraction:
-        return Fraction(
-            sum((-1) ** r * binomial(2 * n - r, r) * self.base ** (n - r) for r in range(n + 1))
-        )
-
-    def sweep(self, ns: list[int]) -> list[int]:
-        """evaluate(n) for every n in ns, stepping C(2n-r+1, r-1) to
-        C(2n-r, r) multiplicatively and summing in integers."""
-        powers = [self.base ** e for e in range(max(ns) + 1)]
-        out = []
-        for n in ns:
-            total, c = powers[n], 1
-            for r in range(1, n + 1):
-                c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
-                total += (-c if r % 2 else c) * powers[n - r]
-            out.append(total)
-        return out
+    def evaluate(self, n: int) -> int:
+        """The sum in ints by Horner's rule in the base, stepping
+        C(2n-r+1, r-1) to C(2n-r, r) multiplicatively."""
+        if n < 0:
+            raise ValueError("a diagonal sum requires n >= 0")
+        total, c = 1, 1
+        for r in range(1, n + 1):
+            c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
+            total = total * self.base + (-c if r % 2 else c)
+        return total
 
 
 @dataclass(frozen=True)
@@ -390,12 +379,12 @@ class CosProduct:
     factor is at least 1, so this product is its positive square root.
     """
 
-    def evaluate(self, n: int) -> Fraction:
+    def evaluate(self, n: int) -> int:
         full = cos_product_resultant(2 * n + 1)
         half = math.isqrt(full)
         if half * half != full:
             raise ValueError(f"cosine product: resultant {full} is not a square at n = {n}")
-        return Fraction(half)
+        return half
 
 
 @dataclass(frozen=True)
@@ -472,13 +461,13 @@ def rhs_eval(identity: Identity, n: int) -> int:
     return _integer_total(identity, n, sum((t.evaluate(n) for t in identity.terms), Fraction(0)))
 
 
-_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum)
+_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution)
 
 
 def rhs_values(identity: Identity, ns) -> list[int]:
-    """[rhs_eval(identity, n) for n in ns], with each term swept over all of
-    ns at once instead of evaluated directly at each n, in ints wherever
-    the term's coefficients are integral.
+    """[rhs_eval(identity, n) for n in ns], with each term of _SWEPT_TERMS
+    swept over all of ns at once and every other term evaluated at each n,
+    in ints wherever the term's coefficients are integral.
 
     The integrality check still runs per n, on the summed terms, and
     raises the same error as rhs_eval.  The sweeps start from row 0, so

@@ -81,17 +81,13 @@ def parse_bfile(text: str, seq_id: str = "?", source: str = "") -> BFileTable:
     return BFileTable(seq_id, entries, source)
 
 
-_FIXTURE_CACHE: dict[str, BFileTable] = {}
-
-
 def load_fixture(seq_id: str) -> BFileTable:
-    """Bundled b-file prefix for one of the curated ids."""
-    if seq_id not in _FIXTURE_CACHE:
-        if seq_id not in FIXTURES:
-            raise KeyError(f"no bundled fixture for {seq_id}")
-        text = resources.files("binsums").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
-        _FIXTURE_CACHE[seq_id] = parse_bfile(text, seq_id, source=f"bundled b{seq_id[1:]}.txt")
-    return _FIXTURE_CACHE[seq_id]
+    """Bundled b-file prefix for one of the curated ids, parsed anew on each
+    call, so a caller that edits its entries changes no later load."""
+    if seq_id not in FIXTURES:
+        raise KeyError(f"no bundled fixture for {seq_id}")
+    text = resources.files("binsums").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
+    return parse_bfile(text, seq_id, source=f"bundled b{seq_id[1:]}.txt")
 
 
 def compare(sequence: str, table: BFileTable, count: int = 50, param: int | None = None) -> AlignmentReport:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -218,22 +219,42 @@ def _coefficients(term) -> tuple:
 
 def test_swept_terms_with_integral_coefficients_yield_ints():
     """Each term's column of rhs_values: its sweep, or evaluate at each n
-    for the scalar terms.  From n = 1 every Power of the registry has a
-    non-negative exponent."""
-    scalar_types = {ScaledBinomial, Power, Constant, ScaledOracle}
+    for the single-route terms.  From n = 1 every Power of the registry has
+    a non-negative exponent."""
+    single_route_types = {ScaledBinomial, Power, Constant, ScaledOracle, DiagonalSum, CosProduct}
     int_types = set()
     for ident in builtin_registry():
         ns = ident.domain.indices(1, 80)
         for term in ident.terms:
-            if not isinstance(term, (*_SWEPT_TERMS, *scalar_types)):
-                continue
             direct = [term.evaluate(n) for n in ns]
             values = term.sweep(ns) if isinstance(term, _SWEPT_TERMS) else direct
             assert values == direct, (ident.label, term)
             if all(Fraction(c).denominator == 1 for c in _coefficients(term)):
                 assert all(type(v) is int for v in values), (ident.label, term)
                 int_types.add(type(term))
-    assert int_types == set(_SWEPT_TERMS) | scalar_types
+    assert int_types == set(_SWEPT_TERMS) | single_route_types
+
+
+def _diagonal_reference(base: int, n: int) -> Fraction:
+    """The diagonal sum written out term by term in math.comb, in Fraction
+    arithmetic."""
+    return Fraction(sum((-1) ** r * math.comb(2 * n - r, r) * base ** (n - r)
+                        for r in range(n + 1)))
+
+
+@pytest.mark.parametrize("base", range(-3, 8))
+def test_diagonal_sum_equals_the_binomial_reference(base):
+    for n in range(61):
+        value = DiagonalSum(base).evaluate(n)
+        assert type(value) is int and value == _diagonal_reference(base, n), (base, n)
+
+
+def test_sury_diagonal_equals_the_binomial_reference_to_200():
+    (ident,) = find("sury-diagonal")
+    ns = list(range(201))
+    values = rhs_values(ident, ns)
+    assert values == [_diagonal_reference(5, n) for n in ns]
+    assert all(type(v) is int for v in values)
 
 
 def test_cos_product_equals_the_product_in_the_group_ring():
@@ -299,7 +320,7 @@ def test_fractional_tables_raise_through_verify_like_rhs_eval(n_min):
 
 
 @pytest.mark.parametrize("ns", [list(range(41)), [3, 7, 8, 30]])
-def test_row_convolution_difference_table_equals_direct_evaluation(ns):
+def test_row_convolution_pascal_rows_read_equals_direct_evaluation(ns):
     """A zero, a negative and a non-dividing k step, a zero n step, and an
     ns with gaps and a late start."""
     for an in (-3, -2, 0, 1, 4):
@@ -309,7 +330,7 @@ def test_row_convolution_difference_table_equals_direct_evaluation(ns):
                 assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c)
 
 
-def test_row_convolution_difference_table_reads_only_from_the_first_n():
+def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
     """pell has no backward rule: ns that start late keep every index the
     table reads at or above the lowest one evaluate reads."""
     with pytest.raises(ValueError, match="not defined"):
@@ -389,6 +410,8 @@ def test_domains_and_sweeps_reject_negative_n():
     assert Domain(5, stop=5).indices(0, 10) == [5]
     with pytest.raises(ValueError, match="not defined at n = -1"):
         rhs_values(find("fib-even")[0], [-1, 0])
+    with pytest.raises(ValueError, match="n >= 0"):
+        DiagonalSum().evaluate(-1)
 
 
 def test_perturbed_reports_equal_direct_evaluation():

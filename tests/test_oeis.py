@@ -95,6 +95,13 @@ def test_load_fixture_unknown_id():
         load_fixture("A999999")
 
 
+def test_an_edited_fixture_leaves_the_next_load_unchanged():
+    table = load_fixture("A000129")
+    table.entries[5] = 0
+    assert load_fixture("A000129").entries[5] == 29
+    assert compare("pell", load_fixture("A000129")).first_mismatch is None
+
+
 def test_fetch_validates_the_id():
     with pytest.raises(ValueError, match="AXXXXXX"):
         fetch("not-an-id")

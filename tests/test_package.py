@@ -1,6 +1,6 @@
 """Source checks that need no linter: every module-level import is read,
-every top-level function and class is read or exported, and every public
-name resolves."""
+every top-level function and class is read or exported, every public
+name resolves, and a term sweeps only when it steps a Pascal kernel."""
 import ast
 from pathlib import Path
 
@@ -68,3 +68,44 @@ def test_the_check_sees_an_unread_definition():
     lib = "def used(): pass\ndef dead(): pass\ndef public(): pass\nclass Unused: pass\n"
     caller = "import lib\nlib.used()\ndead = 1\n"
     assert _unread_definitions([lib], [lib, caller], {"public"}) == ["dead", "Unused"]
+
+
+_KERNELS = {"class_sums", "pascal_rows"}
+
+
+def _sweeps_off_the_kernels(source: str) -> list[str]:
+    """Top-level classes that define `sweep` but are not in _SWEPT_TERMS,
+    are in it but define no `sweep`, or whose `sweep` reads neither
+    class_sums nor pascal_rows."""
+    tree = ast.parse(source)
+    swept = next({elt.id for elt in node.value.elts} for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_SWEPT_TERMS"])
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        sweep = next((f for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "sweep"), None)
+        if sweep is None:
+            wrong = node.name in swept
+        else:
+            reads = {n.id for n in ast.walk(sweep) if isinstance(n, ast.Name)}
+            wrong = node.name not in swept or not reads & _KERNELS
+        if wrong:
+            out.append(node.name)
+    return out
+
+
+def test_every_sweep_steps_a_pascal_kernel():
+    assert _sweeps_off_the_kernels((_PACKAGE / "identities.py").read_text()) == []
+
+
+def test_the_check_sees_a_sweep_off_the_kernels():
+    source = ("class Stepped:\n    def sweep(self, ns): return pascal_rows(ns)\n"
+              "class Copied:\n    def sweep(self, ns): return [self.evaluate(n) for n in ns]\n"
+              "class Unlisted:\n    def sweep(self, ns): return class_sums(ns)\n"
+              "class Listed:\n    def evaluate(self, n): return n\n"
+              "class Plain:\n    def evaluate(self, n): return n\n"
+              "_SWEPT_TERMS = (Stepped, Copied, Listed)\n")
+    assert _sweeps_off_the_kernels(source) == ["Copied", "Unlisted", "Listed"]
