@@ -9,7 +9,7 @@ checks them against independent recurrence oracles and bundled OEIS
 b-files, and can solve exactly for the weight table that fits a target
 sequence.
 """
-from .core import RecurrenceSpec, binomial, central_row, kronecker, rec_eval
+from .core import RecurrenceSpec, binomial, kronecker, rec_eval
 from .cyclo import IntPolynomial, chebyshev_monic, cos_power_vector, power_sums
 from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
@@ -20,11 +20,10 @@ from .identities import (
     find,
     identity_json,
     registry_json,
-    rhs_eval,
     rhs_values,
     verify,
 )
-from .oeis import AlignmentReport, BFileTable, compare, fetch, load_fixture, parse_bfile
+from .oeis import AlignmentReport, BFileTable, compare, load_fixture, parse_bfile
 from .sequences import SequenceOracle, registry, seq_eval, seq_slice
 
 __version__ = "0.1.0"
@@ -41,12 +40,10 @@ __all__ = [
     "VerificationReport",
     "binomial",
     "builtin_registry",
-    "central_row",
     "chebyshev_monic",
     "compare",
     "cos_power_vector",
     "derive_profile",
-    "fetch",
     "find",
     "identity_from_profile",
     "identity_json",
@@ -57,7 +54,6 @@ __all__ = [
     "rec_eval",
     "registry",
     "registry_json",
-    "rhs_eval",
     "rhs_values",
     "seq_eval",
     "seq_slice",

@@ -150,13 +150,8 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         if args.bfile:
             with open(args.bfile, "r", encoding="ascii") as fh:
                 table = oeis.parse_bfile(fh.read(), args.seq_id, source=args.bfile)
-        elif args.fetch:
-            table = oeis.fetch(args.seq_id, allow_network=True, cache_dir=args.cache_dir)
         else:
-            try:
-                table = oeis.fetch(args.seq_id, allow_network=False, cache_dir=args.cache_dir)
-            except oeis.FetchDisabled:
-                table = oeis.load_fixture(args.seq_id)
+            table = oeis.load_fixture(args.seq_id)
         # a missing or out-of-range --m, or a --count below 20, is a usage error
         report = oeis.compare(args.sequence, table, args.count, args.m)
     except (KeyError, ValueError, OSError) as exc:
@@ -229,11 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--id", required=True, dest="seq_id")
     p.add_argument("--m", type=int, default=None)
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--bfile", help="path to a local b-file")
-    src.add_argument("--fetch", action="store_true", help="allow a network fetch")
-    p.add_argument("--cache-dir", default=None,
-                   help="b-file cache directory (default $OEIS_CACHE_DIR or ./.oeis-cache)")
+    p.add_argument("--bfile", help="path to a local b-file (default: the bundled one)")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--format", choices=("text", "json"), default="text")
 

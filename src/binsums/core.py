@@ -4,11 +4,25 @@ Everything in this module is exact; no floating point is used anywhere.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb
+
+
+def _is_integer(x) -> bool:
+    # the int test first: an ABC isinstance check costs about 20 times more
+    return isinstance(x, int) or isinstance(x, numbers.Integral)
+
+
+def _integer(*xs) -> None:
+    """Refuse each value that must be exact (an integer field, coefficient or
+    seed) unless it is an int, so no float can stand in for it."""
+    for x in xs:
+        if not _is_integer(x):
+            raise TypeError(f"an integer field must be an int, not {x!r}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -18,24 +32,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def central_row(n: int) -> list[int]:
-    """Upper half of row 2n of Pascal's triangle: [C(2n, n+k) for k = 0..n].
-
-    One multiplicative sweep with running exact division, so the whole
-    row costs O(n) big-integer multiplications.
-    """
-    if n < 0:
-        raise ValueError("central_row requires n >= 0")
-    c = 1
-    for i in range(1, n + 1):
-        c = c * (n + i) // i  # builds C(2n, n)
-    row = [c]
-    for k in range(n):
-        c = c * (n - k) // (n + k + 1)  # C(2n, n+k+1) from C(2n, n+k)
-        row.append(c)
-    return row
 
 
 def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[int]]]:
@@ -140,6 +136,7 @@ class RecurrenceSpec:
     def __post_init__(self) -> None:
         self.coeffs = tuple(self.coeffs)
         self.seeds = tuple(self.seeds)
+        _integer(*self.coeffs, *self.seeds)
         if len(self.seeds) != len(self.coeffs) or not self.coeffs:
             raise ValueError("need len(seeds) == len(coeffs) >= 1")
         if self.negative_rule is not None and self.negative_rule not in _NEGATIVE_RULES:

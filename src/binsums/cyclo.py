@@ -12,6 +12,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .core import _integer
+
 
 def cos_power_vector(n_mod: int, e: int, power: int) -> tuple[int, ...]:
     """(z^e + z^(-e))^power reduced mod z^n_mod - 1, as its coefficients.
@@ -61,6 +63,7 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        _integer(*self.coeffs)
         if len(self.coeffs) < 2 or self.coeffs[-1] != 1:
             raise ValueError("polynomial must be monic of degree >= 1")
 

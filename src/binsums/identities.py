@@ -8,15 +8,13 @@ terms (its right side).  Every centered sum is kept in one canonical shape,
 optionally carrying an extra oracle-valued factor per summand.  The
 center and the weights are rationals and every value is exact, so a
 verification failure is a genuine counterexample, never round-off.
-A term has a `sweep`, in Python ints over all the n `verify` checks, only
-when it steps a Pascal-rule kernel: a centered sum reads core.class_sums
-(core.pascal_rows with a weight oracle), scales its table and center by D,
-the lcm of their denominators, and divides by D once per n; the row sums
-against a sequence read core.pascal_rows.  `rhs_eval` and each swept
-term's `evaluate` are the direct route, in Fraction arithmetic, that the
-tests hold the sweeps to.  Every other term has one `evaluate`, an int
-when its coefficients are integral; the tests hold the diagonal sum and the
-cosine product to references of their own.
+Every term has one route to its values, `values(ns)`, a list for all the n
+`verify` checks, in ints wherever the term's coefficients are integral.
+A centered sum reads core.class_sums (core.pascal_rows with a weight
+oracle), scales its table and center by D, the lcm of their denominators,
+and divides by D once per n; the row sums against a sequence read
+core.pascal_rows.  The tests hold every term to a direct reference of its
+own, in tests/identities_reference.py and tests/cyclo_reference.py.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import ClassVar
 
-from .core import binomial, class_sums, kronecker, pascal_rows
+from .core import _integer, binomial, class_sums, kronecker, pascal_rows
 from .cyclo import cos_product_resultant
 from .sequences import get_oracle, seq_eval
 
@@ -55,14 +53,6 @@ def _rational(x) -> Fraction:
     if not isinstance(x, numbers.Rational):
         raise TypeError(f"a coefficient must be an int or a Fraction, not {x!r}")
     return Fraction(x)
-
-
-def _integer(*xs) -> None:
-    """Refuse each integer field of a term (index, bound, base, exponent or
-    period) unless it is an int, as _rational refuses an inexact coefficient."""
-    for x in xs:
-        if not isinstance(x, numbers.Integral):
-            raise TypeError(f"an integer field must be an int, not {x!r}")
 
 
 def _exact(q: int | Fraction) -> int | Fraction:
@@ -121,37 +111,6 @@ class CenteredSum:
         object.__setattr__(self, "center", _rational(self.center))
         object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
 
-    def _sign_at(self, n: int, k: int) -> int:
-        if self.sign == SIGN_ALT_K:
-            return -1 if k % 2 else 1
-        if self.sign == SIGN_ALT_J:
-            return -1 if (k // self.period) % 2 else 1
-        if self.sign == SIGN_ALT_NK:
-            return -1 if (n + k) % 2 else 1
-        return 1
-
-    def evaluate(self, n: int) -> Fraction:
-        """Exact value at n: the center entry plus one binomial for each
-        entry of terms_at(n)."""
-        row = 2 * n + 1 if self.row_odd else 2 * n
-        middle = self.center * self._sign_at(n, 0) * binomial(row, n)
-        return sum((w * binomial(r, c) for r, c, w in self.terms_at(n)), middle)
-
-    def terms_at(self, n: int) -> list[tuple[int, int, Fraction]]:
-        """The nonzero (row, column, coefficient) entries of the sum at n
-        for k >= 1, in k order, each coefficient carrying its weight, its
-        sign and the weight oracle's factor."""
-        row = 2 * n + 1 if self.row_odd else 2 * n
-        k_max = n + 1 if self.row_odd else n
-        out = []
-        for k in range(1, k_max + 1):
-            w = self.weights[k % self.period] * self._sign_at(n, k)
-            if w and self.weight_oracle is not None:
-                w *= self.weight_oracle.value(k)
-            if w:
-                out.append((row, n + k, w))
-        return out
-
     def signed_table(self) -> tuple:
         """The weight table with the k-dependent sign folded in, over period
         lcm(M, 2) for (-1)^k and (-1)^(n-k), or 2M for (-1)^j.  The (-1)^n
@@ -163,8 +122,8 @@ class CenteredSum:
             return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
-    def sweep(self, ns: list[int]) -> list:
-        """evaluate(n) for every n in ns, in one pass over n = 0..max(ns).
+    def values(self, ns: list[int]) -> list:
+        """The sum at every n in ns, in one pass over n = 0..max(ns).
 
         Without a weight oracle, the class sums of each row come from the
         Pascal-step kernel core.class_sums, at O(P) integer additions per
@@ -211,9 +170,10 @@ class ScaledBinomial:
             raise ValueError(f"unknown binomial shape {self.which!r}")
         object.__setattr__(self, "coeff", _rational(self.coeff))
 
-    def evaluate(self, n: int) -> int | Fraction:
+    def values(self, ns: list[int]) -> list:
         ra, rb, ka, kb = self._SHAPES[self.which]
-        return _exact(self.coeff) * binomial(ra * n + rb, ka * n + kb)
+        coeff = _exact(self.coeff)
+        return [coeff * binomial(ra * n + rb, ka * n + kb) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -229,11 +189,10 @@ class Power:
         object.__setattr__(self, "coeff", _rational(self.coeff))
         _integer(self.base, self.ea, self.eb)
 
-    def evaluate(self, n: int) -> int | Fraction:
-        e = self.ea * n + self.eb
-        if e < 0:
-            return self.coeff * Fraction(self.base) ** e
-        return _exact(self.coeff) * self.base ** e
+    def values(self, ns: list[int]) -> list:
+        coeff, base = _exact(self.coeff), self.base
+        return [coeff * base ** e if (e := self.ea * n + self.eb) >= 0
+                else self.coeff * Fraction(base) ** e for n in ns]
 
 
 @dataclass(frozen=True)
@@ -243,8 +202,8 @@ class Constant:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", _rational(self.value))
 
-    def evaluate(self, n: int) -> int | Fraction:
-        return _exact(self.value)
+    def values(self, ns: list[int]) -> list:
+        return [_exact(self.value)] * len(ns)
 
 
 @dataclass(frozen=True)
@@ -257,8 +216,9 @@ class ScaledOracle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", _rational(self.coeff))
 
-    def evaluate(self, n: int) -> int | Fraction:
-        return _exact(self.coeff) * self.oracle.value(n)
+    def values(self, ns: list[int]) -> list:
+        coeff = _exact(self.coeff)
+        return [coeff * self.oracle.value(n) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -275,18 +235,8 @@ class BinomialTransform:
             raise ValueError(f"a binomial transform needs stride >= 1 and offset >= 0, "
                              f"not {self.stride} and {self.offset}")
 
-    def evaluate(self, n: int) -> Fraction:
-        total = Fraction(0)
-        j = 0
-        while self.stride * j + self.offset <= n:
-            c = binomial(n, self.stride * j + self.offset)
-            if c:
-                total += c * self.oracle.value(j)
-            j += 1
-        return total
-
-    def sweep(self, ns: list[int]) -> list[int]:
-        """evaluate(n) for every n in ns: entry 0 of row n of
+    def values(self, ns: list[int]) -> list[int]:
+        """The transform at every n in ns: entry 0 of row n of
         core.pascal_rows over g, the oracle read once per j and placed on
         column stride*j + offset, with zeros between."""
         g = [0] * (max(ns) + 1)
@@ -311,16 +261,8 @@ class SignedRowConvolution:
     def __post_init__(self) -> None:
         _integer(self.an, self.ak, self.c)
 
-    def evaluate(self, n: int) -> Fraction:
-        row = 2 * n + 1
-        total = Fraction(0)
-        for k in range(row + 1):
-            sign = -1 if k % 2 else 1
-            total += sign * binomial(row, k) * seq_eval(self.oracle_name, self.an * n + self.ak * k + self.c)
-        return total
-
-    def sweep(self, ns: list[int]) -> list[int]:
-        """evaluate(n) for every n in ns, by core.pascal_rows over the oracle.
+    def values(self, ns: list[int]) -> list[int]:
+        """The convolution at every n in ns, by core.pascal_rows over the oracle.
 
         Every index lies on the lattice c + d*Z, d = gcd(an, ak), so the
         oracle is read once over one window g of it, reversed when the k
@@ -335,9 +277,9 @@ class SignedRowConvolution:
         t, s = self.an // d, self.ak // d
         first, last = min(ns), max(ns)
         # lattice positions x (oracle index c + d*x) of the first and last
-        # summands at n = first and n = last; every other one evaluate(n)
-        # reads for first <= n <= last lies between them, so g is defined
-        # on the whole window wherever evaluate is defined on ns
+        # summands at n = first and n = last; every other summand of an n
+        # with first <= n <= last lies between them, so g is defined on the
+        # whole window wherever the direct sum is defined on ns
         ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
         lo, hi = min(ends), max(ends)
         g = [seq_eval(self.oracle_name, self.c + d * x) for x in range(lo, hi + 1)]
@@ -358,16 +300,19 @@ class DiagonalSum:
     def __post_init__(self) -> None:
         _integer(self.base)
 
-    def evaluate(self, n: int) -> int:
-        """The sum in ints by Horner's rule in the base, stepping
+    def values(self, ns: list[int]) -> list[int]:
+        """The sum at each n in ints by Horner's rule in the base, stepping
         C(2n-r+1, r-1) to C(2n-r, r) multiplicatively."""
-        if n < 0:
-            raise ValueError("a diagonal sum requires n >= 0")
-        total, c = 1, 1
-        for r in range(1, n + 1):
-            c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
-            total = total * self.base + (-c if r % 2 else c)
-        return total
+        out = []
+        for n in ns:
+            if n < 0:
+                raise ValueError("a diagonal sum requires n >= 0")
+            total, c = 1, 1
+            for r in range(1, n + 1):
+                c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
+                total = total * self.base + (-c if r % 2 else c)
+            out.append(total)
+        return out
 
 
 @dataclass(frozen=True)
@@ -379,12 +324,15 @@ class CosProduct:
     factor is at least 1, so this product is its positive square root.
     """
 
-    def evaluate(self, n: int) -> int:
-        full = cos_product_resultant(2 * n + 1)
-        half = math.isqrt(full)
-        if half * half != full:
-            raise ValueError(f"cosine product: resultant {full} is not a square at n = {n}")
-        return half
+    def values(self, ns: list[int]) -> list[int]:
+        out = []
+        for n in ns:
+            full = cos_product_resultant(2 * n + 1)
+            half = math.isqrt(full)
+            if half * half != full:
+                raise ValueError(f"cosine product: resultant {full} is not a square at n = {n}")
+            out.append(half)
+        return out
 
 
 @dataclass(frozen=True)
@@ -452,41 +400,25 @@ class VerificationReport:
         return self.first_divergence is None
 
 
-def rhs_eval(identity: Identity, n: int) -> int:
-    """Exact value of the right side at n.
-
-    Raises if the sum of the terms is not an integer (a mis-typed
-    coefficient).
-    """
-    return _integer_total(identity, n, sum((t.evaluate(n) for t in identity.terms), Fraction(0)))
-
-
-_SWEPT_TERMS = (CenteredSum, BinomialTransform, SignedRowConvolution)
-
-
 def rhs_values(identity: Identity, ns) -> list[int]:
-    """[rhs_eval(identity, n) for n in ns], with each term of _SWEPT_TERMS
-    swept over all of ns at once and every other term evaluated at each n,
-    in ints wherever the term's coefficients are integral.
+    """The right side at every n in ns: each term's values(ns), summed per n.
 
-    The integrality check still runs per n, on the summed terms, and
-    raises the same error as rhs_eval.  The sweeps start from row 0, so
-    a negative n raises ValueError.
+    A total that is not an integer (a mis-typed coefficient) raises at the
+    first such n.  The kernels start from row 0, so a negative n raises
+    ValueError.
     """
     ns = list(ns)
     if not ns:
         return []
     if min(ns) < 0:
         raise ValueError(f"{identity.label}: the right side is not defined at n = {min(ns)}")
-    columns = [t.sweep(ns) if isinstance(t, _SWEPT_TERMS) else [t.evaluate(n) for n in ns]
-               for t in identity.terms]
-    return [_integer_total(identity, n, sum(values)) for n, *values in zip(ns, *columns)]
-
-
-def _integer_total(identity: Identity, n: int, total: int | Fraction) -> int:
-    if total.denominator != 1:
-        raise ValueError(f"{identity.label}: right side {total} is not an integer at n = {n}")
-    return total.numerator
+    out = []
+    for n, *values in zip(ns, *(t.values(ns) for t in identity.terms)):
+        total = sum(values)
+        if total.denominator != 1:
+            raise ValueError(f"{identity.label}: right side {total} is not an integer at n = {n}")
+        out.append(total.numerator)
+    return out
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:

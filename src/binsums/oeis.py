@@ -1,19 +1,13 @@
-"""OEIS b-file ingestion and sequence comparison, offline first.
+"""OEIS b-file ingestion and sequence comparison, offline only.
 
-A curated set of b-file prefixes is bundled with the package so the test
-suite and CLI run deterministically with no network.  Live fetching is
-available but strictly opt-in, and fetched files are cached with
-create-then-rename writes so concurrent fetches of one id are safe.
+A curated set of b-file prefixes is bundled with the package, so the test
+suite and the CLI run deterministically; any other b-file is read from a
+path the caller gives.  Nothing here opens a network connection.
 """
 from __future__ import annotations
 
-import os
-import re
-import tempfile
 from dataclasses import dataclass
 from importlib import resources
-
-_ID_PATTERN = re.compile(r"^A\d{6}$")
 
 #: ids bundled under binsums/data, keyed to the oracle each one pins down
 FIXTURES: dict[str, tuple[str, int | None]] = {
@@ -119,44 +113,3 @@ def compare(sequence: str, table: BFileTable, count: int = 50, param: int | None
         if best is None or report.matched > best.matched:
             best = report
     return best
-
-
-class FetchDisabled(RuntimeError):
-    """Raised when a network fetch would be needed but was not enabled."""
-
-
-def _cache_dir() -> str:
-    return os.environ.get("OEIS_CACHE_DIR", "./.oeis-cache")
-
-
-def fetch(seq_id: str, allow_network: bool = False, cache_dir: str | None = None,
-          timeout: float = 30.0) -> BFileTable:
-    """b-file for seq_id, from the local cache or (opt-in) from oeis.org."""
-    if not _ID_PATTERN.match(seq_id):
-        raise ValueError(f"invalid OEIS id {seq_id!r} (expected AXXXXXX)")
-    directory = cache_dir or _cache_dir()
-    path = os.path.join(directory, f"b{seq_id[1:]}.txt")
-    if os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_bfile(fh.read(), seq_id, source=path)
-    if not allow_network:
-        raise FetchDisabled(
-            f"no cached b-file for {seq_id} and network fetching is disabled"
-        )
-    url = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
-    import urllib.request  # deferred: only a network fetch needs the HTTP stack
-
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        text = resp.read().decode("ascii")
-    table = parse_bfile(text, seq_id, source=url)  # validate before caching
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"b{seq_id[1:]}.", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return table

@@ -2,23 +2,18 @@
 
 Each C-finite oracle (a linear recurrence with constant coefficients, Newton
 power sums of an integer characteristic polynomial included) is defined by
-its ``RecurrenceSpec``; the rest are partial-row sums over Pascal's triangle
-or small closed rules.  All of them return exact integers on their domain.
+its ``RecurrenceSpec``; the partial-row sums A, B and C read the class sums
+of core.class_sums(5), and the rest are small closed rules.  All of them
+return exact integers on their domain.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
 
-from .core import RecurrenceSpec, binomial, central_row, rec_eval
+from .core import _TABLE_LOCK, RecurrenceSpec, _is_integer, binomial, class_sums, rec_eval
 from .cyclo import IntPolynomial, chebyshev_monic, power_sums
-
-
-def _is_integer(x) -> bool:
-    # the int test first: an ABC isinstance check costs about 20 times more
-    return isinstance(x, int) or isinstance(x, numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -131,9 +126,24 @@ def _scriptl_diag(n: int) -> int:
     return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
 
 
-def _partial_row(n: int, residues: set[int], modulus: int) -> int:
-    row = central_row(n)
-    return sum(row[k] for k in range(1, n + 1) if k % modulus in residues)
+# S_1 + S_4, S_2 + S_3 and S_0 of class_sums(5) at n = 0, 1, ...: the values of
+# A, B and C.  Extended only under core._TABLE_LOCK, as rec_eval extends its
+# tables, from a kernel generator made whenever the table is read empty.
+_PARTIAL_ROWS: list[tuple[int, int, int]] = []
+_partial_row_steps = None
+
+
+def _partial_row(n: int, which: int) -> int:
+    global _partial_row_steps
+    table = _PARTIAL_ROWS
+    if len(table) <= n:
+        with _TABLE_LOCK:
+            if not table:
+                _partial_row_steps = class_sums(5)
+            while len(table) <= n:
+                _, s = next(_partial_row_steps)
+                table.append((s[1] + s[4], s[2] + s[3], s[0]))
+    return table[n][which]
 
 
 _REGISTRY: dict[str, SequenceOracle] = {
@@ -163,11 +173,11 @@ _REGISTRY: dict[str, SequenceOracle] = {
                        description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
         SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2,
                        description="scriptL with m = n, read at n"),
-        SequenceOracle("A", rule=lambda _, n: _partial_row(n, {1, 4}, 5),
+        SequenceOracle("A", rule=lambda _, n: _partial_row(n, 0),
                        description="central-row sum over k = 1,4 (mod 5)"),
-        SequenceOracle("B", rule=lambda _, n: _partial_row(n, {2, 3}, 5),
+        SequenceOracle("B", rule=lambda _, n: _partial_row(n, 1),
                        description="central-row sum over k = 2,3 (mod 5)"),
-        SequenceOracle("C", rule=lambda _, n: _partial_row(n, {0}, 5),
+        SequenceOracle("C", rule=lambda _, n: _partial_row(n, 2),
                        description="central-row sum over positive multiples of 5"),
         SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2,
                        description="(4^n - C(2n,n))/2, the half row sum"),

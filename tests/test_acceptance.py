@@ -6,6 +6,7 @@ lines; every comparison is exact, with no tolerance anywhere.
 import time
 
 import cyclo_reference as ring
+import identities_reference as ref
 from binsums.core import binomial, class_sums, kronecker
 from binsums.cyclo import cos_power_vector
 from binsums.discovery import derive_profile
@@ -14,7 +15,6 @@ from binsums.identities import (
     OracleRef,
     builtin_registry,
     find,
-    rhs_eval,
     verify,
 )
 from binsums.oeis import FIXTURES, compare, load_fixture
@@ -45,11 +45,11 @@ def test_criterion_1_full_registry_sweep():
 
 
 def test_criterion_2_displayed_expansions():
-    terms_at = find("fib-even")[0].terms[0].terms_at
+    term = find("fib-even")[0].terms[0]
     want_12 = [(12, 7, 1), (12, 8, -1), (12, 9, -1), (12, 10, 1), (12, 12, 1)]
     want_14 = [(14, 8, 1), (14, 9, -1), (14, 10, -1), (14, 11, 1), (14, 13, 1), (14, 14, -1)]
-    got_12 = [(r, c, int(w)) for r, c, w in terms_at(6)]
-    got_14 = [(r, c, int(w)) for r, c, w in terms_at(7)]
+    got_12 = [(r, c, int(w)) for r, c, w in ref.terms_at(term, 6)]
+    got_14 = [(r, c, int(w)) for r, c, w in ref.terms_at(term, 7)]
     ok = (got_12 == want_12 and got_14 == want_14
           and sum(w * binomial(r, c) for r, c, w in got_12) == 144 == seq_eval("fib", 12)
           and sum(w * binomial(r, c) for r, c, w in got_14) == 377 == seq_eval("fib", 14))
@@ -75,8 +75,8 @@ def test_criterion_3_cosine_power_oracle_equivalence():
 def test_criterion_4_pell():
     ok = all(seq_eval("pellX", n) ** 2 - 3 * seq_eval("pellY", n) ** 2 == 1
              for n in range(0, 51))
-    x_pref = [rhs_eval(find("pellX-alternating")[0], n) for n in range(7)]
-    y_pref = [rhs_eval(find("pellY-kronecker")[0], n) for n in range(7)]
+    x_pref = [ref.rhs_eval(find("pellX-alternating")[0], n) for n in range(7)]
+    y_pref = [ref.rhs_eval(find("pellY-kronecker")[0], n) for n in range(7)]
     ok = ok and x_pref == [1, 2, 7, 26, 97, 362, 1351]
     ok = ok and y_pref == [0, 1, 4, 15, 56, 209, 780]
     report(4, ok, f"x^2 - 3y^2 = 1 for n <= 50; identity prefixes {x_pref[:5]} / {y_pref[:5]}")
@@ -154,12 +154,12 @@ def test_criterion_9_oeis_fixtures():
 def test_criterion_10_cosine_product():
     from binsums.identities import CosProduct
 
-    term = CosProduct()
+    products = CosProduct().values(list(range(201)))
     bad = []
     for n in range(0, 201):
-        product = term.evaluate(n)
+        product = products[n]
         lucas_val = seq_eval("lucas", 2 * n + 1)
-        diagonal = rhs_eval(find("sury-diagonal")[0], n)
+        diagonal = ref.rhs_eval(find("sury-diagonal")[0], n)
         if not product == lucas_val == diagonal:
             bad.append(n)
     report(10, not bad, f"product equals L(2n+1) and the diagonal form exactly for "

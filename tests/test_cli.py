@@ -233,15 +233,22 @@ def test_oeis_check_invalid_id_exits_2(capsys):
     assert code == 2
 
 
-def test_oeis_check_cache_dir_flag(tmp_path, capsys):
-    (tmp_path / "b001075.txt").write_text(
-        "".join(f"{n} {v}\n" for n, v in enumerate(
-            [1, 2, 7, 26, 97, 362, 1351, 5042, 18817, 70226, 262087, 978122,
-             3650401, 13623482, 50843527, 189750626, 708158977, 2642885282,
-             9863382151, 36810643322, 137379191137])))
-    code, out = invoke(capsys, "oeis-check", "--sequence", "pellX", "--id", "A001075",
-                       "--cache-dir", str(tmp_path), "--count", "21")
-    assert code == 0 and "MATCH (21 terms" in out
+def test_oeis_check_ignores_a_b_file_in_the_working_directory(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / ".oeis-cache"
+    cache.mkdir()
+    (cache / "b000129.txt").write_text("".join(f"{n} {n + 7}\n" for n in range(60)))
+    monkeypatch.chdir(tmp_path)
+    code, out = invoke(capsys, "oeis-check", "--sequence", "pell", "--id", "A000129")
+    assert code == 0
+    assert "pell vs A000129: MATCH" in out and "at shift +0" in out
+
+
+@pytest.mark.parametrize("flag", [["--fetch"], ["--cache-dir", "."]])
+def test_oeis_check_has_no_network_or_cache_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["oeis-check", "--sequence", "pell", "--id", "A000129", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

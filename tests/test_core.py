@@ -1,17 +1,19 @@
+import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
 from binsums.core import (
     RecurrenceSpec,
     binomial,
-    central_row,
     class_sums,
     kronecker,
     pascal_rows,
     rec_eval,
 )
+from binsums.sequences import _PARTIAL_ROWS, seq_eval
 
 
 def pascal_triangle(rows):
@@ -65,16 +67,6 @@ def test_row_sum_and_half_row():
 def test_central_doubling():
     for n in range(1, 41):
         assert binomial(2 * n, n) == 2 * binomial(2 * n - 1, n)
-
-
-def test_central_row():
-    assert central_row(0) == [1]
-    assert central_row(2) == [6, 4, 1]
-    assert central_row(6) == [924, 792, 495, 220, 66, 12, 1]
-    for n in range(0, 50):
-        assert central_row(n) == [binomial(2 * n, n + k) for k in range(n + 1)]
-    with pytest.raises(ValueError):
-        central_row(-1)
 
 
 # --- Kronecker symbol ------------------------------------------------------
@@ -231,6 +223,33 @@ def test_rec_eval_memo_survives_concurrent_extension():
         assert spec._table == expected
 
 
+def test_partial_row_memo_survives_concurrent_extension():
+    # Each thread reads A, B and C at n = 0..300 in its own order from an
+    # empty memo; a lost check-then-append race shows as a wrong value or a
+    # duplicated row.
+    names, ns = ("A", "B", "C"), range(301)
+    _PARTIAL_ROWS.clear()
+    expected = {(name, n): seq_eval(name, n) for n in ns for name in names}
+    shuffled = [list(ns) for _ in range(2)]
+    for seed, order in enumerate(shuffled):
+        random.Random(seed).shuffle(order)
+    for _ in range(20):
+        _PARTIAL_ROWS.clear()
+        orders = [list(ns), list(reversed(ns)), *shuffled]
+        lock = threading.Lock()
+        got = []
+
+        def work(barrier):
+            with lock:
+                order = orders.pop()
+            barrier.wait()
+            got.append({(name, n): seq_eval(name, n) for n in order for name in names})
+
+        run_threads(work)
+        assert len(got) == 4 and all(values == expected for values in got)
+        assert _PARTIAL_ROWS == [tuple(expected[name, n] for name in names) for n in ns]
+
+
 def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec("bad", (1, 1), (0,))
@@ -238,6 +257,20 @@ def test_recurrence_spec_validation():
         RecurrenceSpec("bad", (), ())
     with pytest.raises(ValueError):
         RecurrenceSpec("bad", (1,), (0,), negative_rule="sideways")
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), "1"], ids=repr)
+def test_recurrence_spec_refuses_an_inexact_coefficient_or_seed(bad):
+    with pytest.raises(TypeError, match="must be an int"):
+        RecurrenceSpec("x", (bad,), (1,))
+    with pytest.raises(TypeError, match="must be an int"):
+        RecurrenceSpec("x", (1, 1), (0, bad))
+
+
+def test_rec_eval_of_a_float_coefficient_is_refused_not_computed():
+    # a float coefficient once gave rec_eval(spec, 3) == 3.375
+    with pytest.raises(TypeError):
+        rec_eval(RecurrenceSpec("x", (1.5,), (1,)), 3)
 
 
 def test_class_sums_match_folded_rows():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import cyclo_reference as ring
@@ -105,6 +107,14 @@ def test_power_sum_examples():
     assert power_sums(IntPolynomial((-1, -1, 1)), 4)[4] == 7
     assert power_sums(IntPolynomial((-1, 6, -5, 1)), 1)[1] == 5
     assert power_sums(IntPolynomial((-3, 1)), 2)[2] == 9
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, -1.5, 1), (-1, -1, 1.0), (Fraction(1, 2), 1)],
+                         ids=repr)
+def test_polynomials_refuse_inexact_coefficients(coeffs):
+    # (0.5, -1.5, 1) once gave float power sums
+    with pytest.raises(TypeError, match="must be an int"):
+        IntPolynomial(coeffs)
 
 
 def test_power_sums_satisfy_the_recurrence():

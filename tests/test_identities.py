@@ -1,15 +1,14 @@
 import json
-import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import cyclo_reference as ring
+import identities_reference as ref
 from binsums.core import binomial
 from binsums.identities import (
     _SIGNS,
-    _SWEPT_TERMS,
     FAMILIES,
     BinomialTransform,
     CenteredSum,
@@ -32,7 +31,6 @@ from binsums.identities import (
     identity_json,
     perturbed,
     registry_json,
-    rhs_eval,
     rhs_values,
     verify,
 )
@@ -49,27 +47,30 @@ def test_registry_shape():
 
 
 def test_rhs_eval_examples():
-    assert rhs_eval(find("fib-even")[0], 3) == 8          # C(6,4)-C(6,5)-C(6,6)
-    assert rhs_eval(find("fib-even")[0], 6) == 144
-    assert rhs_eval(find("lucas-odd")[0], 2) == 11        # 2^4 - 5 C(5,5)
-    assert rhs_eval(find("pellY-kronecker")[0], 3) == 15  # C(6,4)
-    assert rhs_eval(find("W-even")[0], 2) == 13           # (7/2) C(4,2) - 2^3
-    assert rhs_eval(find("pow3")[0], 3) == 9              # C(5,3) - C(6,6)
+    cases = [("fib-even", 3, 8),           # C(6,4)-C(6,5)-C(6,6)
+             ("fib-even", 6, 144),
+             ("lucas-odd", 2, 11),         # 2^4 - 5 C(5,5)
+             ("pellY-kronecker", 3, 15),   # C(6,4)
+             ("W-even", 2, 13),            # (7/2) C(4,2) - 2^3
+             ("pow3", 3, 9),               # C(5,3) - C(6,6)
+             ("kron9-pow4", 2, 16)]        # 1 + 3(C(4,3) + C(4,4))
+    for family, n, want in cases:
+        assert ref.rhs_eval(find(family)[0], n) == want, (family, n)
+        assert rhs_values(find(family)[0], [n]) == [want], (family, n)
     assert find("pow3")[0].lhs.value(3) == 9
-    assert rhs_eval(find("kron9-pow4")[0], 2) == 16       # 1 + 3(C(4,3) + C(4,4))
 
 
 def test_displayed_fibonacci_expansions():
     """The two printed signed expansions, reproduced term for term."""
-    terms_at = find("fib-even")[0].terms[0].terms_at
-    assert terms_at(6) == [
+    term = find("fib-even")[0].terms[0]
+    assert ref.terms_at(term, 6) == [
         (12, 7, 1), (12, 8, -1), (12, 9, -1), (12, 10, 1), (12, 12, 1),
     ]
-    assert sum(w * binomial(r, c) for r, c, w in terms_at(6)) == 144
-    assert terms_at(7) == [
+    assert sum(w * binomial(r, c) for r, c, w in ref.terms_at(term, 6)) == 144
+    assert ref.terms_at(term, 7) == [
         (14, 8, 1), (14, 9, -1), (14, 10, -1), (14, 11, 1), (14, 13, 1), (14, 14, -1),
     ]
-    assert sum(w * binomial(r, c) for r, c, w in terms_at(7)) == 377
+    assert sum(w * binomial(r, c) for r, c, w in ref.terms_at(term, 7)) == 377
 
 
 def test_full_registry_passes():
@@ -99,8 +100,8 @@ def test_equivalence_pairs():
     x1, x2 = find("pellX-alternating")[0], find("pellX-cosine")[0]
     y1, y2 = find("pellY-kronecker")[0], find("pellY-stride6")[0]
     for n in range(0, 61):
-        assert rhs_eval(x1, n) == rhs_eval(x2, n)
-        assert rhs_eval(y1, n) == rhs_eval(y2, n)
+        assert ref.rhs_eval(x1, n) == ref.rhs_eval(x2, n)
+        assert ref.rhs_eval(y1, n) == ref.rhs_eval(y2, n)
 
 
 def test_prop1_left_sides_fill_the_half_row():
@@ -115,13 +116,13 @@ def test_lewis_sign_rules():
         term = ident.terms[0]
         assert term.sign == (SIGN_NONE if ident.lhs.param % 2 else SIGN_ALT_NK)
     alt = CenteredSum((Fraction(1),), 1, sign=SIGN_ALT_NK)
-    assert [alt._sign_at(3, k) for k in range(4)] == [-1, 1, -1, 1]
-    assert [alt._sign_at(4, k) for k in range(4)] == [1, -1, 1, -1]
+    assert [ref.sign_at(alt, 3, k) for k in range(4)] == [-1, 1, -1, 1]
+    assert [ref.sign_at(alt, 4, k) for k in range(4)] == [1, -1, 1, -1]
 
 
 def _assert_verify_raises_like_rhs_eval(ident, first_bad_n, n_min=0):
     with pytest.raises(ValueError) as direct:
-        rhs_eval(ident, first_bad_n)
+        ref.rhs_eval(ident, first_bad_n)
     with pytest.raises(ValueError) as swept:
         verify(ident, first_bad_n + 5, n_min)
     assert str(swept.value) == str(direct.value)
@@ -132,7 +133,7 @@ def test_non_integer_total_is_an_error():
     ident = Identity("synthetic-half", OracleRef("fib", a=2),
                      (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
     with pytest.raises(ValueError, match="not an integer"):
-        rhs_eval(ident, 1)
+        ref.rhs_eval(ident, 1)
     _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
@@ -195,8 +196,9 @@ def test_terms_at_folds_the_weight_oracle_into_each_coefficient():
     (lewis1,) = [i for i in find("lewis-family") if i.lhs.param == 1]
     (term,) = lewis1.terms
     # sum_{k>=1} C(4, 2+k) L(2k), then the center C(4, 2)
-    assert term.terms_at(2) == [(4, 3, 3), (4, 4, 7)]
-    assert term.evaluate(2) == 6 + 4 * 3 + 1 * 7 == lewis1.lhs.value(2)
+    assert ref.terms_at(term, 2) == [(4, 3, 3), (4, 4, 7)]
+    assert ref.centered_sum(term, 2) == 6 + 4 * 3 + 1 * 7 == lewis1.lhs.value(2)
+    assert term.values([2]) == [lewis1.lhs.value(2)]
 
 
 @pytest.mark.parametrize("n_min", [0, 7])
@@ -204,7 +206,7 @@ def test_sweep_equals_direct_evaluation_on_the_registry(n_min):
     for ident in builtin_registry():
         ns = ident.domain.indices(n_min, 80)
         swept = rhs_values(ident, ns)
-        assert swept == [rhs_eval(ident, n) for n in ns], ident.label
+        assert swept == [ref.rhs_eval(ident, n) for n in ns], ident.label
         assert all(type(v) is int for v in swept), ident.label
 
 
@@ -217,55 +219,51 @@ def _coefficients(term) -> tuple:
     return (getattr(term, "coeff", 1),)
 
 
+_TERM_TYPES = {CenteredSum, BinomialTransform, SignedRowConvolution, ScaledBinomial, Power,
+               Constant, ScaledOracle, DiagonalSum, CosProduct}
+
+
 def test_swept_terms_with_integral_coefficients_yield_ints():
-    """Each term's column of rhs_values: its sweep, or evaluate at each n
-    for the single-route terms.  From n = 1 every Power of the registry has
-    a non-negative exponent."""
-    single_route_types = {ScaledBinomial, Power, Constant, ScaledOracle, DiagonalSum, CosProduct}
+    """Each term's column of rhs_values, its values(ns), against the
+    reference at each n.  From n = 1 every Power of the registry has a
+    non-negative exponent."""
     int_types = set()
     for ident in builtin_registry():
         ns = ident.domain.indices(1, 80)
         for term in ident.terms:
-            direct = [term.evaluate(n) for n in ns]
-            values = term.sweep(ns) if isinstance(term, _SWEPT_TERMS) else direct
-            assert values == direct, (ident.label, term)
+            values = term.values(ns)
+            assert values == [ref.term_at(term, n) for n in ns], (ident.label, term)
             if all(Fraction(c).denominator == 1 for c in _coefficients(term)):
                 assert all(type(v) is int for v in values), (ident.label, term)
                 int_types.add(type(term))
-    assert int_types == set(_SWEPT_TERMS) | single_route_types
-
-
-def _diagonal_reference(base: int, n: int) -> Fraction:
-    """The diagonal sum written out term by term in math.comb, in Fraction
-    arithmetic."""
-    return Fraction(sum((-1) ** r * math.comb(2 * n - r, r) * base ** (n - r)
-                        for r in range(n + 1)))
+    assert int_types == _TERM_TYPES
 
 
 @pytest.mark.parametrize("base", range(-3, 8))
 def test_diagonal_sum_equals_the_binomial_reference(base):
-    for n in range(61):
-        value = DiagonalSum(base).evaluate(n)
-        assert type(value) is int and value == _diagonal_reference(base, n), (base, n)
+    term = DiagonalSum(base)
+    for n, value in enumerate(term.values(list(range(61)))):
+        assert type(value) is int and value == ref.diagonal_sum(term, n), (base, n)
 
 
 def test_sury_diagonal_equals_the_binomial_reference_to_200():
     (ident,) = find("sury-diagonal")
     ns = list(range(201))
     values = rhs_values(ident, ns)
-    assert values == [_diagonal_reference(5, n) for n in ns]
+    assert values == [ref.diagonal_sum(DiagonalSum(5), n) for n in ns]
     assert all(type(v) is int for v in values)
 
 
 def test_cos_product_equals_the_product_in_the_group_ring():
     """The slow, independent route: multiply out prod_{s=1}^n (3 - z^s - z^-s)
     in Z[z]/(z^(2n+1) - 1) and read it back as a rational integer."""
+    values = CosProduct().values(list(range(31)))
     for n in range(0, 31):
         m = 2 * n + 1
         prod = ring.scalar(m, 1)
         for s in range(1, n + 1):
             prod = ring.mul(prod, ring.sub(ring.scalar(m, 3), ring.two_cos(m, s)))
-        assert CosProduct().evaluate(n) == ring.as_integer(prod), n
+        assert values[n] == ring.as_integer(prod), n
 
 
 def test_cos_product_failure_reports_exact_values():
@@ -292,8 +290,8 @@ def test_sweep_equals_direct_evaluation_on_synthetic_sums():
     oracles with and without a parameter."""
     ns = list(range(2, 40)) + [45, 52]
     for term in _synthetic_sums():
-        swept = term.sweep(ns)
-        direct = [term.evaluate(n) for n in ns]
+        swept = term.values(ns)
+        direct = [ref.centered_sum(term, n) for n in ns]
         assert swept == direct, term
         if all(w.denominator == 1 for w in (term.center, *term.weights)):
             assert all(type(v) is int for v in swept), term
@@ -312,7 +310,7 @@ def test_fractional_tables_raise_through_verify_like_rhs_eval(n_min):
         first_bad = n_min
         while True:
             try:
-                rhs_eval(ident, first_bad)
+                ref.rhs_eval(ident, first_bad)
             except ValueError:
                 break
             first_bad += 1
@@ -327,32 +325,34 @@ def test_row_convolution_pascal_rows_read_equals_direct_evaluation(ns):
         for ak in (-4, -1, 0, 2, 3):
             for c in (-1, 0, 2):
                 term = SignedRowConvolution("fib", an, ak, c)
-                assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c)
+                assert term.values(ns) == [ref.signed_row_convolution(term, n) for n in ns], (
+                    an, ak, c)
 
 
 def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
     """pell has no backward rule: ns that start late keep every index the
-    table reads at or above the lowest one evaluate reads."""
+    table reads at or above the lowest one the reference reads."""
     with pytest.raises(ValueError, match="not defined"):
-        SignedRowConvolution("pell", 1, 1, -2).evaluate(1)
+        ref.signed_row_convolution(SignedRowConvolution("pell", 1, 1, -2), 1)
     for an, ak, c, ns in ((1, 1, -2, [2, 3]), (1, 1, -2, [2, 5, 6, 17]),
                           (3, -1, 0, [3, 4, 9]), (2, 3, -4, [2, 8, 11]), (-1, 4, 14, [5, 6, 12])):
         term = SignedRowConvolution("pell", an, ak, c)
-        assert term.sweep(ns) == [term.evaluate(n) for n in ns], (an, ak, c, ns)
+        assert term.values(ns) == [ref.signed_row_convolution(term, n) for n in ns], (
+            an, ak, c, ns)
 
 
 def test_lucas_row_convolutions_equal_direct_evaluation_to_120():
     ns = list(range(121))
     for ident in find("lucas1878-odd-power"):
         (term,) = ident.terms
-        assert term.sweep(ns) == [term.evaluate(n) for n in ns], ident.label
+        assert term.values(ns) == [ref.signed_row_convolution(term, n) for n in ns], ident.label
 
 
 def test_lewis_weighted_sums_equal_direct_evaluation_to_200():
     ns = list(range(201))
     for ident in find("lewis-family"):
         (term,) = ident.terms
-        assert term.sweep(ns) == [term.evaluate(n) for n in ns], ident.label
+        assert term.values(ns) == [ref.centered_sum(term, n) for n in ns], ident.label
 
 
 @pytest.mark.parametrize("ns", [list(range(2, 30)), [0, 5, 6, 13, 29], [17, 18, 25]])
@@ -363,12 +363,13 @@ def test_stepped_binomial_transform_equals_direct_evaluation(ns):
         for stride in range(1, 5):
             for offset in range(5):
                 term = BinomialTransform(oracle, stride, offset)
-                assert term.sweep(ns) == [term.evaluate(n) for n in ns], (oracle, stride, offset)
+                assert term.values(ns) == [ref.binomial_transform(term, n) for n in ns], (
+                    oracle, stride, offset)
 
 
 def _reference_sides(ident: Identity, n: int) -> tuple:
     """Both sides at n the direct way, one n at a time."""
-    return ident.lhs.value(n), rhs_eval(ident, n)
+    return ident.lhs.value(n), ref.rhs_eval(ident, n)
 
 
 def _reference_report(ident: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
@@ -411,7 +412,7 @@ def test_domains_and_sweeps_reject_negative_n():
     with pytest.raises(ValueError, match="not defined at n = -1"):
         rhs_values(find("fib-even")[0], [-1, 0])
     with pytest.raises(ValueError, match="n >= 0"):
-        DiagonalSum().evaluate(-1)
+        DiagonalSum().values([-1])
 
 
 def test_perturbed_reports_equal_direct_evaluation():
@@ -477,7 +478,7 @@ def test_folded_profile_evaluates_like_the_identity():
             direct = center * binomial(2 * n, n) + sum(
                 weights[k % period] * binomial(2 * n, n + k) for k in range(1, n + 1)
             )
-            assert direct == rhs_eval(ident, n)
+            assert direct == ref.rhs_eval(ident, n)
 
 
 def test_unfoldable_terms_are_rejected():

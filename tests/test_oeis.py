@@ -4,9 +4,7 @@ from binsums.oeis import (
     FIXTURES,
     AlignmentReport,
     BFileTable,
-    FetchDisabled,
     compare,
-    fetch,
     load_fixture,
     parse_bfile,
 )
@@ -100,32 +98,6 @@ def test_an_edited_fixture_leaves_the_next_load_unchanged():
     table.entries[5] = 0
     assert load_fixture("A000129").entries[5] == 29
     assert compare("pell", load_fixture("A000129")).first_mismatch is None
-
-
-def test_fetch_validates_the_id():
-    with pytest.raises(ValueError, match="AXXXXXX"):
-        fetch("not-an-id")
-
-
-def test_fetch_without_cache_or_network_is_refused(tmp_path):
-    with pytest.raises(FetchDisabled):
-        fetch("A080937", allow_network=False, cache_dir=str(tmp_path))
-
-
-def test_fetch_prefers_the_cache(tmp_path):
-    path = tmp_path / "b080937.txt"
-    path.write_text("0 1\n1 1\n2 2\n")
-    table = fetch("A080937", allow_network=False, cache_dir=str(tmp_path))
-    assert table.entries == {0: 1, 1: 1, 2: 2}
-    assert table.source == str(path)
-
-
-def test_cache_dir_environment_override(tmp_path, monkeypatch):
-    path = tmp_path / "b000045.txt"
-    path.write_text("0 0\n1 1\n2 1\n")
-    monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))
-    table = fetch("A000045", allow_network=False)
-    assert table.entries == {0: 0, 1: 1, 2: 1}
 
 
 def test_pinned_kronecker_fixtures_extend_the_direct_sums():

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every module-level import is read,
 every top-level function and class is read or exported, every public
-name resolves, and a term sweeps only when it steps a Pascal kernel."""
+name resolves, every term has one value route, and no module reaches the
+network."""
 import ast
 from pathlib import Path
 
@@ -70,42 +71,75 @@ def test_the_check_sees_an_unread_definition():
     assert _unread_definitions([lib], [lib, caller], {"public"}) == ["dead", "Unused"]
 
 
-_KERNELS = {"class_sums", "pascal_rows"}
+_SECOND_ROUTES = {"evaluate", "sweep", "terms_at"}
 
 
-def _sweeps_off_the_kernels(source: str) -> list[str]:
-    """Top-level classes that define `sweep` but are not in _SWEPT_TERMS,
-    are in it but define no `sweep`, or whose `sweep` reads neither
-    class_sums nor pascal_rows."""
+def _terms_off_one_route(source: str) -> list[str]:
+    """Term classes (those `_term_json` encodes) that define no `values` or
+    define a second value route (`evaluate`, `sweep`, `terms_at`), and
+    classes that define `values` but are not terms."""
     tree = ast.parse(source)
-    swept = next({elt.id for elt in node.value.elts} for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_SWEPT_TERMS"])
+    encoder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_term_json")
+    terms = {call.args[1].id for call in ast.walk(encoder)
+             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"}
     out = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        sweep = next((f for f in node.body
-                      if isinstance(f, ast.FunctionDef) and f.name == "sweep"), None)
-        if sweep is None:
-            wrong = node.name in swept
+        methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        if node.name in terms:
+            wrong = "values" not in methods or bool(methods & _SECOND_ROUTES)
         else:
-            reads = {n.id for n in ast.walk(sweep) if isinstance(n, ast.Name)}
-            wrong = node.name not in swept or not reads & _KERNELS
+            wrong = "values" in methods
         if wrong:
             out.append(node.name)
     return out
 
 
-def test_every_sweep_steps_a_pascal_kernel():
-    assert _sweeps_off_the_kernels((_PACKAGE / "identities.py").read_text()) == []
+def test_every_term_has_one_value_route():
+    assert _terms_off_one_route((_PACKAGE / "identities.py").read_text()) == []
 
 
-def test_the_check_sees_a_sweep_off_the_kernels():
-    source = ("class Stepped:\n    def sweep(self, ns): return pascal_rows(ns)\n"
-              "class Copied:\n    def sweep(self, ns): return [self.evaluate(n) for n in ns]\n"
-              "class Unlisted:\n    def sweep(self, ns): return class_sums(ns)\n"
-              "class Listed:\n    def evaluate(self, n): return n\n"
-              "class Plain:\n    def evaluate(self, n): return n\n"
-              "_SWEPT_TERMS = (Stepped, Copied, Listed)\n")
-    assert _sweeps_off_the_kernels(source) == ["Copied", "Unlisted", "Listed"]
+def test_the_check_sees_a_term_off_one_route():
+    source = ("class Stepped:\n    def values(self, ns): return ns\n"
+              "class Twice:\n    def values(self, ns): return ns\n"
+              "    def evaluate(self, n): return n\n"
+              "class Swept:\n    def sweep(self, ns): return ns\n"
+              "class Listed:\n    def values(self, ns): return ns\n"
+              "    def terms_at(self, n): return []\n"
+              "class Unlisted:\n    def values(self, ns): return ns\n"
+              "class Plain:\n    def label(self): return ''\n"
+              "def _term_json(term):\n"
+              "    if isinstance(term, Stepped): return {}\n"
+              "    if isinstance(term, Twice): return {}\n"
+              "    if isinstance(term, Swept): return {}\n"
+              "    if isinstance(term, Listed): return {}\n")
+    assert _terms_off_one_route(source) == ["Twice", "Swept", "Listed", "Unlisted"]
+
+
+_NETWORK_MODULES = {"urllib", "http", "socket"}
+
+
+def _network_imports(source: str) -> list[str]:
+    """Modules of the network stack that the source imports anywhere, a
+    deferred import inside a function included."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in _NETWORK_MODULES]
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_the_network_stack(path):
+    assert _network_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_deferred_network_import():
+    source = ("import os\nfrom http import client\n"
+              "def get():\n    import urllib.request\n    import socket as s\n"
+              "from .oeis import load_fixture\n")
+    assert _network_imports(source) == ["http", "urllib.request", "socket"]

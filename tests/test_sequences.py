@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import cyclo_reference as ring
 from binsums.core import RecurrenceSpec, binomial, kronecker
 from binsums.cyclo import IntPolynomial, chebyshev_monic, power_sums
 from binsums.sequences import (
+    _PARTIAL_ROWS,
     SequenceOracle,
     genlucas_poly,
     get_oracle,
@@ -70,11 +73,18 @@ def test_partial_row_sums_fill_the_half_row():
 
 
 def test_partial_row_sums_match_their_definitions():
-    for n in range(0, 25):
-        row = [binomial(2 * n, n + k) for k in range(n + 1)]
-        assert seq_eval("A", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (1, 4))
-        assert seq_eval("B", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (2, 3))
-        assert seq_eval("C", n) == sum(row[k] for k in range(1, n + 1) if k % 5 == 0)
+    """A, B and C against the direct math.comb row sums for n <= 200, each
+    order read from an empty memo."""
+    descending = list(range(200, -1, -1))
+    shuffled = list(range(201))
+    random.Random(1).shuffle(shuffled)
+    for order in (descending, shuffled):
+        _PARTIAL_ROWS.clear()
+        for n in order:
+            row = [math.comb(2 * n, n + k) for k in range(n + 1)]
+            assert seq_eval("A", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (1, 4)), n
+            assert seq_eval("B", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (2, 3)), n
+            assert seq_eval("C", n) == sum(row[k] for k in range(1, n + 1) if k % 5 == 0), n
 
 
 def test_qrdiff_is_r_minus_q():
