@@ -106,11 +106,7 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    try:
-        values = seq_slice(args.sequence, args.count, args.m)
-    except (KeyError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    values = seq_slice(args.sequence, args.count, args.m)
     start = get_oracle(args.sequence).start
     payload = {"command": "table", "sequence": args.sequence, "param": args.m,
                "start": start, "values": [str(v) for v in values]}
@@ -118,16 +114,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_derive(args: argparse.Namespace, index: tuple[int, int],
-                solve_range: tuple[int, ...]) -> int:
-    a, b = index
+def _cmd_derive(args: argparse.Namespace) -> int:
+    a, b = args.index
     target = OracleRef(args.target, param=args.m, a=a, b=b)
     row_odd = args.row == "odd"
-    try:
-        solution = discovery.derive_profile(target, args.period, row_odd, *solve_range)
-    except (KeyError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    solution = discovery.derive_profile(target, args.period, row_odd, *args.solve_range)
     payload = discovery.profile_json(solution)
     payload["command"] = "derive"
     lines = [f"target {args.target} period {args.period} "
@@ -145,18 +136,14 @@ def _cmd_derive(args: argparse.Namespace, index: tuple[int, int],
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    try:
-        get_oracle(args.sequence)
-        if args.bfile:
-            with open(args.bfile, "r", encoding="ascii") as fh:
-                table = oeis.parse_bfile(fh.read(), args.seq_id, source=args.bfile)
-        else:
-            table = oeis.load_fixture(args.seq_id)
-        # a missing or out-of-range --m, or a --count below 20, is a usage error
-        report = oeis.compare(args.sequence, table, args.count, args.m)
-    except (KeyError, ValueError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    get_oracle(args.sequence)
+    if args.bfile:
+        with open(args.bfile, "r", encoding="ascii") as fh:
+            table = oeis.parse_bfile(fh.read(), args.seq_id, source=args.bfile)
+    else:
+        table = oeis.load_fixture(args.seq_id)
+    # a missing or out-of-range --m, or a --count below 20, is a usage error
+    report = oeis.compare(args.sequence, table, args.count, args.m)
     payload = {"command": "oeis-check", "sequence": args.sequence, "id": args.seq_id,
                "shift": report.shift, "matched": report.matched,
                "match": report.is_match,
@@ -253,14 +240,18 @@ def run(argv: list[str] | None = None, registry=None) -> int:
         return _cmd_verify(args, registry if registry is not None else builtin_registry())
     if args.command == "derive":
         try:
-            index = _parse_index(args.index)
-            solve_range = _parse_range(args.solve_range) if args.solve_range else ()
+            args.index = _parse_index(args.index)
+            args.solve_range = _parse_range(args.solve_range) if args.solve_range else ()
         except ValueError as exc:
             parser.error(str(exc))
-        return _cmd_derive(args, index, solve_range)
-    commands = {"table": _cmd_table, "oeis-check": _cmd_oeis_check,
+    commands = {"table": _cmd_table, "derive": _cmd_derive, "oeis-check": _cmd_oeis_check,
                 "cospow": _cmd_cospow, "export": _cmd_export}
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except (KeyError, ValueError, OSError) as exc:  # an unknown name, a bad value or file
+        # a KeyError's message without the quotes str() gives it
+        print(exc.args[0] if isinstance(exc, KeyError) else exc, file=sys.stderr)
+        return 2
 
 
 def main() -> None:

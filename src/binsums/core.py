@@ -66,6 +66,50 @@ def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[i
         n += 1
 
 
+def weighted_class_sums(period: int, spec: RecurrenceSpec,
+                        row_odd: bool = False) -> Iterator[tuple[int, list[int]]]:
+    """class_sums with each summand C(row, n+k) times g(k), for a C-finite g
+    with g(k+1) = spec(k): the seeds are g(1..d), and g(0) is never read.
+
+    S_(r,j) = sum of C(2n, n+k) g(k+j) over k >= 1, k = r (mod period),
+    steps for j = 0..d-1 by Pascal's rule applied twice, with c0 and c1 as
+    in class_sums: S_(r,j)(n+1) = S_(r-1,j+1) + 2 S_(r,j) + S_(r+1,j-1)
+    + [r = 1] c0 g(j+1) - [r = 0] c1 g(j).  S_(.,d) is g's recurrence going
+    forward; S_(.,-1) less its k = 1 summand c1 g(0) goes backward over
+    k >= 2, one exact division by the last coefficient.  O(period * d)
+    operations per step; odd rows are read as in class_sums.
+    """
+    coeffs, g = spec.coeffs, (0, *spec.seeds)  # g[j] = g(j) for j = 1..d
+    *head, last = coeffs
+    if period < 1 or not last:
+        raise ValueError(f"weighted_class_sums of {spec.name} needs period >= 1 and a "
+                         f"nonzero last coefficient, for the backward step")
+    d, one = len(coeffs), 1 % period
+    last_g0 = g[d] - sum(c * g[d - i] for i, c in enumerate(head, 1))  # c_d g(0)
+    s = [[0] * period for _ in range(d)]  # s[j][r] = S_(r,j)
+    c0, c1, n = 1, 0, 0
+    while True:
+        up = [sum(c * s[-i][r] for i, c in enumerate(coeffs, 1)) for r in range(period)]
+        if row_odd:
+            t = [(s[1] if d > 1 else up)[r - 1] + s[0][r] for r in range(period)]
+            t[one] += c0 * g[1]
+            yield c0 + c1, t
+        else:
+            yield c0, s[0]
+        down = [s[-1][r] - sum(c * s[-1 - i][r] for i, c in enumerate(head, 1))
+                for r in range(period)]
+        down[one] -= c1 * last_g0
+        ext = [[x // last for x in down], *s, up]  # ext[j + 1] = S_(., j)
+        s = [[ext[j + 2][r - 1] + 2 * ext[j + 1][r] + ext[j][(r + 1) % period]
+              for r in range(period)] for j in range(d)]
+        for j in range(d):
+            s[j][one] += c0 * g[j + 1]
+            s[j][0] -= c1 * g[j]  # g[0] = 0: ext[0] already left out c1 g(0)
+        c0 = 2 * (c0 + c1)
+        c1 = c0 * (n + 1) // (n + 2)
+        n += 1
+
+
 def pascal_rows(g: list[int], stride: int = 1, alternate: bool = False) -> Iterator[list[int]]:
     """For m = 0, 1, 2, ... yield [sum_i s^i C(m, i) g[x + stride*i] for x in
     range(len(g) - m*stride)], s = -1 if alternate else 1, until it is empty.

@@ -10,11 +10,12 @@ center and the weights are rationals and every value is exact, so a
 verification failure is a genuine counterexample, never round-off.
 Every term has one route to its values, `values(ns)`, a list for all the n
 `verify` checks, in ints wherever the term's coefficients are integral.
-A centered sum reads core.class_sums (core.pascal_rows with a weight
-oracle), scales its table and center by D, the lcm of their denominators,
-and divides by D once per n; the row sums against a sequence read
-core.pascal_rows.  The tests hold every term to a direct reference of its
-own, in tests/identities_reference.py and tests/cyclo_reference.py.
+A centered sum reads core.class_sums, or core.weighted_class_sums with a
+weight oracle, scales its table and center by D, the lcm of their
+denominators, and divides by D once per n.  The row sums against a
+sequence read core.pascal_rows.  The tests hold every term to a direct
+reference of its own, in tests/identities_reference.py and
+tests/cyclo_reference.py.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import ClassVar
 
-from .core import _integer, binomial, class_sums, kronecker, pascal_rows
+from .core import _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
 from .cyclo import cos_product_resultant
 from .sequences import get_oracle, seq_eval
 
@@ -110,6 +111,13 @@ class CenteredSum:
             raise ValueError(f"unknown sign rule {self.sign!r}")
         object.__setattr__(self, "center", _rational(self.center))
         object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
+        if (ref := self.weight_oracle) is not None:  # values steps it by its recurrence
+            spec = get_oracle(ref.name).spec(ref.param)
+            why = ("it has no recurrence" if spec is None else
+                   "its recurrence's last coefficient is 0" if not spec.coeffs[-1] else
+                   f"its index {ref.index_str('k')} needs a >= 1" if ref.a < 1 else None)
+            if why:
+                raise ValueError(f"weight oracle {ref.name}: {why}, so no sum can step it")
 
     def signed_table(self) -> tuple:
         """The weight table with the k-dependent sign folded in, over period
@@ -125,45 +133,35 @@ class CenteredSum:
     def values(self, ns: list[int]) -> list:
         """The sum at every n in ns, in one pass over n = 0..max(ns).
 
-        Without a weight oracle, the class sums of each row come from the
-        Pascal-step kernel core.class_sums, at O(P) integer additions per
-        step, and meet the scaled table in one dot product.  With one, the
-        sum at n is sum_x C(row, n+x) g(x) over g = 0 left of the center,
-        the scaled center at x = 0 and the scaled table times the oracle
-        right of it: entry -n of row 2n or 2n+1 of core.pascal_rows over g.
-        Either total then takes the (-1)^n of (-1)^(n-k) and is divided by
-        D once, unless D is 1.
+        The class sums of each row come from a Pascal-step kernel (with a
+        weight oracle, one that steps the weight by its recurrence along
+        the index) and meet the scaled table in one dot product; the total
+        takes the (-1)^n of (-1)^(n-k) and is divided by D, unless D is 1.
         """
         # D, the lcm of the center's and the table's denominators, makes both integral
         table = self.signed_table()
         d = math.lcm(*(q.denominator for q in (self.center, *table)))
         table, center = [(w * d).numerator for w in table], (self.center * d).numerator
         if self.weight_oracle is None:
-            totals = (center * middle + sum(map(operator.mul, table, sums))
-                      for middle, sums in class_sums(len(table), self.row_odd))
+            steps = class_sums(len(table), self.row_odd)
         else:
-            p, last = len(table), max(ns)
-            g = [0] * last + [center] + [
-                w * self.weight_oracle.value(k) if (w := table[k % p]) else 0
-                for k in range(1, last + 1 + self.row_odd)]
-            rows = islice(pascal_rows(g), self.row_odd, None, 2)
-            totals = (row[last - n] for n, row in enumerate(rows))
+            ref = self.weight_oracle  # its recurrence along a*k + b, shifted to k + 1
+            spec = get_oracle(ref.name).dilate(ref.param, ref.a, ref.a + ref.b)
+            steps = weighted_class_sums(len(table), spec, self.row_odd)
+        totals = (center * middle + sum(map(operator.mul, table, sums)) for middle, sums in steps)
         signed = (-v if self.sign == SIGN_ALT_NK and n % 2 else v for n, v in enumerate(totals))
         return _pick(signed if d == 1 else (Fraction(v, d) for v in signed), ns)
 
 
 @dataclass(frozen=True)
 class ScaledBinomial:
-    """coeff * C(...) for one of the three fixed column shapes."""
+    """coeff * C(...) for one of the three fixed column shapes, each C(2n, n)
+    over a divisor from its first n."""
 
     coeff: Fraction
     which: str
 
-    _SHAPES = {
-        "C(2n,n)": (2, 0, 1, 0),
-        "C(2n-1,n)": (2, -1, 1, 0),
-        "C(2n-1,n-1)": (2, -1, 1, -1),
-    }
+    _SHAPES = {"C(2n,n)": (1, 0), "C(2n-1,n)": (2, 1), "C(2n-1,n-1)": (2, 1)}
 
     def __post_init__(self) -> None:
         if self.which not in self._SHAPES:
@@ -171,9 +169,14 @@ class ScaledBinomial:
         object.__setattr__(self, "coeff", _rational(self.coeff))
 
     def values(self, ns: list[int]) -> list:
-        ra, rb, ka, kb = self._SHAPES[self.which]
-        coeff = _exact(self.coeff)
-        return [coeff * binomial(ra * n + rb, ka * n + kb) for n in ns]
+        """C(2n, n) stepped by one exact ratio per n, times coeff over the
+        divisor: an int wherever that is integral."""
+        divisor, first = self._SHAPES[self.which]
+        if min(ns) < first:
+            raise ValueError(f"{self.which} is not defined at n = {min(ns)}")
+        central = [*accumulate(range(max(ns)), lambda c, n: c * (4 * n + 2) // (n + 1), initial=1)]
+        p, d = self.coeff.numerator, self.coeff.denominator * divisor
+        return [v // d if (v := p * central[n]) % d == 0 else Fraction(v, d) for n in ns]
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,8 @@ def load_fixture(seq_id: str) -> BFileTable:
     """Bundled b-file prefix for one of the curated ids, parsed anew on each
     call, so a caller that edits its entries changes no later load."""
     if seq_id not in FIXTURES:
-        raise KeyError(f"no bundled fixture for {seq_id}")
+        raise KeyError(f"no bundled fixture for {seq_id}; oeis-check --bfile PATH reads a b-file "
+                       f"downloaded from the OEIS")
     text = resources.files("binsums").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
     return parse_bfile(text, seq_id, source=f"bundled b{seq_id[1:]}.txt")
 

@@ -38,9 +38,8 @@ class SequenceOracle:
     def negative_ok(self) -> bool:
         return getattr(self.recurrence, "negative_rule", None) is not None
 
-    def __call__(self, n: int, param: int | None = None) -> int:
-        if not _is_integer(n):
-            raise TypeError(f"{self.name}: n must be an int, not {n!r}")
+    def spec(self, param: int | None = None) -> RecurrenceSpec | None:
+        """The recurrence of the sequence at param, or None for a rule."""
         if param is not None and not _is_integer(param):
             raise TypeError(f"{self.name}: {self.param_name or 'a parameter'} must be an int, not {param!r}")
         if self.param_name is not None:
@@ -50,13 +49,33 @@ class SequenceOracle:
                 raise ValueError(f"{self.name}: {self.param_name} must be >= {self.param_min}")
         elif param is not None:
             raise ValueError(f"sequence {self.name} takes no parameter")
+        spec = self.recurrence
+        return _family_spec(self.name, param, spec) if callable(spec) else spec
+
+    def dilate(self, param: int | None, a: int, b: int) -> RecurrenceSpec:
+        """The recurrence of k -> self(a*k + b, param), a >= 1, seeded by
+        this oracle.  Its polynomial's roots are the a-th powers of the
+        spec's, so its power sums are every a-th one of the spec's
+        polynomial, and Newton's identities give back its coefficients."""
+        spec = self.spec(param)
+        if spec is None or a < 1:
+            raise ValueError(f"{self.name}: a dilation needs a recurrence and a >= 1, not {a}")
+        d = len(spec.coeffs)
+        p = power_sums(IntPolynomial((*(-c for c in reversed(spec.coeffs)), 1)), a * d)[::a]
+        e = [1]  # e[i] is the coefficient of x^(d-i) of the dilated polynomial
+        for k in range(1, d + 1):
+            e.append(-sum(e[i] * p[k - i] for i in range(k)) // k)
+        return RecurrenceSpec(f"{spec.name}({a}k{b:+})", tuple(-c for c in e[1:]),
+                              tuple(self(a * k + b, param) for k in range(d)))
+
+    def __call__(self, n: int, param: int | None = None) -> int:
+        if not _is_integer(n):
+            raise TypeError(f"{self.name}: n must be an int, not {n!r}")
+        spec = self.spec(param)
         if n < self.start and not self.negative_ok:
             raise ValueError(f"{self.name} is not defined at n = {n}")
         if self.rule is not None:
             return self.rule(param, n)
-        spec = self.recurrence
-        if callable(spec):
-            spec = _family_spec(self.name, param, spec)
         return rec_eval(spec, n)
 
 

@@ -2,8 +2,8 @@
 arithmetic and one n at a time.
 
 The package evaluates every term by one `values(ns)` route that steps a
-Pascal-rule kernel (core.class_sums, core.pascal_rows) or a closed rule
-across all n at once.  These are the slow routes the tests hold those
+Pascal-rule kernel (core.class_sums, core.weighted_class_sums,
+core.pascal_rows) or a closed rule across all n at once.  These are the slow routes the tests hold those
 values to: each centered-sum summand as its own binomial, each row sum
 term by term in math.comb.  Nothing here reads a kernel.
 """

@@ -137,6 +137,22 @@ def test_table_unknown_sequence_exits_2(capsys):
     assert code == 2
 
 
+def test_table_unknown_sequence_prints_its_message_without_quotes(capsys):
+    code = run(["table", "--sequence", "nope"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("unknown sequence 'nope'; known: A, ")
+    assert err.rstrip().endswith("scriptLdiag")
+
+
+def test_oeis_check_of_an_unbundled_id_points_at_bfile(capsys):
+    code = run(["oeis-check", "--sequence", "pell", "--id", "A999999"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("no bundled fixture for A999999; oeis-check --bfile PATH reads a b-file "
+                   "downloaded from the OEIS\n")
+
+
 def test_table_missing_parameter_exits_2(capsys):
     code, _ = invoke(capsys, "table", "--sequence", "genlucas")
     assert code == 2

@@ -12,6 +12,7 @@ from binsums.core import (
     kronecker,
     pascal_rows,
     rec_eval,
+    weighted_class_sums,
 )
 from binsums.sequences import _PARTIAL_ROWS, seq_eval
 
@@ -288,6 +289,37 @@ def test_class_sums_match_folded_rows():
 def test_class_sums_rejects_empty_period():
     with pytest.raises(ValueError):
         next(class_sums(0))
+
+
+# order 1 (last coefficient 3), Pell-like, a double root (x - 2)^2, and
+# order 3 with last coefficient -5
+_WEIGHT_SPECS = [RecurrenceSpec("geo", (3,), (2,)), RecurrenceSpec("pellish", (2, 1), (1, -3)),
+                 RecurrenceSpec("double", (4, -4), (1, 0)),
+                 RecurrenceSpec("cubic", (1, 2, -5), (4, -1, 7))]
+
+
+@pytest.mark.parametrize("spec", _WEIGHT_SPECS, ids=lambda s: s.name)
+def test_weighted_class_sums_match_folded_rows(spec):
+    # g(1), g(2), ... by the forward recurrence alone, from the seeds
+    g = [None, *spec.seeds]
+    while len(g) < 64:
+        g.append(sum(c * g[-i] for i, c in enumerate(spec.coeffs, 1)))
+    for period in range(1, 8):
+        for row_odd in (False, True):
+            steps = weighted_class_sums(period, spec, row_odd)
+            for n, (middle, sums) in zip(range(61), steps):
+                row = TRI[2 * n + 1 if row_odd else 2 * n]
+                folded = [0] * period
+                for k in range(1, len(row) - n):
+                    folded[k % period] += row[n + k] * g[k]
+                assert (middle, sums) == (row[n], folded), (period, row_odd, n)
+
+
+def test_weighted_class_sums_refuse_what_they_cannot_step():
+    with pytest.raises(ValueError, match="period >= 1"):
+        next(weighted_class_sums(0, _WEIGHT_SPECS[0]))
+    with pytest.raises(ValueError, match="last coefficient"):
+        next(weighted_class_sums(2, RecurrenceSpec("stops", (1, 0), (1, 1))))
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])

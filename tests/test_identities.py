@@ -6,7 +6,7 @@ import pytest
 
 import cyclo_reference as ring
 import identities_reference as ref
-from binsums.core import binomial
+from binsums.core import RecurrenceSpec, binomial
 from binsums.identities import (
     _SIGNS,
     FAMILIES,
@@ -283,6 +283,15 @@ def _synthetic_sums():
                               weight_oracle=OracleRef("lucas", a=3, b=-1))
             yield CenteredSum((0, 2, -1), 3, row_odd, 0, sign,
                               weight_oracle=OracleRef("lewis", param=2))
+            # last coefficients not +-1: pelltrans (4, -2) at 2k+1 is (20, -4),
+            # A094667 keeps its -5; zero entries in a period > 1 table
+            yield CenteredSum((0, 1, 0, -2), 4, row_odd, 3, sign,
+                              weight_oracle=OracleRef("pelltrans", a=2, b=1))
+            yield CenteredSum((1, 0, 0, 0, -1), 5, row_odd, 0, sign,
+                              weight_oracle=OracleRef("A094667"))
+            # a >= 2 and b < 0: k = 1, 2 read fib(-3), fib(-1) by its negative rule
+            yield CenteredSum((2, 0, -1), 3, row_odd, -1, sign,
+                              weight_oracle=OracleRef("fib", a=2, b=-5))
 
 
 def test_sweep_equals_direct_evaluation_on_synthetic_sums():
@@ -295,6 +304,102 @@ def test_sweep_equals_direct_evaluation_on_synthetic_sums():
         assert swept == direct, term
         if all(w.denominator == 1 for w in (term.center, *term.weights)):
             assert all(type(v) is int for v in swept), term
+
+
+def test_weight_oracle_sums_equal_direct_evaluation_to_200():
+    """Each weight-oracle sum of _synthetic_sums, every sign rule and both
+    row parities, stepped to n = 200 and read at a spread of n."""
+    ns = list(range(25)) + [64, 127, 198, 199, 200]
+    weighted = [term for term in _synthetic_sums() if term.weight_oracle is not None]
+    assert len(weighted) == 5 * len(_SIGNS) * 2
+    for term in weighted:
+        assert term.values(ns) == [ref.centered_sum(term, n) for n in ns], term
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (OracleRef("halfrow"), "weight oracle halfrow: it has no recurrence, so no sum can step it"),
+    (OracleRef("A"), "weight oracle A: it has no recurrence"),
+    (OracleRef("lucas", a=0, b=3), r"weight oracle lucas: its index 0k\+3 needs a >= 1"),
+    (OracleRef("fib", a=-2), "weight oracle fib: its index -2k needs a >= 1"),
+])
+def test_a_weight_oracle_the_kernel_cannot_step_is_refused(oracle, message):
+    with pytest.raises(ValueError, match=message):
+        CenteredSum((1,), 1, weight_oracle=oracle)
+
+
+def test_a_weight_recurrence_ending_in_zero_is_refused(monkeypatch):
+    from binsums import sequences
+    spec = RecurrenceSpec("stops", (1, 0), (1, 1))
+    monkeypatch.setitem(sequences._REGISTRY, "stops", sequences.SequenceOracle("stops", spec))
+    with pytest.raises(ValueError, match="weight oracle stops: its recurrence's last coeff"):
+        CenteredSum((1,), 1, weight_oracle=OracleRef("stops"))
+
+
+def test_a_weight_read_below_its_oracles_start_raises_as_in_the_reference():
+    # A094789 starts at 1, so k = 1 of A094789(k - 1) has no value
+    term = CenteredSum((1,), 1, weight_oracle=OracleRef("A094789", b=-1))
+    with pytest.raises(ValueError, match="A094789 is not defined at n = 0"):
+        ref.centered_sum(term, 1)
+    with pytest.raises(ValueError, match="A094789 is not defined at n = 0"):
+        term.values([0, 1, 2])
+    shifted = replace(term, weight_oracle=OracleRef("A094789"))
+    assert shifted.values(list(range(30))) == [ref.centered_sum(shifted, n) for n in range(30)]
+
+
+def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
+    """lewis-family[t=5] steps L(10k) by its order-2 recurrence: the weight
+    is read at most d + 1 = 3 times, through OracleRef.value or rec_eval,
+    however far the rows run, and core.pascal_rows is never read."""
+    from binsums import identities, sequences
+    (ident,) = [i for i in find("lewis-family") if i.lhs.param == 5]
+    (term,) = ident.terms
+    reads = []
+    value, rec_eval = OracleRef.value, sequences.rec_eval
+
+    def counted_value(self, v):
+        if self == term.weight_oracle:
+            reads.append(v)
+        return value(self, v)
+
+    def counted_rec_eval(spec, n):
+        if spec.name == "lucas":
+            reads.append(n)
+        return rec_eval(spec, n)
+
+    def no_rows(*args):
+        raise AssertionError("a weight-oracle sum read core.pascal_rows")
+
+    monkeypatch.setattr(OracleRef, "value", counted_value)
+    monkeypatch.setattr(sequences, "rec_eval", counted_rec_eval)
+    monkeypatch.setattr(identities, "pascal_rows", no_rows)
+    counts = []
+    for n_max in (100, 400):
+        reads.clear()
+        assert rhs_values(ident, range(n_max + 1)) == [ident.lhs.value(n) for n in range(n_max + 1)]
+        counts.append(len(reads))
+    assert counts[0] == counts[1] <= 3
+
+
+@pytest.mark.parametrize("which", sorted(ScaledBinomial._SHAPES))
+def test_scaled_binomial_steps_equal_the_reference_shapes(which):
+    first = 0 if which == "C(2n,n)" else 1
+    ns = list(range(first, 401))
+    for coeff in (1, -3, 0, Fraction(7, 2), Fraction(-5, 3), Fraction(1, 4)):
+        term = ScaledBinomial(coeff, which)
+        values = term.values(ns)
+        assert values == [coeff * ref._SHAPES[which](n) for n in ns], coeff
+        assert [type(v) is int for v in values] == [
+            (coeff * ref._SHAPES[which](n)).denominator == 1 if isinstance(coeff, Fraction)
+            else True for n in ns], coeff
+        assert term.values([first + 9, first + 3, first + 3]) == [values[9], values[3], values[3]]
+
+
+@pytest.mark.parametrize("which", ["C(2n-1,n)", "C(2n-1,n-1)"])
+def test_a_scaled_half_binomial_is_not_defined_at_zero(which):
+    with pytest.raises(ValueError):
+        ref._SHAPES[which](0)
+    with pytest.raises(ValueError, match="not defined at n = 0"):
+        ScaledBinomial(1, which).values([0, 1])
 
 
 @pytest.mark.parametrize("n_min", [0, 5])

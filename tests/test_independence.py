@@ -17,6 +17,7 @@ from binsums.sequences import _FAMILY_SPECS, _PARTIAL_ROWS
 # The shared kernels, keyed by name to the module that defines them.
 KERNELS = {
     "class_sums": core,
+    "weighted_class_sums": core,
     "pascal_rows": core,
     "power_sums": cyclo,
     "cos_product_resultant": cyclo,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cyclo_reference as ring
-from binsums.core import RecurrenceSpec, binomial, kronecker
+from binsums.core import RecurrenceSpec, binomial, kronecker, rec_eval
 from binsums.cyclo import IntPolynomial, chebyshev_monic, power_sums
 from binsums.sequences import (
     _PARTIAL_ROWS,
@@ -260,6 +260,39 @@ def test_the_backward_rule_is_read_from_the_declared_spec():
     assert ok == {"fib", "lucas"}
     assert get_oracle("fib").recurrence.negative_rule == "odd"
     assert get_oracle("lucas").recurrence.negative_rule == "even"
+
+
+def _dilations():
+    for name, oracle in registry().items():
+        if oracle.recurrence is None:
+            continue
+        for param in [None] if oracle.param_name is None else [oracle.param_min, 3, 5]:
+            bs = range(-7, 4) if oracle.negative_ok else range(4)
+            for a in range(1, 5):
+                for b in bs:
+                    yield name, param, a, b
+
+
+def test_a_dilated_spec_reads_its_oracle_along_the_affine_index():
+    seen = set()
+    for name, param, a, b in _dilations():
+        oracle = get_oracle(name)
+        if b < oracle.start and not oracle.negative_ok:
+            with pytest.raises(ValueError, match=f"not defined at n = {b}"):
+                oracle.dilate(param, a, b)
+            continue
+        spec = oracle.dilate(param, a, b)
+        assert len(spec.coeffs) == len(oracle.spec(param).coeffs)
+        assert [rec_eval(spec, k) for k in range(61)] == [
+            seq_eval(name, a * k + b, param) for k in range(61)], (name, param, a, b)
+        seen.add(name)
+    assert seen == set(registry()) - _RULE_ORACLES
+
+
+@pytest.mark.parametrize("name, a", [("fib", 0), ("fib", -1), ("halfrow", 1)])
+def test_dilate_refuses_a_rule_or_a_step_below_one(name, a):
+    with pytest.raises(ValueError, match="a dilation needs a recurrence and a >= 1"):
+        get_oracle(name).dilate(None, a, 1)
 
 
 def _fib(n: int) -> int:
