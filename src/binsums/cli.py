@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit status contract: 0 all checks passed, 1 a verification or comparison
-failed, 2 usage errors (unknown names, bad flags).  Big integers are
-always emitted as decimal strings in JSON and CSV so nothing is truncated
-downstream.
+failed, 2 a bad flag, or an unknown name, bad value or file that a command
+raises into the one handler in `run`.  Big integers are emitted as decimal
+strings in JSON and CSV, so nothing is truncated downstream.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 from . import discovery, identities, oeis
 from .cyclo import cos_power_vector
@@ -42,13 +43,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
+    elif args.format == "csv":  # only verify offers csv
         buf = io.StringIO()
-        entries = payload.get("entries", [payload])
-        writer = csv.DictWriter(buf, fieldnames=list(entries[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(payload["entries"][0]))
         writer.writeheader()
-        for e in entries:
-            writer.writerow(e)
+        writer.writerows(payload["entries"])
         sys.stdout.write(buf.getvalue())
     else:
         for line in text_lines:
@@ -56,25 +55,19 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _cmd_verify(args: argparse.Namespace, registry) -> int:
-    families = list(dict.fromkeys(i.family for i in registry))
+    groups: dict[str, list] = {}
+    for ident in builtin_registry() if registry is None else registry:
+        groups.setdefault(ident.family, []).append(ident)
     if args.identity and args.identity != "all":
-        if args.identity not in families:
-            print(f"unknown identity {args.identity!r}; known: {', '.join(families)}",
-                  file=sys.stderr)
-            return 2
-        families = [args.identity]
-    # a PASS that checked no n would mean nothing
-    idle = next((i for i in registry
-                 if i.family in families and not i.domain.indices(0, args.n_max)), None)
-    if idle is not None:
-        print(f"{idle.label}: its domain {idle.domain} admits no n in 0..{args.n_max}",
-              file=sys.stderr)
-        return 2
+        if args.identity not in groups:
+            raise KeyError(f"unknown identity {args.identity!r}; known: {', '.join(groups)}")
+        groups = {args.identity: groups[args.identity]}
+    for members in groups.values():  # refuse an idle domain before any output
+        for ident in members:
+            ident.indices(0, args.n_max)
     entries = []
-    n_pass = 0
     stream_text = args.format == "text"
-    for fam in families:
-        members = [i for i in registry if i.family == fam]
+    for fam, members in groups.items():
         reports = [verify(m, args.n_max) for m in members]
         bad = next((r for r in reports if not r.passed), None)
         entry = {
@@ -88,21 +81,18 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
             "millis": round(sum(r.elapsed for r in reports) * 1000, 3),
         }
         entries.append(entry)
-        if bad is None:
-            n_pass += 1
         if stream_text:
             line = f"{fam:24s} {entry['status'].upper():4s} n in {entry['domain']:>10s}  checked {entry['checked']:3d}  {entry['millis']:9.3f} ms"
             if bad is not None:
                 line += f"  first divergence n={bad.first_divergence}: lhs={bad.lhs_at_divergence} rhs={bad.rhs_at_divergence}"
             print(line)
-    summary = {"pass": n_pass, "fail": len(families) - n_pass}
-    payload = {"command": "verify", "entries": entries, "summary": summary}
+    n_pass = sum(e["status"] == "pass" for e in entries)
     if stream_text:
-        tag = "PASS" if summary["fail"] == 0 else "FAIL"
-        print(f"{tag} {n_pass}/{len(families)}")
+        print(f"{'PASS' if n_pass == len(groups) else 'FAIL'} {n_pass}/{len(groups)}")
     else:
-        _emit(args, payload, [])
-    return 0 if summary["fail"] == 0 else 1
+        _emit(args, {"command": "verify", "entries": entries,
+                     "summary": {"pass": n_pass, "fail": len(groups) - n_pass}}, [])
+    return 0 if n_pass == len(groups) else 1
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -164,8 +154,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 def _cmd_cospow(args: argparse.Namespace) -> int:
     for flag, value, least in (("--modulus", args.modulus, 1), ("--power", args.power, 0)):
         if value < least:
-            print(f"{flag} must be >= {least}, got {value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     coeffs = cos_power_vector(args.modulus, args.exp, args.power)
     payload = {"command": "cospow", "modulus": args.modulus, "exp": args.exp,
                "power": args.power, "coeffs": [str(c) for c in coeffs]}
@@ -234,18 +223,17 @@ def run(argv: list[str] | None = None, registry=None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.n_max < 1:
-            parser.error("--n-max must be >= 1")
-        return _cmd_verify(args, registry if registry is not None else builtin_registry())
+    if args.command == "verify" and args.n_max < 1:
+        parser.error("--n-max must be >= 1")
     if args.command == "derive":
         try:
             args.index = _parse_index(args.index)
             args.solve_range = _parse_range(args.solve_range) if args.solve_range else ()
         except ValueError as exc:
             parser.error(str(exc))
-    commands = {"table": _cmd_table, "derive": _cmd_derive, "oeis-check": _cmd_oeis_check,
-                "cospow": _cmd_cospow, "export": _cmd_export}
+    commands = {"verify": partial(_cmd_verify, registry=registry), "table": _cmd_table,
+                "derive": _cmd_derive, "oeis-check": _cmd_oeis_check, "cospow": _cmd_cospow,
+                "export": _cmd_export}
     try:
         return commands[args.command](args)
     except (KeyError, ValueError, OSError) as exc:  # an unknown name, a bad value or file

@@ -274,8 +274,8 @@ class SignedRowConvolution:
         x_n the place of n's k = 0 summand in g; a row costs one subtraction
         per entry.
         """
-        if not self.ak:
-            return [0] * len(ns)  # sum_k (-1)^k C(2n+1, k) = 0
+        if not self.ak:  # every summand reads g(an*n + c), and sum_k (-1)^k C(2n+1, k) = 0
+            return [0 * seq_eval(self.oracle_name, self.an * n + self.c) for n in ns]
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d
         first, last = min(ns), max(ns)
@@ -387,12 +387,20 @@ class Identity:
             return self.family
         return f"{self.family}[{pname}={self.lhs.param}]"
 
+    def indices(self, n_min: int, n_max: int) -> list[int]:
+        """The n of the domain in n_min..n_max.  None raises ValueError: a
+        report that checked nothing would read as a pass."""
+        ns = self.domain.indices(n_min, n_max)
+        if not ns:
+            raise ValueError(f"{self.label}: its domain {self.domain} "
+                             f"admits no n in {n_min}..{n_max}")
+        return ns
+
 
 @dataclass(frozen=True)
 class VerificationReport:
     label: str
     checked: tuple[int, ...]
-    per_n: tuple[bool, ...]
     first_divergence: int | None
     lhs_at_divergence: str | None
     rhs_at_divergence: str | None
@@ -425,34 +433,19 @@ def rhs_values(identity: Identity, ns) -> list[int]:
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
-    """Compare the two sides at every admissible n in [n_min, n_max], by
-    exact equality.
-
-    A domain that admits no n in that range raises ValueError: a report
-    that checked nothing would read as a pass.
+    """Compare the two sides at every n of `identity.indices(n_min, n_max)`,
+    by exact equality, and keep the first mismatch.  The left side is read
+    at every n, past a mismatch too.
     """
     t0 = time.perf_counter()
-    ns = identity.domain.indices(n_min, n_max)
-    if not ns:
-        raise ValueError(f"{identity.label}: its domain {identity.domain} "
-                         f"admits no n in {n_min}..{n_max}")
-    sides = zip((identity.lhs.value(n) for n in ns), rhs_values(identity, ns))
-    per_n: list[bool] = []
+    ns = identity.indices(n_min, n_max)
     first = lhs_s = rhs_s = None
-    for n, (lhs, rhs) in zip(ns, sides):
-        ok = lhs == rhs
-        per_n.append(ok)
-        if not ok and first is None:
+    for n, rhs in zip(ns, rhs_values(identity, ns)):
+        lhs = identity.lhs.value(n)
+        if lhs != rhs and first is None:
             first, lhs_s, rhs_s = n, str(lhs), str(rhs)
-    return VerificationReport(
-        label=identity.label,
-        checked=tuple(ns),
-        per_n=tuple(per_n),
-        first_divergence=first,
-        lhs_at_divergence=lhs_s,
-        rhs_at_divergence=rhs_s,
-        elapsed=time.perf_counter() - t0,
-    )
+    return VerificationReport(identity.label, tuple(ns), first, lhs_s, rhs_s,
+                              time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,23 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import binsums
 from binsums.cli import _parse_index, run
-from binsums.identities import FAMILIES, Domain, builtin_registry, find, perturbed
+from binsums.identities import (
+    FAMILIES,
+    CenteredSum,
+    Domain,
+    Identity,
+    OracleRef,
+    builtin_registry,
+    find,
+    perturbed,
+)
 
 
 def invoke(capsys, *argv, registry=None):
@@ -115,6 +125,16 @@ def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
     assert captured.out == ""
     label, domain = ("fib-even", "20..") if registry else ("central-delight", "2.., even")
     assert captured.err.startswith(f"{label}: its domain {domain} admits no n in 0..")
+
+
+def test_a_right_side_that_is_not_an_integer_exits_2_after_the_streamed_lines(capsys):
+    half = Identity("synthetic-half", OracleRef("fib", a=2),
+                    (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
+    code = run(["verify", "--all", "--n-max", "10"], registry=[*find("fib-even"), half])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("fib-even ") and captured.out.count("\n") == 1
+    assert captured.err == "synthetic-half: right side 1/2 is not an integer at n = 1\n"
 
 
 def test_table_output_matches_the_documented_format(capsys):

@@ -91,9 +91,12 @@ def test_exit_values_of_reports():
     report = verify(find("fib-even")[0], 12)
     assert report.passed
     assert report.checked == tuple(range(13))
-    assert all(report.per_n)
     assert report.first_divergence is None
     assert report.elapsed >= 0
+    bad = verify(perturbed(find("fib-even")[0], 2, +1), 12)
+    assert not bad.passed
+    assert bad.checked == tuple(range(13))
+    assert (bad.first_divergence, bad.lhs_at_divergence, bad.rhs_at_divergence) == (2, "3", "5")
 
 
 def test_equivalence_pairs():
@@ -446,6 +449,19 @@ def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
             an, ak, c, ns)
 
 
+def test_row_convolution_with_no_k_step_reads_its_oracle():
+    """With ak = 0 every summand reads g(an*n + c): the sum is 0 only where
+    g is defined there, and raises like the reference elsewhere."""
+    term = SignedRowConvolution("pell", 1, 0, -5)
+    with pytest.raises(ValueError) as direct:
+        ref.signed_row_convolution(term, 0)
+    with pytest.raises(ValueError) as stepped:
+        term.values([0, 1, 2])
+    assert str(stepped.value) == str(direct.value) == "pell is not defined at n = -5"
+    ns = [5, 6, 9]
+    assert term.values(ns) == [ref.signed_row_convolution(term, n) for n in ns] == [0, 0, 0]
+
+
 def test_lucas_row_convolutions_equal_direct_evaluation_to_120():
     ns = list(range(121))
     for ident in find("lucas1878-odd-power"):
@@ -477,29 +493,57 @@ def _reference_sides(ident: Identity, n: int) -> tuple:
     return ident.lhs.value(n), ref.rhs_eval(ident, n)
 
 
-def _reference_report(ident: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
-    ns = ident.domain.indices(n_min, n_max)
-    sides = [_reference_sides(ident, n) for n in ns]
+def _reference_report(ident: Identity, ns: list[int], sides: list[tuple]) -> VerificationReport:
     bad = [(n, lhs, rhs) for n, (lhs, rhs) in zip(ns, sides) if lhs != rhs]
     first, lhs, rhs = bad[0] if bad else (None, None, None)
-    per_n = tuple(left == right for left, right in sides)
-    return VerificationReport(ident.label, tuple(ns), per_n, first,
+    return VerificationReport(ident.label, tuple(ns), first,
                               None if first is None else str(lhs),
                               None if first is None else str(rhs), 0.0)
 
 
-_REPORT_FIELDS = ("label", "checked", "per_n", "first_divergence",
+_REPORT_FIELDS = ("label", "checked", "first_divergence",
                   "lhs_at_divergence", "rhs_at_divergence")
 
 
-def _assert_same_report(got: VerificationReport, want: VerificationReport, *context) -> None:
+def _verify_like_the_reference(ident: Identity, n_max: int, *context) -> VerificationReport:
+    """verify's report, held equal to the reference's; and the per-n
+    equality of the left side with the public rhs_values, held equal to the
+    reference's at every n."""
+    ns = ident.domain.indices(0, n_max)
+    sides = [_reference_sides(ident, n) for n in ns]
+    got, want = verify(ident, n_max), _reference_report(ident, ns, sides)
     for name in _REPORT_FIELDS:
         assert getattr(got, name) == getattr(want, name), (*context, name)
+    equal = [ident.lhs.value(n) == rhs for n, rhs in zip(ns, rhs_values(ident, ns))]
+    assert equal == [lhs == rhs for lhs, rhs in sides], context
+    return got
 
 
 def test_registry_reports_equal_the_reference():
     for ident in builtin_registry():
-        _assert_same_report(verify(ident, 40), _reference_report(ident, 40), ident.label)
+        _verify_like_the_reference(ident, 40, ident.label)
+
+
+@pytest.mark.parametrize("family, residue", [("fib-even", 2), ("lucas-even", 0),
+                                             ("W-odd", 4), ("lewis-family", 0)])
+def test_a_failing_verify_reads_its_left_side_at_every_n(monkeypatch, family, residue):
+    """A mismatch does not end the comparison: the benchmark's perturbed
+    workload expects `checked` to be the whole domain, read on both sides."""
+    reads = []
+    value = OracleRef.value
+
+    def counted(self, v):
+        reads.append((self, v))
+        return value(self, v)
+
+    monkeypatch.setattr(OracleRef, "value", counted)
+    ident = find(family)[-1]
+    bad = perturbed(ident, residue, next(t for t in ident.terms
+                                         if isinstance(t, CenteredSum)).weights[residue] + 1)
+    report = verify(bad, 60)
+    assert not report.passed and report.first_divergence < 20
+    assert report.checked == tuple(bad.domain.indices(0, 60))
+    assert [v for oracle, v in reads if oracle == bad.lhs] == list(report.checked)
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():
@@ -530,9 +574,7 @@ def test_perturbed_reports_equal_direct_evaluation():
                 continue
             for change in (-1, 1):
                 bad = perturbed(ident, residue, weight + change)
-                swept = verify(bad, 40)
-                assert not swept.passed
-                _assert_same_report(swept, _reference_report(bad, 40), bad.label, residue)
+                assert not _verify_like_the_reference(bad, 40, bad.label, residue).passed
 
 
 @pytest.mark.parametrize("ident, n_max, n_min, message", [

@@ -1,7 +1,7 @@
 """Source checks that need no linter: every module-level import is read,
 every top-level function and class is read or exported, every public
-name resolves, every term has one value route, and no module reaches the
-network."""
+name resolves, every term has one value route, only `cli.run` writes to
+stderr, and no module reaches the network."""
 import ast
 from pathlib import Path
 
@@ -116,6 +116,32 @@ def test_the_check_sees_a_term_off_one_route():
               "    if isinstance(term, Swept): return {}\n"
               "    if isinstance(term, Listed): return {}\n")
     assert _terms_off_one_route(source) == ["Twice", "Swept", "Listed", "Unlisted"]
+
+
+def _stderr_writers(source: str) -> list[str]:
+    """Top-level functions that name sys.stderr, and "<module>" for such a
+    statement outside any function."""
+    out = []
+    for node in ast.parse(source).body:
+        if any(isinstance(n, ast.Attribute) and n.attr == "stderr"
+               and isinstance(n.value, ast.Name) and n.value.id == "sys" for n in ast.walk(node)):
+            out.append(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    return out
+
+
+def test_only_run_writes_to_stderr_in_the_cli():
+    """Every refusal of a command reaches the user through run's one handler."""
+    assert _stderr_writers((_PACKAGE / "cli.py").read_text()) == ["run"]
+
+
+def test_the_check_sees_a_command_that_writes_to_stderr():
+    source = ("import sys\n"
+              "def run():\n    print('a', file=sys.stderr)\n"
+              "def _cmd_a():\n    sys.stderr.write('b')\n"
+              "def _cmd_b():\n    def inner():\n        print('c', file=sys.stderr)\n"
+              "def _cmd_c():\n    print('d')\n"
+              "if __name__ == '__main__':\n    print('e', file=sys.stderr)\n")
+    assert _stderr_writers(source) == ["run", "_cmd_a", "_cmd_b", "<module>"]
 
 
 _NETWORK_MODULES = {"urllib", "http", "socket"}
