@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from functools import partial
@@ -37,21 +36,21 @@ def _parse_index(text: str) -> tuple[int, int]:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"solve range {text!r} must read A..B, as in 1..8") from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":  # only verify offers csv
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(payload["entries"][0]))
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(payload["entries"][0]))
         writer.writeheader()
         writer.writerows(payload["entries"])
-        sys.stdout.write(buf.getvalue())
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(text_lines))
 
 
 def _cmd_verify(args: argparse.Namespace, registry) -> int:
@@ -62,9 +61,10 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
         if args.identity not in groups:
             raise KeyError(f"unknown identity {args.identity!r}; known: {', '.join(groups)}")
         groups = {args.identity: groups[args.identity]}
-    for members in groups.values():  # refuse an idle domain before any output
-        for ident in members:
-            ident.indices(0, args.n_max)
+    if not groups:
+        raise ValueError("no identity to verify: the registry is empty")
+    for ident in [i for members in groups.values() for i in members]:
+        ident.indices(0, args.n_max)  # refuse an idle domain before any output
     entries = []
     stream_text = args.format == "text"
     for fam, members in groups.items():

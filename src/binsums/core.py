@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import numbers
 import operator
-import threading
+from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 
@@ -163,7 +164,7 @@ def kronecker(a: int, m: int) -> int:
 _NEGATIVE_RULES = ("odd", "even")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecurrenceSpec:
     """Linear recurrence a(n) = coeffs[0] a(n-1) + ... + coeffs[d-1] a(n-d).
 
@@ -175,41 +176,36 @@ class RecurrenceSpec:
     coeffs: tuple[int, ...]
     seeds: tuple[int, ...]
     negative_rule: str | None = None
-    _table: list[int] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.coeffs = tuple(self.coeffs)
-        self.seeds = tuple(self.seeds)
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         _integer(*self.coeffs, *self.seeds)
         if len(self.seeds) != len(self.coeffs) or not self.coeffs:
             raise ValueError("need len(seeds) == len(coeffs) >= 1")
         if self.negative_rule is not None and self.negative_rule not in _NEGATIVE_RULES:
             raise ValueError(f"unknown negative rule {self.negative_rule!r}")
 
+    def reflection_sign(self, n: int) -> int:
+        """The sign s with a(n) = s a(-n), for n < 0, by the negative rule."""
+        if self.negative_rule is None:
+            raise ValueError(f"{self.name} is not defined for n < 0")
+        return -1 if (n + (self.negative_rule == "odd")) % 2 else 1
 
-# Serializes the extension of every RecurrenceSpec memo table.
-_TABLE_LOCK = threading.Lock()
+
+def rec_steps(spec: RecurrenceSpec) -> Iterator[int]:
+    """a(0), a(1), a(2), ... of spec: the seeds, then each value from the d
+    values before it."""
+    back = deque(reversed(spec.seeds), maxlen=len(spec.seeds))  # a(n-1), ..., a(n-d)
+    yield from spec.seeds
+    while True:
+        back.appendleft(sum(map(operator.mul, spec.coeffs, back)))
+        yield back[0]
 
 
 def rec_eval(spec: RecurrenceSpec, n: int) -> int:
-    """Evaluate the recurrence at index n (iteratively, memoized per spec).
-
-    The memo table is append-only and is extended only under a module lock,
-    re-checking its length there, so no two threads append the same entry
-    and one RecurrenceSpec can be shared between threads.  Reading an entry
-    that is already there takes no lock.
-    """
+    """a(n), stepped from the seeds on every call: O(n d) operations and no
+    memo.  The registered oracles read theirs through the one in sequences."""
     if n < 0:
-        if spec.negative_rule is None:
-            raise ValueError(f"{spec.name} is not defined for n < 0")
-        t = -n
-        sign = -1 if (t + (spec.negative_rule == "odd")) % 2 else 1
-        return sign * rec_eval(spec, t)
-    table = spec._table
-    if len(table) <= n:
-        with _TABLE_LOCK:
-            if not table:
-                table.extend(spec.seeds)
-            while len(table) <= n:
-                table.append(sum(c * table[-i - 1] for i, c in enumerate(spec.coeffs)))
-    return table[n]
+        return spec.reflection_sign(n) * rec_eval(spec, -n)
+    return next(islice(rec_steps(spec), n, None))

@@ -14,6 +14,7 @@ back-substitution, and nothing is ever rounded.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -107,7 +108,7 @@ def _equation_rows(period: int, row_odd: bool, ns: list[int]):
 def _target_value(target: OracleRef, n: int, stage: str, span: tuple[int, int]) -> int:
     try:
         return target.value(n)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:  # the name was checked up front
         raise ValueError(
             f"target {target.name}({target.index_str()}) has no value at n = {n}, "
             f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
@@ -131,8 +132,8 @@ def derive_profile(
     which for even periods is otherwise entangled with the alternating-sign
     row identity.  A unique solution is re-verified on the `holdout`
     indices after the solve range and demoted to infeasible if any fails.
-    A target with no value at an index of either range raises ValueError,
-    and an unknown sequence name KeyError.
+    An unknown name raises KeyError and a refused parameter ValueError, both
+    up front; a target with no value in either range raises ValueError.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -144,7 +145,7 @@ def derive_profile(
         solve_stop = solve_start + period + 3
     if solve_stop - solve_start + 1 < period + 2:
         raise ValueError(f"solve range must supply at least {period + 2} equations")
-    get_oracle(target.name)  # fail early on unknown names
+    get_oracle(target.name).check_param(target.param)  # fail early on a bad name or parameter
 
     unknowns = period if row_odd else period + 1
     elim = _Eliminator(unknowns)
@@ -152,11 +153,8 @@ def derive_profile(
     hold = (solve_stop + 1, solve_stop + holdout)
     ns = list(range(solve_start, solve_stop + 1))
     if not row_odd and 0 not in ns:
-        try:
+        with contextlib.suppress(ValueError):  # n = 0 joins only where the target has a value
             target.value(0)
-        except (ValueError, KeyError):
-            pass
-        else:
             ns.insert(0, 0)
     hold_ns = range(hold[0], hold[1] + 1)
     rows = _equation_rows(period, row_odd, [*ns, *hold_ns])

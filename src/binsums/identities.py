@@ -454,19 +454,12 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
 
 def _kron_weights(m: int, scale: int = 1, alt_half_turn: bool = False) -> tuple[Fraction, ...]:
     """Period-m table scale*(r|m), optionally times (-1)^((r-1)/2) on odd r."""
-    out = []
-    for r in range(m):
-        w = kronecker(r, m) * scale
-        if alt_half_turn and r % 2 and ((r - 1) // 2) % 2:
-            w = -w
-        out.append(Fraction(w))
-    return tuple(out)
+    return tuple(Fraction(kronecker(r, m) * (-scale if alt_half_turn and r % 4 == 3 else scale))
+                 for r in range(m))
 
 
 def _single_residue(m: int, residue: int, value) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * m
-    out[residue] = Fraction(value)
-    return tuple(out)
+    return tuple(Fraction(value if r == residue else 0) for r in range(m))
 
 
 def _build_registry() -> tuple[Identity, ...]:

@@ -61,11 +61,8 @@ def parse_bfile(text: str, seq_id: str = "?", source: str = "") -> BFileTable:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"{seq_id}: malformed b-file line {lineno}: {raw!r}")
-        try:
-            idx, val = int(fields[0]), int(fields[1])
+        try:  # exactly two integer fields
+            idx, val = map(int, line.split())
         except ValueError:
             raise ValueError(f"{seq_id}: malformed b-file line {lineno}: {raw!r}") from None
         if last is not None and idx <= last:

@@ -4,15 +4,16 @@ Each C-finite oracle (a linear recurrence with constant coefficients, Newton
 power sums of an integer characteristic polynomial included) is defined by
 its ``RecurrenceSpec``; the partial-row sums A, B and C read the class sums
 of core.class_sums(5), and the rest are small closed rules.  All of them
-return exact integers on their domain.
+return exact integers on their domain; one memo keeps what the stepped ones yield.
 """
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
 
-from .core import _TABLE_LOCK, RecurrenceSpec, _is_integer, binomial, class_sums, rec_eval
+from .core import RecurrenceSpec, _is_integer, binomial, class_sums, rec_steps
 from .cyclo import IntPolynomial, chebyshev_monic, power_sums
 
 
@@ -38,8 +39,8 @@ class SequenceOracle:
     def negative_ok(self) -> bool:
         return getattr(self.recurrence, "negative_rule", None) is not None
 
-    def spec(self, param: int | None = None) -> RecurrenceSpec | None:
-        """The recurrence of the sequence at param, or None for a rule."""
+    def check_param(self, param: int | None) -> None:
+        """Refuse a parameter this sequence cannot take, with its own message."""
         if param is not None and not _is_integer(param):
             raise TypeError(f"{self.name}: {self.param_name or 'a parameter'} must be an int, not {param!r}")
         if self.param_name is not None:
@@ -49,8 +50,12 @@ class SequenceOracle:
                 raise ValueError(f"{self.name}: {self.param_name} must be >= {self.param_min}")
         elif param is not None:
             raise ValueError(f"sequence {self.name} takes no parameter")
-        spec = self.recurrence
-        return _family_spec(self.name, param, spec) if callable(spec) else spec
+
+    def spec(self, param: int | None = None) -> RecurrenceSpec | None:
+        """The recurrence of the sequence at param, or None for a rule; a
+        family's is built anew on each call."""
+        self.check_param(param)
+        return self.recurrence(param) if callable(self.recurrence) else self.recurrence
 
     def dilate(self, param: int | None, a: int, b: int) -> RecurrenceSpec:
         """The recurrence of k -> self(a*k + b, param), a >= 1, seeded by
@@ -71,22 +76,36 @@ class SequenceOracle:
     def __call__(self, n: int, param: int | None = None) -> int:
         if not _is_integer(n):
             raise TypeError(f"{self.name}: n must be an int, not {n!r}")
-        spec = self.spec(param)
+        self.check_param(param)
         if n < self.start and not self.negative_ok:
             raise ValueError(f"{self.name} is not defined at n = {n}")
         if self.rule is not None:
             return self.rule(param, n)
-        return rec_eval(spec, n)
+        if n < 0:  # fib and lucas: reflected by their spec's negative rule
+            return self.recurrence.reflection_sign(n) * _memo_read(self.name, param, -n)
+        return _memo_read(self.name, param, n)
 
 
-# one recurrence per (family, parameter), built on first use
-_FAMILY_SPECS: dict[tuple[str, int], RecurrenceSpec] = {}
+# (oracle name, parameter) -> (values read so far, iterator of the rest), extended
+# only under _MEMO_LOCK: a generator stepped by two threads at once raises.
+_MEMO: dict[tuple[str, int | None], tuple[list[int], Iterator[int]]] = {}
+_MEMO_LOCK = threading.Lock()
 
 
-def _family_spec(family: str, param: int, make: Callable[[int], RecurrenceSpec]) -> RecurrenceSpec:
-    # setdefault keeps the first spec published, so threads share one memo
-    key = (family, param)
-    return _FAMILY_SPECS.get(key) or _FAMILY_SPECS.setdefault(key, make(param))
+def _memo_read(name: str, param: int | None, n: int, steps: Callable | None = None) -> int:
+    """Value n >= 0 of the iterator steps(param), by default the oracle's own
+    recurrence, stored under (name, param).  A stored value costs one dict
+    lookup and one index.  A new iterator is made before the lock is taken,
+    since building a family's spec may read the memo; stepping one must not."""
+    entry = _MEMO.get((name, param))
+    if entry is not None and n < len(entry[0]):
+        return entry[0][n]
+    fresh = entry or ([], steps(param) if steps else rec_steps(_REGISTRY[name].spec(param)))
+    with _MEMO_LOCK:
+        values, rest = _MEMO.setdefault((name, param), fresh)
+        while len(values) <= n:
+            values.append(next(rest))
+    return values[n]
 
 
 def genlucas_poly(m: int) -> IntPolynomial:
@@ -135,8 +154,11 @@ def _divide_by_m(total: int, m: int, n: int) -> int:
 
 def _scriptl(m: int, n: int) -> int:
     # p_0/m is no integer, so scriptL starts at n = 1 and divides a recurrence
-    spec = _family_spec("scriptL", m, lambda m: _power_sum_spec(f"scriptL({m})", scriptl_poly(m)))
-    return _divide_by_m(rec_eval(spec, n), m, n)
+    return _divide_by_m(_memo_read("scriptL", m, n, _scriptl_powers), m, n)
+
+
+def _scriptl_powers(m: int) -> Iterator[int]:
+    return rec_steps(_power_sum_spec(f"scriptL({m})", scriptl_poly(m)))
 
 
 def _scriptl_diag(n: int) -> int:
@@ -145,24 +167,12 @@ def _scriptl_diag(n: int) -> int:
     return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
 
 
-# S_1 + S_4, S_2 + S_3 and S_0 of class_sums(5) at n = 0, 1, ...: the values of
-# A, B and C.  Extended only under core._TABLE_LOCK, as rec_eval extends its
-# tables, from a kernel generator made whenever the table is read empty.
-_PARTIAL_ROWS: list[tuple[int, int, int]] = []
-_partial_row_steps = None
-
-
-def _partial_row(n: int, which: int) -> int:
-    global _partial_row_steps
-    table = _PARTIAL_ROWS
-    if len(table) <= n:
-        with _TABLE_LOCK:
-            if not table:
-                _partial_row_steps = class_sums(5)
-            while len(table) <= n:
-                _, s = next(_partial_row_steps)
-                table.append((s[1] + s[4], s[2] + s[3], s[0]))
-    return table[n][which]
+def _class_sum_rule(name: str, *residues: int) -> Callable[[None, int], int]:
+    """The rule of the central-row sum over k >= 1 at the residues (mod 5):
+    the class sums of core.class_sums(5), read through the memo."""
+    def steps(_):
+        return (sum(s[r] for r in residues) for _, s in class_sums(5))
+    return lambda _, n: _memo_read(name, None, n, steps)
 
 
 _REGISTRY: dict[str, SequenceOracle] = {
@@ -192,11 +202,11 @@ _REGISTRY: dict[str, SequenceOracle] = {
                        description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
         SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2,
                        description="scriptL with m = n, read at n"),
-        SequenceOracle("A", rule=lambda _, n: _partial_row(n, 0),
+        SequenceOracle("A", rule=_class_sum_rule("A", 1, 4),
                        description="central-row sum over k = 1,4 (mod 5)"),
-        SequenceOracle("B", rule=lambda _, n: _partial_row(n, 1),
+        SequenceOracle("B", rule=_class_sum_rule("B", 2, 3),
                        description="central-row sum over k = 2,3 (mod 5)"),
-        SequenceOracle("C", rule=lambda _, n: _partial_row(n, 2),
+        SequenceOracle("C", rule=_class_sum_rule("C", 0),
                        description="central-row sum over positive multiples of 5"),
         SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2,
                        description="(4^n - C(2n,n))/2, the half row sum"),

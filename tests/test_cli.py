@@ -127,6 +127,15 @@ def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
     assert captured.err.startswith(f"{label}: its domain {domain} admits no n in 0..")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_with_an_empty_selection_exits_2(capsys, fmt):
+    # an empty registry once printed PASS 0/0, and csv raised IndexError
+    code = run(["verify", "--all", "--format", fmt], registry=[])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "no identity to verify: the registry is empty\n"
+
+
 def test_a_right_side_that_is_not_an_integer_exits_2_after_the_streamed_lines(capsys):
     half = Identity("synthetic-half", OracleRef("fib", a=2),
                     (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
@@ -230,6 +239,24 @@ def test_derive_negative_solve_start_exits_2(capsys):
                 "--solve-range=-1..8"])
     assert code == 2
     assert "solve_start must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--target", "fib", "--m", "2"], "sequence fib takes no parameter"),
+    (["--target", "genlucas", "--m", "1"], "genlucas: m must be >= 2"),
+])
+def test_derive_with_a_bad_parameter_names_it_not_an_index(capsys, flags, message):
+    code = run(["derive", *flags, "--index", "2n", "--period", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("text", ["5", "1..", "..8", "1..x", "1-8"])
+def test_derive_with_a_malformed_solve_range_names_the_expected_form(capsys, text):
+    with pytest.raises(SystemExit) as info:
+        run(["derive", "--target", "fib", "--period", "5", f"--solve-range={text}"])
+    assert info.value.code == 2
+    assert f"solve range {text!r} must read A..B, as in 1..8" in capsys.readouterr().err
 
 
 def test_derive_target_out_of_data_in_the_holdout_exits_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -14,7 +15,7 @@ from binsums.core import (
     rec_eval,
     weighted_class_sums,
 )
-from binsums.sequences import _PARTIAL_ROWS, seq_eval
+from binsums.sequences import _MEMO, get_oracle, seq_eval
 
 
 def pascal_triangle(rows):
@@ -207,21 +208,25 @@ def run_threads(work):
     assert not errors, errors
 
 
-def test_rec_eval_memo_survives_concurrent_extension():
-    # Every thread extends the same fresh table from its seeds; a lost
-    # check-then-append race shows as a duplicated entry.
-    reference = RecurrenceSpec("ref", (1, 1), (0, 1))
-    expected = [rec_eval(reference, n) for n in range(400)]
+def test_recurrence_memo_survives_concurrent_extension():
+    # Every thread extends the same fresh memo entries of fib and lewis(3),
+    # whose spec reads fib while it is built; a lost check-then-append race
+    # shows as a duplicated entry, and one generator stepped by two threads
+    # at once raises.
+    lewis = get_oracle("lewis").spec(3)
+    expected = {key: [rec_eval(spec, n) for n in range(400)]
+                for key, spec in ((("fib", None), FIB), (("lewis", 3), lewis))}
     for _ in range(10):
-        spec = RecurrenceSpec("shared", (1, 1), (0, 1))
+        _MEMO.clear()
 
         def work(barrier):
             barrier.wait()
             for n in range(0, 400, 3):
-                rec_eval(spec, n)
+                seq_eval("fib", n)
+                seq_eval("lewis", n, 3)
 
         run_threads(work)
-        assert spec._table == expected
+        assert {key: _MEMO[key][0] for key in expected} == expected
 
 
 def test_partial_row_memo_survives_concurrent_extension():
@@ -229,13 +234,13 @@ def test_partial_row_memo_survives_concurrent_extension():
     # empty memo; a lost check-then-append race shows as a wrong value or a
     # duplicated row.
     names, ns = ("A", "B", "C"), range(301)
-    _PARTIAL_ROWS.clear()
+    _MEMO.clear()
     expected = {(name, n): seq_eval(name, n) for n in ns for name in names}
     shuffled = [list(ns) for _ in range(2)]
     for seed, order in enumerate(shuffled):
         random.Random(seed).shuffle(order)
     for _ in range(20):
-        _PARTIAL_ROWS.clear()
+        _MEMO.clear()
         orders = [list(ns), list(reversed(ns)), *shuffled]
         lock = threading.Lock()
         got = []
@@ -248,7 +253,8 @@ def test_partial_row_memo_survives_concurrent_extension():
 
         run_threads(work)
         assert len(got) == 4 and all(values == expected for values in got)
-        assert _PARTIAL_ROWS == [tuple(expected[name, n] for name in names) for n in ns]
+        assert [_MEMO[name, None][0] for name in names] == [
+            [expected[name, n] for n in ns] for name in names]
 
 
 def test_recurrence_spec_validation():
@@ -259,6 +265,12 @@ def test_recurrence_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec("bad", (1,), (0,), negative_rule="sideways")
 
+
+def test_a_recurrence_spec_is_a_frozen_value():
+    # the memo of stepped values lives in sequences, so a spec holds no state
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FIB.seeds = (1, 1)
+    assert RecurrenceSpec("fib", [1, 1], [0, 1], negative_rule="odd") == FIB
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), "1"], ids=repr)
 def test_recurrence_spec_refuses_an_inexact_coefficient_or_seed(bad):

@@ -99,6 +99,18 @@ def test_target_that_runs_out_in_the_holdout_names_it():
         derive_profile(OracleRef("pell", a=-1, b=70), 80)
 
 
+@pytest.mark.parametrize("name, param, message", [
+    ("fib", 2, "sequence fib takes no parameter"),
+    ("genlucas", 1, "genlucas: m must be >= 2"),
+    ("genlucas", None, "sequence genlucas needs parameter m"),
+])
+def test_a_bad_parameter_is_refused_up_front_with_the_oracles_message(name, param, message):
+    # the n = 0 probe once swallowed the refusal, and the solve loop blamed n = 1
+    with pytest.raises(ValueError) as info:
+        derive_profile(OracleRef(name, param=param, a=2), 5, solve_start=1, solve_stop=8)
+    assert str(info.value) == message
+
+
 # --- the integer solver against a rational reference --------------------------
 
 class FractionEliminator:

@@ -34,7 +34,7 @@ from binsums.identities import (
     rhs_values,
     verify,
 )
-from binsums.sequences import _FAMILY_SPECS
+from binsums.sequences import _MEMO
 
 
 def test_registry_shape():
@@ -351,29 +351,30 @@ def test_a_weight_read_below_its_oracles_start_raises_as_in_the_reference():
 
 def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
     """lewis-family[t=5] steps L(10k) by its order-2 recurrence: the weight
-    is read at most d + 1 = 3 times, through OracleRef.value or rec_eval,
-    however far the rows run, and core.pascal_rows is never read."""
+    is read at most d + 1 = 3 times, through OracleRef.value or the memo
+    of stepped sequences, however far the rows run, and core.pascal_rows is
+    never read."""
     from binsums import identities, sequences
     (ident,) = [i for i in find("lewis-family") if i.lhs.param == 5]
     (term,) = ident.terms
     reads = []
-    value, rec_eval = OracleRef.value, sequences.rec_eval
+    value, memo_read = OracleRef.value, sequences._memo_read
 
     def counted_value(self, v):
         if self == term.weight_oracle:
             reads.append(v)
         return value(self, v)
 
-    def counted_rec_eval(spec, n):
-        if spec.name == "lucas":
+    def counted_memo_read(name, param, n, steps=None):
+        if name == "lucas":
             reads.append(n)
-        return rec_eval(spec, n)
+        return memo_read(name, param, n, steps)
 
     def no_rows(*args):
         raise AssertionError("a weight-oracle sum read core.pascal_rows")
 
     monkeypatch.setattr(OracleRef, "value", counted_value)
-    monkeypatch.setattr(sequences, "rec_eval", counted_rec_eval)
+    monkeypatch.setattr(sequences, "_memo_read", counted_memo_read)
     monkeypatch.setattr(identities, "pascal_rows", no_rows)
     counts = []
     for n_max in (100, 400):
@@ -547,9 +548,9 @@ def test_a_failing_verify_reads_its_left_side_at_every_n(monkeypatch, family, re
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():
-    before = set(_FAMILY_SPECS)
+    _MEMO.clear()
     assert verify(find("central-delight")[0], 200).passed
-    assert set(_FAMILY_SPECS) == before
+    assert [key for key in _MEMO if key[0] == "scriptL" and key[1] > 8] == []
 
 
 def test_domains_and_sweeps_reject_negative_n():

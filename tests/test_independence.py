@@ -12,7 +12,7 @@ import pytest
 
 from binsums import core, cyclo
 from binsums.identities import CenteredSum, Identity, OracleRef, builtin_registry, rhs_values
-from binsums.sequences import _FAMILY_SPECS, _PARTIAL_ROWS
+from binsums.sequences import _MEMO
 
 # The shared kernels, keyed by name to the module that defines them.
 KERNELS = {
@@ -31,8 +31,8 @@ N_MAX = 24
 
 def kernel_reads(ident: Identity, n_max: int = N_MAX) -> dict[str, set[str]]:
     """{"lhs": kernels, "rhs": kernels} the two sides read on the domain up
-    to n_max.  The memo tables a kernel fills are emptied first, so that a
-    read made only when a table is first built is seen on its side."""
+    to n_max.  The memo a kernel fills is emptied first, so that a read
+    made only when a memo entry is first made is seen on its side."""
     reads = {"lhs": set(), "rhs": set()}
     side = ["lhs"]
 
@@ -50,8 +50,7 @@ def kernel_reads(ident: Identity, n_max: int = N_MAX) -> dict[str, set[str]]:
             for module in modules:
                 if getattr(module, name, None) is original:
                     mp.setattr(module, name, traced(name, original))
-        _FAMILY_SPECS.clear()
-        _PARTIAL_ROWS.clear()
+        _MEMO.clear()
         ns = ident.domain.indices(0, n_max)
         lhs = [ident.lhs.value(n) for n in ns]
         side[0] = "rhs"

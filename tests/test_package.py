@@ -71,6 +71,28 @@ def test_the_check_sees_an_unread_definition():
     assert _unread_definitions([lib], [lib, caller], {"public"}) == ["dead", "Unused"]
 
 
+def _threading_importers(sources: dict[str, str]) -> list[str]:
+    """Names of the sources that import threading anywhere in their code."""
+    def imports_threading(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "threading" for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading"
+    return [name for name, source in sources.items()
+            if any(map(imports_threading, ast.walk(ast.parse(source))))]
+
+
+def test_only_the_one_memo_takes_a_lock():
+    # the memo of stepped sequences is the package's only shared state
+    sources = {p.name: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
+    assert _threading_importers(sources) == ["sequences.py"]
+
+
+def test_the_check_sees_a_threading_import():
+    sources = {"a.py": "import threading\n", "b.py": "def f():\n    from threading import Lock\n",
+               "c.py": "import os, threading as t\n", "d.py": "import os\nthreading = 1\n",
+               "e.py": "from . import threads\n"}
+    assert _threading_importers(sources) == ["a.py", "b.py", "c.py"]
+
 _SECOND_ROUTES = {"evaluate", "sweep", "terms_at"}
 
 

@@ -8,7 +8,7 @@ import cyclo_reference as ring
 from binsums.core import RecurrenceSpec, binomial, kronecker, rec_eval
 from binsums.cyclo import IntPolynomial, chebyshev_monic, power_sums
 from binsums.sequences import (
-    _PARTIAL_ROWS,
+    _MEMO,
     SequenceOracle,
     genlucas_poly,
     get_oracle,
@@ -79,13 +79,34 @@ def test_partial_row_sums_match_their_definitions():
     shuffled = list(range(201))
     random.Random(1).shuffle(shuffled)
     for order in (descending, shuffled):
-        _PARTIAL_ROWS.clear()
+        _MEMO.clear()
         for n in order:
             row = [math.comb(2 * n, n + k) for k in range(n + 1)]
             assert seq_eval("A", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (1, 4)), n
             assert seq_eval("B", n) == sum(row[k] for k in range(1, n + 1) if k % 5 in (2, 3)), n
             assert seq_eval("C", n) == sum(row[k] for k in range(1, n + 1) if k % 5 == 0), n
 
+
+
+def test_every_stepped_oracle_read_from_an_empty_memo_equals_rec_eval():
+    """Every recurrence oracle (n < 0 too for fib and lucas), each family at
+    two parameters, read in one shuffled order from an empty memo, equals
+    rec_eval of its spec stepped from the seeds; scriptL equals Newton's
+    identities divided by m."""
+    reads = []
+    for name, oracle in registry().items():
+        if oracle.recurrence is None and name != "scriptL":
+            continue
+        params = [None] if oracle.param_name is None else [oracle.param_min, 5]
+        lo = -30 if oracle.negative_ok else oracle.start
+        reads += [(name, param, n) for param in params for n in range(lo, 61)]
+    assert {r[0] for r in reads if r[2] < 0} == {"fib", "lucas"}
+    random.Random(2).shuffle(reads)
+    _MEMO.clear()
+    for name, param, n in reads:
+        expected = (power_sums(scriptl_poly(param), n)[n] // param if name == "scriptL"
+                    else rec_eval(get_oracle(name).spec(param), n))
+        assert seq_eval(name, n, param) == expected, (name, param, n)
 
 def test_qrdiff_is_r_minus_q():
     for n in range(1, 201):
