@@ -9,7 +9,7 @@ checks them against independent recurrence oracles and bundled OEIS
 b-files, and can solve exactly for the weight table that fits a target
 sequence.
 """
-from .core import RecurrenceSpec, binomial, kronecker, rec_eval
+from .core import RecurrenceSpec, binomial, kronecker
 from .cyclo import IntPolynomial, chebyshev_monic, cos_power_vector, power_sums
 from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
@@ -51,7 +51,6 @@ __all__ = [
     "load_fixture",
     "parse_bfile",
     "power_sums",
-    "rec_eval",
     "registry",
     "registry_json",
     "rhs_values",

@@ -21,17 +21,29 @@ from .sequences import get_oracle, seq_slice
 DEFAULT_N_MAX = 50
 
 
+def positive_int(text: str) -> int:
+    """The value of --n-max, an int >= 1; argparse names this function
+    when the text is no int."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
 def _parse_index(text: str) -> tuple[int, int]:
     """Affine index maps like 'n', '2n', '2n+1', 'n-1', '-n+70'."""
     s = text.replace(" ", "")
     if "n" not in s:
-        raise ValueError(f"index map {text!r} must mention n")
+        raise argparse.ArgumentTypeError(f"index map {text!r} must mention n")
     head, _, tail = s.partition("n")
     if tail and tail[0] not in "+-":
-        raise ValueError(f"index map {text!r}: the offset after n needs a sign, as in 2n+1")
-    a = int(head + "1") if head in ("", "+", "-") else int(head)
-    b = int(tail) if tail else 0
-    return a, b
+        raise argparse.ArgumentTypeError(
+            f"index map {text!r}: the offset after n needs a sign, as in 2n+1")
+    try:
+        return int(head + "1") if head in ("", "+", "-") else int(head), int(tail or 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"index map {text!r} must read an+b, as in 2n+1") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -39,7 +51,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         return int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"solve range {text!r} must read A..B, as in 1..8") from None
+        raise argparse.ArgumentTypeError(
+            f"solve range {text!r} must read A..B, as in 1..8") from None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -57,7 +70,7 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
     groups: dict[str, list] = {}
     for ident in builtin_registry() if registry is None else registry:
         groups.setdefault(ident.family, []).append(ident)
-    if args.identity and args.identity != "all":
+    if args.identity:
         if args.identity not in groups:
             raise KeyError(f"unknown identity {args.identity!r}; known: {', '.join(groups)}")
         groups = {args.identity: groups[args.identity]}
@@ -178,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--identity", help="single identity family id")
     g.add_argument("--all", action="store_true", help="all identities (default)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--n-max", type=positive_int, default=DEFAULT_N_MAX)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("table", help="print leading values of a sequence")
@@ -192,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--row", choices=("even", "odd"), default="even")
-    p.add_argument("--solve-range", default=None, help="A..B")
-    p.add_argument("--index", default="n", help="target index map, e.g. 2n or 2n+1")
+    p.add_argument("--solve-range", type=_parse_range, default=(), help="A..B")
+    p.add_argument("--index", type=_parse_index, default="n", help="target index map, e.g. 2n or 2n+1")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")
@@ -210,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("export", help="dump the identity registry as JSON")
-    p.add_argument("--format", choices=("json",), default="json")
+    sub.add_parser("export", help="dump the identity registry as JSON")
     return parser
 
 
@@ -221,16 +233,7 @@ def run(argv: list[str] | None = None, registry=None) -> int:
     A substitute identity registry can be injected for testing the
     exit-status contract.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.n_max < 1:
-        parser.error("--n-max must be >= 1")
-    if args.command == "derive":
-        try:
-            args.index = _parse_index(args.index)
-            args.solve_range = _parse_range(args.solve_range) if args.solve_range else ()
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = _build_parser().parse_args(argv)
     commands = {"verify": partial(_cmd_verify, registry=registry), "table": _cmd_table,
                 "derive": _cmd_derive, "oeis-check": _cmd_oeis_check, "cospow": _cmd_cospow,
                 "export": _cmd_export}

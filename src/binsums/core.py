@@ -9,7 +9,6 @@ import operator
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 
 
@@ -202,10 +201,3 @@ def rec_steps(spec: RecurrenceSpec) -> Iterator[int]:
         back.appendleft(sum(map(operator.mul, spec.coeffs, back)))
         yield back[0]
 
-
-def rec_eval(spec: RecurrenceSpec, n: int) -> int:
-    """a(n), stepped from the seeds on every call: O(n d) operations and no
-    memo.  The registered oracles read theirs through the one in sequences."""
-    if n < 0:
-        return spec.reflection_sign(n) * rec_eval(spec, -n)
-    return next(islice(rec_steps(spec), n, None))

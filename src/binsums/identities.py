@@ -191,6 +191,9 @@ class Power:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", _rational(self.coeff))
         _integer(self.base, self.ea, self.eb)
+        if self.base == 0 and (self.ea < 0 or self.eb < 0):
+            raise ValueError(f"a power of base 0 needs an exponent that is never negative, "
+                             f"not {_affine_str(self.ea, self.eb, 'n')}")
 
     def values(self, ns: list[int]) -> list:
         coeff, base = _exact(self.coeff), self.base

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import binsums
-from binsums.cli import _parse_index, run
+from binsums.cli import _build_parser, _parse_index, run
 from binsums.identities import (
     FAMILIES,
     CenteredSum,
@@ -234,6 +234,39 @@ def test_index_maps_parse(index, parsed):
     assert _parse_index(index) == parsed
 
 
+_DERIVE = ["derive", "--target", "fib", "--period", "5"]
+
+
+@pytest.mark.parametrize("index", ["n+", "2xn", "n+1x", "1.5n", "--n"])
+def test_derive_with_a_malformed_index_names_the_expected_form(capsys, index):
+    # these once printed a bare int() error that named neither flag nor form
+    with pytest.raises(SystemExit) as info:
+        run([*_DERIVE, f"--index={index}"])
+    assert info.value.code == 2
+    assert f"index map {index!r} must read an+b, as in 2n+1" in capsys.readouterr().err
+
+
+def test_derive_flags_parse_to_tuples():
+    args = _build_parser().parse_args([*_DERIVE, "--index", "2n+1", "--solve-range", "1..8"])
+    assert (args.index, args.solve_range) == ((2, 1), (1, 8))
+    args = _build_parser().parse_args(_DERIVE)
+    assert (args.index, args.solve_range) == ((1, 0), ())
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--n-max", "0"], "binsums verify: error: argument --n-max: must be >= 1"),
+    ([*_DERIVE, "--index", "5"],
+     "binsums derive: error: argument --index: index map '5' must mention n"),
+    ([*_DERIVE, "--solve-range", "5"],
+     "binsums derive: error: argument --solve-range: solve range '5' must read A..B, as in 1..8"),
+])
+def test_a_bad_flag_value_is_a_usage_error_that_names_the_flag(capsys, argv, line):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 def test_derive_negative_solve_start_exits_2(capsys):
     code = run(["derive", "--target", "fib", "--index", "2n", "--period", "5",
                 "--solve-range=-1..8"])
@@ -366,6 +399,20 @@ def test_export_is_byte_identical_to_the_pinned_catalogue(capsys):
     data = out.encode("utf-8")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (
         45631, "eb4181010d58ea42bd12daf71d721e607561fb84c17b5c50b0779acd400fd16b")
+
+
+def test_export_takes_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["export", "--format", "json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_all_is_not_an_identity_name(capsys):
+    # --all, or no selection flag, asks for every family
+    code = run(["verify", "--identity", "all", "--n-max", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("unknown identity 'all'; known: fib-even, ")
 
 
 def test_usage_error_exit_code():

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,10 +13,11 @@ from binsums.core import (
     class_sums,
     kronecker,
     pascal_rows,
-    rec_eval,
+    rec_steps,
     weighted_class_sums,
 )
 from binsums.sequences import _MEMO, get_oracle, seq_eval
+from recurrence_reference import rec_eval
 
 
 def pascal_triangle(rows):
@@ -151,35 +153,45 @@ W = RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5))
 S = RecurrenceSpec("S", (6, -9, 1), (1, 2, 6))
 
 
-def test_rec_eval_examples():
-    assert rec_eval(FIB, 12) == 144
-    assert rec_eval(W, 7) == -57
-    assert rec_eval(S, 5) == 207
-    assert rec_eval(FIB, -2) == -1
+def steps(spec, count):
+    return list(islice(rec_steps(spec), count))
 
 
-def test_rec_eval_memo_is_deterministic():
+def test_rec_steps_examples():
+    assert steps(FIB, 13)[12] == 144
+    assert steps(W, 8)[7] == -57
+    assert steps(S, 6)[5] == 207
+    assert seq_eval("fib", -2) == -1
+
+
+def test_rec_steps_restarts_from_the_seeds_on_each_call():
     spec = RecurrenceSpec("f", (1, 1), (0, 1))
-    first = [rec_eval(spec, n) for n in (30, 5, 30)]
-    assert first == [832040, 5, 832040]
+    first = steps(spec, 31)
+    assert [first[30], first[5]] == [832040, 5]
+    assert steps(spec, 31) == first
+    assert spec == RecurrenceSpec("f", (1, 1), (0, 1))
 
 
 def test_backward_extension_satisfies_recurrence():
     # a(n) = a(n-1) + a(n-2) must keep holding through negative indices
-    for spec in (FIB, LUCAS):
+    for name in ("fib", "lucas"):
         for n in range(-20, 41):
-            assert rec_eval(spec, n) == rec_eval(spec, n - 1) + rec_eval(spec, n - 2)
+            assert seq_eval(name, n) == seq_eval(name, n - 1) + seq_eval(name, n - 2)
 
 
 def test_backward_reflection_rules():
     for t in range(1, 21):
-        assert rec_eval(FIB, -t) == (-1) ** (t + 1) * rec_eval(FIB, t)
-        assert rec_eval(LUCAS, -t) == (-1) ** t * rec_eval(LUCAS, t)
+        assert FIB.reflection_sign(-t) == (-1) ** (t + 1)
+        assert LUCAS.reflection_sign(-t) == (-1) ** t
+        assert seq_eval("fib", -t) == (-1) ** (t + 1) * seq_eval("fib", t)
+        assert seq_eval("lucas", -t) == (-1) ** t * seq_eval("lucas", t)
 
 
 def test_negative_index_rejected_without_rule():
-    with pytest.raises(ValueError):
-        rec_eval(W, -1)
+    with pytest.raises(ValueError, match="W is not defined for n < 0"):
+        W.reflection_sign(-1)
+    with pytest.raises(ValueError, match="W is not defined at n = -1"):
+        seq_eval("W", -1)
 
 
 def run_threads(work):
@@ -280,10 +292,11 @@ def test_recurrence_spec_refuses_an_inexact_coefficient_or_seed(bad):
         RecurrenceSpec("x", (1, 1), (0, bad))
 
 
-def test_rec_eval_of_a_float_coefficient_is_refused_not_computed():
-    # a float coefficient once gave rec_eval(spec, 3) == 3.375
-    with pytest.raises(TypeError):
-        rec_eval(RecurrenceSpec("x", (1.5,), (1,)), 3)
+def test_a_float_coefficient_is_refused_before_any_value_is_stepped():
+    # a float coefficient once gave a(3) == 3.375; no spec holding one is built,
+    # so neither rec_steps nor an oracle can step it
+    with pytest.raises(TypeError, match="must be an int"):
+        steps(RecurrenceSpec("x", (1.5,), (1,)), 4)
 
 
 def test_class_sums_match_folded_rows():

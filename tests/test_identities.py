@@ -190,6 +190,23 @@ def test_binomial_transform_refuses_a_stride_below_one_or_a_negative_offset(stri
         BinomialTransform(OracleRef("fib"), stride, offset)
 
 
+@pytest.mark.parametrize("ea, eb, exponent", [(1, -1, "n-1"), (-1, 0, "-n"), (-2, 5, "-2n+5"),
+                                              (0, -3, "0n-3")])
+def test_a_power_of_zero_that_can_take_a_negative_exponent_is_refused(ea, eb, exponent):
+    # values once raised ZeroDivisionError, which no CLI handler catches
+    with pytest.raises(ValueError) as info:
+        Power(1, 0, ea, eb)
+    assert str(info.value) == ("a power of base 0 needs an exponent that is never "
+                               f"negative, not {exponent}")
+
+
+def test_powers_of_zero_with_a_non_negative_exponent_and_the_registry_powers_build():
+    assert Power(3, 0, 1).values([0, 1, 2]) == [3, 0, 0]
+    assert Power(1, 0, 0, 2).values([0, 5]) == [0, 0]
+    powers = [t for ident in builtin_registry() for t in ident.terms if isinstance(t, Power)]
+    assert powers and all(replace(t) == t for t in powers)
+
+
 def test_period_below_one_is_refused():
     with pytest.raises(ValueError, match="period >= 1"):
         CenteredSum((), 0)

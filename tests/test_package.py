@@ -1,7 +1,7 @@
 """Source checks that need no linter: every module-level import is read,
-every top-level function and class is read or exported, every public
-name resolves, every term has one value route, only `cli.run` writes to
-stderr, and no module reaches the network."""
+every top-level function and class is read or exported (each of core's
+by another module), every public name resolves, every term has one value
+route, only `cli.run` writes to stderr, and no module reaches the network."""
 import ast
 from pathlib import Path
 
@@ -69,6 +69,17 @@ def test_the_check_sees_an_unread_definition():
     lib = "def used(): pass\ndef dead(): pass\ndef public(): pass\nclass Unused: pass\n"
     caller = "import lib\nlib.used()\ndead = 1\n"
     assert _unread_definitions([lib], [lib, caller], {"public"}) == ["dead", "Unused"]
+    # with core left out of the readers, a name only core reads counts as unread
+    core = "def kernel(): pass\ndef helper(): pass\ndef route(): return helper()\n"
+    other = "from .core import kernel, route\nkernel()\n"
+    assert _unread_definitions([core], [other], set()) == ["helper", "route"]
+
+
+def test_every_core_definition_is_read_by_another_module():
+    # a kernel that only core itself or the public names read is a second
+    # route to some value, so it goes
+    others = [p.read_text() for p in _MODULES if p.name != "core.py"]
+    assert _unread_definitions([(_PACKAGE / "core.py").read_text()], others, set()) == []
 
 
 def _threading_importers(sources: dict[str, str]) -> list[str]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cyclo_reference as ring
-from binsums.core import RecurrenceSpec, binomial, kronecker, rec_eval
+from binsums.core import RecurrenceSpec, binomial, kronecker
 from binsums.cyclo import IntPolynomial, chebyshev_monic, power_sums
 from binsums.sequences import (
     _MEMO,
@@ -17,6 +17,7 @@ from binsums.sequences import (
     seq_eval,
     seq_slice,
 )
+from recurrence_reference import rec_eval
 
 
 def test_registry_contains_the_documented_names():
