@@ -10,7 +10,7 @@ b-files, and can solve exactly for the weight table that fits a target
 sequence.
 """
 from .core import RecurrenceSpec, binomial, kronecker
-from .cyclo import IntPolynomial, chebyshev_monic, cos_power_vector, power_sums
+from .cyclo import IntPolynomial, chebyshev_monic, power_sums
 from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
     Identity,
@@ -23,14 +23,13 @@ from .identities import (
     rhs_values,
     verify,
 )
-from .oeis import AlignmentReport, BFileTable, compare, load_fixture, parse_bfile
+from .oeis import AlignmentReport, compare, load_fixture, parse_bfile
 from .sequences import SequenceOracle, registry, seq_eval, seq_slice
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentReport",
-    "BFileTable",
     "Identity",
     "IntPolynomial",
     "OracleRef",
@@ -42,7 +41,6 @@ __all__ = [
     "builtin_registry",
     "chebyshev_monic",
     "compare",
-    "cos_power_vector",
     "derive_profile",
     "find",
     "identity_from_profile",

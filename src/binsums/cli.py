@@ -14,7 +14,6 @@ import sys
 from functools import partial
 
 from . import discovery, identities, oeis
-from .cyclo import cos_power_vector
 from .identities import OracleRef, builtin_registry, verify
 from .sequences import get_oracle, seq_slice
 
@@ -142,10 +141,10 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     get_oracle(args.sequence)
     if args.bfile:
         with open(args.bfile, "r", encoding="ascii") as fh:
-            table = oeis.parse_bfile(fh.read(), args.seq_id, source=args.bfile)
+            table = oeis.parse_bfile(fh.read(), args.seq_id)
     else:
         table = oeis.load_fixture(args.seq_id)
-    # a missing or out-of-range --m, or a --count below 20, is a usage error
+    # a missing or out-of-range --m, or a --count below oeis.MIN_MATCH, is a usage error
     report = oeis.compare(args.sequence, table, args.count, args.m)
     payload = {"command": "oeis-check", "sequence": args.sequence, "id": args.seq_id,
                "shift": report.shift, "matched": report.matched,
@@ -162,17 +161,6 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         lines.append(f"first divergence at n={i}: local {lv}, b-file {bv}")
     _emit(args, payload, lines)
     return 0 if report.is_match else 1
-
-
-def _cmd_cospow(args: argparse.Namespace) -> int:
-    for flag, value, least in (("--modulus", args.modulus, 1), ("--power", args.power, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
-    coeffs = cos_power_vector(args.modulus, args.exp, args.power)
-    payload = {"command": "cospow", "modulus": args.modulus, "exp": args.exp,
-               "power": args.power, "coeffs": [str(c) for c in coeffs]}
-    _emit(args, payload, ["[" + ", ".join(str(c) for c in coeffs) + "]"])
-    return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -217,12 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("cospow", help="print a cosine power vector")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--exp", type=int, required=True)
-    p.add_argument("--power", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
     sub.add_parser("export", help="dump the identity registry as JSON")
     return parser
 
@@ -235,8 +217,7 @@ def run(argv: list[str] | None = None, registry=None) -> int:
     """
     args = _build_parser().parse_args(argv)
     commands = {"verify": partial(_cmd_verify, registry=registry), "table": _cmd_table,
-                "derive": _cmd_derive, "oeis-check": _cmd_oeis_check, "cospow": _cmd_cospow,
-                "export": _cmd_export}
+                "derive": _cmd_derive, "oeis-check": _cmd_oeis_check, "export": _cmd_export}
     try:
         return commands[args.command](args)
     except (KeyError, ValueError, OSError) as exc:  # an unknown name, a bad value or file

@@ -1,11 +1,10 @@
 """Exact integer polynomials for the paper's cosine values.
 
-The double-angle cosine value 2cos(a*pi/N) reaches the package in three
-integer forms: the residue-placed binomial coefficients of a cosine power
-(the vector of (z^e + z^-e)^power mod z^N - 1), the monic Chebyshev
-polynomial D_m whose roots are the odd-numerator cosines, with the Newton
-power sums of such polynomials, and one remainder modulo z^2 - 3z + 1 for
-the cosine product.  All of them stay in exact integer arithmetic.
+The double-angle cosine value 2cos(a*pi/N) reaches the package in two
+integer forms: the monic Chebyshev polynomial D_m whose roots are the
+odd-numerator cosines, with the Newton power sums of such polynomials, and
+one remainder modulo z^2 - 3z + 1 for the cosine product.  Both stay in
+exact integer arithmetic.
 """
 from __future__ import annotations
 
@@ -13,25 +12,6 @@ import operator
 from dataclasses import dataclass
 
 from .core import _integer
-
-
-def cos_power_vector(n_mod: int, e: int, power: int) -> tuple[int, ...]:
-    """(z^e + z^(-e))^power reduced mod z^n_mod - 1, as its coefficients.
-
-    Entry j collects the binomial coefficients C(power, i) of every i whose
-    exponent e*(2i - power) lands on residue j, which is the exact vector
-    form of the cosine power expansion; each C(power, i) is placed directly.
-    """
-    if n_mod < 1:
-        raise ValueError("modulus must be >= 1")
-    if power < 0:
-        raise ValueError("negative powers are not defined here")
-    out = [0] * n_mod
-    c = 1  # C(power, 0), stepped multiplicatively
-    for i in range(power + 1):
-        out[(e * (2 * i - power)) % n_mod] += c
-        c = c * (power - i) // (i + 1)
-    return tuple(out)
 
 
 def cos_product_resultant(m: int) -> int:

@@ -40,12 +40,17 @@ SIGN_ALT_NK = "(-1)^(n-k)"
 _SIGNS = (SIGN_NONE, SIGN_ALT_K, SIGN_ALT_J, SIGN_ALT_NK)
 
 
-def _affine_str(a: int, b: int, var: str) -> str:
-    """a*var + b as written in the JSON format: "n", "-n", "2n", "3k-1"."""
-    lead = {1: var, -1: f"-{var}"}.get(a, f"{a}{var}")
-    if b == 0:
-        return lead
-    return f"{lead}{'+' if b > 0 else '-'}{abs(b)}"
+def _affine_str(slopes: dict[str, int], b: int) -> str:
+    """The sum of a*var over the slopes, plus b, as written in the JSON
+    format: "n", "-n", "2n", "3k-1", "4n-4k+2"; a zero slope is left out,
+    so with every slope 0 only b is written, as in "3"."""
+    out = ""
+    for var, a in slopes.items():
+        if a:
+            out += ("+" if out and a > 0 else "") + {1: var, -1: f"-{var}"}.get(a, f"{a}{var}")
+    if b or not out:
+        out += ("+" if out and b > 0 else "") + str(b)
+    return out
 
 
 def _rational(x) -> Fraction:
@@ -87,7 +92,7 @@ class OracleRef:
         return seq_eval(self.name, self.a * v + self.b, self.param)
 
     def index_str(self, var: str = "n") -> str:
-        return _affine_str(self.a, self.b, var)
+        return _affine_str({var: self.a}, self.b)
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,7 @@ class Power:
         _integer(self.base, self.ea, self.eb)
         if self.base == 0 and (self.ea < 0 or self.eb < 0):
             raise ValueError(f"a power of base 0 needs an exponent that is never negative, "
-                             f"not {_affine_str(self.ea, self.eb, 'n')}")
+                             f"not {_affine_str({'n': self.ea}, self.eb)}")
 
     def values(self, ns: list[int]) -> list:
         coeff, base = _exact(self.coeff), self.base
@@ -679,7 +684,7 @@ def _term_json(term) -> dict:
         return {"kind": "scaled-binomial", "coeff": str(term.coeff), "which": term.which}
     if isinstance(term, Power):
         return {"kind": "power", "coeff": str(term.coeff), "base": term.base,
-                "exponent": _affine_str(term.ea, term.eb, "n")}
+                "exponent": _affine_str({"n": term.ea}, term.eb)}
     if isinstance(term, Constant):
         return {"kind": "constant", "value": str(term.value)}
     if isinstance(term, ScaledOracle):
@@ -689,9 +694,8 @@ def _term_json(term) -> dict:
         return {"kind": "binomial-transform", "stride": term.stride, "offset": term.offset,
                 **_oracle_json(term.oracle, "j")}
     if isinstance(term, SignedRowConvolution):
-        k_part = _affine_str(term.ak, term.c, "k")
         return {"kind": "signed-row-convolution", "sequence": term.oracle_name, "param": None,
-                "index": _affine_str(term.an, 0, "n") + ("+" if term.ak > 0 else "") + k_part}
+                "index": _affine_str({"n": term.an, "k": term.ak}, term.c)}
     if isinstance(term, DiagonalSum):
         return {"kind": "diagonal-sum", "base": term.base}
     if isinstance(term, CosProduct):

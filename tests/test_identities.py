@@ -191,7 +191,7 @@ def test_binomial_transform_refuses_a_stride_below_one_or_a_negative_offset(stri
 
 
 @pytest.mark.parametrize("ea, eb, exponent", [(1, -1, "n-1"), (-1, 0, "-n"), (-2, 5, "-2n+5"),
-                                              (0, -3, "0n-3")])
+                                              (0, -3, "-3")])
 def test_a_power_of_zero_that_can_take_a_negative_exponent_is_refused(ea, eb, exponent):
     # values once raised ZeroDivisionError, which no CLI handler catches
     with pytest.raises(ValueError) as info:
@@ -339,7 +339,7 @@ def test_weight_oracle_sums_equal_direct_evaluation_to_200():
 @pytest.mark.parametrize("oracle, message", [
     (OracleRef("halfrow"), "weight oracle halfrow: it has no recurrence, so no sum can step it"),
     (OracleRef("A"), "weight oracle A: it has no recurrence"),
-    (OracleRef("lucas", a=0, b=3), r"weight oracle lucas: its index 0k\+3 needs a >= 1"),
+    (OracleRef("lucas", a=0, b=3), "weight oracle lucas: its index 3 needs a >= 1"),
     (OracleRef("fib", a=-2), "weight oracle fib: its index -2k needs a >= 1"),
 ])
 def test_a_weight_oracle_the_kernel_cannot_step_is_refused(oracle, message):
@@ -711,6 +711,11 @@ def test_row_convolution_index_follows_affine_str():
     assert index(an=1, ak=-1, c=0) == "n-k"
     assert index(an=1, ak=1, c=0) == "n+k"
     assert index(an=-2, ak=3, c=-1) == "-2n+3k-1"
+    # a zero slope drops its part of the index
+    assert index(an=3, ak=0, c=2) == "3n+2"
+    assert index(an=0, ak=4, c=2) == "4k+2"
+    assert index(an=0, ak=-1, c=0) == "-k"
+    assert index(an=0, ak=0, c=-2) == "-2"
     assert [t["index"] for i in find("lucas1878-odd-power")
             for t in identity_json(i)["terms"]] == ["4n-4k+2", "8n-8k+4", "12n-12k+6"]
 
@@ -725,6 +730,12 @@ def test_power_exponents_follow_index_str():
     assert exported(Power(1, 2, -1, 2))["terms"][0]["exponent"] == "-n+2"
     assert exported(Power(1, 2, 2, -1))["terms"][0]["exponent"] == "2n-1"
     assert exported(Power(1, 2, 2))["terms"][0]["exponent"] == "2n"
+    # a zero slope writes only the constant
+    assert exported(Power(1, 2, 0, 3))["terms"][0]["exponent"] == "3"
+    assert exported(Power(1, 2, 0, -2))["terms"][0]["exponent"] == "-2"
+    assert exported(Power(1, 2, 0))["terms"][0]["exponent"] == "0"
+    doc = identity_json(Identity("synthetic", OracleRef("fib", a=0, b=3), (Constant(2),)))
+    assert doc["lhs"]["index"] == "3"
 
 
 def test_labels():

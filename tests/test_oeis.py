@@ -1,29 +1,30 @@
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 
 from binsums.oeis import (
     FIXTURES,
+    MIN_MATCH,
     AlignmentReport,
-    BFileTable,
     compare,
     load_fixture,
     parse_bfile,
 )
-from binsums.sequences import seq_eval
 
 
 def test_parse_basic():
     table = parse_bfile("0 1\n1 2\n2 7\n")
-    assert table.entries == {0: 1, 1: 2, 2: 7}
+    assert table == {0: 1, 1: 2, 2: 7}
 
 
 def test_parse_skips_comments_and_blanks():
     table = parse_bfile("# comment\n\n5 42\n")
-    assert table.entries == {5: 42}
+    assert table == {5: 42}
 
 
 def test_parse_crlf_and_negative_values():
     table = parse_bfile("0 3\r\n1 -1\r\n2 5\r\n")
-    assert table.entries == {0: 3, 1: -1, 2: 5}
+    assert table == {0: 3, 1: -1, 2: 5}
 
 
 def test_parse_malformed_value():
@@ -41,9 +42,23 @@ def test_parse_rejects_non_increasing_indices():
         parse_bfile("0 1\n0 2\n")
 
 
+def test_parse_errors_name_the_sequence():
+    with pytest.raises(ValueError, match=r"^A000045: malformed b-file line 2: '1 x'$"):
+        parse_bfile("0 0\n1 x\n", "A000045")
+    with pytest.raises(ValueError, match="^A000045: non-increasing index at line 3$"):
+        parse_bfile("# fib\n1 1\n1 1\n", "A000045")
+
+
+def test_a_table_is_a_plain_index_map_in_index_order():
+    table = load_fixture("A080937")
+    assert type(table) is dict
+    assert list(table) == list(range(len(table))) and table[7] == 417
+    assert type(parse_bfile("5 42\n", "A000045")) is dict
+
+
 def test_fixtures_are_long_enough():
     for seq_id in FIXTURES:
-        assert len(load_fixture(seq_id).entries) >= 60, seq_id
+        assert len(load_fixture(seq_id)) >= 60, seq_id
 
 
 # the two scriptL fixtures need a shift and are checked on their own below
@@ -67,7 +82,7 @@ def test_scriptl_fixture_alignment():
 
 def test_signed_fixture_values_survive():
     table = load_fixture("A094648")
-    assert [table.entries[i] for i in range(8)] == [3, -1, 5, -4, 13, -16, 38, -57]
+    assert [table[i] for i in range(8)] == [3, -1, 5, -4, 13, -16, 38, -57]
     assert compare("W", table, count=50).matched >= 50
 
 
@@ -86,6 +101,18 @@ def test_wrong_pairing_reports_divergence():
 def test_compare_requires_enough_terms():
     with pytest.raises(ValueError):
         compare("pellX", load_fixture("A001075"), count=5)
+    # the floor a comparison may ask for is the floor of a match
+    with pytest.raises(ValueError, match=f"count must be >= {MIN_MATCH}"):
+        compare("pellX", load_fixture("A001075"), count=MIN_MATCH - 1)
+    assert compare("pellX", load_fixture("A001075"), count=MIN_MATCH).is_match
+    assert not AlignmentReport(0, MIN_MATCH - 1, None).is_match
+
+
+def test_an_alignment_report_holds_only_the_alignment():
+    assert [f.name for f in fields(AlignmentReport)] == ["shift", "matched", "first_mismatch"]
+    report = compare("pellX", load_fixture("A001075"))
+    with pytest.raises(FrozenInstanceError):
+        report.matched = 0
 
 
 def test_load_fixture_unknown_id():
@@ -95,8 +122,8 @@ def test_load_fixture_unknown_id():
 
 def test_an_edited_fixture_leaves_the_next_load_unchanged():
     table = load_fixture("A000129")
-    table.entries[5] = 0
-    assert load_fixture("A000129").entries[5] == 29
+    table[5] = 0
+    assert load_fixture("A000129")[5] == 29
     assert compare("pell", load_fixture("A000129")).first_mismatch is None
 
 
@@ -110,12 +137,6 @@ def test_pinned_kronecker_fixtures_extend_the_direct_sums():
     for n in range(0, 30):
         s20 = sum(binomial(2 * n, n + k) * kronecker(k, 20) for k in range(n + 1))
         s13 = sum((-1) ** k * binomial(2 * n, n + k) * kronecker(k, 13) for k in range(n + 1))
-        assert t20.entries[n] == s20
-        assert t13.entries[n] == s13
+        assert t20[n] == s20
+        assert t13[n] == s13
 
-
-def test_fixture_tables_expose_source():
-    table = load_fixture("A080937")
-    assert isinstance(table, BFileTable)
-    assert table.source.endswith("b080937.txt")
-    assert seq_eval("Q", 7) == table.entries[7] == 417

@@ -1,13 +1,19 @@
 """Source checks that need no linter: every module-level import is read,
 every top-level function and class is read or exported (each of core's
-by another module), every public name resolves, every term has one value
+by another module), every function runs under the README's CLI lines or is
+named with its reason, every public name resolves, every term has one value
 route, only `cli.run` writes to stderr, and no module reaches the network."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import binsums
+from test_cli import _readme_cli_lines
 
 _PACKAGE = Path(binsums.__file__).parent
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -80,6 +86,89 @@ def test_every_core_definition_is_read_by_another_module():
     # route to some value, so it goes
     others = [p.read_text() for p in _MODULES if p.name != "core.py"]
     assert _unread_definitions([(_PACKAGE / "core.py").read_text()], others, set()) == []
+
+
+def _functions(source: str) -> dict[tuple[int, str], str]:
+    """(first line, name) of each code object a def in the source compiles
+    to, a decorated one starting at its first decorator, mapped to its
+    dotted name: "f", "Class.method", "outer.inner"."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[line, child.name] = prefix + child.name
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, prefix + child.name + "." if named else prefix)
+    visit(ast.parse(source), "")
+    return out
+
+
+# run in a fresh interpreter, so that no memo warmed by another test skips
+# the code that fills it
+_PROFILED_RUN = """
+import contextlib, io, json, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _never_entered(package: Path, calls: str) -> list[str]:
+    """"module.name" of every function defined in the package's modules
+    that a fresh interpreter running the calls under sys.setprofile never
+    enters; the package's parent directory is put on the import path."""
+    proc = subprocess.run([sys.executable, "-c", _PROFILED_RUN, calls],
+                          env={**os.environ, "PYTHONPATH": str(package.parent)},
+                          capture_output=True, text=True, timeout=300, check=True)
+    entered = {(str(Path(f).resolve()), line, name) for f, line, name in json.loads(proc.stdout)}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for (line, name), dotted in _functions(path.read_text()).items():
+            if (str(path.resolve()), line, name) not in entered:
+                out.append(f"{path.stem}.{dotted}")
+    return out
+
+
+# the functions that no README CLI line enters, each with its reason
+NEVER_ENTERED = {
+    "cli.main": "the console entry point",
+    "identities.find": "a library lookup of a family's identities",
+    "sequences.registry": "a library lookup of the oracles",
+    "identities.perturbed": "read by perfbench's perturbed workload until it has its own copy",
+    "identities.folded_profile": "read by perfbench's derive checker until it has its own copy",
+}
+
+
+def test_every_function_runs_under_the_readme_cli_lines_or_is_named():
+    argvs = [argv for argv, _ in _readme_cli_lines()]
+    calls = f"from binsums.cli import run\nfor argv in {argvs!r}:\n    run(argv)\n"
+    assert sorted(_never_entered(_PACKAGE, calls)) == sorted(NEVER_ENTERED)
+
+
+def test_the_check_sees_a_function_never_entered(tmp_path):
+    toy = tmp_path / "toy"
+    toy.mkdir()
+    (toy / "__init__.py").write_text("")
+    (toy / "lib.py").write_text(
+        "import functools\n"
+        "def used():\n    def inner(): pass\n    def unused_inner(): pass\n    inner()\n"
+        "def dead(): pass\n"
+        "if True:\n    def guarded(): pass\n"
+        "class Box:\n    @property\n    def size(self): return 1\n"
+        "    @functools.cache\n    def cached(self): return 2\n"
+        "    def unused(self): pass\n")
+    calls = "from toy.lib import Box, used\nused()\nBox().size\nBox().cached()\n"
+    assert _never_entered(toy, calls) == ["lib.used.unused_inner", "lib.dead", "lib.guarded",
+                                          "lib.Box.unused"]
 
 
 def _threading_importers(sources: dict[str, str]) -> list[str]:
