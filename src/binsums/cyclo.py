@@ -3,36 +3,38 @@
 The double-angle cosine value 2cos(a*pi/N) reaches the package in two
 integer forms: the monic Chebyshev polynomial D_m whose roots are the
 odd-numerator cosines, with the Newton power sums of such polynomials, and
-one remainder modulo z^2 - 3z + 1 for the cosine product.  Both stay in
-exact integer arithmetic.
+one remainder modulo z^2 - 3z + 1 for the cosine product, stepped across n
+by two powers at a time.  Both stay in exact integer arithmetic.
 """
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import _integer
 
 
-def cos_product_resultant(m: int) -> int:
-    """prod_{s=1}^{m-1} (3 - 2cos(2*pi*s/m)), exactly, for m >= 1.
+def cos_product_resultants() -> Iterator[int]:
+    """For n = 0, 1, 2, ... yield prod_{s=1}^{m-1} (3 - 2cos(2*pi*s/m)) at
+    m = 2n+1, exactly.
 
     With zeta = e^(2*pi*i/m), each factor is -zeta^(-s) * g(zeta^s) for
     g(z) = z^2 - 3z + 1, and the -zeta^(-s) multiply to 1.  The product is
     therefore Res(1 + z + ... + z^(m-1), g) = (c0 + c1*b1)(c0 + c1*b2) over
     the roots b1, b2 of g (sum 3, product 1), where c0 + c1*z is the
     remainder of 1 + z + ... + z^(m-1) modulo g.  Modulo g, z^j = a + b*z
-    gives z^(j+1) = -b + (a + 3b)*z, so the remainder is m integer steps.
+    gives z^(j+1) = -b + (a + 3b)*z, so from m = 2n+1 to 2n+3 the remainder
+    gains two powers: two integer steps per n.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    c0 = c1 = 0
-    a, b = 1, 0  # z^0
-    for _ in range(m):
-        c0 += a
-        c1 += b
-        a, b = -b, a + 3 * b
-    return c0 * c0 + 3 * c0 * c1 + c1 * c1
+    c0, c1 = 1, 0  # the remainder of 1, at m = 1
+    a, b = 0, 1  # z^1
+    while True:
+        yield c0 * c0 + 3 * c0 * c1 + c1 * c1
+        for _ in range(2):
+            c0 += a
+            c1 += b
+            a, b = -b, a + 3 * b
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ Every term has one route to its values, `values(ns)`, a list for all the n
 A centered sum reads core.class_sums, or core.weighted_class_sums with a
 weight oracle, scales its table and center by D, the lcm of their
 denominators, and divides by D once per n.  The row sums against a
-sequence read core.pascal_rows.  The tests hold every term to a direct
-reference of its own, in tests/identities_reference.py and
-tests/cyclo_reference.py.
+sequence read core.pascal_rows, and the cosine product
+cyclo.cos_product_resultants.  Each oracle a side reads along a list of
+indices comes from one bulk read, sequences.seq_values; rhs_values sums
+the terms' columns in one pass and checks that the totals are integers
+once per batch.  The tests hold every term to a direct reference of its
+own, in tests/identities_reference.py and tests/cyclo_reference.py.
 """
 from __future__ import annotations
 
@@ -29,8 +32,8 @@ from itertools import accumulate, islice
 from typing import ClassVar
 
 from .core import _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
-from .cyclo import cos_product_resultant
-from .sequences import get_oracle, seq_eval
+from .cyclo import cos_product_resultants
+from .sequences import get_oracle, seq_eval, seq_values
 
 SIGN_NONE = "none"
 SIGN_ALT_K = "(-1)^k"
@@ -136,12 +139,13 @@ class CenteredSum:
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
     def values(self, ns: list[int]) -> list:
-        """The sum at every n in ns, in one pass over n = 0..max(ns).
+        """The sum at every n in ns, in one list pass over n = 0..max(ns).
 
         The class sums of each row come from a Pascal-step kernel (with a
         weight oracle, one that steps the weight by its recurrence along
-        the index) and meet the scaled table in one dot product; the total
-        takes the (-1)^n of (-1)^(n-k) and is divided by D, unless D is 1.
+        the index) and meet the scaled table in one dot product; the (-1)^n
+        of (-1)^(n-k) negates the odd n by slice, and only the totals read
+        at ns are divided by D, unless D is 1.
         """
         # D, the lcm of the center's and the table's denominators, makes both integral
         table = self.signed_table()
@@ -153,9 +157,11 @@ class CenteredSum:
             ref = self.weight_oracle  # its recurrence along a*k + b, shifted to k + 1
             spec = get_oracle(ref.name).dilate(ref.param, ref.a, ref.a + ref.b)
             steps = weighted_class_sums(len(table), spec, self.row_odd)
-        totals = (center * middle + sum(map(operator.mul, table, sums)) for middle, sums in steps)
-        signed = (-v if self.sign == SIGN_ALT_NK and n % 2 else v for n, v in enumerate(totals))
-        return _pick(signed if d == 1 else (Fraction(v, d) for v in signed), ns)
+        totals = [center * middle + sum(map(operator.mul, table, sums))
+                  for middle, sums in islice(steps, max(ns) + 1)]
+        if self.sign == SIGN_ALT_NK:
+            totals[1::2] = [-v for v in totals[1::2]]
+        return [totals[n] for n in ns] if d == 1 else [Fraction(totals[n], d) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -228,8 +234,8 @@ class ScaledOracle:
         object.__setattr__(self, "coeff", _rational(self.coeff))
 
     def values(self, ns: list[int]) -> list:
-        coeff = _exact(self.coeff)
-        return [coeff * self.oracle.value(n) for n in ns]
+        coeff, ref = _exact(self.coeff), self.oracle
+        return [coeff * v for v in seq_values(ref.name, [ref.a * n + ref.b for n in ns], ref.param)]
 
 
 @dataclass(frozen=True)
@@ -248,11 +254,12 @@ class BinomialTransform:
 
     def values(self, ns: list[int]) -> list[int]:
         """The transform at every n in ns: entry 0 of row n of
-        core.pascal_rows over g, the oracle read once per j and placed on
-        column stride*j + offset, with zeros between."""
-        g = [0] * (max(ns) + 1)
-        for j, x in enumerate(range(self.offset, len(g), self.stride)):
-            g[x] = self.oracle.value(j)
+        core.pascal_rows over g, the oracle read in one bulk read over j
+        and placed on column stride*j + offset, with zeros between."""
+        g, ref = [0] * (max(ns) + 1), self.oracle
+        count = len(range(self.offset, len(g), self.stride))
+        g[self.offset::self.stride] = seq_values(
+            ref.name, [ref.a * j + ref.b for j in range(count)], ref.param)
         return _pick((row[0] for row in pascal_rows(g)), ns)
 
 
@@ -283,7 +290,7 @@ class SignedRowConvolution:
         per entry.
         """
         if not self.ak:  # every summand reads g(an*n + c), and sum_k (-1)^k C(2n+1, k) = 0
-            return [0 * seq_eval(self.oracle_name, self.an * n + self.c) for n in ns]
+            return [0 * v for v in seq_values(self.oracle_name, [self.an * n + self.c for n in ns])]
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d
         first, last = min(ns), max(ns)
@@ -293,7 +300,7 @@ class SignedRowConvolution:
         # whole window wherever the direct sum is defined on ns
         ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
         lo, hi = min(ends), max(ends)
-        g = [seq_eval(self.oracle_name, self.c + d * x) for x in range(lo, hi + 1)]
+        g = seq_values(self.oracle_name, [self.c + d * x for x in range(lo, hi + 1)])
         if s < 0:
             g.reverse()
         rows = islice(pascal_rows(g, abs(s), alternate=True), 1, None, 2)
@@ -331,14 +338,18 @@ class CosProduct:
     """prod_{s=1}^n (3 - 2cos(2 pi s/(2n+1))), evaluated exactly.
 
     Factors s and 2n+1-s are equal, so the product over s = 1..2n, the
-    resultant `cos_product_resultant(2n+1)`, is the square of this one; every
-    factor is at least 1, so this product is its positive square root.
+    resultant that `cos_product_resultants` steps to at n, is the square of
+    this one; every factor is at least 1, so this product is its positive
+    square root.
     """
 
     def values(self, ns: list[int]) -> list[int]:
+        """The product at every n in ns, from one run of the stepped
+        resultants up to max(ns)."""
+        if min(ns) < 0:
+            raise ValueError(f"a cosine product requires n >= 0, not {min(ns)}")
         out = []
-        for n in ns:
-            full = cos_product_resultant(2 * n + 1)
+        for n, full in zip(ns, _pick(cos_product_resultants(), ns)):
             half = math.isqrt(full)
             if half * half != full:
                 raise ValueError(f"cosine product: resultant {full} is not a square at n = {n}")
@@ -420,24 +431,26 @@ class VerificationReport:
 
 
 def rhs_values(identity: Identity, ns) -> list[int]:
-    """The right side at every n in ns: each term's values(ns), summed per n.
+    """The right side at every n in ns: each term's values(ns), summed per n
+    in one pass over the columns, a single column passing straight through.
 
     A total that is not an integer (a mis-typed coefficient) raises at the
-    first such n.  The kernels start from row 0, so a negative n raises
-    ValueError.
+    first such n; the check runs per n only when some total is not an int.
+    The kernels start from row 0, so a negative n raises ValueError.
     """
     ns = list(ns)
     if not ns:
         return []
     if min(ns) < 0:
         raise ValueError(f"{identity.label}: the right side is not defined at n = {min(ns)}")
-    out = []
-    for n, *values in zip(ns, *(t.values(ns) for t in identity.terms)):
-        total = sum(values)
+    cols = [t.values(ns) for t in identity.terms] or [[0] * len(ns)]
+    totals = cols[0] if len(cols) == 1 else list(map(sum, zip(*cols)))
+    if all(type(v) is int for v in totals):
+        return totals
+    for n, total in zip(ns, totals):
         if total.denominator != 1:
             raise ValueError(f"{identity.label}: right side {total} is not an integer at n = {n}")
-        out.append(total.numerator)
-    return out
+    return [total.numerator for total in totals]
 
 
 def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport:
@@ -447,11 +460,14 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     """
     t0 = time.perf_counter()
     ns = identity.indices(n_min, n_max)
+    rhs = rhs_values(identity, ns)
+    ref = identity.lhs
+    lhs = seq_values(ref.name, [ref.a * n + ref.b for n in ns], ref.param)
     first = lhs_s = rhs_s = None
-    for n, rhs in zip(ns, rhs_values(identity, ns)):
-        lhs = identity.lhs.value(n)
-        if lhs != rhs and first is None:
-            first, lhs_s, rhs_s = n, str(lhs), str(rhs)
+    for n, left, right in zip(ns, lhs, rhs):
+        if left != right:
+            first, lhs_s, rhs_s = n, str(left), str(right)
+            break
     return VerificationReport(identity.label, tuple(ns), first, lhs_s, rhs_s,
                               time.perf_counter() - t0)
 

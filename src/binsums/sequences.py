@@ -4,7 +4,9 @@ Each C-finite oracle (a linear recurrence with constant coefficients, Newton
 power sums of an integer characteristic polynomial included) is defined by
 its ``RecurrenceSpec``; the partial-row sums A, B and C read the class sums
 of core.class_sums(5), and the rest are small closed rules.  All of them
-return exact integers on their domain; one memo keeps what the stepped ones yield.
+return exact integers on their domain; one memo keeps what the stepped ones
+yield.  seq_eval reads one index; seq_values reads a list of them, filling
+a stepped oracle's memo entry once and taking each value from it.
 """
 from __future__ import annotations
 
@@ -94,17 +96,25 @@ _MEMO_LOCK = threading.Lock()
 def _memo_read(name: str, param: int | None, n: int, steps: Callable | None = None) -> int:
     """Value n >= 0 of the iterator steps(param), by default the oracle's own
     recurrence, stored under (name, param).  A stored value costs one dict
-    lookup and one index.  A new iterator is made before the lock is taken,
-    since building a family's spec may read the memo; stepping one must not."""
+    lookup and one index."""
     entry = _MEMO.get((name, param))
     if entry is not None and n < len(entry[0]):
         return entry[0][n]
+    return _memo_fill(name, param, n, steps)[n]
+
+
+def _memo_fill(name: str, param: int | None, n: int, steps: Callable | None = None) -> list[int]:
+    """The stored values of steps(param), extended under the lock to hold
+    index n.  The list only ever grows, so a value below its length may be
+    read without the lock.  A new iterator is made before the lock is taken,
+    since building a family's spec may read the memo; stepping one must not."""
+    entry = _MEMO.get((name, param))
     fresh = entry or ([], steps(param) if steps else rec_steps(_REGISTRY[name].spec(param)))
     with _MEMO_LOCK:
         values, rest = _MEMO.setdefault((name, param), fresh)
         while len(values) <= n:
             values.append(next(rest))
-    return values[n]
+    return values
 
 
 def genlucas_poly(m: int) -> IntPolynomial:
@@ -231,6 +241,21 @@ def get_oracle(name: str) -> SequenceOracle:
 def seq_eval(name: str, n: int, param: int | None = None) -> int:
     """Exact value of a registered sequence at index n."""
     return get_oracle(name)(n, param)
+
+
+def seq_values(name: str, indices: list[int], param: int | None = None) -> list[int]:
+    """[seq_eval(name, n, param) for n in indices], with the same values and
+    the same error at the same first bad index, in one read: a recurrence's
+    parameter is checked once and its memo filled once, up to the largest
+    index, and each value is taken from the stored list.  A rule, and an
+    index below 0 or below the start, go through the oracle per index."""
+    oracle = get_oracle(name)
+    if oracle.rule is not None or not indices or not _is_integer(indices[0]):
+        return [oracle(n, param) for n in indices]  # a bad first index raises here
+    oracle.check_param(param)
+    lo = max(oracle.start, 0)
+    values = _memo_fill(name, param, max((n for n in indices if isinstance(n, int)), default=-1))
+    return [values[n] if isinstance(n, int) and n >= lo else oracle(n, param) for n in indices]
 
 
 def seq_slice(name: str, count: int, param: int | None = None) -> list[int]:

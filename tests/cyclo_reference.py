@@ -5,8 +5,9 @@ and z^a + z^-a stands for 2cos(2*pi*a/N) at z = e^(2*pi*i/N).  A value is
 read back by reducing modulo the N-th cyclotomic polynomial Phi_N, which is
 built by dividing z^N - 1 by every Phi_d with d a proper divisor of N.  The
 cosine power vector places each binomial coefficient of (z^e + z^-e)^power
-directly, as the independent oracle of core.class_sums.  None of this
-shares code with the package.
+directly, as the independent oracle of core.class_sums.  The per-m
+remainder loop of the cosine product is the reference of the stepped
+cyclo.cos_product_resultants.  None of this shares code with the package.
 """
 from functools import cache
 
@@ -132,3 +133,18 @@ def fold_class_sums(n_mod: int, e: int, odd: bool, middle: int, sums: list[int])
         out[j % n_mod] += s
         out[-j % n_mod] += s
     return out
+
+
+def cos_product_resultant(m: int) -> int:
+    """prod_{s=1}^{m-1} (3 - 2cos(2*pi*s/m)) for one m >= 1, from m = 1 on:
+    the remainder c0 + c1*z of 1 + z + ... + z^(m-1) modulo z^2 - 3z + 1,
+    one power per step, then the resultant c0^2 + 3*c0*c1 + c1^2."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    c0 = c1 = 0
+    a, b = 1, 0  # z^0
+    for _ in range(m):
+        c0 += a
+        c1 += b
+        a, b = -b, a + 3 * b
+    return c0 * c0 + 3 * c0 * c1 + c1 * c1

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 import cyclo_reference as ring
 from binsums.core import binomial, class_sums, kronecker
-from binsums.cyclo import IntPolynomial, chebyshev_monic, cos_product_resultant, power_sums
+from binsums.cyclo import IntPolynomial, chebyshev_monic, cos_product_resultants, power_sums
 from binsums.identities import find
 
 
@@ -78,23 +79,32 @@ def test_reference_reduction_identifies_equal_values():
 
 
 def test_cos_product_resultant_matches_the_direct_product():
-    # every m = 2n+1 for n <= 30, and the even m in between
+    # the per-m reference at every m = 2n+1 for n <= 30 and the even m in
+    # between, and the stepped kernel at every odd m
+    stepped = list(islice(cos_product_resultants(), 31))
     for m in range(1, 62):
         prod = ring.scalar(m, 1)
         for s in range(1, m):
             prod = ring.mul(prod, ring.sub(ring.scalar(m, 3), ring.two_cos(m, s)))
-        assert cos_product_resultant(m) == ring.as_integer(prod), m
-    assert [cos_product_resultant(m) for m in range(1, 8)] == [1, 5, 16, 45, 121, 320, 841]
+        assert ring.cos_product_resultant(m) == ring.as_integer(prod), m
+        if m % 2:
+            assert stepped[m // 2] == ring.as_integer(prod), m
+    assert [ring.cos_product_resultant(m) for m in range(1, 8)] == [1, 5, 16, 45, 121, 320, 841]
+    assert stepped[:4] == [1, 16, 121, 841]
     with pytest.raises(ValueError):
-        cos_product_resultant(0)
+        ring.cos_product_resultant(0)
 
 
 def test_cos_product_resultant_steps_the_division_remainder():
     """The pair stepping against schoolbook division of 1 + ... + z^(m-1)
-    by z^2 - 3z + 1, for every m = 2n+1 that verify reads at n_max 200."""
+    by z^2 - 3z + 1, for every m up to 401: the per-m reference at each,
+    and the stepped kernel at every m = 2n+1 that verify reads at n_max 200."""
+    stepped = list(islice(cos_product_resultants(), 201))
     for m in range(1, 402):
         c0, c1 = ring.divmod_monic([1] * m, [1, -3, 1])[1]
-        assert cos_product_resultant(m) == c0 * c0 + 3 * c0 * c1 + c1 * c1, m
+        assert ring.cos_product_resultant(m) == c0 * c0 + 3 * c0 * c1 + c1 * c1, m
+        if m % 2:
+            assert stepped[m // 2] == c0 * c0 + 3 * c0 * c1 + c1 * c1, m
 
 
 def test_power_sum_examples():

@@ -140,6 +140,32 @@ def test_non_integer_total_is_an_error():
     _assert_verify_raises_like_rhs_eval(ident, 1)
 
 
+def test_fraction_columns_with_an_integral_sum_give_ints():
+    # each half row sum (4^n - C(2n, n))/4 is a Fraction at every n, and
+    # the two of them sum to halfrow
+    half = CenteredSum((Fraction(1, 2),), 1)
+    ident = Identity("synthetic-halves", OracleRef("halfrow"), (half, half))
+    ns = list(range(41))
+    assert all(type(v) is Fraction for v in half.values(ns))
+    totals = rhs_values(ident, ns)
+    assert all(type(v) is int for v in totals)
+    assert totals == [ident.lhs.value(n) for n in ns]
+    assert verify(ident, 40).passed
+
+
+@pytest.mark.parametrize("n_min, first_bad", [(0, 0), (5, 7)])
+def test_a_single_fraction_column_raises_at_its_first_non_integer(n_min, first_bad):
+    # C(2n, n)/7 is an integer at n = 4, 5, 6 and not at 0..3 or 7
+    ident = Identity("synthetic-sevenths", OracleRef("fib", a=2),
+                     (ScaledBinomial(Fraction(1, 7), "C(2n,n)"),))
+    with pytest.raises(ValueError) as exc:
+        rhs_values(ident, range(n_min, 30))
+    total = Fraction(binomial(2 * first_bad, first_bad), 7)
+    assert str(exc.value) == (f"synthetic-sevenths: right side {total} is not an integer"
+                              f" at n = {first_bad}")
+    _assert_verify_raises_like_rhs_eval(ident, first_bad, n_min)
+
+
 _TERM_WITH_COEFFICIENT = {
     "centered-sum weight": lambda c: CenteredSum((c, 0), 2),
     "centered-sum center": lambda c: CenteredSum((0, 0), 2, center=c),
@@ -276,14 +302,17 @@ def test_sury_diagonal_equals_the_binomial_reference_to_200():
 
 def test_cos_product_equals_the_product_in_the_group_ring():
     """The slow, independent route: multiply out prod_{s=1}^n (3 - z^s - z^-s)
-    in Z[z]/(z^(2n+1) - 1) and read it back as a rational integer."""
-    values = CosProduct().values(list(range(31)))
-    for n in range(0, 31):
-        m = 2 * n + 1
-        prod = ring.scalar(m, 1)
-        for s in range(1, n + 1):
-            prod = ring.mul(prod, ring.sub(ring.scalar(m, 3), ring.two_cos(m, s)))
-        assert values[n] == ring.as_integer(prod), n
+    in Z[z]/(z^(2n+1) - 1) and read it back as a rational integer, at
+    n = 0..30 and at an ns that starts late and has gaps, which the stepped
+    resultants step over."""
+    for ns in (list(range(31)), [3, 7, 8, 30]):
+        values = CosProduct().values(ns)
+        for n, value in zip(ns, values, strict=True):
+            m = 2 * n + 1
+            prod = ring.scalar(m, 1)
+            for s in range(1, n + 1):
+                prod = ring.mul(prod, ring.sub(ring.scalar(m, 3), ring.two_cos(m, s)))
+            assert value == ring.as_integer(prod), (ns, n)
 
 
 def test_cos_product_failure_reports_exact_values():
@@ -546,22 +575,27 @@ def test_registry_reports_equal_the_reference():
                                              ("W-odd", 4), ("lewis-family", 0)])
 def test_a_failing_verify_reads_its_left_side_at_every_n(monkeypatch, family, residue):
     """A mismatch does not end the comparison: the benchmark's perturbed
-    workload expects `checked` to be the whole domain, read on both sides."""
+    workload expects `checked` to be the whole domain, read on both sides.
+    verify reads its left side through the bulk reader, so the indices that
+    reach it are counted: a*n + b for every checked n, once each."""
+    from binsums import identities
     reads = []
-    value = OracleRef.value
+    bulk = identities.seq_values
 
-    def counted(self, v):
-        reads.append((self, v))
-        return value(self, v)
+    def counted(name, indices, param=None):
+        reads.append((name, param, list(indices)))
+        return bulk(name, indices, param)
 
-    monkeypatch.setattr(OracleRef, "value", counted)
+    monkeypatch.setattr(identities, "seq_values", counted)
     ident = find(family)[-1]
     bad = perturbed(ident, residue, next(t for t in ident.terms
                                          if isinstance(t, CenteredSum)).weights[residue] + 1)
     report = verify(bad, 60)
     assert not report.passed and report.first_divergence < 20
     assert report.checked == tuple(bad.domain.indices(0, 60))
-    assert [v for oracle, v in reads if oracle == bad.lhs] == list(report.checked)
+    lhs = bad.lhs
+    assert [i for name, param, indices in reads if (name, param) == (lhs.name, lhs.param)
+            for i in indices] == [lhs.a * n + lhs.b for n in report.checked]
 
 
 def test_central_delight_keeps_no_power_sum_spec_per_n():

@@ -20,7 +20,7 @@ KERNELS = {
     "weighted_class_sums": core,
     "pascal_rows": core,
     "power_sums": cyclo,
-    "cos_product_resultant": cyclo,
+    "cos_product_resultants": cyclo,
 }
 # (identity label, kernel) pairs allowed on both sides, each with its reason.
 # None is needed: a change that adds one says why.

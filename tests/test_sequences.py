@@ -16,6 +16,7 @@ from binsums.sequences import (
     scriptl_poly,
     seq_eval,
     seq_slice,
+    seq_values,
 )
 from recurrence_reference import rec_eval
 
@@ -413,3 +414,65 @@ def test_genlucas_poly_squared_is_the_shifted_chebyshev_polynomial():
     for m in range(1, 41):
         g = list(genlucas_poly(m).coeffs)
         assert _poly_mul([2, 1], _poly_mul(g, g)) == _chebyshev_plus_two(m), m
+
+
+def _index_lists(oracle: SequenceOracle) -> list[list[int]]:
+    """Ascending, descending and gapped index lists from the oracle's
+    start, and for fib and lucas lists that cross below 0."""
+    lo = oracle.start
+    lists = [list(range(lo, lo + 30)), list(range(lo + 40, lo - 1, -3)),
+             [lo + 17, lo, lo + 5, lo + 5, lo + 60, lo + 2]]
+    if oracle.negative_ok:
+        lists += [list(range(-20, 21)), list(range(15, -16, -5)), [-7, 3, -1, 40, -40]]
+    return lists
+
+
+@pytest.mark.parametrize("name", sorted(registry()))
+def test_the_bulk_reader_equals_the_per_index_reads(name):
+    """Every registered oracle, and two parameters of each family, read
+    from an empty memo and again from the filled one."""
+    oracle = get_oracle(name)
+    params = [None] if oracle.param_name is None else [oracle.param_min, oracle.param_min + 1]
+    for param in params:
+        for indices in _index_lists(oracle):
+            want = [oracle(n, param) for n in indices]
+            _MEMO.clear()
+            assert seq_values(name, indices, param) == want, (param, indices)
+            assert seq_values(name, indices, param) == want, (param, indices)
+    assert seq_values(name, [], params[0]) == []
+
+
+@pytest.mark.parametrize("name, param, indices", [
+    ("A094789", None, [3, 1, 0, 5]),  # below the start
+    ("A094789", None, [6, -1, 0]),  # below 0 before below the start
+    ("halfcentral", None, [2, 0]),  # a rule, below its start
+    ("pell", None, [4, 2, -1, -2]),  # below 0 without a backward rule
+    ("pell", None, [4, 2.5, -1]),  # a non-int index before a negative one
+    ("fib", None, [-3, 2, "5", 2.5]),  # a non-int index after a reflected one
+    ("lucas", None, [1.0, 2]),  # a non-int first index
+    ("genlucas", None, [1, 2]),  # a missing parameter
+    ("genlucas", 1, [1, 2]),  # a refused parameter
+    ("genlucas", 1, [1.5, 2]),  # a non-int first index and a refused parameter
+    ("genlucas", 2.5, [1, 2]),  # a non-int parameter
+    ("lewis", 0, [-1, 3]),  # a refused parameter and an index below 0
+    ("fib", 3, [0, 1]),  # a parameter the oracle does not take
+    ("scriptL", 1, [1]),  # a rule with a refused parameter
+    ("scriptL", 3, [2, 0]),  # a rule below its start
+    ("unheard-of", None, [1]),  # no such oracle
+], ids=str)
+def test_the_bulk_reader_raises_like_the_per_index_reads(name, param, indices):
+    """The same exception type and message, so the same first bad index."""
+    with pytest.raises(Exception) as per_index:
+        for n in indices:
+            seq_eval(name, n, param)
+    _MEMO.clear()
+    with pytest.raises(Exception) as bulk:
+        seq_values(name, indices, param)
+    assert (type(bulk.value), str(bulk.value)) == (type(per_index.value), str(per_index.value))
+
+
+def test_the_bulk_reader_checks_the_parameter_over_a_filled_memo():
+    # 2.0 is equal to 2 as a memo key, so only the parameter check refuses it
+    seq_eval("genlucas", 9, 2)
+    with pytest.raises(TypeError, match="genlucas: m must be an int, not 2.0"):
+        seq_values("genlucas", [1, 2], 2.0)
