@@ -10,7 +10,11 @@ that a unique solution keep working on held-out indices it never saw.
 The equation rows are the residue-class sums of the same Pascal-step
 kernel that verify sweeps (core.class_sums).  All linear algebra is exact
 fraction-free elimination over the integers; Fractions appear only in the
-back-substitution, and nothing is ever rounded.
+back-substitution, and nothing is ever rounded.  Each new equation is
+reduced by a stored pivot row only at the columns where that row is
+nonzero.  Most of derive's pivot rows are nonzero only at the pivot and
+the right side, so absorbing one equation costs about O(period) steps,
+not the O(period^2) of a dense reduction.
 """
 from __future__ import annotations
 
@@ -33,31 +37,41 @@ class _Eliminator:
     Equations are fed one at a time so that an inconsistency can be blamed
     on the exact index that introduced it.  A row [coeffs..., rhs] is
     reduced by each stored pivot row as p*row - c*prow, where p is the
-    pivot entry and c the row's entry in the pivot column.  The reduced row
-    is divided by its content (the gcd of its entries) and its pivot made
-    positive, so it stays a nonzero integer multiple of the row rational
-    elimination would store.
+    pivot entry and c the row's entry in the pivot column.  Beside its dense
+    list, each pivot row keeps the columns where it is nonzero, found once
+    when it is stored, so a reduction scales the row only when p is not 1
+    and subtracts c*prow only at those columns: the row the dense step
+    gives, in one step per nonzero entry.  The reduced row is divided by its
+    content (the gcd of its entries) and its pivot made positive, so it
+    stays a nonzero integer multiple of the row rational elimination would
+    store.
     """
 
     def __init__(self, unknowns: int) -> None:
         self.unknowns = unknowns
         self.rows: dict[int, list[int]] = {}  # pivot -> [coeffs..., rhs]
+        self._nonzero: dict[int, list[int]] = {}  # pivot -> columns where its row is nonzero
 
     def add(self, coeffs: list[int], rhs: int) -> bool:
         """Absorb one equation; False means it contradicts the others."""
         row = [*coeffs, rhs]
-        for pivot, prow in self.rows.items():
+        for pivot, nonzero in self._nonzero.items():
             c = row[pivot]
             if c:
+                prow = self.rows[pivot]
                 p = prow[pivot]
-                row = [p * a - c * b for a, b in zip(row, prow)]
+                if p != 1:
+                    row = [p * a for a in row]
+                for j in nonzero:
+                    row[j] -= c * prow[j]
         pivot = next((j for j in range(self.unknowns) if row[j]), None)
         if pivot is None:
             return row[-1] == 0
         g = math.gcd(*row)
         if row[pivot] < 0:
             g = -g
-        self.rows[pivot] = [a // g for a in row]
+        self.rows[pivot] = prow = [a // g for a in row]
+        self._nonzero[pivot] = [j for j, b in enumerate(prow) if b]
         return True
 
     @property

@@ -69,10 +69,18 @@ def _exact(q: int | Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def _max_n(ns: list[int]) -> int:
+    """max(ns), once no n in ns is negative: a list of the values at
+    n = 0..max(ns) indexed by a negative n would read from its end."""
+    if (low := min(ns)) < 0:
+        raise ValueError(f"a term is not defined at n = {low}; its sum starts at n = 0")
+    return max(ns)
+
+
 def _pick(values, ns: list[int]) -> list:
     """[v_n for n in ns] from the iterator values of v_0, v_1, ..., read
-    once up to v_max(ns)."""
-    read = list(islice(values, max(ns) + 1))
+    once up to v_max(ns); a negative n raises ValueError."""
+    read = list(islice(values, _max_n(ns) + 1))
     return [read[n] for n in ns]
 
 
@@ -158,7 +166,7 @@ class CenteredSum:
             spec = get_oracle(ref.name).dilate(ref.param, ref.a, ref.a + ref.b)
             steps = weighted_class_sums(len(table), spec, self.row_odd)
         totals = [center * middle + sum(map(operator.mul, table, sums))
-                  for middle, sums in islice(steps, max(ns) + 1)]
+                  for middle, sums in islice(steps, _max_n(ns) + 1)]
         if self.sign == SIGN_ALT_NK:
             totals[1::2] = [-v for v in totals[1::2]]
         return [totals[n] for n in ns] if d == 1 else [Fraction(totals[n], d) for n in ns]
@@ -346,8 +354,6 @@ class CosProduct:
     def values(self, ns: list[int]) -> list[int]:
         """The product at every n in ns, from one run of the stepped
         resultants up to max(ns)."""
-        if min(ns) < 0:
-            raise ValueError(f"a cosine product requires n >= 0, not {min(ns)}")
         out = []
         for n, full in zip(ns, _pick(cos_product_resultants(), ns)):
             half = math.isqrt(full)

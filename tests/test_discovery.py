@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from binsums.discovery import (
     _Eliminator,
+    _equation_rows,
     derive_profile,
     identity_from_profile,
     profile_json,
@@ -147,6 +148,61 @@ class FractionEliminator:
         return sol
 
 
+class DenseEliminator:
+    """Reference: fraction-free elimination that rebuilds the whole row,
+    p*row - c*prow, at every pivot it reduces by."""
+
+    def __init__(self, unknowns):
+        self.unknowns = unknowns
+        self.rows = {}  # pivot -> [coeffs..., rhs]
+
+    def add(self, coeffs, rhs):
+        row = [*coeffs, rhs]
+        for pivot, prow in self.rows.items():
+            c = row[pivot]
+            if c:
+                p = prow[pivot]
+                row = [p * a - c * b for a, b in zip(row, prow)]
+        pivot = next((j for j in range(self.unknowns) if row[j]), None)
+        if pivot is None:
+            return row[-1] == 0
+        g = gcd(*row)
+        if row[pivot] < 0:
+            g = -g
+        self.rows[pivot] = [a // g for a in row]
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
+def eliminate_alongside(unknowns, equations, fractions=True):
+    """Feed equations to _Eliminator and to the dense reference (and, unless
+    fractions is False, the Fraction reference) until one contradicts the
+    rest.  Every add must agree, with the same rank, and _Eliminator must
+    store the dense reference's rows in its order.  Returns the outcome,
+    "inconsistent", "full" (the solutions agree too) or "deficient", and
+    the _Eliminator."""
+    ints, dense = _Eliminator(unknowns), DenseEliminator(unknowns)
+    ref = FractionEliminator(unknowns) if fractions else None
+    for row, rhs in equations:
+        ok = ints.add(row, rhs)
+        assert ok == dense.add(row, rhs)
+        assert list(ints.rows.items()) == list(dense.rows.items())
+        assert ints.rank == dense.rank
+        if ref is not None:
+            assert ok == ref.add(row, rhs)
+            assert ints.rank == ref.rank
+        if not ok:
+            return "inconsistent", ints
+    if ints.rank < unknowns:
+        return "deficient", ints
+    if ref is not None:
+        assert ints.solve() == ref.solve()
+    return "full", ints
+
+
 def comb_equation(n, period, row_odd):
     """Coefficient row at n, folded from math.comb one k at a time."""
     if row_odd:
@@ -203,22 +259,38 @@ def foldable_left_sides():
     return out
 
 
+def derive_statuses(target, periods):
+    """derive_profile against reference_derive at each period and both row
+    parities; the set of statuses met."""
+    statuses = set()
+    for period in periods:
+        for row_odd in (False, True):
+            sol = derive_profile(target, period, row_odd)
+            got = {"status": sol.status, "violated_n": sol.violated_n,
+                   "dimension": sol.dimension, "center": sol.center,
+                   "weights": sol.weights, "solve_range": sol.solve_range,
+                   "holdout_range": sol.holdout_range}
+            assert got == reference_derive(target, period, row_odd), (target, period, row_odd)
+            statuses.add(sol.status)
+    return statuses
+
+
 def test_integer_derive_equals_the_fraction_reference():
     targets = foldable_left_sides()
     assert len(targets) == 29
-    statuses = set()
-    for target in targets:
-        for period in range(1, 11):
-            for row_odd in (False, True):
-                sol = derive_profile(target, period, row_odd)
-                got = {"status": sol.status, "violated_n": sol.violated_n,
-                       "dimension": sol.dimension, "center": sol.center,
-                       "weights": sol.weights, "solve_range": sol.solve_range,
-                       "holdout_range": sol.holdout_range}
-                assert got == reference_derive(target, period, row_odd), (
-                    target, period, row_odd)
-                statuses.add(sol.status)
+    statuses = set().union(*(derive_statuses(target, range(1, 11)) for target in targets))
     assert statuses == {"unique", "underdetermined", "infeasible"}
+
+
+@pytest.mark.parametrize("target, statuses", [
+    (OracleRef("fib", a=2), {"unique", "infeasible"}),
+    (OracleRef("Q"), {"unique", "infeasible"}),
+    (OracleRef("A216597"), {"infeasible"}),  # its registry table alternates in k: period 26
+    (OracleRef("pow3", b=-1), {"unique", "underdetermined", "infeasible"}),
+], ids=["fib(2n)", "Q", "A216597", "pow3(n-1)"])
+def test_integer_derive_equals_the_fraction_reference_up_to_period_20(target, statuses):
+    # the periods of the derive scan past the ten the test above covers
+    assert derive_statuses(target, range(11, 21)) == statuses
 
 
 def random_system(rng, unknowns, rank, inconsistent):
@@ -240,6 +312,32 @@ def random_system(rng, unknowns, rank, inconsistent):
     return equations
 
 
+def sparse_triangular_system(rng, unknowns):
+    """Lower-triangular equations with few nonzeros below the diagonal and
+    a diagonal of mostly 1s, some rows scaled by 2 or 3 with their right
+    sides, in a shuffled order; then combinations of two of them, with an
+    occasional right side off by 1.  Now and then one triangular equation
+    is dropped."""
+    x = [rng.randint(-5, 5) for _ in range(unknowns)]
+    equations = []
+    for i in range(unknowns):
+        row = [rng.choice((0, 0, 0, 0, rng.randint(-4, 4))) for _ in range(i)]
+        row += [1 if rng.random() < 0.7 else rng.choice((-3, -2, 2, 3, 4))]
+        row += [0] * (unknowns - i - 1)
+        scale = rng.choice((1, 1, 1, 2, 3))
+        row = [scale * c for c in row]
+        equations.append((row, sum(c * v for c, v in zip(row, x))))
+    rng.shuffle(equations)
+    for _ in range(3):
+        (r1, b1), (r2, b2) = rng.choices(equations, k=2)
+        m1, m2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        off = 1 if rng.random() < 0.2 else 0
+        equations.append(([m1 * a + m2 * b for a, b in zip(r1, r2)], m1 * b1 + m2 * b2 + off))
+    if rng.random() < 0.3:
+        del equations[rng.randrange(unknowns)]
+    return equations
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_eliminator_equals_the_fraction_reference(seed):
     rng = random.Random(seed)
@@ -248,20 +346,36 @@ def test_integer_eliminator_equals_the_fraction_reference(seed):
         unknowns = rng.randint(1, 6)
         rank = rng.randint(0, unknowns)
         inconsistent = rng.random() < 0.3
-        ints, ref = _Eliminator(unknowns), FractionEliminator(unknowns)
-        for row, rhs in random_system(rng, unknowns, rank, inconsistent):
-            ok = ints.add(row, rhs)
-            assert ok == ref.add(row, rhs)
-            assert ints.rank == ref.rank
-            if not ok:
-                seen.add("inconsistent")
-                break
-        else:
-            if ints.rank == unknowns:
-                seen.add("full")
-                assert ints.solve() == ref.solve()
-            else:
-                seen.add("deficient")
+        outcome, _ = eliminate_alongside(unknowns, random_system(rng, unknowns, rank, inconsistent))
+        seen.add(outcome)
+    assert seen == {"full", "deficient", "inconsistent"}
+    sparse_seen, unit_pivots = set(), set()
+    for _ in range(15):
+        unknowns = rng.randint(1, 21)
+        outcome, elim = eliminate_alongside(unknowns, sparse_triangular_system(rng, unknowns))
+        sparse_seen.add(outcome)
+        unit_pivots.update(row[pivot] == 1 for pivot, row in elim.rows.items())
+    assert sparse_seen >= {"full", "inconsistent"}
+    assert unit_pivots == {True, False}
+
+
+def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
+    """The rows derive_profile feeds at its default solve range, P = 1..20,
+    for a few registry left sides and both row parities.  The Fraction
+    reference sees these periods through derive_profile, in
+    test_integer_derive_equals_the_fraction_reference."""
+    seen = set()
+    for target in (OracleRef("fib", a=2), OracleRef("Q"), OracleRef("A216597"),
+                   OracleRef("pow3", b=-1), OracleRef("genlucas", param=5, a=2)):
+        anchor = [] if target.name == "pow3" else [0]  # pow3(n - 1) has no value at n = 0
+        for period in range(1, 21):
+            for row_odd in (False, True):
+                ns = [*([] if row_odd else anchor), *range(1, period + 5)]
+                equations = [(coeffs, target.value(n))
+                             for n, coeffs in zip(ns, _equation_rows(period, row_odd, ns))]
+                outcome, _ = eliminate_alongside(period if row_odd else period + 1, equations,
+                                                 fractions=False)
+                seen.add(outcome)
     assert seen == {"full", "deficient", "inconsistent"}
 
 

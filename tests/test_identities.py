@@ -614,6 +614,19 @@ def test_domains_and_sweeps_reject_negative_n():
         rhs_values(find("fib-even")[0], [-1, 0])
     with pytest.raises(ValueError, match="n >= 0"):
         DiagonalSum().values([-1])
+    with pytest.raises(ValueError, match="not defined at n = -2;"):
+        CosProduct().values([3, -2])
+
+
+@pytest.mark.parametrize("term, ns", [
+    (CenteredSum((1,), 1), [-1, 2]),
+    (BinomialTransform(OracleRef("pow5"), 2, 1), [-1, 3]),
+    (SignedRowConvolution("fib", 4, -4, 2), [-1, 3]),
+])
+def test_a_term_refuses_a_negative_n_and_names_it(term, ns):
+    with pytest.raises(ValueError, match="not defined at n = -1;"):
+        term.values(ns)
+    assert term.values(ns[1:]) == [ref.term_at(term, ns[1])]
 
 
 def test_perturbed_reports_equal_direct_evaluation():
