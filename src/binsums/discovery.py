@@ -9,19 +9,19 @@ hold on a solve range, classifies the solution by rank, and then insists
 that a unique solution keep working on held-out indices it never saw.
 The equation rows are the residue-class sums of the same Pascal-step
 kernel that verify sweeps (core.class_sums).  All linear algebra is exact
-fraction-free elimination over the integers; Fractions appear only in the
-back-substitution, and nothing is ever rounded.  Each new equation is
-reduced by a stored pivot row only at the columns where that row is
-nonzero.  Most of derive's pivot rows are nonzero only at the pivot and
-the right side, so absorbing one equation costs about O(period) steps,
-not the O(period^2) of a dense reduction.
+fraction-free elimination over the integers, which decides every equation,
+held out or not; Fractions appear only in the back-substitution, and
+nothing is ever rounded.  Each new equation is reduced by a stored pivot
+row only at the columns where that row is nonzero.  Most of derive's pivot
+rows are nonzero only at the pivot and the right side, so absorbing one
+equation costs about O(period) steps, not the O(period^2) of a dense
+reduction.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -44,7 +44,9 @@ class _Eliminator:
     gives, in one step per nonzero entry.  The reduced row is divided by its
     content (the gcd of its entries) and its pivot made positive, so it
     stays a nonzero integer multiple of the row rational elimination would
-    store.
+    store.  At full rank a new row reduces to [0, ..., 0 | r], r a nonzero
+    multiple of rhs - coeffs . x for solve()'s x, so add stores nothing and
+    returns whether x satisfies the equation.
     """
 
     def __init__(self, unknowns: int) -> None:
@@ -144,8 +146,9 @@ def derive_profile(
     When the target is defined at n = 0 that trivial row (every side
     binomial vanishes) is included as well; it pins the center coefficient,
     which for even periods is otherwise entangled with the alternating-sign
-    row identity.  A unique solution is re-verified on the `holdout`
-    indices after the solve range and demoted to infeasible if any fails.
+    row identity.  At full rank the `holdout` indices after the solve range
+    go through the same eliminator, and the first one it cannot absorb
+    makes the profile infeasible; only a system that passes them is solved.
     An unknown name raises KeyError and a refused parameter ValueError, both
     up front; a target with no value in either range raises ValueError.
     """
@@ -178,14 +181,10 @@ def derive_profile(
             return result("infeasible", violated_n=n)
     if elim.rank < unknowns:
         return result("underdetermined", dimension=unknowns - elim.rank)
-    sol = elim.solve()
-    # clear denominators once, so each holdout check is an integer dot product
-    scale = math.lcm(*(x.denominator for x in sol))
-    scaled = [x.numerator * (scale // x.denominator) for x in sol]
     for n, coeffs in zip(hold_ns, rows):
-        if sum(map(operator.mul, coeffs, scaled)) != scale * _target_value(
-                target, n, "holdout", hold):
+        if not elim.add(coeffs, _target_value(target, n, "holdout", hold)):
             return result("infeasible", violated_n=n, holdout_range=hold)
+    sol = elim.solve()
     if row_odd:
         center, weights = Fraction(0), tuple(sol)
     else:

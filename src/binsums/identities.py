@@ -70,11 +70,11 @@ def _exact(q: int | Fraction) -> int | Fraction:
 
 
 def _max_n(ns: list[int]) -> int:
-    """max(ns), once no n in ns is negative: a list of the values at
-    n = 0..max(ns) indexed by a negative n would read from its end."""
-    if (low := min(ns)) < 0:
+    """max(ns), or -1 for no ns, once no n in ns is negative: a list of the
+    values at n = 0..max(ns) indexed by a negative n would read from its end."""
+    if (low := min(ns, default=0)) < 0:
         raise ValueError(f"a term is not defined at n = {low}; its sum starts at n = 0")
-    return max(ns)
+    return max(ns, default=-1)
 
 
 def _pick(values, ns: list[int]) -> list:
@@ -191,9 +191,9 @@ class ScaledBinomial:
         """C(2n, n) stepped by one exact ratio per n, times coeff over the
         divisor: an int wherever that is integral."""
         divisor, first = self._SHAPES[self.which]
-        if min(ns) < first:
-            raise ValueError(f"{self.which} is not defined at n = {min(ns)}")
-        central = [*accumulate(range(max(ns)), lambda c, n: c * (4 * n + 2) // (n + 1), initial=1)]
+        if (low := min(ns, default=first)) < first:
+            raise ValueError(f"{self.which} is not defined at n = {low}")
+        central = [*accumulate(range(_max_n(ns)), lambda c, n: c * (4 * n + 2) // (n + 1), initial=1)]
         p, d = self.coeff.numerator, self.coeff.denominator * divisor
         return [v // d if (v := p * central[n]) % d == 0 else Fraction(v, d) for n in ns]
 
@@ -264,7 +264,7 @@ class BinomialTransform:
         """The transform at every n in ns: entry 0 of row n of
         core.pascal_rows over g, the oracle read in one bulk read over j
         and placed on column stride*j + offset, with zeros between."""
-        g, ref = [0] * (max(ns) + 1), self.oracle
+        g, ref = [0] * (_max_n(ns) + 1), self.oracle
         count = len(range(self.offset, len(g), self.stride))
         g[self.offset::self.stride] = seq_values(
             ref.name, [ref.a * j + ref.b for j in range(count)], ref.param)
@@ -297,7 +297,8 @@ class SignedRowConvolution:
         x_n the place of n's k = 0 summand in g; a row costs one subtraction
         per entry.
         """
-        if not self.ak:  # every summand reads g(an*n + c), and sum_k (-1)^k C(2n+1, k) = 0
+        # no n, or every summand reads g(an*n + c) and sum_k (-1)^k C(2n+1, k) = 0
+        if not (self.ak and ns):
             return [0 * v for v in seq_values(self.oracle_name, [self.an * n + self.c for n in ns])]
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d
@@ -329,10 +330,9 @@ class DiagonalSum:
     def values(self, ns: list[int]) -> list[int]:
         """The sum at each n in ints by Horner's rule in the base, stepping
         C(2n-r+1, r-1) to C(2n-r, r) multiplicatively."""
+        _max_n(ns)  # a negative n is refused before any work
         out = []
         for n in ns:
-            if n < 0:
-                raise ValueError("a diagonal sum requires n >= 0")
             total, c = 1, 1
             for r in range(1, n + 1):
                 c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)

@@ -45,7 +45,8 @@ class AlignmentReport:
 
     @property
     def is_match(self) -> bool:
-        return self.matched >= MIN_MATCH
+        """At least MIN_MATCH terms agree and none of those compared differs."""
+        return self.matched >= MIN_MATCH and self.first_mismatch is None
 
 
 def parse_bfile(text: str, seq_id: str = "?") -> dict[int, int]:

@@ -83,8 +83,8 @@ class SequenceOracle:
         if self.rule is not None:
             return self.rule(param, n)
         if n < 0:  # fib and lucas: reflected by their spec's negative rule
-            return self.recurrence.reflection_sign(n) * _memo_read(self.name, param, -n)
-        return _memo_read(self.name, param, n)
+            return self.recurrence.reflection_sign(n) * _memo_values(self.name, param, -n)[-n]
+        return _memo_values(self.name, param, n)[n]
 
 
 # (oracle name, parameter) -> (values read so far, iterator of the rest), extended
@@ -93,22 +93,16 @@ _MEMO: dict[tuple[str, int | None], tuple[list[int], Iterator[int]]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def _memo_read(name: str, param: int | None, n: int, steps: Callable | None = None) -> int:
-    """Value n >= 0 of the iterator steps(param), by default the oracle's own
-    recurrence, stored under (name, param).  A stored value costs one dict
-    lookup and one index."""
+def _memo_values(name: str, param: int | None, n: int, steps: Callable | None = None) -> list[int]:
+    """The stored values of the iterator steps(param), by default the
+    oracle's own recurrence, under (name, param), holding index n >= 0.  A
+    list already long enough costs one dict lookup and takes no lock, since
+    the list only ever grows; otherwise it is extended under the lock.  A
+    new iterator is made before the lock is taken, since building a
+    family's spec may read the memo; stepping one must not."""
     entry = _MEMO.get((name, param))
     if entry is not None and n < len(entry[0]):
-        return entry[0][n]
-    return _memo_fill(name, param, n, steps)[n]
-
-
-def _memo_fill(name: str, param: int | None, n: int, steps: Callable | None = None) -> list[int]:
-    """The stored values of steps(param), extended under the lock to hold
-    index n.  The list only ever grows, so a value below its length may be
-    read without the lock.  A new iterator is made before the lock is taken,
-    since building a family's spec may read the memo; stepping one must not."""
-    entry = _MEMO.get((name, param))
+        return entry[0]
     fresh = entry or ([], steps(param) if steps else rec_steps(_REGISTRY[name].spec(param)))
     with _MEMO_LOCK:
         values, rest = _MEMO.setdefault((name, param), fresh)
@@ -163,7 +157,7 @@ def _divide_by_m(total: int, m: int, n: int) -> int:
 
 def _scriptl(m: int, n: int) -> int:
     # p_0/m is no integer, so scriptL starts at n = 1 and divides a recurrence
-    return _divide_by_m(_memo_read("scriptL", m, n, _scriptl_powers), m, n)
+    return _divide_by_m(_memo_values("scriptL", m, n, _scriptl_powers)[n], m, n)
 
 
 def _scriptl_powers(m: int) -> Iterator[int]:
@@ -181,7 +175,7 @@ def _class_sum_rule(name: str, *residues: int) -> Callable[[None, int], int]:
     the class sums of core.class_sums(5), read through the memo."""
     def steps(_):
         return (sum(s[r] for r in residues) for _, s in class_sums(5))
-    return lambda _, n: _memo_read(name, None, n, steps)
+    return lambda _, n: _memo_values(name, None, n, steps)[n]
 
 
 _REGISTRY: dict[str, SequenceOracle] = {
@@ -254,7 +248,7 @@ def seq_values(name: str, indices: list[int], param: int | None = None) -> list[
         return [oracle(n, param) for n in indices]  # a bad first index raises here
     oracle.check_param(param)
     lo = max(oracle.start, 0)
-    values = _memo_fill(name, param, max((n for n in indices if isinstance(n, int)), default=-1))
+    values = _memo_values(name, param, max((n for n in indices if isinstance(n, int)), default=-1))
     return [values[n] if isinstance(n, int) and n >= lo else oracle(n, param) for n in indices]
 
 
@@ -262,5 +256,5 @@ def seq_slice(name: str, count: int, param: int | None = None) -> list[int]:
     """First ``count`` values from the oracle's natural starting index."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    oracle = get_oracle(name)
-    return [oracle(oracle.start + i, param) for i in range(count)]
+    start = get_oracle(name).start
+    return seq_values(name, list(range(start, start + count)), param)

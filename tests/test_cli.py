@@ -25,6 +25,7 @@ from binsums.identities import (
     find,
     perturbed,
 )
+from binsums.oeis import load_fixture
 
 
 def invoke(capsys, *argv, registry=None):
@@ -322,6 +323,19 @@ def test_oeis_check_local_bfile(tmp_path, capsys):
     code, out = invoke(capsys, "oeis-check", "--sequence", "pell", "--id", "A000129",
                        "--bfile", str(path), "--count", "21")
     assert code == 0 and "MATCH" in out
+
+
+def test_oeis_check_of_a_table_that_agrees_and_then_differs_is_a_mismatch(tmp_path, capsys):
+    table = load_fixture("A001075")
+    table[30] += 1
+    path = tmp_path / "b001075.txt"
+    path.write_text("".join(f"{n} {v}\n" for n, v in table.items()))
+    code, out = invoke(capsys, "oeis-check", "--sequence", "pellX", "--id", "A001075",
+                       "--bfile", str(path), "--count", "50")
+    assert code == 1
+    assert out.splitlines() == [
+        "pellX vs A001075: MISMATCH (30 terms at shift +0)",
+        f"first divergence at n=30: local {table[30] - 1}, b-file {table[30]}"]
 
 
 def test_oeis_check_invalid_id_exits_2(capsys):

@@ -359,6 +359,34 @@ def test_integer_eliminator_equals_the_fraction_reference(seed):
     assert unit_pivots == {True, False}
 
 
+def test_a_full_rank_eliminator_absorbs_exactly_the_equations_its_solution_satisfies():
+    """Once every column is a pivot, add stores nothing and returns whether
+    solve()'s solution satisfies the new equation: the one consistency test
+    derive_profile's holdout relies on."""
+    rng = random.Random(24)
+    seen, full = set(), 0
+    for _ in range(40):
+        unknowns = rng.randint(1, 6)
+        elim = _Eliminator(unknowns)
+        for row, rhs in random_system(rng, unknowns, unknowns, False):
+            assert elim.add(row, rhs)
+        if elim.rank < unknowns:
+            continue
+        full += 1
+        x = elim.solve()
+        rows = {pivot: list(row) for pivot, row in elim.rows.items()}
+        scale = lcm(*(v.denominator for v in x))
+        for _ in range(8):
+            row = [scale * rng.randint(-4, 4) for _ in range(unknowns)]
+            rhs = int(sum(c * v for c, v in zip(row, x))) + rng.choice((0, 0, -1, 1))
+            holds = sum(c * v for c, v in zip(row, x)) == rhs
+            assert elim.add(row, rhs) == holds, (row, rhs, x)
+            seen.add(holds)
+            assert elim.rows == rows and elim.rank == unknowns
+        assert elim.solve() == x
+    assert full >= 20 and seen == {True, False}
+
+
 def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
     """The rows derive_profile feeds at its default solve range, P = 1..20,
     for a few registry left sides and both row parities.  The Fraction

@@ -285,6 +285,16 @@ def test_swept_terms_with_integral_coefficients_yield_ints():
     assert int_types == _TERM_TYPES
 
 
+def test_every_term_gives_no_values_at_no_n():
+    """values([]) is [] for every term of the registry, all nine classes."""
+    types = set()
+    for ident in builtin_registry():
+        for term in ident.terms:
+            assert term.values([]) == [], (ident.label, term)
+            types.add(type(term))
+    assert types == _TERM_TYPES
+
+
 @pytest.mark.parametrize("base", range(-3, 8))
 def test_diagonal_sum_equals_the_binomial_reference(base):
     term = DiagonalSum(base)
@@ -404,23 +414,23 @@ def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
     (ident,) = [i for i in find("lewis-family") if i.lhs.param == 5]
     (term,) = ident.terms
     reads = []
-    value, memo_read = OracleRef.value, sequences._memo_read
+    value, memo_values = OracleRef.value, sequences._memo_values
 
     def counted_value(self, v):
         if self == term.weight_oracle:
             reads.append(v)
         return value(self, v)
 
-    def counted_memo_read(name, param, n, steps=None):
+    def counted_memo_values(name, param, n, steps=None):
         if name == "lucas":
             reads.append(n)
-        return memo_read(name, param, n, steps)
+        return memo_values(name, param, n, steps)
 
     def no_rows(*args):
         raise AssertionError("a weight-oracle sum read core.pascal_rows")
 
     monkeypatch.setattr(OracleRef, "value", counted_value)
-    monkeypatch.setattr(sequences, "_memo_read", counted_memo_read)
+    monkeypatch.setattr(sequences, "_memo_values", counted_memo_values)
     monkeypatch.setattr(identities, "pascal_rows", no_rows)
     counts = []
     for n_max in (100, 400):
@@ -612,8 +622,6 @@ def test_domains_and_sweeps_reject_negative_n():
     assert Domain(5, stop=5).indices(0, 10) == [5]
     with pytest.raises(ValueError, match="not defined at n = -1"):
         rhs_values(find("fib-even")[0], [-1, 0])
-    with pytest.raises(ValueError, match="n >= 0"):
-        DiagonalSum().values([-1])
     with pytest.raises(ValueError, match="not defined at n = -2;"):
         CosProduct().values([3, -2])
 
@@ -622,6 +630,7 @@ def test_domains_and_sweeps_reject_negative_n():
     (CenteredSum((1,), 1), [-1, 2]),
     (BinomialTransform(OracleRef("pow5"), 2, 1), [-1, 3]),
     (SignedRowConvolution("fib", 4, -4, 2), [-1, 3]),
+    (DiagonalSum(), [-1, 3]),
 ])
 def test_a_term_refuses_a_negative_n_and_names_it(term, ns):
     with pytest.raises(ValueError, match="not defined at n = -1;"):

@@ -98,6 +98,14 @@ def test_wrong_pairing_reports_divergence():
     assert isinstance(report, AlignmentReport)
 
 
+def test_a_table_that_agrees_and_then_differs_is_no_match():
+    table = load_fixture("A001075")
+    table[30] += 1
+    report = compare("pellX", table, 50)
+    assert report.matched == 30 and report.first_mismatch[0] == 30
+    assert not report.is_match
+
+
 def test_compare_requires_enough_terms():
     with pytest.raises(ValueError):
         compare("pellX", load_fixture("A001075"), count=5)
