@@ -12,10 +12,16 @@ kernel that verify sweeps (core.class_sums).  All linear algebra is exact
 fraction-free elimination over the integers, which decides every equation,
 held out or not; Fractions appear only in the back-substitution, and
 nothing is ever rounded.  Each new equation is reduced by a stored pivot
-row only at the columns where that row is nonzero.  Most of derive's pivot
-rows are nonzero only at the pivot and the right side, so absorbing one
-equation costs about O(period) steps, not the O(period^2) of a dense
-reduction.
+row only at the columns where that row is nonzero, and back-substitution
+reads a pivot row only there too.  Most of derive's pivot rows are nonzero
+only at the pivot and the right side, so absorbing one equation costs
+about O(period) steps, not the O(period^2) of a dense reduction.
+
+What does not depend on the target is done once per process: the class
+sums of each (period, row_odd) are stepped once into the memo of
+sequences, which every later derivation reads.  The target is read in one
+bulk read per range, the solve range first and the holdout only once the
+solve range reaches full rank.
 """
 from __future__ import annotations
 
@@ -24,11 +30,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .core import class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
-from .sequences import get_oracle
+from .sequences import _memo_values, get_oracle, seq_values
 
 
 class _Eliminator:
@@ -81,11 +86,14 @@ class _Eliminator:
         return len(self.rows)
 
     def solve(self) -> list[Fraction]:
+        """The one solution at full rank, by back-substitution from the last
+        pivot.  Each pivot row's known unknowns enter only at its nonzero
+        columns past the pivot; a zero coefficient adds nothing to the sum."""
         assert self.rank == self.unknowns
         sol = [Fraction(0)] * self.unknowns
         for pivot in sorted(self.rows, reverse=True):
             prow = self.rows[pivot]
-            rest = sum(prow[j] * sol[j] for j in range(pivot + 1, self.unknowns))
+            rest = sum(prow[j] * sol[j] for j in self._nonzero[pivot] if pivot < j < self.unknowns)
             sol[pivot] = Fraction(prow[-1] - rest, prow[pivot])
         return sol
 
@@ -111,23 +119,40 @@ def _equation_rows(period: int, row_odd: bool, ns: list[int]):
 
     Even rows have period + 1 unknowns [center, w_0, ..., w_(M-1)]; odd rows
     have no center column (C(2n+1, n) duplicates the k = 1 column), so only
-    the M weights are solved for.
+    the M weights are solved for.  The (C(row, n), class sums) pairs of
+    core.class_sums are read from the memo of sequences under the key
+    ("class_sums", (period, row_odd)), so each kernel is stepped once per
+    process however many targets are solved against it.  Those lists are
+    shared: an odd row is yielded as it is stored, and no reader may change
+    it.
     """
-    sums = class_sums(period, row_odd)
-    at = 0
+    pairs = _memo_values("class_sums", (period, row_odd), ns[-1], lambda key: class_sums(*key))
     for n in ns:
-        middle, row = next(islice(sums, n - at, None))
-        at = n + 1
+        middle, row = pairs[n]
         yield row if row_odd else [middle, *row]
 
 
-def _target_value(target: OracleRef, n: int, stage: str, span: tuple[int, int]) -> int:
+def _target_values(target: OracleRef, ns: list[int] | range, stage: str, span: tuple[int, int]):
+    """The target at each n of ns, in order, for the equations of a stage
+    ("solve" or "holdout") with range span.  One seq_values read takes them
+    all at the first request.  If that read raises, they are read one n at
+    a time as they are asked for, so an equation before the first n with no
+    value still gives its verdict, and that n raises a ValueError naming it
+    and the range."""
     try:
-        return target.value(n)
-    except ValueError as exc:  # the name was checked up front
-        raise ValueError(
-            f"target {target.name}({target.index_str()}) has no value at n = {n}, "
-            f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
+        values = seq_values(target.name, [target.a * n + target.b for n in ns], target.param)
+    except ValueError:
+        pass
+    else:
+        yield from values
+        return
+    for n in ns:
+        try:
+            yield target.value(n)
+        except ValueError as exc:  # the name was checked up front
+            raise ValueError(
+                f"target {target.name}({target.index_str()}) has no value at n = {n}, "
+                f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
 
 
 def derive_profile(
@@ -176,13 +201,13 @@ def derive_profile(
     hold_ns = range(hold[0], hold[1] + 1)
     rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
     result = functools.partial(ProfileSolution, target, period, row_odd, solve_range=solve)
-    for n, coeffs in zip(ns, rows):
-        if not elim.add(coeffs, _target_value(target, n, "solve", solve)):
+    for n, coeffs, value in zip(ns, rows, _target_values(target, ns, "solve", solve)):
+        if not elim.add(coeffs, value):
             return result("infeasible", violated_n=n)
     if elim.rank < unknowns:
         return result("underdetermined", dimension=unknowns - elim.rank)
-    for n, coeffs in zip(hold_ns, rows):
-        if not elim.add(coeffs, _target_value(target, n, "holdout", hold)):
+    for n, coeffs, value in zip(hold_ns, rows, _target_values(target, hold_ns, "holdout", hold)):
+        if not elim.add(coeffs, value):
             return result("infeasible", violated_n=n, holdout_range=hold)
     sol = elim.solve()
     if row_odd:

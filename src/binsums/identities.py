@@ -299,6 +299,7 @@ class SignedRowConvolution:
         """
         # no n, or every summand reads g(an*n + c) and sum_k (-1)^k C(2n+1, k) = 0
         if not (self.ak and ns):
+            _max_n(ns)  # a negative n is refused here too
             return [0 * v for v in seq_values(self.oracle_name, [self.an * n + self.c for n in ns])]
         d = math.gcd(self.an, self.ak)
         t, s = self.an // d, self.ak // d

@@ -16,6 +16,8 @@ from binsums.core import (
     rec_steps,
     weighted_class_sums,
 )
+from binsums.discovery import derive_profile
+from binsums.identities import OracleRef
 from binsums.sequences import _MEMO, get_oracle, seq_eval
 from recurrence_reference import rec_eval
 
@@ -267,6 +269,38 @@ def test_partial_row_memo_survives_concurrent_extension():
         assert len(got) == 4 and all(values == expected for values in got)
         assert [_MEMO[name, None][0] for name in names] == [
             [expected[name, n] for n in ns] for name in names]
+
+
+def test_derive_rows_survive_concurrent_extension():
+    # Each thread derives the same profiles from an empty memo in its own
+    # order, so the threads make and extend the shared equation rows of one
+    # (period, row_odd) at once; a lost check-then-append race shows as a
+    # wrong profile or a stored row that is not the kernel's.
+    jobs = [(OracleRef(name, a=a), period, row_odd) for name, a in (("fib", 2), ("pow3", 1))
+            for period in range(1, 11) for row_odd in (False, True)]
+    _MEMO.clear()
+    expected = {i: derive_profile(*job) for i, job in enumerate(jobs)}
+    shuffled = [list(expected) for _ in range(2)]
+    for seed, order in enumerate(shuffled):
+        random.Random(seed).shuffle(order)
+    for _ in range(5):
+        _MEMO.clear()
+        orders = [list(expected), list(reversed(expected)), *shuffled]
+        lock = threading.Lock()
+        got = []
+
+        def work(barrier):
+            with lock:
+                order = orders.pop()
+            barrier.wait()
+            got.append({i: derive_profile(*jobs[i]) for i in order})
+
+        run_threads(work)
+        assert len(got) == 4 and all(profiles == expected for profiles in got)
+        rows = {key: values for (name, key), (values, _) in _MEMO.items() if name == "class_sums"}
+        assert len(rows) == 20
+        assert all(values == list(islice(class_sums(*key), len(values)))
+                   for key, values in rows.items())
 
 
 def test_recurrence_spec_validation():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 import pytest
 
+from binsums.core import class_sums
 from binsums.discovery import (
     _Eliminator,
     _equation_rows,
@@ -19,6 +21,7 @@ from binsums.identities import (
     identity_json,
     verify,
 )
+from binsums.sequences import _MEMO
 
 
 def test_legendre_profile_for_even_fibonacci():
@@ -98,6 +101,38 @@ def test_target_that_runs_out_in_the_holdout_names_it():
     assert "holdout range 5..24" in message
     with pytest.raises(ValueError, match=r"n = 71, needed by the solve range 1\.\.84"):
         derive_profile(OracleRef("pell", a=-1, b=70), 80)
+
+
+def test_a_target_that_runs_out_later_keeps_its_earlier_verdict():
+    # The target is read in one bulk read per range; where that read fails,
+    # an equation before the first n with no value still decides.
+    # pell(-n+70) has no value at n = 71 in the solve range 1..80.
+    for period, n in ((1, 2), (3, 4), (5, 6)):
+        sol = derive_profile(OracleRef("pell", a=-1, b=70), period, solve_stop=80)
+        assert (sol.status, sol.violated_n) == ("infeasible", n)
+    # pow2(-n+30) has no value at n = 31 in the solve range 1..40
+    sol = derive_profile(OracleRef("pow2", a=-1, b=30), 2, solve_stop=40, holdout=30)
+    assert (sol.status, sol.violated_n) == ("infeasible", 3)
+
+
+def test_derive_from_the_shared_rows_equals_derive_from_an_empty_memo():
+    # The equation rows live in the memo of sequences, shared by every
+    # derivation.  Each result over a shuffled scan, with whatever rows the
+    # scan left there, equals the result from an empty memo; and the stored
+    # rows are still the kernel's, since a reader that changed one would
+    # corrupt every later derivation.
+    triples = [(t, p, row_odd) for t in foldable_left_sides() for p in range(1, 21)
+               for row_odd in (False, True)]
+    random.Random(25).shuffle(triples)
+    _MEMO.clear()
+    warm = [derive_profile(*triple) for triple in triples]
+    stored = {key: values for (name, key), (values, _) in _MEMO.items() if name == "class_sums"}
+    assert set(stored) == {(p, row_odd) for p in range(1, 21) for row_odd in (False, True)}
+    for (period, row_odd), values in stored.items():
+        assert values == list(islice(class_sums(period, row_odd), len(values)))
+    for triple, sol in zip(triples, warm):
+        _MEMO.clear()
+        assert derive_profile(*triple) == sol, triple
 
 
 @pytest.mark.parametrize("name, param, message", [
@@ -349,14 +384,18 @@ def test_integer_eliminator_equals_the_fraction_reference(seed):
         outcome, _ = eliminate_alongside(unknowns, random_system(rng, unknowns, rank, inconsistent))
         seen.add(outcome)
     assert seen == {"full", "deficient", "inconsistent"}
-    sparse_seen, unit_pivots = set(), set()
+    sparse_seen, unit_pivots, mixed_rows_solved = set(), set(), 0
     for _ in range(15):
         unknowns = rng.randint(1, 21)
         outcome, elim = eliminate_alongside(unknowns, sparse_triangular_system(rng, unknowns))
         sparse_seen.add(outcome)
         unit_pivots.update(row[pivot] == 1 for pivot, row in elim.rows.items())
+        if outcome == "full":  # solve() skipped the zeros and still equalled the reference
+            mixed_rows_solved += sum(0 in past and any(past) for past in (
+                row[pivot + 1:unknowns] for pivot, row in elim.rows.items()))
     assert sparse_seen >= {"full", "inconsistent"}
     assert unit_pivots == {True, False}
+    assert mixed_rows_solved  # pivot rows with zero and nonzero entries past the pivot
 
 
 def test_a_full_rank_eliminator_absorbs_exactly_the_equations_its_solution_satisfies():

@@ -630,6 +630,7 @@ def test_domains_and_sweeps_reject_negative_n():
     (CenteredSum((1,), 1), [-1, 2]),
     (BinomialTransform(OracleRef("pow5"), 2, 1), [-1, 3]),
     (SignedRowConvolution("fib", 4, -4, 2), [-1, 3]),
+    (SignedRowConvolution("fib", 1, 0), [-1, 2]),  # ak = 0: every row sums to 0
     (DiagonalSum(), [-1, 3]),
 ])
 def test_a_term_refuses_a_negative_n_and_names_it(term, ns):
