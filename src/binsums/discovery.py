@@ -8,20 +8,25 @@ the center coefficient and weight table that make
 hold on a solve range, classifies the solution by rank, and then insists
 that a unique solution keep working on held-out indices it never saw.
 The equation rows are the residue-class sums of the same Pascal-step
-kernel that verify sweeps (core.class_sums).  All linear algebra is exact
-fraction-free elimination over the integers, which decides every equation,
-held out or not; Fractions appear only in the back-substitution, and
-nothing is ever rounded.  Each new equation is reduced by a stored pivot
-row only at the columns where that row is nonzero, and back-substitution
-reads a pivot row only there too.  Most of derive's pivot rows are nonzero
-only at the pivot and the right side, so absorbing one equation costs
-about O(period) steps, not the O(period^2) of a dense reduction.
+kernel that verify sweeps (core.class_sums).  All arithmetic is exact:
+integers throughout, and Fractions only for the solution itself.
 
-What does not depend on the target is done once per process: the class
-sums of each (period, row_odd) are stepped once into the memo of
-sequences, which every later derivation reads.  The target is read in one
-bulk read per range, the solve range first and the holdout only once the
-solve range reaches full rank.
+The coefficient rows do not depend on the target, so neither does which
+equations add a pivot and which depend on earlier ones: only the right
+sides do.  So each system, keyed by (period, row parity, whether n = 0
+joins, solve range, holdout), is factored once by fraction-free integer
+elimination (Bareiss, Math. Comp. 22, 1968) that records how each reduced
+row combines the pivot equations.  A dependent equation keeps the integer
+combination of right sides that must vanish for it to hold.  At full rank
+an integer back-substitution gives D and X with D*x = X*b, b the pivot
+equations' right sides.  A target then costs a few dot products: one per
+dependent equation, z = X*b once, and coeffs . z == D * b_n for each later
+equation, held out or not; the solution is z / D.  The factored systems
+live in one least-recently-used cache of _FACTORS entries, shared by every
+caller and never changed once built.
+
+The target is read in one bulk read per range, the solve range first and
+the holdout only once the solve range reaches full rank.
 """
 from __future__ import annotations
 
@@ -30,72 +35,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
+from typing import NamedTuple
 
 from .core import class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
-from .sequences import _memo_values, get_oracle, seq_values
+from .sequences import get_oracle, seq_values
 
-
-class _Eliminator:
-    """Incremental fraction-free Gaussian elimination over the integers.
-
-    Equations are fed one at a time so that an inconsistency can be blamed
-    on the exact index that introduced it.  A row [coeffs..., rhs] is
-    reduced by each stored pivot row as p*row - c*prow, where p is the
-    pivot entry and c the row's entry in the pivot column.  Beside its dense
-    list, each pivot row keeps the columns where it is nonzero, found once
-    when it is stored, so a reduction scales the row only when p is not 1
-    and subtracts c*prow only at those columns: the row the dense step
-    gives, in one step per nonzero entry.  The reduced row is divided by its
-    content (the gcd of its entries) and its pivot made positive, so it
-    stays a nonzero integer multiple of the row rational elimination would
-    store.  At full rank a new row reduces to [0, ..., 0 | r], r a nonzero
-    multiple of rhs - coeffs . x for solve()'s x, so add stores nothing and
-    returns whether x satisfies the equation.
-    """
-
-    def __init__(self, unknowns: int) -> None:
-        self.unknowns = unknowns
-        self.rows: dict[int, list[int]] = {}  # pivot -> [coeffs..., rhs]
-        self._nonzero: dict[int, list[int]] = {}  # pivot -> columns where its row is nonzero
-
-    def add(self, coeffs: list[int], rhs: int) -> bool:
-        """Absorb one equation; False means it contradicts the others."""
-        row = [*coeffs, rhs]
-        for pivot, nonzero in self._nonzero.items():
-            c = row[pivot]
-            if c:
-                prow = self.rows[pivot]
-                p = prow[pivot]
-                if p != 1:
-                    row = [p * a for a in row]
-                for j in nonzero:
-                    row[j] -= c * prow[j]
-        pivot = next((j for j in range(self.unknowns) if row[j]), None)
-        if pivot is None:
-            return row[-1] == 0
-        g = math.gcd(*row)
-        if row[pivot] < 0:
-            g = -g
-        self.rows[pivot] = prow = [a // g for a in row]
-        self._nonzero[pivot] = [j for j, b in enumerate(prow) if b]
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def solve(self) -> list[Fraction]:
-        """The one solution at full rank, by back-substitution from the last
-        pivot.  Each pivot row's known unknowns enter only at its nonzero
-        columns past the pivot; a zero coefficient adds nothing to the sum."""
-        assert self.rank == self.unknowns
-        sol = [Fraction(0)] * self.unknowns
-        for pivot in sorted(self.rows, reverse=True):
-            prow = self.rows[pivot]
-            rest = sum(prow[j] * sol[j] for j in self._nonzero[pivot] if pivot < j < self.unknowns)
-            sol[pivot] = Fraction(prow[-1] - rest, prow[pivot])
-        return sol
+# Factored systems kept at once.  Periods 1..20, each with and without
+# n = 0, are 40 systems at the default ranges.
+_FACTORS = 64
 
 
 @dataclass(frozen=True)
@@ -114,22 +64,115 @@ class ProfileSolution:
     holdout_range: tuple[int, int] = (0, 0)
 
 
-def _equation_rows(period: int, row_odd: bool, ns: list[int]):
-    """Integer coefficient row of the sum at each n of the ascending list ns.
+def _equation_rows(period: int, row_odd: bool, ns: list[int] | range):
+    """Integer coefficient row of the sum at each n of the ascending ns, as
+    a tuple, from one sweep of core.class_sums.
 
     Even rows have period + 1 unknowns [center, w_0, ..., w_(M-1)]; odd rows
     have no center column (C(2n+1, n) duplicates the k = 1 column), so only
-    the M weights are solved for.  The (C(row, n), class sums) pairs of
-    core.class_sums are read from the memo of sequences under the key
-    ("class_sums", (period, row_odd)), so each kernel is stepped once per
-    process however many targets are solved against it.  Those lists are
-    shared: an odd row is yielded as it is stored, and no reader may change
-    it.
+    the M weights are solved for.
     """
-    pairs = _memo_values("class_sums", (period, row_odd), ns[-1], lambda key: class_sums(*key))
+    sums = class_sums(period, row_odd)
+    at = 0
     for n in ns:
-        middle, row = pairs[n]
-        yield row if row_odd else [middle, *row]
+        middle, row = next(islice(sums, n - at, None))
+        at = n + 1
+        yield tuple(row) if row_odd else (middle, *row)
+
+
+class _System(NamedTuple):
+    """What derive_profile needs of one system, none of it depending on the
+    target.
+
+    checks has one entry per solve equation, in order, up to the one that
+    brings full rank (all of them if none does).  It is None where the
+    equation adds a pivot.  Where the equation depends on earlier ones it is
+    a pair (lam, own): the equation holds exactly when
+    lam . b + own * v == 0, b the right sides of the pivot equations before
+    it and v its own.  rank is the rank those equations reach.  At full
+    rank the solution is inverse . b / denominator, inverse having one
+    integer row per unknown over all the pivot equations, and rows holds
+    the coefficient rows of the equations after the last pivot: the rest of
+    the solve range, then the holdout.  Below full rank inverse and rows are
+    empty.
+    """
+
+    checks: tuple[tuple[tuple[int, ...], int] | None, ...]
+    rank: int
+    inverse: tuple[tuple[int, ...], ...] = ()
+    denominator: int = 1
+    rows: tuple[tuple[int, ...], ...] = ()
+
+
+@functools.lru_cache(maxsize=_FACTORS)
+def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop: int,
+            holdout: int) -> _System:
+    """Factor the system of derive_profile's equations at n = 0 (if zero),
+    solve_start..solve_stop and the holdout after it.
+
+    Each solve equation's row [coeffs | combination] is reduced by each
+    stored pivot row as p*row - c*prow, where p is the pivot entry and c
+    the row's entry in the pivot column, only at the columns where the
+    pivot row is nonzero.  The combination part starts as 1 in the slot of
+    the pivot this equation would be, so it always says how the reduced
+    coefficients combine the pivot equations and this one.  A reduced row
+    is divided by its content (the gcd of its entries).  Where the
+    coefficients reduce to zero the combination is the equation's check.
+    """
+    unknowns = period if row_odd else period + 1
+    solve_ns = [*([0] if zero else []), *range(solve_start, solve_stop + 1)]
+    hold_ns = range(solve_stop + 1, solve_stop + holdout + 1)
+    rows = _equation_rows(period, row_odd, [*solve_ns, *hold_ns])
+    pivots: dict[int, tuple[list[int], list[int]]] = {}  # column -> (row, its nonzero columns)
+    checks: list[tuple[tuple[int, ...], int] | None] = []
+    for _, coeffs in zip(solve_ns, rows):
+        slot = unknowns + len(pivots)
+        row = [*coeffs, *[0] * unknowns]
+        row[slot] = 1
+        for pivot, (prow, nonzero) in pivots.items():
+            c = row[pivot]
+            if c:
+                p = prow[pivot]
+                if p != 1:
+                    row = [p * a for a in row]
+                for j in nonzero:
+                    row[j] -= c * prow[j]
+        pivot = next((j for j in range(unknowns) if row[j]), None)
+        g = math.gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+        if pivot is None:
+            checks.append((tuple(row[unknowns:slot]), row[slot]))
+            continue
+        pivots[pivot] = row, [j for j, a in enumerate(row) if a]
+        checks.append(None)
+        if len(pivots) == unknowns:
+            break
+    if len(pivots) < unknowns:
+        return _System(tuple(checks), len(pivots))
+    # back-substitution from the last pivot: x_q = inverse[q] . b / d
+    d, inverse = 1, {}
+    for pivot in sorted(pivots, reverse=True):
+        prow, nonzero = pivots[pivot]
+        num = prow[unknowns:] if d == 1 else [d * a for a in prow[unknowns:]]
+        for j in nonzero:  # ascending: the coefficient columns come first
+            if j >= unknowns:
+                break
+            if j > pivot:
+                c = prow[j]
+                num = [a - c * b for a, b in zip(num, inverse[j])]
+        p = prow[pivot]
+        if p != 1:
+            g = math.gcd(p, *num)
+            scale = p // g
+            if scale != 1:
+                d *= scale
+                for q, known in inverse.items():
+                    inverse[q] = [scale * a for a in known]
+            num = [a // g for a in num]
+        inverse[pivot] = num
+    return _System(tuple(checks), unknowns, tuple(tuple(inverse[q]) for q in range(unknowns)),
+                   d, tuple(rows))
 
 
 def _target_values(target: OracleRef, ns: list[int] | range, stage: str, span: tuple[int, int]):
@@ -171,9 +214,10 @@ def derive_profile(
     When the target is defined at n = 0 that trivial row (every side
     binomial vanishes) is included as well; it pins the center coefficient,
     which for even periods is otherwise entangled with the alternating-sign
-    row identity.  At full rank the `holdout` indices after the solve range
-    go through the same eliminator, and the first one it cannot absorb
-    makes the profile infeasible; only a system that passes them is solved.
+    row identity.  Equations are decided in order of n, the solve range and
+    then, at full rank, the `holdout` indices after it; the first one that
+    contradicts those before it makes the profile infeasible, and only a
+    system that passes them all is solved.
     An unknown name raises KeyError and a refused parameter ValueError, both
     up front; a target with no value in either range raises ValueError.
     """
@@ -190,26 +234,35 @@ def derive_profile(
     get_oracle(target.name).check_param(target.param)  # fail early on a bad name or parameter
 
     unknowns = period if row_odd else period + 1
-    elim = _Eliminator(unknowns)
     solve = (solve_start, solve_stop)
     hold = (solve_stop + 1, solve_stop + holdout)
-    ns = list(range(solve_start, solve_stop + 1))
-    if not row_odd and 0 not in ns:
+    ns: list[int] | range = range(solve_start, solve_stop + 1)
+    zero = False
+    if not row_odd and solve_start > 0:
         with contextlib.suppress(ValueError):  # n = 0 joins only where the target has a value
             target.value(0)
-            ns.insert(0, 0)
-    hold_ns = range(hold[0], hold[1] + 1)
-    rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
+            ns, zero = [0, *ns], True
+    system = _factor(period, row_odd, zero, solve_start, solve_stop, holdout)
     result = functools.partial(ProfileSolution, target, period, row_odd, solve_range=solve)
-    for n, coeffs, value in zip(ns, rows, _target_values(target, ns, "solve", solve)):
-        if not elim.add(coeffs, value):
+    values = _target_values(target, ns, "solve", solve)
+    b = []  # the right sides of the pivot equations
+    for n, check, value in zip(ns, system.checks, values):
+        if check is None:
+            b.append(value)
+        elif sum(map(mul, check[0], b)) + check[1] * value:
             return result("infeasible", violated_n=n)
-    if elim.rank < unknowns:
-        return result("underdetermined", dimension=unknowns - elim.rank)
+    if system.rank < unknowns:
+        return result("underdetermined", dimension=unknowns - system.rank)
+    d, z = system.denominator, [sum(map(mul, row, b)) for row in system.inverse]
+    rows = iter(system.rows)
+    for n, coeffs, value in zip(ns[len(system.checks):], rows, values):
+        if sum(map(mul, coeffs, z)) != d * value:
+            return result("infeasible", violated_n=n)
+    hold_ns = range(hold[0], hold[1] + 1)
     for n, coeffs, value in zip(hold_ns, rows, _target_values(target, hold_ns, "holdout", hold)):
-        if not elim.add(coeffs, value):
+        if sum(map(mul, coeffs, z)) != d * value:
             return result("infeasible", violated_n=n, holdout_range=hold)
-    sol = elim.solve()
+    sol = [Fraction(q, d) for q in z]
     if row_odd:
         center, weights = Fraction(0), tuple(sol)
     else:

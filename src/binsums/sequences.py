@@ -5,14 +5,13 @@ power sums of an integer characteristic polynomial included) is defined by
 its ``RecurrenceSpec``; the partial-row sums A, B and C read the class sums
 of core.class_sums(5), and the rest are small closed rules.  All of them
 return exact integers on their domain; one memo keeps what the stepped ones
-yield, and the class-sum rows that discovery solves with.  seq_eval reads
-one index; seq_values reads a list of them, filling a stepped oracle's memo
-entry once and taking each value from it.
+yield.  seq_eval reads one index; seq_values reads a list of them, filling
+a stepped oracle's memo entry once and taking each value from it.
 """
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -88,29 +87,26 @@ class SequenceOracle:
         return _memo_values(self.name, param, n)[n]
 
 
-# (name, key) -> (values read so far, iterator of the rest), extended only under
-# _MEMO_LOCK: a generator stepped by two threads at once raises.  The key is an
-# oracle's parameter, or (period, row_odd) under the name "class_sums" for
-# discovery's equation rows: a tuple, which no oracle parameter can equal.
-_MEMO: dict[tuple[str, Hashable], tuple[list, Iterator]] = {}
+# (oracle name, parameter) -> (values read so far, iterator of the rest), extended
+# only under _MEMO_LOCK: a generator stepped by two threads at once raises.
+_MEMO: dict[tuple[str, int | None], tuple[list[int], Iterator[int]]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def _memo_values(name: str, key: Hashable, n: int, steps: Callable | None = None) -> list:
-    """The stored values of the iterator steps(key) under (name, key),
-    holding index n >= 0; without steps, name is an oracle, key its
-    parameter and the iterator its own recurrence.  A list already long
-    enough costs one dict lookup and takes no lock, since the list only
-    ever grows; otherwise it is extended under the lock.  A new iterator is
-    made before the lock is taken, since building a family's spec may read
-    the memo; stepping one must not.  The stored values are shared by every
-    reader, and no reader may change them."""
-    entry = _MEMO.get((name, key))
+def _memo_values(name: str, param: int | None, n: int, steps: Callable | None = None) -> list[int]:
+    """The stored values of the iterator steps(param), by default the
+    oracle's own recurrence, under (name, param), holding index n >= 0.  A
+    list already long enough costs one dict lookup and takes no lock, since
+    the list only ever grows; otherwise it is extended under the lock.  A
+    new iterator is made before the lock is taken, since building a
+    family's spec may read the memo; stepping one must not.  The stored
+    values are shared by every reader, and no reader may change them."""
+    entry = _MEMO.get((name, param))
     if entry is not None and n < len(entry[0]):
         return entry[0]
-    fresh = entry or ([], steps(key) if steps else rec_steps(_REGISTRY[name].spec(key)))
+    fresh = entry or ([], steps(param) if steps else rec_steps(_REGISTRY[name].spec(param)))
     with _MEMO_LOCK:
-        values, rest = _MEMO.setdefault((name, key), fresh)
+        values, rest = _MEMO.setdefault((name, param), fresh)
         while len(values) <= n:
             values.append(next(rest))
     return values

@@ -1,6 +1,7 @@
 """tools/ab_pairs.py's summary of paired runs, on fixed numbers: no
 benchmark is run."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,34 @@ def test_the_summary_needs_nine_tenths_of_the_pairs():
 def test_the_summary_refuses_unpaired_runs():
     with pytest.raises(ValueError):
         ab_pairs.summarize(_runs(wall_s=[1.0, 2.0]), _runs(wall_s=[1.0]), END_TO_END)
+
+
+def test_a_summary_is_appended_to_the_trend_file(tmp_path):
+    parent = _runs(wall_s=[0.10, 0.11, 0.12, 0.13], setup_s=[0.4, 0.4, 0.4, 0.4])
+    change = _runs(wall_s=[0.05, 0.06, 0.07, 0.14], setup_s=[0.4, 0.4, 0.4, 0.4])
+    rows = ab_pairs.summarize(parent, change, END_TO_END)
+    stdout = ("pass 1: wall_s=0.1 measured 0.07 s, median of 3 probes 1.250 ms; host.calib_s=0.1\n"
+              "pass 2: wall_s=0.1 measured 0.07 s, median of 2 probes 1.310 ms; host.calib_s=0.1\n")
+    probes = [float(ms) for ms in ab_pairs.PROBE.findall(stdout)]
+    assert probes == [1.25, 1.31]
+    entry = ab_pairs.trend_entry(
+        rows, parent={"commit": "a" * 40, "dirty": False}, change={"commit": None, "dirty": None},
+        seeds=[11, 12, 13, 14], seconds=36, probes={"parent": probes, "change": [1.0, 2.0, 4.0]})
+    path = tmp_path / "BENCH_w.json"
+    ab_pairs.append_trend(str(path), {"source": "prose: CHANGES.md"})
+    ab_pairs.append_trend(str(path), entry)
+    first, second = json.loads(path.read_text(encoding="utf-8"))
+    assert first == {"source": "prose: CHANGES.md"}
+    assert second["parent"] == {"commit": "a" * 40, "dirty": False}
+    assert (second["seeds"], second["seconds"], second["pairs"]) == ([11, 12, 13, 14], 36, 4)
+    assert second["host_probe_ms"] == {"parent": pytest.approx(1.28), "change": 2.0}
+    wall = second["metrics"]["wall_s"]
+    assert wall["parent"] == pytest.approx([0.1075, 0.115, 0.1225])
+    assert wall["change"] == pytest.approx([0.0575, 0.065, 0.0875])
+    assert (wall["better"], wall["wins"], wall["gain"]) == ("lower", 3, False)  # 3 of 4 pairs
+    assert second["metrics"]["setup_s"]["wins"] == 0
+    assert set(second["metrics"]) == {"wall_s", "setup_s"}
+
+
+def test_the_state_of_a_directory_outside_git_is_null(tmp_path):
+    assert ab_pairs.git_state(str(tmp_path)) == {"commit": None, "dirty": None}

@@ -16,7 +16,7 @@ from binsums.core import (
     rec_steps,
     weighted_class_sums,
 )
-from binsums.discovery import derive_profile
+from binsums.discovery import _FACTORS, _factor, derive_profile
 from binsums.identities import OracleRef
 from binsums.sequences import _MEMO, get_oracle, seq_eval
 from recurrence_reference import rec_eval
@@ -127,6 +127,25 @@ def test_kronecker_is_legendre_for_odd_primes(p):
 def test_kronecker_brute_force_all_moduli(m):
     for k in range(0, 3 * m + 1):
         assert kronecker(k, m) == kronecker_by_factoring(k, m)
+
+
+def test_kronecker_equals_the_factored_symbol_for_small_moduli():
+    # every (a|m) for 0 <= a < 60 and 1 <= m < 60; (7|11) = -1 needs the
+    # reciprocity sign of two moduli that are both 3 mod 4
+    assert kronecker(7, 11) == -1 and kronecker(11, 7) == 1
+    for m in range(1, 60):
+        for a in range(60):
+            assert kronecker(a, m) == kronecker_by_factoring(a, m), (a, m)
+
+
+def test_kronecker_of_a_negative_modulus():
+    # (a|-m) = (a|-1) (a|m), and (a|-1) is the sign of a, with sign(0) = 1
+    def sign(a):
+        return -1 if a < 0 else 1
+
+    for m in range(1, 40):
+        for a in range(-60, 60):
+            assert kronecker(a, -m) == sign(a) * kronecker_by_factoring(a, m), (a, -m)
 
 
 @pytest.mark.parametrize("m", [5, 8, 9, 12, 13, 20])
@@ -271,20 +290,24 @@ def test_partial_row_memo_survives_concurrent_extension():
             [expected[name, n] for n in ns] for name in names]
 
 
-def test_derive_rows_survive_concurrent_extension():
-    # Each thread derives the same profiles from an empty memo in its own
-    # order, so the threads make and extend the shared equation rows of one
-    # (period, row_odd) at once; a lost check-then-append race shows as a
-    # wrong profile or a stored row that is not the kernel's.
+def test_derive_factors_survive_concurrent_use():
+    # Each thread derives the same profiles from an empty factor cache and
+    # an empty memo in its own order, so the threads factor and read the
+    # shared systems of one (period, row_odd) at once; a lost or corrupted
+    # system shows as a wrong profile, a cached system that differs from a
+    # fresh one, or a cache past its bound.  No equation row is kept in the
+    # memo of sequences.
     jobs = [(OracleRef(name, a=a), period, row_odd) for name, a in (("fib", 2), ("pow3", 1))
             for period in range(1, 11) for row_odd in (False, True)]
     _MEMO.clear()
+    _factor.cache_clear()
     expected = {i: derive_profile(*job) for i, job in enumerate(jobs)}
     shuffled = [list(expected) for _ in range(2)]
     for seed, order in enumerate(shuffled):
         random.Random(seed).shuffle(order)
     for _ in range(5):
         _MEMO.clear()
+        _factor.cache_clear()
         orders = [list(expected), list(reversed(expected)), *shuffled]
         lock = threading.Lock()
         got = []
@@ -293,14 +316,18 @@ def test_derive_rows_survive_concurrent_extension():
             with lock:
                 order = orders.pop()
             barrier.wait()
-            got.append({i: derive_profile(*jobs[i]) for i in order})
+            profiles = {}
+            for i in order:
+                profiles[i] = derive_profile(*jobs[i])
+                assert _factor.cache_info().currsize <= _FACTORS
+            got.append(profiles)
 
         run_threads(work)
         assert len(got) == 4 and all(profiles == expected for profiles in got)
-        rows = {key: values for (name, key), (values, _) in _MEMO.items() if name == "class_sums"}
-        assert len(rows) == 20
-        assert all(values == list(islice(class_sums(*key), len(values)))
-                   for key, values in rows.items())
+        assert not any(name == "class_sums" for name, _ in _MEMO)
+        keys = {(period, row_odd, not row_odd, 1, period + 4, 20) for _, period, row_odd in jobs}
+        assert _factor.cache_info().currsize == len(keys) == 20
+        assert all(_factor(*key) == _factor.__wrapped__(*key) for key in keys)
 
 
 def test_recurrence_spec_validation():

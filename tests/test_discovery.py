@@ -1,14 +1,18 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
 from math import comb, gcd, lcm
 
 import pytest
 
-from binsums.core import class_sums
+from binsums import discovery
 from binsums.discovery import (
-    _Eliminator,
+    _FACTORS,
+    ProfileSolution,
     _equation_rows,
+    _factor,
+    _target_values,
     derive_profile,
     identity_from_profile,
     profile_json,
@@ -21,7 +25,7 @@ from binsums.identities import (
     identity_json,
     verify,
 )
-from binsums.sequences import _MEMO
+from binsums.sequences import _MEMO, get_oracle, seq_eval
 
 
 def test_legendre_profile_for_even_fibonacci():
@@ -79,6 +83,33 @@ def test_solve_range_precondition():
         derive_profile(OracleRef("fib", a=2), 5, solve_start=1, solve_stop=5)
 
 
+def test_a_solve_range_of_exactly_period_plus_two_equations_is_accepted():
+    fib2 = OracleRef("fib", a=2)
+    for period in (1, 5, 12):
+        sol = derive_profile(fib2, period, solve_start=3, solve_stop=period + 4)
+        assert sol.solve_range == (3, period + 4) and sol.status in ("unique", "infeasible")
+        with pytest.raises(ValueError, match=f"at least {period + 2} equations"):
+            derive_profile(fib2, period, solve_start=3, solve_stop=period + 3)
+    assert derive_profile(fib2, 5, solve_start=1, solve_stop=7).status == "unique"
+
+
+def test_the_last_held_out_index_is_fed(monkeypatch):
+    # fib(2n) at period 5 holds for every n; a target value moved by 1 at
+    # the last held-out n must make the profile infeasible there, and one
+    # moved just past the holdout must not be read at all.
+    fib2 = OracleRef("fib", a=2)
+    sol = derive_profile(fib2, 5)
+    assert sol.status == "unique" and sol.holdout_range == (10, 29)
+    real = discovery.seq_values
+    for moved, expected in ((29, ("infeasible", 29)), (30, ("unique", None))):
+        def tampered(name, indices, param=None, moved=moved):
+            return [v + (i == 2 * moved) for i, v in zip(indices, real(name, indices, param))]
+        monkeypatch.setattr(discovery, "seq_values", tampered)
+        sol = derive_profile(fib2, 5)
+        assert (sol.status, sol.violated_n) == expected
+        assert sol.holdout_range == (10, 29)
+
+
 def test_negative_solve_start_is_rejected_up_front():
     with pytest.raises(ValueError, match="solve_start must be >= 0"):
         derive_profile(OracleRef("fib", a=2), 5, solve_start=-1, solve_stop=8)
@@ -115,24 +146,72 @@ def test_a_target_that_runs_out_later_keeps_its_earlier_verdict():
     assert (sol.status, sol.violated_n) == ("infeasible", 3)
 
 
-def test_derive_from_the_shared_rows_equals_derive_from_an_empty_memo():
-    # The equation rows live in the memo of sequences, shared by every
-    # derivation.  Each result over a shuffled scan, with whatever rows the
-    # scan left there, equals the result from an empty memo; and the stored
-    # rows are still the kernel's, since a reader that changed one would
-    # corrupt every later derivation.
+def factor_key(target, period, row_odd):
+    """The key under which derive_profile factors its default ranges."""
+    try:
+        target.value(0)
+    except ValueError:
+        zero = False
+    else:
+        zero = not row_odd
+    return period, row_odd, zero, 1, period + 4, 20
+
+
+def test_derive_from_the_factor_cache_equals_derive_from_an_empty_cache():
+    # Factored systems are shared by every derivation.  Each result over a
+    # shuffled scan, with whatever systems the scan left in the cache, equals
+    # the result from an empty cache; a cached system still equals one
+    # factored afresh, since a reader that changed one would corrupt every
+    # later derivation; the cache holds no more systems than its bound; and
+    # no equation row is left in the memo of sequences.
     triples = [(t, p, row_odd) for t in foldable_left_sides() for p in range(1, 21)
                for row_odd in (False, True)]
     random.Random(25).shuffle(triples)
     _MEMO.clear()
-    warm = [derive_profile(*triple) for triple in triples]
-    stored = {key: values for (name, key), (values, _) in _MEMO.items() if name == "class_sums"}
-    assert set(stored) == {(p, row_odd) for p in range(1, 21) for row_odd in (False, True)}
-    for (period, row_odd), values in stored.items():
-        assert values == list(islice(class_sums(period, row_odd), len(values)))
+    _factor.cache_clear()
+    warm = []
+    for triple in triples:
+        warm.append(derive_profile(*triple))
+        assert _factor.cache_info().currsize <= _FACTORS
+    assert not any(name == "class_sums" for name, _ in _MEMO)
+    keys = {factor_key(*triple) for triple in triples}
+    assert len(keys) == 60 and _factor.cache_info().currsize == min(60, _FACTORS)
+    for key in sorted(keys):
+        assert _factor(*key) == _factor.__wrapped__(*key), key
     for triple, sol in zip(triples, warm):
-        _MEMO.clear()
+        _factor.cache_clear()
         assert derive_profile(*triple) == sol, triple
+
+
+def test_the_factor_cache_is_bounded_and_releases_what_it_drops():
+    fib2 = OracleRef("fib", a=2)
+    expected = {holdout: derive_profile(fib2, 1, holdout=holdout)
+                for holdout in range(2 * _FACTORS)}
+    assert _factor.cache_info().currsize == _FACTORS
+    for holdout, sol in expected.items():
+        _factor.cache_clear()
+        assert derive_profile(fib2, 1, holdout=holdout) == sol
+    # A long system's memory goes when it is evicted, and when the cache is
+    # cleared; the memo's fib values, read first, stay.
+    derive_profile(fib2, 5, solve_stop=600)
+    for release in ("evict", "clear"):
+        _factor.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            derive_profile(fib2, 5, solve_stop=600)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            if release == "evict":  # by as many small systems as the cache holds
+                for start in range(_FACTORS):
+                    derive_profile(fib2, 1, solve_start=start, solve_stop=start + 2, holdout=0)
+            else:
+                _factor.cache_clear()
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held > 200_000 and left < held / 4, (release, held, left)
 
 
 @pytest.mark.parametrize("name, param, message", [
@@ -212,14 +291,74 @@ class DenseEliminator:
         return len(self.rows)
 
 
+class SparseEliminator:
+    """Reference: incremental fraction-free elimination over the integers,
+    reducing by each pivot row only at the columns where it is nonzero.
+
+    Equations are fed one at a time so that an inconsistency can be blamed
+    on the exact index that introduced it.  A row [coeffs..., rhs] is
+    reduced by each stored pivot row as p*row - c*prow, where p is the
+    pivot entry and c the row's entry in the pivot column: scaled only when
+    p is not 1, and c*prow subtracted only at the pivot row's nonzero
+    columns, found once when it is stored.  The reduced row is divided by
+    its content and its pivot made positive.  At full rank a new row
+    reduces to [0, ..., 0 | r], r a nonzero multiple of rhs - coeffs . x
+    for solve()'s x, so add stores nothing and returns whether x satisfies
+    the equation.  derive_profile fed its equations to this eliminator, one
+    target at a time, before it factored each system once.
+    """
+
+    def __init__(self, unknowns):
+        self.unknowns = unknowns
+        self.rows = {}  # pivot -> [coeffs..., rhs]
+        self._nonzero = {}  # pivot -> columns where its row is nonzero
+
+    def add(self, coeffs, rhs):
+        """Absorb one equation; False means it contradicts the others."""
+        row = [*coeffs, rhs]
+        for pivot, nonzero in self._nonzero.items():
+            c = row[pivot]
+            if c:
+                prow = self.rows[pivot]
+                p = prow[pivot]
+                if p != 1:
+                    row = [p * a for a in row]
+                for j in nonzero:
+                    row[j] -= c * prow[j]
+        pivot = next((j for j in range(self.unknowns) if row[j]), None)
+        if pivot is None:
+            return row[-1] == 0
+        g = gcd(*row)
+        if row[pivot] < 0:
+            g = -g
+        self.rows[pivot] = prow = [a // g for a in row]
+        self._nonzero[pivot] = [j for j, b in enumerate(prow) if b]
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def solve(self):
+        """The one solution at full rank, by back-substitution from the last
+        pivot over each pivot row's nonzero columns past the pivot."""
+        assert self.rank == self.unknowns
+        sol = [Fraction(0)] * self.unknowns
+        for pivot in sorted(self.rows, reverse=True):
+            prow = self.rows[pivot]
+            rest = sum(prow[j] * sol[j] for j in self._nonzero[pivot] if pivot < j < self.unknowns)
+            sol[pivot] = Fraction(prow[-1] - rest, prow[pivot])
+        return sol
+
+
 def eliminate_alongside(unknowns, equations, fractions=True):
-    """Feed equations to _Eliminator and to the dense reference (and, unless
-    fractions is False, the Fraction reference) until one contradicts the
-    rest.  Every add must agree, with the same rank, and _Eliminator must
-    store the dense reference's rows in its order.  Returns the outcome,
-    "inconsistent", "full" (the solutions agree too) or "deficient", and
-    the _Eliminator."""
-    ints, dense = _Eliminator(unknowns), DenseEliminator(unknowns)
+    """Feed equations to SparseEliminator and to the dense reference (and,
+    unless fractions is False, the Fraction reference) until one contradicts
+    the rest.  Every add must agree, with the same rank, and SparseEliminator
+    must store the dense reference's rows in its order.  Returns the
+    outcome, "inconsistent", "full" (the solutions agree too) or
+    "deficient", and the SparseEliminator."""
+    ints, dense = SparseEliminator(unknowns), DenseEliminator(unknowns)
     ref = FractionEliminator(unknowns) if fractions else None
     for row, rhs in equations:
         ok = ints.add(row, rhs)
@@ -406,7 +545,7 @@ def test_a_full_rank_eliminator_absorbs_exactly_the_equations_its_solution_satis
     seen, full = set(), 0
     for _ in range(40):
         unknowns = rng.randint(1, 6)
-        elim = _Eliminator(unknowns)
+        elim = SparseEliminator(unknowns)
         for row, rhs in random_system(rng, unknowns, unknowns, False):
             assert elim.add(row, rhs)
         if elim.rank < unknowns:
@@ -444,6 +583,106 @@ def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
                                                  fractions=False)
                 seen.add(outcome)
     assert seen == {"full", "deficient", "inconsistent"}
+
+
+def eliminator_derive(target, period, row_odd=False, solve_start=1, solve_stop=None, holdout=20):
+    """derive_profile as it was before it factored each system once: every
+    equation goes through a SparseEliminator of its own, the solve range
+    and then, at full rank, the holdout, and a system that passes them all
+    is solved by back-substitution.  The same checks, messages and reads of
+    the target."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    if solve_start < 0:
+        raise ValueError("solve_start must be >= 0")
+    if holdout < 0:
+        raise ValueError("holdout must be >= 0")
+    if solve_stop is None:
+        solve_stop = solve_start + period + 3
+    if solve_stop - solve_start + 1 < period + 2:
+        raise ValueError(f"solve range must supply at least {period + 2} equations")
+    get_oracle(target.name).check_param(target.param)
+    unknowns = period if row_odd else period + 1
+    elim = SparseEliminator(unknowns)
+    solve, hold = (solve_start, solve_stop), (solve_stop + 1, solve_stop + holdout)
+    ns = list(range(solve_start, solve_stop + 1))
+    if not row_odd and 0 not in ns:
+        try:
+            target.value(0)
+        except ValueError:
+            pass
+        else:
+            ns.insert(0, 0)
+    hold_ns = range(hold[0], hold[1] + 1)
+    rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
+    out = {"target": target, "period": period, "row_odd": row_odd, "solve_range": solve}
+    for n, coeffs, value in zip(ns, rows, _target_values(target, ns, "solve", solve)):
+        if not elim.add(coeffs, value):
+            return ProfileSolution(**out, status="infeasible", violated_n=n)
+    if elim.rank < unknowns:
+        return ProfileSolution(**out, status="underdetermined", dimension=unknowns - elim.rank)
+    for n, coeffs, value in zip(hold_ns, rows, _target_values(target, hold_ns, "holdout", hold)):
+        if not elim.add(coeffs, value):
+            return ProfileSolution(**out, status="infeasible", violated_n=n, holdout_range=hold)
+    sol = elim.solve()
+    center, weights = (Fraction(0), tuple(sol)) if row_odd else (sol[0], tuple(sol[1:]))
+    return ProfileSolution(**out, status="unique", center=center, weights=weights,
+                           holdout_range=hold)
+
+
+def outcome(derive, *args, **kwargs):
+    """Every field of derive's ProfileSolution, or the type and message of
+    what it raised."""
+    try:
+        return derive(*args, **kwargs).__dict__
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Targets whose affine index leaves the oracle, or that read a parameter
+ODD_TARGETS = [
+    OracleRef("pell", a=-1, b=70), OracleRef("C", a=-1, b=4), OracleRef("C", a=-2, b=6),
+    OracleRef("pow2", a=-1, b=30), OracleRef("fib", a=2, b=-3), OracleRef("pow3", b=-1),
+    OracleRef("halfcentral"), OracleRef("halfcentral", a=3, b=-2),
+    OracleRef("scriptL", param=2, a=2, b=-4), OracleRef("A094789", a=0, b=2),
+    OracleRef("A094789", a=-1, b=30), OracleRef("genlucas", param=1, a=2),
+    OracleRef("genlucas", a=2), OracleRef("nosuch"),
+]
+
+ERROR_AND_EARLY_VERDICT_CASES = [
+    *(((OracleRef("pell", a=-1, b=70), p), {"solve_stop": 80}) for p in (1, 3, 5, 80)),
+    ((OracleRef("pow2", a=-1, b=30), 2), {"solve_stop": 40, "holdout": 30}),
+    ((OracleRef("C", a=-1, b=4), 1), {"solve_start": 0, "solve_stop": 4}),
+    ((OracleRef("fib", param=2, a=2), 5), {"solve_start": 1, "solve_stop": 8}),
+    ((OracleRef("fib", a=2), 0), {}),
+    ((OracleRef("fib", a=2), 5), {"solve_start": -1, "solve_stop": 8}),
+    ((OracleRef("fib", a=2), 5), {"holdout": -5}),
+    ((OracleRef("fib", a=2), 5), {"solve_stop": 6}),
+    *(((target, 3), {}) for target in ODD_TARGETS),
+]
+
+
+def test_derive_equals_the_eliminator_it_replaced():
+    """Factored once per system, derive_profile gives every field and every
+    error message the per-target SparseEliminator gave: every scan target at
+    P = 1..30 and both parities, the error and early-verdict cases, and
+    seeded random ranges."""
+    cases = [((target, period, row_odd), {}) for target in foldable_left_sides()
+             for period in range(1, 31) for row_odd in (False, True)]
+    cases += ERROR_AND_EARLY_VERDICT_CASES
+    rng = random.Random(26)
+    pool = foldable_left_sides() + ODD_TARGETS
+    for _ in range(400):
+        period, start = rng.randint(1, 12), rng.randint(0, 5)
+        kwargs = {"solve_start": start, "solve_stop": start + period + rng.randint(-1, 30),
+                  "holdout": rng.randint(-1, 40)}
+        cases.append(((rng.choice(pool), period, rng.random() < 0.4), kwargs))
+    seen = set()
+    for args, kwargs in cases:
+        got = outcome(derive_profile, *args, **kwargs)
+        assert got == outcome(eliminator_derive, *args, **kwargs), (args, kwargs)
+        seen.add(got["status"] if isinstance(got, dict) else got[0])
+    assert seen == {"unique", "underdetermined", "infeasible", "ValueError", "KeyError"}
 
 
 ROUND_TRIP_FAMILIES = [
@@ -521,6 +760,69 @@ def test_derived_domain_of_an_increasing_index_starts_at_zero_with_a_backward_ru
     assert rep.passed and rep.checked[0] == 0
     # pow4 has no backward rule, so pow4(n-1) still starts where n-1 = 0
     assert identity_from_profile(derive_profile(OracleRef("pow4", b=-1), 1)).domain.start == 1
+
+
+def test_derived_domain_of_a_steeper_index_on_an_oracle_that_starts_at_one():
+    # scriptL(2)(n) = 2^(n-1) from n = 1, so scriptL(2)(2n-4) = 4^n / 32:
+    # 2n - 4 >= 1 first at n = 3 (5/2 rounded up), where the index is 2
+    target = OracleRef("scriptL", param=2, a=2, b=-4)
+    assert get_oracle("scriptL").start == 1 and target.value(3) == 2
+    with pytest.raises(ValueError, match="not defined at n = 0"):
+        target.value(2)
+    sol = derive_profile(target, 1, solve_start=3)
+    assert (sol.status, sol.center, sol.weights) == ("unique", Fraction(1, 32), (Fraction(1, 16),))
+    ident = identity_from_profile(sol)
+    assert (ident.domain.start, ident.domain.stop) == (3, None)
+    rep = verify(ident, 40)
+    assert rep.passed and rep.checked == tuple(range(3, 41))
+    # scriptL(2)(2n+1) = 4^n has its index 1 at n = 0 already
+    ident = identity_from_profile(derive_profile(OracleRef("scriptL", param=2, a=2, b=1), 1))
+    assert (ident.domain.start, ident.domain.stop) == (0, None)
+    assert verify(ident, 40).passed
+
+
+def test_derived_domain_of_a_falling_index_on_an_oracle_that_starts_at_one():
+    # No falling index into A094789 has a unique profile, so the solution is
+    # built by hand: 7 - 2n >= 1 last at n = 3, and n = 4 reads index -1.
+    target = OracleRef("A094789", a=-2, b=7)
+    sol = ProfileSolution(target, 1, False, "unique", Fraction(1), (Fraction(0),))
+    ident = identity_from_profile(sol)
+    assert (ident.domain.start, ident.domain.stop) == (0, 3)
+    assert [target.value(n) for n in range(4)] == [seq_eval("A094789", i) for i in (7, 5, 3, 1)]
+    with pytest.raises(ValueError, match="not defined at n = -1"):
+        target.value(4)
+
+
+def test_derived_domain_of_an_index_falling_by_two_ends_at_the_oracles_start():
+    # C(m) is 0 for m < 5, so C(6-2n) is 12 at n = 0 and 0 at n = 1, 2, 3:
+    # 12 times the alternating sum of row 2n, which is 1 at n = 0 and 0
+    # after.  6 - 2n >= 0 last at n = 3 (index 0).
+    target = OracleRef("C", a=-2, b=6)
+    assert [target.value(n) for n in range(4)] == [12, 0, 0, 0]
+    with pytest.raises(ValueError, match="not defined at n = -2"):
+        target.value(4)
+    sol = derive_profile(target, 2, solve_start=0, solve_stop=3, holdout=0)
+    assert (sol.status, sol.center, sol.weights) == ("unique", 12, (24, -24))
+    ident = identity_from_profile(sol)
+    assert (ident.domain.start, ident.domain.stop) == (0, 3)
+    rep = verify(ident, 10)
+    assert rep.passed and rep.checked == (0, 1, 2, 3)
+
+
+def test_derived_domain_of_a_constant_index_is_every_n():
+    # A094789(0n+2) is the constant 4, which the period-3 table takes
+    # (1 = the row 2n against cos(2k*pi/3)); A094789 starts at 1, and its
+    # index 2 is read at every n, so the domain has neither start nor stop.
+    target = OracleRef("A094789", a=0, b=2)
+    assert get_oracle("A094789").start == 1 and target.value(0) == target.value(50) == 4
+    sol = derive_profile(target, 3)
+    assert (sol.status, sol.center, sol.weights) == ("unique", 4, (8, -4, -4))
+    ident = identity_from_profile(sol)
+    assert (ident.domain.start, ident.domain.stop) == (0, None)
+    rep = verify(ident, 40)
+    assert rep.passed and rep.checked == tuple(range(41))
+    with pytest.raises(ValueError, match=r"A094789\(0\) has no value at n = 1"):
+        derive_profile(OracleRef("A094789", a=0, b=0), 3)
 
 
 def test_derived_identity_keeps_its_parameter():
