@@ -17,22 +17,26 @@ sides do.  So each system, keyed by (period, row parity, whether n = 0
 joins, solve range, holdout), is factored once by fraction-free integer
 elimination (Bareiss, Math. Comp. 22, 1968) that records how each reduced
 row combines the pivot equations.  A dependent equation keeps the integer
-combination of right sides that must vanish for it to hold.  At full rank
-an integer back-substitution gives D and X with D*x = X*b, b the pivot
-equations' right sides.  A target then costs a few dot products: one per
-dependent equation, z = X*b once, and coeffs . z == D * b_n for each later
-equation, held out or not; the solution is z / D.  The factored systems
-live in one least-recently-used cache of _FACTORS entries, shared by every
-caller and never changed once built.
+combination of right sides that must vanish for it to hold, and so do up
+to `unknowns` solve equations past full rank: deciding that many costs no
+more than forming the solution, and reducing more equations would only
+slow the factoring of a long solve range.  At full rank an integer
+back-substitution gives D and X with D*x = X*b, b the pivot equations'
+right sides.  A target then costs a few dot products: one per check,
+z = X*b once all pass, and coeffs . z == D * b_n for each later equation,
+held out or not; the solution is z / D.  The factored systems live in one
+least-recently-used cache of _FACTORS entries, shared by every caller and
+never changed once built.
 
 The target is read in one bulk read per range, the solve range first and
-the holdout only once the solve range reaches full rank.
+the holdout only at full rank, each up to the first n where the domain
+rule of sequences.SequenceOracle.domain gives it no value.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -84,17 +88,17 @@ class _System(NamedTuple):
     """What derive_profile needs of one system, none of it depending on the
     target.
 
-    checks has one entry per solve equation, in order, up to the one that
-    brings full rank (all of them if none does).  It is None where the
-    equation adds a pivot.  Where the equation depends on earlier ones it is
-    a pair (lam, own): the equation holds exactly when
-    lam . b + own * v == 0, b the right sides of the pivot equations before
-    it and v its own.  rank is the rank those equations reach.  At full
-    rank the solution is inverse . b / denominator, inverse having one
-    integer row per unknown over all the pivot equations, and rows holds
-    the coefficient rows of the equations after the last pivot: the rest of
-    the solve range, then the holdout.  Below full rank inverse and rows are
-    empty.
+    checks has one entry per solve equation, in order, up to `unknowns`
+    equations past the one that brings full rank (all of them if fewer
+    follow or none brings it).  It is None where the equation adds a pivot.
+    Where the equation depends on earlier ones it is a pair (lam, own): the
+    equation holds exactly when lam . b + own * v == 0, b the right sides of
+    the pivot equations before it and v its own.  rank is the rank those
+    equations reach.  At full rank the solution is inverse . b /
+    denominator, inverse having one integer row per unknown over all the
+    pivot equations, and rows holds the coefficient rows of the equations
+    after the last check: the rest of the solve range, then the holdout.
+    Below full rank inverse and rows are empty.
     """
 
     checks: tuple[tuple[tuple[int, ...], int] | None, ...]
@@ -114,10 +118,11 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
     stored pivot row as p*row - c*prow, where p is the pivot entry and c
     the row's entry in the pivot column, only at the columns where the
     pivot row is nonzero.  The combination part starts as 1 in the slot of
-    the pivot this equation would be, so it always says how the reduced
-    coefficients combine the pivot equations and this one.  A reduced row
-    is divided by its content (the gcd of its entries).  Where the
-    coefficients reduce to zero the combination is the equation's check.
+    the pivot this equation would be (past full rank, in one last slot), so
+    it always says how the reduced coefficients combine the pivot equations
+    and this one.  A reduced row is divided by its content (the gcd of its
+    entries).  Where the coefficients reduce to zero the combination is the
+    equation's check; reduction stops `unknowns` equations past full rank.
     """
     unknowns = period if row_odd else period + 1
     solve_ns = [*([0] if zero else []), *range(solve_start, solve_stop + 1)]
@@ -127,7 +132,7 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
     checks: list[tuple[tuple[int, ...], int] | None] = []
     for _, coeffs in zip(solve_ns, rows):
         slot = unknowns + len(pivots)
-        row = [*coeffs, *[0] * unknowns]
+        row = [*coeffs, *[0] * (unknowns + 1)]
         row[slot] = 1
         for pivot, (prow, nonzero) in pivots.items():
             c = row[pivot]
@@ -143,18 +148,18 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
             row = [a // g for a in row]
         if pivot is None:
             checks.append((tuple(row[unknowns:slot]), row[slot]))
+            if len(pivots) == unknowns and None not in checks[-unknowns:]:
+                break  # the last `unknowns` equations came past full rank
             continue
         pivots[pivot] = row, [j for j, a in enumerate(row) if a]
         checks.append(None)
-        if len(pivots) == unknowns:
-            break
     if len(pivots) < unknowns:
         return _System(tuple(checks), len(pivots))
     # back-substitution from the last pivot: x_q = inverse[q] . b / d
     d, inverse = 1, {}
     for pivot in sorted(pivots, reverse=True):
         prow, nonzero = pivots[pivot]
-        num = prow[unknowns:] if d == 1 else [d * a for a in prow[unknowns:]]
+        num = prow[unknowns:-1] if d == 1 else [d * a for a in prow[unknowns:-1]]
         for j in nonzero:  # ascending: the coefficient columns come first
             if j >= unknowns:
                 break
@@ -175,24 +180,23 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
                    d, tuple(rows))
 
 
+def _defined_prefix(target: OracleRef, ns: list[int] | range) -> int:
+    """How many n at the front of the ascending ns the target has a value at."""
+    start, stop = get_oracle(target.name).domain(target.a, target.b)
+    return 0 if ns and ns[0] < start else len(ns) if stop is None else bisect_right(ns, stop)
+
+
 def _target_values(target: OracleRef, ns: list[int] | range, stage: str, span: tuple[int, int]):
-    """The target at each n of ns, in order, for the equations of a stage
-    ("solve" or "holdout") with range span.  One seq_values read takes them
-    all at the first request.  If that read raises, they are read one n at
-    a time as they are asked for, so an equation before the first n with no
-    value still gives its verdict, and that n raises a ValueError naming it
-    and the range."""
-    try:
-        values = seq_values(target.name, [target.a * n + target.b for n in ns], target.param)
-    except ValueError:
-        pass
-    else:
-        yield from values
-        return
-    for n in ns:
+    """The target at each n of the ascending ns, for the equations of a stage
+    ("solve" or "holdout") with range span, in one seq_values read up to the
+    first n with no value; that n raises a ValueError naming it and the range
+    only when asked for, so every equation before it still gives its verdict."""
+    cut = _defined_prefix(target, ns)
+    yield from seq_values(target.name, [target.a * n + target.b for n in ns[:cut]], target.param)
+    for n in ns[cut:cut + 1]:  # the first n with no value, whose read raises
         try:
-            yield target.value(n)
-        except ValueError as exc:  # the name was checked up front
+            get_oracle(target.name)(target.a * n + target.b, target.param)
+        except ValueError as exc:
             raise ValueError(
                 f"target {target.name}({target.index_str()}) has no value at n = {n}, "
                 f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
@@ -236,12 +240,8 @@ def derive_profile(
     unknowns = period if row_odd else period + 1
     solve = (solve_start, solve_stop)
     hold = (solve_stop + 1, solve_stop + holdout)
-    ns: list[int] | range = range(solve_start, solve_stop + 1)
-    zero = False
-    if not row_odd and solve_start > 0:
-        with contextlib.suppress(ValueError):  # n = 0 joins only where the target has a value
-            target.value(0)
-            ns, zero = [0, *ns], True
+    zero = not row_odd and solve_start > 0 and _defined_prefix(target, [0]) == 1  # a value at 0
+    ns = [*([0] if zero else []), *range(solve_start, solve_stop + 1)]
     system = _factor(period, row_odd, zero, solve_start, solve_stop, holdout)
     result = functools.partial(ProfileSolution, target, period, row_odd, solve_range=solve)
     values = _target_values(target, ns, "solve", solve)
@@ -263,11 +263,8 @@ def derive_profile(
         if sum(map(mul, coeffs, z)) != d * value:
             return result("infeasible", violated_n=n, holdout_range=hold)
     sol = [Fraction(q, d) for q in z]
-    if row_odd:
-        center, weights = Fraction(0), tuple(sol)
-    else:
-        center, weights = sol[0], tuple(sol[1:])
-    return result("unique", center=center, weights=weights, holdout_range=hold)
+    center, weights = (Fraction(0), sol) if row_odd else (sol[0], sol[1:])
+    return result("unique", center=center, weights=tuple(weights), holdout_range=hold)
 
 
 def identity_from_profile(solution: ProfileSolution) -> Identity:
@@ -277,19 +274,11 @@ def identity_from_profile(solution: ProfileSolution) -> Identity:
     term = CenteredSum(solution.weights, solution.period, row_odd=solution.row_odd,
                        center=solution.center)
     target = solution.target
-    oracle = get_oracle(target.name)
-    # without a backward rule, keep the index a*n + b at or past the oracle's start
-    start, stop = 0, None
-    if not oracle.negative_ok:
-        if target.a > 0:
-            start = max(0, -((target.b - oracle.start) // target.a))
-        elif target.a < 0:
-            stop = (target.b - oracle.start) // -target.a
     return Identity(
         family=f"derived-{target.name}-M{solution.period}",
         lhs=target,
         terms=(term,),
-        domain=Domain(start, stop),
+        domain=Domain(*get_oracle(target.name).domain(target.a, target.b)),
         description="profile recovered by exact linear solving",
     )
 

@@ -2,8 +2,9 @@
 
 Each C-finite oracle (a linear recurrence with constant coefficients, Newton
 power sums of an integer characteristic polynomial included) is defined by
-its ``RecurrenceSpec``; the partial-row sums A, B and C read the class sums
-of core.class_sums(5), and the rest are small closed rules.  All of them
+its ``RecurrenceSpec``; the rest step from index 0 as well (A, B and C from
+core.class_sums(5), scriptL(m) its power sums over m, halfrow and
+halfcentral C(2n, n)), but for scriptLdiag's per-index rule.  All of them
 return exact integers on their domain; one memo keeps what the stepped ones
 yield.  seq_eval reads one index; seq_values reads a list of them, filling
 a stepped oracle's memo entry once and taking each value from it.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, count
 from types import MappingProxyType
 
 from .core import RecurrenceSpec, _is_integer, binomial, class_sums, rec_steps
@@ -23,7 +25,8 @@ from .cyclo import IntPolynomial, chebyshev_monic, power_sums
 class SequenceOracle:
     """A named exact sequence, defined by exactly one of ``recurrence`` (a
     RecurrenceSpec, or for a parameterized family a pure function from the
-    parameter to one) and ``rule(param, n)``, which must be pure."""
+    parameter to one), ``steps(param)``, a new iterator of its values from
+    index 0 on, and ``rule(param, n)``, which must be pure."""
 
     name: str
     recurrence: RecurrenceSpec | Callable[[int], RecurrenceSpec] | None = None
@@ -31,14 +34,25 @@ class SequenceOracle:
     start: int = 0
     param_name: str | None = None
     param_min: int = 0
+    steps: Callable[[int | None], Iterator[int]] | None = None
 
     def __post_init__(self) -> None:
-        if (self.recurrence is None) == (self.rule is None):
-            raise ValueError(f"sequence {self.name} needs exactly one of a recurrence and a rule")
+        if [self.recurrence, self.steps, self.rule].count(None) != 2:
+            raise ValueError(f"sequence {self.name} needs exactly one of recurrence, steps, rule")
 
     @property
     def negative_ok(self) -> bool:
         return getattr(self.recurrence, "negative_rule", None) is not None
+
+    def domain(self, a: int, b: int) -> tuple[int, int | None]:
+        """(start, stop) of the n >= 0 where the index a*n + b is defined, stop
+        None for no end and below start for none.  An index is defined exactly
+        where the oracle has a backward rule or it is at least the start."""
+        if self.negative_ok or (a == 0 and b >= self.start):
+            return 0, None
+        if a > 0:
+            return max(0, -((b - self.start) // a)), None
+        return 0, (b - self.start) // -a if a else -1  # a = 0 below the start: no n
 
     def check_param(self, param: int | None) -> None:
         """Refuse a parameter this sequence cannot take, with its own message."""
@@ -53,8 +67,8 @@ class SequenceOracle:
             raise ValueError(f"sequence {self.name} takes no parameter")
 
     def spec(self, param: int | None = None) -> RecurrenceSpec | None:
-        """The recurrence of the sequence at param, or None for a rule; a
-        family's is built anew on each call."""
+        """The recurrence of the sequence at param, or None for steps or a
+        rule; a family's is built anew on each call."""
         self.check_param(param)
         return self.recurrence(param) if callable(self.recurrence) else self.recurrence
 
@@ -93,18 +107,19 @@ _MEMO: dict[tuple[str, int | None], tuple[list[int], Iterator[int]]] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def _memo_values(name: str, param: int | None, n: int, steps: Callable | None = None) -> list[int]:
-    """The stored values of the iterator steps(param), by default the
-    oracle's own recurrence, under (name, param), holding index n >= 0.  A
-    list already long enough costs one dict lookup and takes no lock, since
-    the list only ever grows; otherwise it is extended under the lock.  A
-    new iterator is made before the lock is taken, since building a
-    family's spec may read the memo; stepping one must not.  The stored
-    values are shared by every reader, and no reader may change them."""
+def _memo_values(name: str, param: int | None, n: int) -> list[int]:
+    """The stored values of the oracle's steps, or of its recurrence, at
+    param, holding index n >= 0.  A list already long enough costs one dict
+    lookup and takes no lock, since the list only ever grows; otherwise it
+    is extended under the lock.  A new iterator is made before the lock is
+    taken, since building a family's spec may read the memo; stepping one
+    must not.  The stored values are shared by every reader, and no reader
+    may change them."""
     entry = _MEMO.get((name, param))
     if entry is not None and n < len(entry[0]):
         return entry[0]
-    fresh = entry or ([], steps(param) if steps else rec_steps(_REGISTRY[name].spec(param)))
+    oracle = _REGISTRY[name]
+    fresh = entry or ([], oracle.steps(param) if oracle.steps else rec_steps(oracle.spec(param)))
     with _MEMO_LOCK:
         values, rest = _MEMO.setdefault((name, param), fresh)
         while len(values) <= n:
@@ -156,13 +171,10 @@ def _divide_by_m(total: int, m: int, n: int) -> int:
     return q
 
 
-def _scriptl(m: int, n: int) -> int:
-    # p_0/m is no integer, so scriptL starts at n = 1 and divides a recurrence
-    return _divide_by_m(_memo_values("scriptL", m, n, _scriptl_powers)[n], m, n)
-
-
-def _scriptl_powers(m: int) -> Iterator[int]:
-    return rec_steps(_power_sum_spec(f"scriptL({m})", scriptl_poly(m)))
+def _scriptl_steps(m: int) -> Iterator[int]:
+    # p_0/m is no integer, so scriptL starts at n = 1; index 0 keeps p_0, never read
+    powers = rec_steps(_power_sum_spec(f"scriptL({m})", scriptl_poly(m)))
+    return (_divide_by_m(p, m, n) if n else p for n, p in enumerate(powers))
 
 
 def _scriptl_diag(n: int) -> int:
@@ -171,12 +183,10 @@ def _scriptl_diag(n: int) -> int:
     return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
 
 
-def _class_sum_rule(name: str, *residues: int) -> Callable[[None, int], int]:
-    """The rule of the central-row sum over k >= 1 at the residues (mod 5):
-    the class sums of core.class_sums(5), read through the memo."""
-    def steps(_):
-        return (sum(s[r] for r in residues) for _, s in class_sums(5))
-    return lambda _, n: _memo_values(name, None, n, steps)[n]
+def _central() -> Iterator[int]:
+    """C(2n, n) for n = 0, 1, ..., by C(2n+2, n+1) = C(2n, n) (4n+2)/(n+1).
+    Not read from core.class_sums: the right side of half-row sums it."""
+    return accumulate(count(), lambda c, n: c * (4 * n + 2) // (n + 1), initial=1)
 
 
 _REGISTRY: dict[str, SequenceOracle] = {
@@ -193,13 +203,16 @@ _REGISTRY: dict[str, SequenceOracle] = {
         SequenceOracle("S", RecurrenceSpec("S", (6, -9, 1), (1, 2, 6))),
         SequenceOracle("genlucas", lambda m: _power_sum_spec(f"genlucas({m})", genlucas_poly(m)),
                        param_name="m", param_min=2),
-        SequenceOracle("scriptL", rule=_scriptl, start=1, param_name="m", param_min=2),
+        SequenceOracle("scriptL", steps=_scriptl_steps, start=1, param_name="m", param_min=2),
         SequenceOracle("scriptLdiag", rule=lambda _, n: _scriptl_diag(n), start=2),
-        SequenceOracle("A", rule=_class_sum_rule("A", 1, 4)),
-        SequenceOracle("B", rule=_class_sum_rule("B", 2, 3)),
-        SequenceOracle("C", rule=_class_sum_rule("C", 0)),
-        SequenceOracle("halfrow", rule=lambda _, n: (4**n - binomial(2 * n, n)) // 2),
-        SequenceOracle("halfcentral", rule=lambda _, n: binomial(2 * n - 1, n - 1), start=1),
+        # the central-row sums over k >= 1 by k (mod 5), read from core.class_sums(5)
+        SequenceOracle("A", steps=lambda _: (s[1] + s[4] for _, s in class_sums(5))),
+        SequenceOracle("B", steps=lambda _: (s[2] + s[3] for _, s in class_sums(5))),
+        SequenceOracle("C", steps=lambda _: (s[0] for _, s in class_sums(5))),
+        SequenceOracle("halfrow",
+                       steps=lambda _: ((4**n - c) // 2 for n, c in enumerate(_central()))),
+        # C(2n-1, n-1) = C(2n, n)/2 for n >= 1
+        SequenceOracle("halfcentral", steps=lambda _: (c // 2 for c in _central()), start=1),
         *(SequenceOracle(f"pow{b}", RecurrenceSpec(f"pow{b}", (b,), (1,))) for b in range(2, 6)),
         SequenceOracle("pelltrans", RecurrenceSpec("pelltrans", (4, -2), (0, 1))),
         SequenceOracle("fib2trans", RecurrenceSpec("fib2trans", (5, -5), (0, 1))),
@@ -240,17 +253,15 @@ def seq_eval(name: str, n: int, param: int | None = None) -> int:
 
 def seq_values(name: str, indices: list[int], param: int | None = None) -> list[int]:
     """[seq_eval(name, n, param) for n in indices], with the same values and
-    the same error at the same first bad index, in one read: a recurrence's
-    parameter is checked once and its memo filled once, up to the largest
-    index, and each value is taken from the stored list.  A rule, and an
-    index below 0 or below the start, go through the oracle per index."""
+    the same error at the same first bad index, in one read: where every index
+    is an int at or past a stepped oracle's start, the parameter is checked
+    once, the memo filled once up to the largest index, and each value taken
+    from it.  A rule, or any other index, goes through the oracle per index."""
     oracle = get_oracle(name)
-    if oracle.rule is not None or not indices or not _is_integer(indices[0]):
-        return [oracle(n, param) for n in indices]  # a bad first index raises here
-    oracle.check_param(param)
-    lo = max(oracle.start, 0)
-    values = _memo_values(name, param, max((n for n in indices if isinstance(n, int)), default=-1))
-    return [values[n] if isinstance(n, int) and n >= lo else oracle(n, param) for n in indices]
+    if oracle.rule is None and set(map(type, indices)) == {int} and min(indices) >= oracle.start:
+        oracle.check_param(param)
+        return list(map(_memo_values(name, param, max(indices)).__getitem__, indices))
+    return [oracle(n, param) for n in indices]  # a bad index raises here
 
 
 def seq_slice(name: str, count: int, param: int | None = None) -> list[int]:

@@ -75,6 +75,7 @@ def test_a_summary_is_appended_to_the_trend_file(tmp_path):
     assert second["parent"] == {"commit": "a" * 40, "dirty": False}
     assert (second["seeds"], second["seconds"], second["pairs"]) == ([11, 12, 13, 14], 36, 4)
     assert second["host_probe_ms"] == {"parent": pytest.approx(1.28), "change": 2.0}
+    assert second["empty_pycache"] is True
     wall = second["metrics"]["wall_s"]
     assert wall["parent"] == pytest.approx([0.1075, 0.115, 0.1225])
     assert wall["change"] == pytest.approx([0.0575, 0.065, 0.0875])

@@ -12,7 +12,6 @@ from binsums.discovery import (
     ProfileSolution,
     _equation_rows,
     _factor,
-    _target_values,
     derive_profile,
     identity_from_profile,
     profile_json,
@@ -108,6 +107,30 @@ def test_the_last_held_out_index_is_fed(monkeypatch):
         sol = derive_profile(fib2, 5)
         assert (sol.status, sol.violated_n) == expected
         assert sol.holdout_range == (10, 29)
+
+
+def test_full_rank_is_followed_by_checks_for_as_many_equations_as_unknowns(monkeypatch):
+    # fib(2n) at its period 5 has 6 unknowns, and n = 0 joins the solve range
+    # 1..40.  The first 6 equations are pivots, the next 6 (n = 6..11) keep
+    # stored checks, and the other 29 solve equations and the 20 held out
+    # keep their rows.  A target value moved by 1 inside those checks, at
+    # their edges or past them makes the profile infeasible at that n, as it
+    # does for the eliminator that decides every equation the same way.
+    fib2 = OracleRef("fib", a=2)
+    system = _factor(5, False, True, 1, 40, 20)
+    assert [check is None for check in system.checks] == [True] * 6 + [False] * 6
+    assert [len(check[0]) for check in system.checks[6:]] == [6] * 6
+    assert system.rank == 6 and len(system.rows) == 29 + 20
+    assert [len(row) for row in system.inverse] == [6] * 6  # one entry per pivot equation
+    assert derive_profile(fib2, 5, solve_stop=40).status == "unique"
+    real = discovery.seq_values
+    for moved in (6, 8, 11, 12, 30, 60):
+        def tampered(name, indices, param=None, moved=moved):
+            return [v + (i == 2 * moved) for i, v in zip(indices, real(name, indices, param))]
+        monkeypatch.setattr(discovery, "seq_values", tampered)
+        sol = derive_profile(fib2, 5, solve_stop=40)
+        assert (sol.status, sol.violated_n) == ("infeasible", moved)
+        assert sol == eliminator_derive(fib2, 5, solve_stop=40)
 
 
 def test_negative_solve_start_is_rejected_up_front():
@@ -585,12 +608,36 @@ def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
     assert seen == {"full", "deficient", "inconsistent"}
 
 
+def probing_target_values(target, ns, stage, span):
+    """The target at each n of ns, read as derive_profile read it before
+    its oracles had a domain rule: one bulk read, and where that raises, one
+    read per n as it is asked for, so the first n with no value raises only
+    then.  The bulk read goes through discovery's seq_values, so a test that
+    tampers with that tampers with this too."""
+    try:
+        values = discovery.seq_values(target.name, [target.a * n + target.b for n in ns],
+                                      target.param)
+    except ValueError:
+        values = None
+    if values is not None:
+        yield from values
+        return
+    for n in ns:
+        try:
+            yield target.value(n)
+        except ValueError as exc:
+            raise ValueError(
+                f"target {target.name}({target.index_str()}) has no value at n = {n}, "
+                f"needed by the {stage} range {span[0]}..{span[1]}: {exc}") from exc
+
+
 def eliminator_derive(target, period, row_odd=False, solve_start=1, solve_stop=None, holdout=20):
     """derive_profile as it was before it factored each system once: every
     equation goes through a SparseEliminator of its own, the solve range
     and then, at full rank, the holdout, and a system that passes them all
-    is solved by back-substitution.  The same checks, messages and reads of
-    the target."""
+    is solved by back-substitution.  The same checks and messages; n = 0 is
+    probed and the target read by probing_target_values, as they were before
+    the domain rule."""
     if period < 1:
         raise ValueError("period must be >= 1")
     if solve_start < 0:
@@ -616,12 +663,13 @@ def eliminator_derive(target, period, row_odd=False, solve_start=1, solve_stop=N
     hold_ns = range(hold[0], hold[1] + 1)
     rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
     out = {"target": target, "period": period, "row_odd": row_odd, "solve_range": solve}
-    for n, coeffs, value in zip(ns, rows, _target_values(target, ns, "solve", solve)):
+    for n, coeffs, value in zip(ns, rows, probing_target_values(target, ns, "solve", solve)):
         if not elim.add(coeffs, value):
             return ProfileSolution(**out, status="infeasible", violated_n=n)
     if elim.rank < unknowns:
         return ProfileSolution(**out, status="underdetermined", dimension=unknowns - elim.rank)
-    for n, coeffs, value in zip(hold_ns, rows, _target_values(target, hold_ns, "holdout", hold)):
+    hold_values = probing_target_values(target, hold_ns, "holdout", hold)
+    for n, coeffs, value in zip(hold_ns, rows, hold_values):
         if not elim.add(coeffs, value):
             return ProfileSolution(**out, status="infeasible", violated_n=n, holdout_range=hold)
     sol = elim.solve()

@@ -58,6 +58,9 @@ def test_rhs_eval_examples():
         assert ref.rhs_eval(find(family)[0], n) == want, (family, n)
         assert rhs_values(find(family)[0], [n]) == [want], (family, n)
     assert find("pow3")[0].lhs.value(3) == 9
+    # an identity with no terms sums to 0 at every n
+    empty = Identity(family="no-terms", lhs=OracleRef("pow2"), terms=())
+    assert rhs_values(empty, range(8)) == [ref.rhs_eval(empty, n) for n in range(8)] == [0] * 8
 
 
 def test_displayed_fibonacci_expansions():
@@ -421,10 +424,10 @@ def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
             reads.append(v)
         return value(self, v)
 
-    def counted_memo_values(name, param, n, steps=None):
+    def counted_memo_values(name, param, n):
         if name == "lucas":
             reads.append(n)
-        return memo_values(name, param, n, steps)
+        return memo_values(name, param, n)
 
     def no_rows(*args):
         raise AssertionError("a weight-oracle sum read core.pascal_rows")

@@ -145,6 +145,7 @@ NEVER_ENTERED = {
     "sequences.registry": "a library lookup of the oracles",
     "identities.perturbed": "read by perfbench's perturbed workload until it has its own copy",
     "identities.folded_profile": "read by perfbench's derive checker until it has its own copy",
+    "identities.OracleRef.value": "read by perfbench's derive checker until it has its own copy",
 }
 
 

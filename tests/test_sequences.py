@@ -46,6 +46,7 @@ def test_slices():
     assert seq_slice("pellX", 7) == [1, 2, 7, 26, 97, 362, 1351]
     assert seq_slice("pellY", 7) == [0, 1, 4, 15, 56, 209, 780]
     assert seq_slice("pell", 9) == [0, 1, 2, 5, 12, 29, 70, 169, 408]
+    assert seq_slice("pell", 1) == [0] and seq_slice("halfcentral", 1) == [1]
 
 
 def test_pell_invariant():
@@ -263,19 +264,28 @@ def test_scaled_helpers_are_integral_at_zero():
 
 # --- every C-finite oracle is the recurrence it declares ----------------------
 
-_RULE_ORACLES = {"halfrow", "halfcentral", "A", "B", "C", "scriptL", "scriptLdiag"}
+_STEPPED_ORACLES = {"halfrow", "halfcentral", "A", "B", "C", "scriptL"}
+_RULE_ORACLES = {"scriptLdiag"}
 
 
 def test_only_the_oracles_without_an_index_0_integer_recurrence_keep_a_rule():
+    # an oracle that steps from index 0 without a recurrence gives its own
+    # steps; only scriptLdiag, whose polynomial changes with n, keeps a rule
     for name, oracle in registry().items():
-        assert (oracle.recurrence is None) == (name in _RULE_ORACLES), name
+        assert (oracle.recurrence is None) == (name in _STEPPED_ORACLES | _RULE_ORACLES), name
+        assert (oracle.steps is not None) == (name in _STEPPED_ORACLES), name
+        assert (oracle.rule is not None) == (name in _RULE_ORACLES), name
 
 
-@pytest.mark.parametrize("recurrence, rule", [
-    (None, None), (RecurrenceSpec("pow2", (2,), (1,)), lambda _, n: 2**n)])
-def test_an_oracle_needs_exactly_one_of_a_recurrence_and_a_rule(recurrence, rule):
-    with pytest.raises(ValueError, match="exactly one of a recurrence and a rule"):
-        SequenceOracle("pow2", recurrence, rule)
+_POW2 = RecurrenceSpec("pow2", (2,), (1,))
+
+
+@pytest.mark.parametrize("recurrence, rule, steps", [
+    (None, None, None), (_POW2, lambda _, n: 2**n, None), (_POW2, None, lambda _: iter([1])),
+    (None, lambda _, n: 2**n, lambda _: iter([1]))])
+def test_an_oracle_needs_exactly_one_of_a_recurrence_steps_and_a_rule(recurrence, rule, steps):
+    with pytest.raises(ValueError, match="exactly one of recurrence, steps, rule"):
+        SequenceOracle("pow2", recurrence, rule, steps=steps)
 
 
 def test_the_backward_rule_is_read_from_the_declared_spec():
@@ -309,7 +319,7 @@ def test_a_dilated_spec_reads_its_oracle_along_the_affine_index():
         assert [rec_eval(spec, k) for k in range(61)] == [
             seq_eval(name, a * k + b, param) for k in range(61)], (name, param, a, b)
         seen.add(name)
-    assert seen == set(registry()) - _RULE_ORACLES
+    assert seen == set(registry()) - _STEPPED_ORACLES - _RULE_ORACLES
 
 
 @pytest.mark.parametrize("name, a", [("fib", 0), ("fib", -1), ("halfrow", 1)])
@@ -445,7 +455,10 @@ def test_the_bulk_reader_equals_the_per_index_reads(name):
 @pytest.mark.parametrize("name, param, indices", [
     ("A094789", None, [3, 1, 0, 5]),  # below the start
     ("A094789", None, [6, -1, 0]),  # below 0 before below the start
-    ("halfcentral", None, [2, 0]),  # a rule, below its start
+    ("halfcentral", None, [2, 0]),  # stepped, below its start
+    ("halfrow", None, [300, 4, -1]),  # stepped, below 0
+    ("C", None, [7, "7"]),  # stepped, a non-int index
+    ("scriptLdiag", None, [9, 1]),  # a rule, below its start
     ("pell", None, [4, 2, -1, -2]),  # below 0 without a backward rule
     ("pell", None, [4, 2.5, -1]),  # a non-int index before a negative one
     ("fib", None, [-3, 2, "5", 2.5]),  # a non-int index after a reflected one
@@ -456,8 +469,8 @@ def test_the_bulk_reader_equals_the_per_index_reads(name):
     ("genlucas", 2.5, [1, 2]),  # a non-int parameter
     ("lewis", 0, [-1, 3]),  # a refused parameter and an index below 0
     ("fib", 3, [0, 1]),  # a parameter the oracle does not take
-    ("scriptL", 1, [1]),  # a rule with a refused parameter
-    ("scriptL", 3, [2, 0]),  # a rule below its start
+    ("scriptL", 1, [1]),  # stepped, with a refused parameter
+    ("scriptL", 3, [2, 0]),  # stepped, below its start
     ("unheard-of", None, [1]),  # no such oracle
 ], ids=str)
 def test_the_bulk_reader_raises_like_the_per_index_reads(name, param, indices):
@@ -476,3 +489,80 @@ def test_the_bulk_reader_checks_the_parameter_over_a_filled_memo():
     seq_eval("genlucas", 9, 2)
     with pytest.raises(TypeError, match="genlucas: m must be an int, not 2.0"):
         seq_values("genlucas", [1, 2], 2.0)
+
+
+def _tested_params(oracle: SequenceOracle) -> list[int | None]:
+    return [None] if oracle.param_name is None else [oracle.param_min, oracle.param_min + 1, 5]
+
+
+def test_the_domain_rule_matches_the_oracle():
+    """For every oracle, each tested parameter and every index in -8..60,
+    domain(a, b) says that a*n + b is defined at n exactly where seq_eval
+    raises no ValueError, for every step a in -3..3."""
+    for name, oracle in registry().items():
+        for param in _tested_params(oracle):
+            defined = {}
+            for index in range(-8, 61):
+                try:
+                    seq_eval(name, index, param)
+                except ValueError:
+                    defined[index] = False
+                else:
+                    defined[index] = True
+            for a in range(-3, 4):
+                for b in range(-8, 61):
+                    start, stop = oracle.domain(a, b)
+                    for n in range(69):
+                        if a * n + b in defined:
+                            rule = start <= n and (stop is None or n <= stop)
+                            assert rule == defined[a * n + b], (name, param, a, b, n)
+            assert not all(defined.values()) or oracle.negative_ok, name
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _class_sums_by_comb(n_max: int) -> dict[str, list[int]]:
+    """A, B and C at n = 0..n_max, each row summed by math.comb."""
+    out = {"A": [], "B": [], "C": []}
+    for n in range(n_max + 1):
+        sums = [0] * 5
+        for k in range(1, n + 1):
+            sums[k % 5] += math.comb(2 * n, n + k)
+        out["A"].append(sums[1] + sums[4])
+        out["B"].append(sums[2] + sums[3])
+        out["C"].append(sums[0])
+    return out
+
+
+@pytest.mark.parametrize("name, param", [
+    ("A", None), ("B", None), ("C", None), ("halfrow", None), ("halfcentral", None),
+    ("scriptL", 2), ("scriptL", 3), ("scriptL", 8)], ids=str)
+def test_a_stepped_oracle_reads_in_bulk_as_per_index(name, param):
+    """seq_values over 0..300 equals the per-index seq_eval reads, or raises
+    the same error at the same first bad index, each from an empty memo;
+    from the start on, both equal an independent closed form."""
+    oracle = get_oracle(name)
+    indices = list(range(301))
+    _MEMO.clear()
+    per_index = _outcome(lambda: [seq_eval(name, n, param) for n in indices])
+    _MEMO.clear()
+    assert _outcome(lambda: seq_values(name, indices, param)) == per_index
+    if oracle.start:
+        assert per_index == (ValueError, f"{name} is not defined at n = 0")
+    ns = range(oracle.start, 301)
+    if name in ("A", "B", "C"):
+        want = _class_sums_by_comb(300)[name][oracle.start:]
+    elif name == "halfrow":
+        want = [(4**n - math.comb(2 * n, n)) // 2 for n in ns]
+    elif name == "halfcentral":
+        want = [math.comb(2 * n - 1, n - 1) for n in ns]
+    else:
+        want = [p // param for p in power_sums(scriptl_poly(param), 300)[oracle.start:]]
+    _MEMO.clear()
+    assert seq_values(name, list(reversed(ns)), param) == want[::-1]
+    assert [seq_eval(name, n, param) for n in ns] == want

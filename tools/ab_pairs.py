@@ -19,8 +19,11 @@ The summary is then appended, as one entry, to the trend file
 BENCH_<workload>.json at the root of the repository that holds this script:
 a JSON list, oldest entry first.  An entry holds each side's commit (null
 outside a git checkout) and whether its tree had uncommitted changes, the
-seeds, the run length, the median host probe of each side's passes, and per
-metric each side's quartiles, the pairs won and whether that is a gain.
+seeds, the run length, the median host probe of each side's passes,
+whether the runs started from an empty bytecode cache (always, here; an
+entry backfilled from prose may say otherwise, and then its setup_s is not
+comparable), and per metric each side's quartiles, the pairs won and
+whether that is a gain.
 """
 from __future__ import annotations
 
@@ -104,6 +107,7 @@ def trend_entry(rows: list[dict], *, parent: dict, change: dict, seeds: list[int
         "seeds": seeds, "seconds": seconds, "pairs": rows[0]["pairs"] if rows else 0,
         "host_probe_ms": {side: statistics.median(ms) if ms else None
                           for side, ms in probes.items()},
+        "empty_pycache": True,  # run_once gives every run a new PYTHONPYCACHEPREFIX
         "metrics": {row["name"]: {"better": row["better"], "parent": list(row["parent"]),
                                   "change": list(row["change"]), "wins": row["wins"],
                                   "gain": row["gain"]} for row in rows},
