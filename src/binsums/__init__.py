@@ -24,7 +24,7 @@ from .identities import (
     verify,
 )
 from .oeis import AlignmentReport, compare, load_fixture, parse_bfile
-from .sequences import SequenceOracle, registry, seq_eval, seq_slice
+from .sequences import SequenceOracle, registry, seq_eval
 
 __version__ = "0.1.0"
 
@@ -53,6 +53,5 @@ __all__ = [
     "registry_json",
     "rhs_values",
     "seq_eval",
-    "seq_slice",
     "verify",
 ]

@@ -11,18 +11,17 @@ import argparse
 import csv
 import json
 import sys
-from functools import partial
 
 from . import discovery, identities, oeis
 from .identities import OracleRef, builtin_registry, verify
-from .sequences import get_oracle, seq_slice
+from .sequences import get_oracle, seq_values
 
 DEFAULT_N_MAX = 50
 
 
 def positive_int(text: str) -> int:
-    """The value of --n-max, an int >= 1; argparse names this function
-    when the text is no int."""
+    """The value of verify's --n-max and of table's --count, an int >= 1;
+    argparse names this function when the text is no int."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -65,9 +64,9 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
         print("\n".join(text_lines))
 
 
-def _cmd_verify(args: argparse.Namespace, registry) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     groups: dict[str, list] = {}
-    for ident in builtin_registry() if registry is None else registry:
+    for ident in builtin_registry():
         groups.setdefault(ident.family, []).append(ident)
     if args.identity:
         if args.identity not in groups:
@@ -108,8 +107,8 @@ def _cmd_verify(args: argparse.Namespace, registry) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    values = seq_slice(args.sequence, args.count, args.m)
     start = get_oracle(args.sequence).start
+    values = seq_values(args.sequence, range(start, start + args.count), args.m)
     payload = {"command": "table", "sequence": args.sequence, "param": args.m,
                "start": start, "values": [str(v) for v in values]}
     _emit(args, payload, [", ".join(str(v) for v in values)])
@@ -185,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="print leading values of a sequence")
     p.add_argument("--sequence", required=True)
     p.add_argument("--m", type=int, default=None, help="parameter for parameterized sequences")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=positive_int, default=20)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("derive", help="solve for a periodic weight profile")
@@ -209,14 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str] | None = None, registry=None) -> int:
-    """Parse arguments and execute; returns the process exit status.
-
-    A substitute identity registry can be injected for testing the
-    exit-status contract.
-    """
+def run(argv: list[str] | None = None) -> int:
+    """Parse arguments and execute; returns the process exit status."""
     args = _build_parser().parse_args(argv)
-    commands = {"verify": partial(_cmd_verify, registry=registry), "table": _cmd_table,
+    commands = {"verify": _cmd_verify, "table": _cmd_table,
                 "derive": _cmd_derive, "oeis-check": _cmd_oeis_check, "export": _cmd_export}
     try:
         return commands[args.command](args)

@@ -195,7 +195,7 @@ def _target_values(target: OracleRef, ns: list[int] | range, stage: str, span: t
     yield from seq_values(target.name, [target.a * n + target.b for n in ns[:cut]], target.param)
     for n in ns[cut:cut + 1]:  # the first n with no value, whose read raises
         try:
-            get_oracle(target.name)(target.a * n + target.b, target.param)
+            seq_values(target.name, [target.a * n + target.b], target.param)
         except ValueError as exc:
             raise ValueError(
                 f"target {target.name}({target.index_str()}) has no value at n = {n}, "

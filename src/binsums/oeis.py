@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .sequences import get_oracle
+from .sequences import get_oracle, seq_eval
 
 #: the fewest agreeing terms that make a match, and so the fewest a comparison
 #: may ask for: short coincidences between distinct sequences are common
@@ -88,17 +88,17 @@ def compare(sequence: str, table: dict[int, int], count: int = 50, param: int | 
     """
     if count < MIN_MATCH:
         raise ValueError(f"count must be >= {MIN_MATCH} for a meaningful comparison")
-    oracle = get_oracle(sequence)
+    start = get_oracle(sequence).start
     best: AlignmentReport | None = None
     for shift in range(-3, 4):
         matched = 0
         mismatch = None
         for i in range(count):
-            n = oracle.start + i
+            n = start + i
             j = n + shift
             if j not in table:
                 break
-            local = oracle(n, param)
+            local = seq_eval(sequence, n, param)
             if local != table[j]:
                 mismatch = (n, local, table[j])
                 break

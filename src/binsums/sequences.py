@@ -6,8 +6,9 @@ its ``RecurrenceSpec``; the rest step from index 0 as well (A, B and C from
 core.class_sums(5), scriptL(m) its power sums over m, halfrow and
 halfcentral C(2n, n)), but for scriptLdiag's per-index rule.  All of them
 return exact integers on their domain; one memo keeps what the stepped ones
-yield.  seq_eval reads one index; seq_values reads a list of them, filling
-a stepped oracle's memo entry once and taking each value from it.
+yield.  seq_values is the one reader of their values: it reads a list of
+indices in one memo read, reflecting a negative index of fib or lucas by its
+spec's backward rule; seq_eval reads one index through it.
 """
 from __future__ import annotations
 
@@ -86,19 +87,7 @@ class SequenceOracle:
         for k in range(1, d + 1):
             e.append(-sum(e[i] * p[k - i] for i in range(k)) // k)
         return RecurrenceSpec(f"{spec.name}({a}k{b:+})", tuple(-c for c in e[1:]),
-                              tuple(self(a * k + b, param) for k in range(d)))
-
-    def __call__(self, n: int, param: int | None = None) -> int:
-        if not _is_integer(n):
-            raise TypeError(f"{self.name}: n must be an int, not {n!r}")
-        self.check_param(param)
-        if n < self.start and not self.negative_ok:
-            raise ValueError(f"{self.name} is not defined at n = {n}")
-        if self.rule is not None:
-            return self.rule(param, n)
-        if n < 0:  # fib and lucas: reflected by their spec's negative rule
-            return self.recurrence.reflection_sign(n) * _memo_values(self.name, param, -n)[-n]
-        return _memo_values(self.name, param, n)[n]
+                              tuple(seq_values(self.name, range(b, a * d + b, a), param)))
 
 
 # (oracle name, parameter) -> (values read so far, iterator of the rest), extended
@@ -248,25 +237,32 @@ def get_oracle(name: str) -> SequenceOracle:
 
 def seq_eval(name: str, n: int, param: int | None = None) -> int:
     """Exact value of a registered sequence at index n."""
-    return get_oracle(name)(n, param)
+    return seq_values(name, [n], param)[0]
 
 
-def seq_values(name: str, indices: list[int], param: int | None = None) -> list[int]:
-    """[seq_eval(name, n, param) for n in indices], with the same values and
-    the same error at the same first bad index, in one read: where every index
-    is an int at or past a stepped oracle's start, the parameter is checked
-    once, the memo filled once up to the largest index, and each value taken
-    from it.  A rule, or any other index, goes through the oracle per index."""
+def seq_values(name: str, indices: list[int] | range, param: int | None = None) -> list[int]:
+    """The exact values of a registered sequence at the indices, in one memo
+    read up to the largest |n|, a negative n of fib or lucas reflected by
+    its spec's backward rule; scriptLdiag's rule is read per index.  Errors
+    are those of reading one index at a time: the first index that is no
+    int, or lies below the start of an oracle with no backward rule, raises,
+    and a refused parameter raises at the first index."""
     oracle = get_oracle(name)
-    if oracle.rule is None and set(map(type, indices)) == {int} and min(indices) >= oracle.start:
-        oracle.check_param(param)
-        return list(map(_memo_values(name, param, max(indices)).__getitem__, indices))
-    return [oracle(n, param) for n in indices]  # a bad index raises here
-
-
-def seq_slice(name: str, count: int, param: int | None = None) -> list[int]:
-    """First ``count`` values from the oracle's natural starting index."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    start = get_oracle(name).start
-    return seq_values(name, list(range(start, start + count)), param)
+    if not indices:
+        return []
+    lo = min(indices) if set(map(type, indices)) == {int} else None
+    if lo is None or (lo < oracle.start and not oracle.negative_ok):
+        for i, n in enumerate(indices):  # the first bad index raises here
+            if not _is_integer(n):
+                raise TypeError(f"{name}: n must be an int, not {n!r}")
+            if not i:
+                oracle.check_param(param)
+            if n < oracle.start and not oracle.negative_ok:
+                raise ValueError(f"{name} is not defined at n = {n}")
+        lo = min(indices)  # integers of another type, such as bool
+    oracle.check_param(param)
+    if oracle.rule is not None:
+        return [oracle.rule(param, n) for n in indices]
+    values = _memo_values(name, param, max(max(indices), -lo))
+    return [values[n] if n >= 0 else oracle.recurrence.reflection_sign(n) * values[-n]
+            for n in indices]

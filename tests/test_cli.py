@@ -28,10 +28,15 @@ from binsums.identities import (
 from binsums.oeis import load_fixture
 
 
-def invoke(capsys, *argv, registry=None):
-    code = run(list(argv), registry=registry)
+def invoke(capsys, *argv):
+    code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def substitute_registry(monkeypatch, registry):
+    """Make verify read the given identities in place of the catalogue."""
+    monkeypatch.setattr("binsums.cli.builtin_registry", lambda: registry)
 
 
 def test_verify_single_identity_text(capsys):
@@ -81,19 +86,20 @@ def test_verify_csv(capsys):
     assert all(r["status"] == "pass" for r in rows)
 
 
-def test_injected_failure_flips_exit_status(capsys):
+def test_injected_failure_flips_exit_status(capsys, monkeypatch):
     registry = list(builtin_registry())
     registry[0] = perturbed(registry[0], 2, +1)  # fib-even, one flipped weight
-    code, out = invoke(capsys, "verify", "--all", "--n-max", "10", registry=registry)
+    substitute_registry(monkeypatch, registry)
+    code, out = invoke(capsys, "verify", "--all", "--n-max", "10")
     assert code == 1
     assert "FAIL 33/34" in out
     assert "first divergence n=2" in out
 
 
-def test_failure_entries_carry_values(capsys):
-    registry = [perturbed(builtin_registry()[0], 2, +1)]
+def test_failure_entries_carry_values(capsys, monkeypatch):
+    substitute_registry(monkeypatch, [perturbed(builtin_registry()[0], 2, +1)])
     code, out = invoke(capsys, "verify", "--identity", "fib-even", "--n-max", "10",
-                       "--format", "json", registry=registry)
+                       "--format", "json")
     assert code == 1
     (entry,) = json.loads(out)["entries"]
     assert entry["status"] == "fail"
@@ -106,9 +112,9 @@ def test_verify_unknown_identity_exits_2(capsys):
     assert code == 2
 
 
-def test_unknown_identity_lists_the_families_of_the_given_registry(capsys):
-    registry = [*find("fib-even"), *find("pow3")]
-    code = run(["verify", "--identity", "lucas-odd"], registry=registry)
+def test_unknown_identity_lists_the_families_of_the_given_registry(capsys, monkeypatch):
+    substitute_registry(monkeypatch, [*find("fib-even"), *find("pow3")])
+    code = run(["verify", "--identity", "lucas-odd"])
     assert code == 2
     assert capsys.readouterr().err == "unknown identity 'lucas-odd'; known: fib-even, pow3\n"
 
@@ -119,8 +125,10 @@ def test_unknown_identity_lists_the_families_of_the_given_registry(capsys):
     (["--identity", "fib-even", "--n-max", "10"],
      [replace(builtin_registry()[0], domain=Domain(20))]),
 ])
-def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
-    code = run(["verify", *argv], registry=registry)
+def test_verify_with_an_empty_domain_exits_2(capsys, monkeypatch, argv, registry):
+    if registry is not None:
+        substitute_registry(monkeypatch, registry)
+    code = run(["verify", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -129,18 +137,20 @@ def test_verify_with_an_empty_domain_exits_2(capsys, argv, registry):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_verify_with_an_empty_selection_exits_2(capsys, fmt):
+def test_verify_with_an_empty_selection_exits_2(capsys, monkeypatch, fmt):
     # an empty registry once printed PASS 0/0, and csv raised IndexError
-    code = run(["verify", "--all", "--format", fmt], registry=[])
+    substitute_registry(monkeypatch, [])
+    code = run(["verify", "--all", "--format", fmt])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "no identity to verify: the registry is empty\n"
 
 
-def test_a_right_side_that_is_not_an_integer_exits_2_after_the_streamed_lines(capsys):
+def test_a_right_side_that_is_not_an_integer_exits_2_after_the_streamed_lines(capsys, monkeypatch):
     half = Identity("synthetic-half", OracleRef("fib", a=2),
                     (CenteredSum((Fraction(1, 2),), 1),), Domain(1))
-    code = run(["verify", "--all", "--n-max", "10"], registry=[*find("fib-even"), half])
+    substitute_registry(monkeypatch, [*find("fib-even"), half])
+    code = run(["verify", "--all", "--n-max", "10"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.startswith("fib-even ") and captured.out.count("\n") == 1
@@ -151,6 +161,13 @@ def test_table_output_matches_the_documented_format(capsys):
     code, out = invoke(capsys, "table", "--sequence", "W", "--count", "8")
     assert code == 0
     assert out.strip() == "3, -1, 5, -4, 13, -16, 38, -57"
+
+
+def test_table_with_a_count_of_one_prints_one_value(capsys):
+    assert invoke(capsys, "table", "--sequence", "pell", "--count", "1") == (0, "0\n")
+    code, out = invoke(capsys, "table", "--sequence", "halfcentral", "--count", "1",
+                       "--format", "json")
+    assert (code, json.loads(out)["values"], json.loads(out)["start"]) == (0, ["1"], 1)
 
 
 def test_table_with_parameter(capsys):
@@ -256,6 +273,8 @@ def test_derive_flags_parse_to_tuples():
 
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--n-max", "0"], "binsums verify: error: argument --n-max: must be >= 1"),
+    (["table", "--sequence", "fib", "--count", "0"],
+     "binsums table: error: argument --count: must be >= 1"),
     ([*_DERIVE, "--index", "5"],
      "binsums derive: error: argument --index: index map '5' must mention n"),
     ([*_DERIVE, "--solve-range", "5"],

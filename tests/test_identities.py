@@ -509,6 +509,26 @@ def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
             an, ak, c, ns)
 
 
+def test_a_row_convolution_whose_window_crosses_zero_reads_its_oracle_once(monkeypatch):
+    """The fib window of the convolution at n = 0..200 runs over lattice
+    positions -201..200, fib indices -802..802: its negative indices are
+    reflected inside the one memo read, not read one index at a time."""
+    from binsums import sequences
+    reads = []
+    memo_values = sequences._memo_values
+
+    def counted_memo_values(name, param, n):
+        reads.append((name, param, n))
+        return memo_values(name, param, n)
+
+    monkeypatch.setattr(sequences, "_memo_values", counted_memo_values)
+    term = SignedRowConvolution("fib", 4, -4, 2)
+    ns = list(range(201))
+    values = term.values(ns)
+    assert reads == [("fib", None, 802)]
+    assert values[:41] == [ref.signed_row_convolution(term, n) for n in range(41)]
+
+
 def test_row_convolution_with_no_k_step_reads_its_oracle():
     """With ak = 0 every summand reads g(an*n + c): the sum is 0 only where
     g is defined there, and raises like the reference elsewhere."""

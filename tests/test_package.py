@@ -2,7 +2,8 @@
 every top-level function and class is read or exported (each of core's
 by another module), every function runs under the README's CLI lines or is
 named with its reason, every public name resolves, every term has one value
-route, only `cli.run` writes to stderr, and no module reaches the network."""
+route, only `seq_values` reads the oracle memo and nothing calls an oracle,
+only `cli.run` writes to stderr, and no module reaches the network."""
 import ast
 import json
 import os
@@ -193,6 +194,72 @@ def test_the_check_sees_a_threading_import():
                "c.py": "import os, threading as t\n", "d.py": "import os\nthreading = 1\n",
                "e.py": "from . import threads\n"}
     assert _threading_importers(sources) == ["a.py", "b.py", "c.py"]
+
+
+def _oracle_value_reads(source: str) -> list[str]:
+    """"<function> reads _memo_values" and "<function> calls an oracle", once
+    each, for each function of the source (dotted "Class.method", or
+    "<module>" for code outside any function) that calls _memo_values or a
+    SequenceOracle object: the result of get_oracle(...) or of a _REGISTRY
+    lookup, a name the function binds to one, or self in a method of
+    SequenceOracle."""
+    def is_oracle(node) -> bool:
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", None) == "get_oracle"
+        return isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_REGISTRY"
+
+    out = {}
+
+    def scan(node, name, bound):
+        bound = bound | {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+                         and is_oracle(n.value) for t in n.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "_memo_values":
+                out[f"{name} reads _memo_values"] = None
+            elif is_oracle(func) or getattr(func, "id", None) in bound:
+                out[f"{name} calls an oracle"] = None
+
+    def visit(node, prefix, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".",
+                      {"self"} if child.name == "SequenceOracle" else set())
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, prefix + child.name, bound)
+            elif isinstance(child, ast.stmt):
+                scan(child, "<module>", set())
+    visit(ast.parse(source), "", set())
+    return list(out)
+
+
+def test_only_seq_values_reads_the_memo_and_no_module_calls_an_oracle():
+    # one route to an oracle's values: the bulk reader, which reads the memo
+    reads = [f"{p.stem}.{r}" for p in _MODULES for r in _oracle_value_reads(p.read_text())]
+    assert reads == ["sequences.seq_values reads _memo_values"]
+
+
+def test_the_check_sees_a_second_memo_reader_and_an_oracle_call():
+    source = ("def seq_values(name, ns):\n"
+              "    return _memo_values(name, None, max(ns)) + _memo_values(name, None, 0)\n"
+              "def other(name):\n    return sequences._memo_values(name, None, 3)[3]\n"
+              "def direct(name):\n    return get_oracle(name)(3)\n"
+              "def bound(name):\n    oracle = get_oracle(name)\n"
+              "    return [oracle(n) for n in range(3)]\n"
+              "def looked_up(name):\n    return _REGISTRY[name](4, None)\n"
+              "def fine(name, oracle):\n    spec = get_oracle(name).spec()\n"
+              "    return spec(1) + oracle(2) + seq_eval(name, 1)\n"
+              "class SequenceOracle:\n    def dilate(self, a):\n        return self(a)\n"
+              "    def spec(self):\n        return self.recurrence(2)\n"
+              "class Other:\n    def f(self):\n        return self(1)\n"
+              "value = get_oracle('fib')(5)\n")
+    assert _oracle_value_reads(source) == [
+        "seq_values reads _memo_values", "other reads _memo_values", "direct calls an oracle",
+        "bound calls an oracle", "looked_up calls an oracle", "SequenceOracle.dilate calls an oracle",
+        "<module> calls an oracle"]
+
 
 _SECOND_ROUTES = {"evaluate", "sweep", "terms_at"}
 

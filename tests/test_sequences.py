@@ -15,10 +15,9 @@ from binsums.sequences import (
     registry,
     scriptl_poly,
     seq_eval,
-    seq_slice,
     seq_values,
 )
-from recurrence_reference import rec_eval
+from recurrence_reference import read_one, rec_eval
 
 
 def test_registry_contains_the_documented_names():
@@ -39,14 +38,14 @@ def test_spec_values():
 
 
 def test_slices():
-    assert seq_slice("W", 8) == [3, -1, 5, -4, 13, -16, 38, -57]
-    assert seq_slice("S", 6) == [1, 2, 6, 19, 62, 207]
-    assert seq_slice("R", 8) == [1, 2, 6, 19, 61, 197, 638, 2069]
-    assert seq_slice("Q", 8) == [1, 1, 2, 5, 14, 42, 131, 417]
-    assert seq_slice("pellX", 7) == [1, 2, 7, 26, 97, 362, 1351]
-    assert seq_slice("pellY", 7) == [0, 1, 4, 15, 56, 209, 780]
-    assert seq_slice("pell", 9) == [0, 1, 2, 5, 12, 29, 70, 169, 408]
-    assert seq_slice("pell", 1) == [0] and seq_slice("halfcentral", 1) == [1]
+    assert seq_values("W", range(8)) == [3, -1, 5, -4, 13, -16, 38, -57]
+    assert seq_values("S", range(6)) == [1, 2, 6, 19, 62, 207]
+    assert seq_values("R", range(8)) == [1, 2, 6, 19, 61, 197, 638, 2069]
+    assert seq_values("Q", range(8)) == [1, 1, 2, 5, 14, 42, 131, 417]
+    assert seq_values("pellX", range(7)) == [1, 2, 7, 26, 97, 362, 1351]
+    assert seq_values("pellY", range(7)) == [0, 1, 4, 15, 56, 209, 780]
+    assert seq_values("pell", range(9)) == [0, 1, 2, 5, 12, 29, 70, 169, 408]
+    assert seq_values("pell", [0]) == [0] and seq_values("halfcentral", [1]) == [1]
 
 
 def test_pell_invariant():
@@ -114,7 +113,7 @@ def test_every_stepped_oracle_read_from_an_empty_memo_equals_rec_eval():
 def test_qrdiff_is_r_minus_q():
     for n in range(1, 201):
         assert seq_eval("A094789", n) == seq_eval("R", n) - seq_eval("Q", n)
-    assert seq_slice("A094789", 6) == [1, 4, 14, 47, 155, 507]
+    assert seq_values("A094789", range(1, 7)) == [1, 4, 14, 47, 155, 507]
 
 
 def test_transform_recurrences_match_their_binomial_transforms():
@@ -243,8 +242,6 @@ def test_domain_validation():
         seq_eval("scriptL", 0, param=4)
     with pytest.raises(ValueError):
         seq_eval("pell", -1)
-    with pytest.raises(ValueError):
-        seq_slice("fib", 0)
 
 
 def test_natural_start_indices():
@@ -428,24 +425,26 @@ def test_genlucas_poly_squared_is_the_shifted_chebyshev_polynomial():
 
 def _index_lists(oracle: SequenceOracle) -> list[list[int]]:
     """Ascending, descending and gapped index lists from the oracle's
-    start, and for fib and lucas lists that cross below 0."""
+    start, and for fib and lucas lists that cross below 0, one of them with
+    bools, which are ints too."""
     lo = oracle.start
     lists = [list(range(lo, lo + 30)), list(range(lo + 40, lo - 1, -3)),
              [lo + 17, lo, lo + 5, lo + 5, lo + 60, lo + 2]]
     if oracle.negative_ok:
-        lists += [list(range(-20, 21)), list(range(15, -16, -5)), [-7, 3, -1, 40, -40]]
+        lists += [list(range(-20, 21)), list(range(15, -16, -5)), [-7, 3, -1, 40, -40],
+                  [-7, True, False, 3]]
     return lists
 
 
 @pytest.mark.parametrize("name", sorted(registry()))
 def test_the_bulk_reader_equals_the_per_index_reads(name):
     """Every registered oracle, and two parameters of each family, read
-    from an empty memo and again from the filled one."""
+    from an empty memo and again from the filled one, against read_one."""
     oracle = get_oracle(name)
     params = [None] if oracle.param_name is None else [oracle.param_min, oracle.param_min + 1]
     for param in params:
         for indices in _index_lists(oracle):
-            want = [oracle(n, param) for n in indices]
+            want = [read_one(name, n, param) for n in indices]
             _MEMO.clear()
             assert seq_values(name, indices, param) == want, (param, indices)
             assert seq_values(name, indices, param) == want, (param, indices)
@@ -474,10 +473,11 @@ def test_the_bulk_reader_equals_the_per_index_reads(name):
     ("unheard-of", None, [1]),  # no such oracle
 ], ids=str)
 def test_the_bulk_reader_raises_like_the_per_index_reads(name, param, indices):
-    """The same exception type and message, so the same first bad index."""
+    """The same exception type and message as read_one, so the same first
+    bad index."""
     with pytest.raises(Exception) as per_index:
         for n in indices:
-            seq_eval(name, n, param)
+            read_one(name, n, param)
     _MEMO.clear()
     with pytest.raises(Exception) as bulk:
         seq_values(name, indices, param)
@@ -543,13 +543,12 @@ def _class_sums_by_comb(n_max: int) -> dict[str, list[int]]:
     ("A", None), ("B", None), ("C", None), ("halfrow", None), ("halfcentral", None),
     ("scriptL", 2), ("scriptL", 3), ("scriptL", 8)], ids=str)
 def test_a_stepped_oracle_reads_in_bulk_as_per_index(name, param):
-    """seq_values over 0..300 equals the per-index seq_eval reads, or raises
-    the same error at the same first bad index, each from an empty memo;
-    from the start on, both equal an independent closed form."""
+    """seq_values over 0..300 from an empty memo equals the read_one reads,
+    or raises the same error at the same first bad index; from the start
+    on, both equal an independent closed form."""
     oracle = get_oracle(name)
     indices = list(range(301))
-    _MEMO.clear()
-    per_index = _outcome(lambda: [seq_eval(name, n, param) for n in indices])
+    per_index = _outcome(lambda: [read_one(name, n, param) for n in indices])
     _MEMO.clear()
     assert _outcome(lambda: seq_values(name, indices, param)) == per_index
     if oracle.start:
@@ -565,4 +564,4 @@ def test_a_stepped_oracle_reads_in_bulk_as_per_index(name, param):
         want = [p // param for p in power_sums(scriptl_poly(param), 300)[oracle.start:]]
     _MEMO.clear()
     assert seq_values(name, list(reversed(ns)), param) == want[::-1]
-    assert [seq_eval(name, n, param) for n in ns] == want
+    assert [read_one(name, n, param) for n in ns] == want
