@@ -13,20 +13,26 @@ integers throughout, and Fractions only for the solution itself.
 
 The coefficient rows do not depend on the target, so neither does which
 equations add a pivot and which depend on earlier ones: only the right
-sides do.  So each system, keyed by (period, row parity, whether n = 0
-joins, solve range, holdout), is factored once by fraction-free integer
-elimination (Bareiss, Math. Comp. 22, 1968) that records how each reduced
-row combines the pivot equations.  A dependent equation keeps the integer
-combination of right sides that must vanish for it to hold, and so do up
-to `unknowns` solve equations past full rank: deciding that many costs no
-more than forming the solution, and reducing more equations would only
-slow the factoring of a long solve range.  At full rank an integer
-back-substitution gives D and X with D*x = X*b, b the pivot equations'
-right sides.  A target then costs a few dot products: one per check,
-z = X*b once all pass, and coeffs . z == D * b_n for each later equation,
-held out or not; the solution is z / D.  The factored systems live in one
-least-recently-used cache of _FACTORS entries, shared by every caller and
-never changed once built.
+sides do.  So each system, keyed by (period, row parity, solve range,
+holdout), is factored once by fraction-free integer elimination (Bareiss,
+Math. Comp. 22, 1968) of the weight columns alone, recording how each
+reduced row combines the pivot equations.  Each equation's center
+coefficient C(row, n) rides along as a second right side, so one system
+serves every target: the center is the target's value at n = 0 where it
+has one (that row has no weight term), 0 on odd rows, and otherwise the
+first dependent equation whose center coefficients do not cancel pins it.
+A dependent equation keeps the integer combination of right sides and
+center that must vanish for it to hold, and so do as many solve equations
+past full rank as there are unknowns, counted from the first check that
+can pin the center: deciding that many costs no more than forming the
+solution, and reducing more equations would only slow the factoring of a
+long solve range.  At full rank an integer back-substitution gives D and
+X with D*w = X*(center, *b), b the pivot equations' right sides.  A target
+then costs a few dot products: one per check, z = X*(center, *b) once all
+pass, and (C(row, n), *coeffs) . (center * D, *z) == D * b_n for each
+later equation, held out or not; the weights are z / D.  The factored
+systems live in one least-recently-used cache of _FACTORS entries, shared
+by every caller and never changed once built.
 
 The target is read in one bulk read per range, the solve range first and
 the holdout only at full rank, each up to the first n where the domain
@@ -47,8 +53,8 @@ from .core import class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
 from .sequences import get_oracle, seq_values
 
-# Factored systems kept at once.  Periods 1..20, each with and without
-# n = 0, are 40 systems at the default ranges.
+# Factored systems kept at once.  Periods 1..20, each with both row
+# parities, are 40 systems at the default ranges.
 _FACTORS = 64
 
 
@@ -86,19 +92,25 @@ def _equation_rows(period: int, row_odd: bool, ns: list[int] | range):
 
 class _System(NamedTuple):
     """What derive_profile needs of one system, none of it depending on the
-    target.
+    target.  Only the period's weights are unknowns; each equation's center
+    coefficient gamma_n = C(row, n), 0 on odd rows, rides along beside its
+    right side.
 
-    checks has one entry per solve equation, in order, up to `unknowns`
-    equations past the one that brings full rank (all of them if fewer
-    follow or none brings it).  It is None where the equation adds a pivot.
-    Where the equation depends on earlier ones it is a pair (lam, own): the
-    equation holds exactly when lam . b + own * v == 0, b the right sides of
-    the pivot equations before it and v its own.  rank is the rank those
-    equations reach.  At full rank the solution is inverse . b /
-    denominator, inverse having one integer row per unknown over all the
-    pivot equations, and rows holds the coefficient rows of the equations
-    after the last check: the rest of the solve range, then the holdout.
-    Below full rank inverse and rows are empty.
+    checks has one entry per solve equation, in order, up to the end of the
+    window _factor describes (all of them if the solve range ends first or
+    no equation brings full rank).  It is None where the equation adds a
+    pivot.
+    Where the equation depends on earlier ones it is a pair (vec, own), vec
+    = (-g, *lam): the equation holds exactly when vec . (center, *b) + own *
+    v == 0, b the right sides of the pivot equations before it and v its
+    own, and g = lam . gamma_pivots + own * gamma_n.  A check with g != 0
+    pins a center not known before it.  rank is the rank of the weight
+    columns those equations reach.  At full rank the weights are inverse .
+    (center, *b) / denominator, inverse having one integer row per weight
+    over the center and all the pivot equations, and rows holds the rows
+    (gamma_n, *coeffs) of the equations after the last check: the rest of
+    the solve range, then the holdout.  Below full rank inverse and rows are
+    empty.
     """
 
     checks: tuple[tuple[tuple[int, ...], int] | None, ...]
@@ -109,30 +121,41 @@ class _System(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_FACTORS)
-def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop: int,
+def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
             holdout: int) -> _System:
-    """Factor the system of derive_profile's equations at n = 0 (if zero),
+    """Factor the weight columns of derive_profile's equations at
     solve_start..solve_stop and the holdout after it.
 
-    Each solve equation's row [coeffs | combination] is reduced by each
-    stored pivot row as p*row - c*prow, where p is the pivot entry and c
-    the row's entry in the pivot column, only at the columns where the
+    Each solve equation's row [coeffs | -gamma_n | combination] is reduced
+    by each stored pivot row as p*row - c*prow, where p is the pivot entry
+    and c the row's entry in the pivot column, only at the columns where the
     pivot row is nonzero.  The combination part starts as 1 in the slot of
     the pivot this equation would be (past full rank, in one last slot), so
     it always says how the reduced coefficients combine the pivot equations
-    and this one.  A reduced row is divided by its content (the gcd of its
-    entries).  Where the coefficients reduce to zero the combination is the
-    equation's check; reduction stops `unknowns` equations past full rank.
+    and this one, and the -gamma entry is the same combination of their
+    center coefficients.  A reduced row is divided by its content (the gcd
+    of its entries).  Where the coefficients reduce to zero the rest of the
+    row is the equation's check.
+
+    Reduction stops once as many checks as the problem has unknowns (P + 1
+    with the center, P on odd rows) come past full rank and past the first
+    check that can pin the center.  Where none ever could, they count from
+    full rank: odd rows have no center, and for an even period C(2n, n) =
+    -2 sum_{k>=1} (-1)^k C(2n, n+k) for every n >= 1, so every equation past
+    full rank has g = 0.  So an equation after the checks never pins the
+    center.
     """
-    unknowns = period if row_odd else period + 1
-    solve_ns = [*([0] if zero else []), *range(solve_start, solve_stop + 1)]
+    solve_ns = range(solve_start, solve_stop + 1)
     hold_ns = range(solve_stop + 1, solve_stop + holdout + 1)
     rows = _equation_rows(period, row_odd, [*solve_ns, *hold_ns])
     pivots: dict[int, tuple[list[int], list[int]]] = {}  # column -> (row, its nonzero columns)
     checks: list[tuple[tuple[int, ...], int] | None] = []
+    window = period if row_odd else period + 1
+    pinnable, past = row_odd or period % 2 == 0, 0  # checks counted toward the window
     for _, coeffs in zip(solve_ns, rows):
-        slot = unknowns + len(pivots)
-        row = [*coeffs, *[0] * (unknowns + 1)]
+        slot = period + 1 + len(pivots)
+        row = [*coeffs, 0] if row_odd else [*coeffs[1:], -coeffs[0]]
+        row += [0] * (period + 1)
         row[slot] = 1
         for pivot, (prow, nonzero) in pivots.items():
             c = row[pivot]
@@ -142,26 +165,29 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
                     row = [p * a for a in row]
                 for j in nonzero:
                     row[j] -= c * prow[j]
-        pivot = next((j for j in range(unknowns) if row[j]), None)
+        pivot = next((j for j in range(period) if row[j]), None)
         g = math.gcd(*row)
         if g != 1:
             row = [a // g for a in row]
         if pivot is None:
-            checks.append((tuple(row[unknowns:slot]), row[slot]))
-            if len(pivots) == unknowns and None not in checks[-unknowns:]:
-                break  # the last `unknowns` equations came past full rank
+            checks.append((tuple(row[period:slot]), row[slot]))
+            if pinnable and len(pivots) == period:
+                past += 1
+                if past == window:
+                    break
+            pinnable = pinnable or row[period] != 0
             continue
         pivots[pivot] = row, [j for j, a in enumerate(row) if a]
         checks.append(None)
-    if len(pivots) < unknowns:
+    if len(pivots) < period:
         return _System(tuple(checks), len(pivots))
-    # back-substitution from the last pivot: x_q = inverse[q] . b / d
+    # back-substitution from the last pivot: w_q = inverse[q] . (center, *b) / d
     d, inverse = 1, {}
     for pivot in sorted(pivots, reverse=True):
         prow, nonzero = pivots[pivot]
-        num = prow[unknowns:-1] if d == 1 else [d * a for a in prow[unknowns:-1]]
+        num = prow[period:-1] if d == 1 else [d * a for a in prow[period:-1]]
         for j in nonzero:  # ascending: the coefficient columns come first
-            if j >= unknowns:
+            if j >= period:
                 break
             if j > pivot:
                 c = prow[j]
@@ -176,24 +202,29 @@ def _factor(period: int, row_odd: bool, zero: bool, solve_start: int, solve_stop
                     inverse[q] = [scale * a for a in known]
             num = [a // g for a in num]
         inverse[pivot] = num
-    return _System(tuple(checks), unknowns, tuple(tuple(inverse[q]) for q in range(unknowns)),
-                   d, tuple(rows))
+    later = tuple((0, *row) for row in rows) if row_odd else tuple(rows)
+    return _System(tuple(checks), period, tuple(tuple(inverse[q]) for q in range(period)), d,
+                   later)
 
 
-def _defined_prefix(target: OracleRef, ns: list[int] | range) -> int:
-    """How many n at the front of the ascending ns the target has a value at."""
-    start, stop = get_oracle(target.name).domain(target.a, target.b)
-    return 0 if ns and ns[0] < start else len(ns) if stop is None else bisect_right(ns, stop)
+def _target_values(target: OracleRef, ns: list[int] | range,
+                   domain: tuple[int, int | None]) -> list[int]:
+    """The target at each n of the ascending ns before the first n outside
+    its domain (start, stop) from sequences.SequenceOracle.domain, in one
+    seq_values read."""
+    start, stop = domain
+    cut = 0 if ns and ns[0] < start else len(ns) if stop is None else bisect_right(ns, stop)
+    return seq_values(target.name, [target.a * n + target.b for n in ns[:cut]], target.param)
 
 
-def _target_values(target: OracleRef, ns: list[int] | range, stage: str, span: tuple[int, int]):
-    """The target at each n of the ascending ns, for the equations of a stage
-    ("solve" or "holdout") with range span, in one seq_values read up to the
-    first n with no value; that n raises a ValueError naming it and the range
-    only when asked for, so every equation before it still gives its verdict."""
-    cut = _defined_prefix(target, ns)
-    yield from seq_values(target.name, [target.a * n + target.b for n in ns[:cut]], target.param)
-    for n in ns[cut:cut + 1]:  # the first n with no value, whose read raises
+def _raise_if_short(target: OracleRef, ns: list[int] | range, values: list[int], stage: str,
+                    span: tuple[int, int]) -> None:
+    """Where values, read by _target_values, stop short of the ns, raise the
+    error of reading the target at the first n it has no value at, naming n
+    and the range of the stage ("solve" or "holdout") whose equation needs
+    it."""
+    if len(values) < len(ns):
+        n = ns[len(values)]
         try:
             seq_values(target.name, [target.a * n + target.b], target.param)
         except ValueError as exc:
@@ -216,12 +247,12 @@ def derive_profile(
     index map).  The solve range must start at n >= 0 and supply at least
     period + 2 equations, and the holdout must be >= 0.
     When the target is defined at n = 0 that trivial row (every side
-    binomial vanishes) is included as well; it pins the center coefficient,
-    which for even periods is otherwise entangled with the alternating-sign
-    row identity.  Equations are decided in order of n, the solve range and
-    then, at full rank, the `holdout` indices after it; the first one that
-    contradicts those before it makes the profile infeasible, and only a
-    system that passes them all is solved.
+    binomial vanishes) fixes the center coefficient at the target's value
+    there; for even periods the center is otherwise entangled with the
+    alternating-sign row identity.  Equations are decided in order of n,
+    the solve range and then, at full rank, the `holdout` indices after it;
+    the first one that contradicts those before it makes the profile
+    infeasible, and only a system that passes them all is solved.
     An unknown name raises KeyError and a refused parameter ValueError, both
     up front; a target with no value in either range raises ValueError.
     """
@@ -235,35 +266,59 @@ def derive_profile(
         solve_stop = solve_start + period + 3
     if solve_stop - solve_start + 1 < period + 2:
         raise ValueError(f"solve range must supply at least {period + 2} equations")
-    get_oracle(target.name).check_param(target.param)  # fail early on a bad name or parameter
+    oracle = get_oracle(target.name)
+    oracle.check_param(target.param)  # fail early on a bad name or parameter
 
-    unknowns = period if row_odd else period + 1
     solve = (solve_start, solve_stop)
     hold = (solve_stop + 1, solve_stop + holdout)
-    zero = not row_odd and solve_start > 0 and _defined_prefix(target, [0]) == 1  # a value at 0
+    domain = start, stop = oracle.domain(target.a, target.b)
+    zero = not row_odd and solve_start > 0 and start == 0 and (stop is None or stop >= 0)
     ns = [*([0] if zero else []), *range(solve_start, solve_stop + 1)]
-    system = _factor(period, row_odd, zero, solve_start, solve_stop, holdout)
+    system = _factor(period, row_odd, solve_start, solve_stop, holdout)
     result = functools.partial(ProfileSolution, target, period, row_odd, solve_range=solve)
-    values = _target_values(target, ns, "solve", solve)
-    b = []  # the right sides of the pivot equations
-    for n, check, value in zip(ns, system.checks, values):
+    values = _target_values(target, ns, domain)
+    # The center is p / q: the value at 0, 0 on odd rows, or unknown (0
+    # here) until a check pins it.  b holds q times each pivot's right side.
+    p, q = values[0] if zero else 0, 1
+    known = zero or row_odd
+    b = [p]
+    done = zero + len(system.checks)
+    for n, check, value in zip(ns[zero:], system.checks, values[zero:]):
         if check is None:
-            b.append(value)
-        elif sum(map(mul, check[0], b)) + check[1] * value:
+            b.append(q * value)
+            continue
+        vec, own = check
+        e = sum(map(mul, vec, b)) + own * q * value
+        if not known and vec[0]:  # the check pins the center at e / g
+            g = math.gcd(e, vec[0])
+            p, q = e // g, -vec[0] // g
+            b[0] = p
+            if q != 1:
+                b[1:] = [q * a for a in b[1:]]
+            known = True
+        elif e:
             return result("infeasible", violated_n=n)
-    if system.rank < unknowns:
-        return result("underdetermined", dimension=unknowns - system.rank)
-    d, z = system.denominator, [sum(map(mul, row, b)) for row in system.inverse]
-    rows = iter(system.rows)
-    for n, coeffs, value in zip(ns[len(system.checks):], rows, values):
-        if sum(map(mul, coeffs, z)) != d * value:
-            return result("infeasible", violated_n=n)
+    # z decides the solve equations after the checks and, once the center is
+    # known, the holdout.  An unknown center stays 0 there: no equation after
+    # the checks can pin it (see _factor).
+    full = system.rank == period and (known or done < len(ns))
+    if full:
+        d = system.denominator
+        z = [p * d, *(sum(map(mul, row, b)) for row in system.inverse)]
+        d *= q  # the solution is z / d
+        for n, coeffs, value in zip(ns[done:], system.rows, values[done:]):
+            if sum(map(mul, coeffs, z)) != d * value:
+                return result("infeasible", violated_n=n)
+    _raise_if_short(target, ns, values, "solve", solve)
+    if not (full and known):
+        return result("underdetermined", dimension=period - system.rank + (not known))
     hold_ns = range(hold[0], hold[1] + 1)
-    for n, coeffs, value in zip(hold_ns, rows, _target_values(target, hold_ns, "holdout", hold)):
+    hold_values = _target_values(target, hold_ns, domain)
+    for n, coeffs, value in zip(hold_ns, system.rows[len(ns) - done:], hold_values):
         if sum(map(mul, coeffs, z)) != d * value:
             return result("infeasible", violated_n=n, holdout_range=hold)
-    sol = [Fraction(q, d) for q in z]
-    center, weights = (Fraction(0), sol) if row_odd else (sol[0], sol[1:])
+    _raise_if_short(target, hold_ns, hold_values, "holdout", hold)
+    center, *weights = (Fraction(a, d) for a in z)
     return result("unique", center=center, weights=tuple(weights), holdout_range=hold)
 
 

@@ -325,7 +325,7 @@ def test_derive_factors_survive_concurrent_use():
         run_threads(work)
         assert len(got) == 4 and all(profiles == expected for profiles in got)
         assert not any(name == "class_sums" for name, _ in _MEMO)
-        keys = {(period, row_odd, not row_odd, 1, period + 4, 20) for _, period, row_odd in jobs}
+        keys = {(period, row_odd, 1, period + 4, 20) for _, period, row_odd in jobs}
         assert _factor.cache_info().currsize == len(keys) == 20
         assert all(_factor(*key) == _factor.__wrapped__(*key) for key in keys)
 

@@ -110,21 +110,28 @@ def test_the_last_held_out_index_is_fed(monkeypatch):
 
 
 def test_full_rank_is_followed_by_checks_for_as_many_equations_as_unknowns(monkeypatch):
-    # fib(2n) at its period 5 has 6 unknowns, and n = 0 joins the solve range
-    # 1..40.  The first 6 equations are pivots, the next 6 (n = 6..11) keep
-    # stored checks, and the other 29 solve equations and the 20 held out
-    # keep their rows.  A target value moved by 1 inside those checks, at
+    # fib(2n) at its period 5 has 6 unknowns, the center and 5 weights; its
+    # value at n = 0 fixes the center, which enters each check as a leading
+    # pivot value.  Of the solve range 1..40 the first 5 equations are the
+    # weights' pivots.  The next 7 (n = 6..12) keep stored checks: the first,
+    # which pins the center of a target with no value at 0, and 6 more.  The
+    # other 28 solve equations and the 20 held out keep their rows
+    # (C(2n, n), *coeffs).  A target value moved by 1 inside those checks, at
     # their edges or past them makes the profile infeasible at that n, as it
     # does for the eliminator that decides every equation the same way.
     fib2 = OracleRef("fib", a=2)
-    system = _factor(5, False, True, 1, 40, 20)
-    assert [check is None for check in system.checks] == [True] * 6 + [False] * 6
-    assert [len(check[0]) for check in system.checks[6:]] == [6] * 6
-    assert system.rank == 6 and len(system.rows) == 29 + 20
-    assert [len(row) for row in system.inverse] == [6] * 6  # one entry per pivot equation
+    system = _factor(5, False, 1, 40, 20)
+    assert [check is None for check in system.checks] == [True] * 5 + [False] * 7
+    assert [len(check[0]) for check in system.checks[5:]] == [6] * 7  # center and 5 pivots
+    assert system.checks[5][0][0] != 0  # the check that pins a center not yet known
+    assert system.rank == 5 and len(system.rows) == 28 + 20
+    assert [len(row) for row in system.rows] == [6] * 48
+    assert [len(row) for row in system.inverse] == [6] * 5  # the center and each pivot equation
+    odd = _factor(5, True, 1, 40, 20)  # no center: 5 pivots and 5 checks
+    assert [check is None for check in odd.checks] == [True] * 5 + [False] * 5
     assert derive_profile(fib2, 5, solve_stop=40).status == "unique"
     real = discovery.seq_values
-    for moved in (6, 8, 11, 12, 30, 60):
+    for moved in (6, 8, 11, 12, 13, 30, 60):
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == 2 * moved) for i, v in zip(indices, real(name, indices, param))]
         monkeypatch.setattr(discovery, "seq_values", tampered)
@@ -169,15 +176,9 @@ def test_a_target_that_runs_out_later_keeps_its_earlier_verdict():
     assert (sol.status, sol.violated_n) == ("infeasible", 3)
 
 
-def factor_key(target, period, row_odd):
+def factor_key(period, row_odd):
     """The key under which derive_profile factors its default ranges."""
-    try:
-        target.value(0)
-    except ValueError:
-        zero = False
-    else:
-        zero = not row_odd
-    return period, row_odd, zero, 1, period + 4, 20
+    return period, row_odd, 1, period + 4, 20
 
 
 def test_derive_from_the_factor_cache_equals_derive_from_an_empty_cache():
@@ -197,8 +198,8 @@ def test_derive_from_the_factor_cache_equals_derive_from_an_empty_cache():
         warm.append(derive_profile(*triple))
         assert _factor.cache_info().currsize <= _FACTORS
     assert not any(name == "class_sums" for name, _ in _MEMO)
-    keys = {factor_key(*triple) for triple in triples}
-    assert len(keys) == 60 and _factor.cache_info().currsize == min(60, _FACTORS)
+    keys = {factor_key(period, row_odd) for _, period, row_odd in triples}
+    assert len(keys) == 40 and _factor.cache_info().currsize == min(40, _FACTORS)
     for key in sorted(keys):
         assert _factor(*key) == _factor.__wrapped__(*key), key
     for triple, sol in zip(triples, warm):
@@ -235,6 +236,158 @@ def test_the_factor_cache_is_bounded_and_releases_what_it_drops():
         finally:
             tracemalloc.stop()
         assert held > 200_000 and left < held / 4, (release, held, left)
+
+
+def test_one_system_serves_targets_with_and_without_a_value_at_zero():
+    # The center is no unknown of a factored system: fib(2n), whose value at
+    # n = 0 fixes it, and halfcentral, which has none, share one system at
+    # P = 7, and a seed-1 derive scan of the 26 scan targets (the b-file
+    # targets left out) at P = 1..20 factors one system per period.
+    _factor.cache_clear()
+    for target in (OracleRef("fib", a=2), OracleRef("halfcentral")):
+        assert derive_profile(target, 7) == eliminator_derive(target, 7)
+    assert (_factor.cache_info().misses, _factor.cache_info().hits) == (1, 1)
+    targets = [t for t in foldable_left_sides() if t.name not in ("A094789", "A094667", "A216597")]
+    ops = [(target, period) for target in targets for period in range(1, 21)]
+    random.Random(1).shuffle(ops)
+    _factor.cache_clear()
+    for target, period in ops:
+        derive_profile(target, period)
+    assert len(targets) == 26 and _factor.cache_info().misses == 20
+
+
+def test_even_row_systems_at_the_default_ranges_scale_no_row():
+    # Every pivot entry of an even-row system at the default ranges is 1, so
+    # its denominator is 1, up to period 40.  Odd rows have no such property.
+    for period in range(1, 41):
+        assert _factor.__wrapped__(period, False, 1, period + 4, 20).denominator == 1, period
+    assert _factor.__wrapped__(5, True, 1, 9, 20).denominator == -12
+
+
+def test_a_center_with_no_value_at_zero_is_pinned_by_a_check_at_odd_periods(monkeypatch):
+    # halfcentral(n) = C(2n-1, n-1) = C(2n, n) / 2 for n >= 1 has no value at
+    # n = 0.  At an odd period the first equation past full rank keeps a check
+    # whose center coefficients do not cancel, and it pins the center at 1/2.
+    # A target value moved at that equation pins another center, which a
+    # later check refuses; one moved at a later check or held-out n is
+    # refused there.
+    target = OracleRef("halfcentral")
+    for period in (1, 3, 5, 7):
+        system = _factor(period, False, 1, period + 4, 20)
+        assert system.checks[period][0][0] != 0  # its entry for the center
+        # past the pivots, that check and period + 1 more
+        assert len(_factor(period, False, 1, 40, 20).checks) == 2 * period + 2
+        sol = derive_profile(target, period)
+        assert (sol.status, sol.center, set(sol.weights)) == ("unique", Fraction(1, 2), {0})
+        assert sol == eliminator_derive(target, period)
+    real = discovery.seq_values
+    for moved, violated_n in ((4, 5), (5, 5), (6, 6), (7, 7), (20, 20)):
+        def tampered(name, indices, param=None, moved=moved):
+            return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
+        monkeypatch.setattr(discovery, "seq_values", tampered)
+        sol = derive_profile(target, 3)
+        assert (sol.status, sol.violated_n) == ("infeasible", violated_n), moved
+        assert sol == eliminator_derive(target, 3)
+
+
+def test_a_center_never_pinned_leaves_an_even_period_underdetermined(monkeypatch):
+    # At an even period every equation from n = 1 on has center coefficients
+    # that cancel (C(2n, n) = -2 sum_{k>=1} (-1)^k C(2n, n+k)), so without a
+    # value at 0 the center is never pinned: one more dimension than the
+    # weights leave.  The equations past the checks still decide, with the
+    # center left at 0, where they cancel it.
+    target = OracleRef("halfcentral")
+    for period, solve_stop in ((2, 6), (2, 40), (4, 8), (6, 30)):
+        system = _factor(period, False, 1, solve_stop, 20)
+        assert system.rank == period  # past the pivots, period + 1 checks
+        assert len(system.checks) == min(solve_stop, 2 * period + 1)
+        assert all(check[0][0] == 0 for check in system.checks if check is not None)
+        sol = derive_profile(target, period, solve_stop=solve_stop)
+        assert (sol.status, sol.dimension) == ("underdetermined", 1)
+        assert sol == eliminator_derive(target, period, solve_stop=solve_stop)
+    real = discovery.seq_values
+    for moved in (3, 5, 30):
+        def tampered(name, indices, param=None, moved=moved):
+            return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
+        monkeypatch.setattr(discovery, "seq_values", tampered)
+        sol = derive_profile(target, 2, solve_stop=40)
+        assert (sol.status, sol.violated_n) == ("infeasible", moved)
+        assert sol == eliminator_derive(target, 2, solve_stop=40)
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """plant(table) makes derive and the eliminator read the even row
+    table(n) at each n; the factor cache is emptied before and after."""
+    def plant(table):
+        def rows(period, row_odd, ns):
+            for n in ns:
+                yield table(n)
+        monkeypatch.setattr(discovery, "_equation_rows", rows)
+        monkeypatch.setitem(globals(), "_equation_rows", rows)
+        _factor.cache_clear()
+    yield plant
+    _factor.cache_clear()
+
+
+def pinnable_past_the_window(n):
+    # (C(2n, n)'s place, coeffs) for halfcentral = 1/2 * that + 0 * coeffs:
+    # the center coefficients cancel in the checks at n = 2, 3, as many as
+    # the unknowns past full rank, and first fail to at n = 4.
+    v = comb(2 * n - 1, n - 1)
+    return 2 * v, v + (n >= 4)
+
+
+def pinned_before_full_rank(n):
+    # halfcentral = 1/2 * C(2n, n)'s place + (1, -1) . coeffs; n = 1 has no
+    # weight term, so its check pins the center before the pivots at n = 2, 3.
+    coeffs = {1: (0, 0), 2: (1, 0), 3: (0, 1)}.get(n, (n, 1))
+    return 2 * (comb(2 * n - 1, n - 1) - coeffs[0] + coeffs[1]), *coeffs
+
+
+@pytest.mark.parametrize("period, table, weights, pins", [
+    (1, pinnable_past_the_window, (0,), [False, False, True, True]),
+    (2, pinned_before_full_rank, (1, -1), [True, True, True, True]),
+])
+def test_a_center_pinned_where_no_real_system_pins_it(monkeypatch, plant, period, table, weights,
+                                                      pins):
+    # Planted rows give halfcentral the profile center 1/2 and the weights
+    # given, and the eliminator reads the same rows.  Reduction goes on until
+    # a check can pin the center, since no equation after the checks could;
+    # a center pinned before full rank scales the pivots' right sides after
+    # it.  Each solve value moved by 1 gives what the eliminator gives.
+    target = OracleRef("halfcentral")
+    plant(table)
+    system = _factor(period, False, 1, period + 4, 20)
+    assert [check[0][0] != 0 for check in system.checks if check is not None] == pins
+    sol = derive_profile(target, period)
+    assert (sol.status, sol.center, sol.weights) == ("unique", Fraction(1, 2), weights)
+    assert sol == eliminator_derive(target, period)
+    real = discovery.seq_values
+    for moved in range(1, period + 5):  # the whole solve range
+        def tampered(name, indices, param=None, moved=moved):
+            return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
+        monkeypatch.setattr(discovery, "seq_values", tampered)
+        assert derive_profile(target, period) == eliminator_derive(target, period)
+        monkeypatch.setattr(discovery, "seq_values", real)
+
+
+@pytest.mark.parametrize("table, dimension", [
+    (lambda n: (2 * (comb(2 * n - 1, n - 1) - n), n, 0), 1),
+    (lambda n: (2 * comb(2 * n - 1, n - 1), comb(2 * n - 1, n - 1), 0), 2),
+], ids=["center-pinned", "center-free"])
+def test_a_weight_rank_shortfall_adds_to_an_unpinned_center(plant, table, dimension):
+    # Planted rows with a second weight column of 0 leave the weights one
+    # short of full rank at P = 2.  In the first table halfcentral is 1/2 *
+    # the center's column + 1 * the first weight's, and a check pins the
+    # center.  In the second the center's column is twice the first
+    # weight's, so every check cancels it and the center adds a dimension.
+    target = OracleRef("halfcentral")
+    plant(table)
+    assert _factor(2, False, 1, 6, 20).rank == 1
+    sol = derive_profile(target, 2)
+    assert (sol.status, sol.dimension) == ("underdetermined", dimension)
+    assert sol == eliminator_derive(target, 2)
 
 
 @pytest.mark.parametrize("name, param, message", [
@@ -761,6 +914,10 @@ def test_pow4_profile_is_the_full_row_sum():
     sol = derive_profile(OracleRef("pow4"), 9, solve_start=1, solve_stop=13)
     assert sol.status == "unique"
     assert sol.center == 1 and sol.weights == (2,) * 9
+    # At P = 13 from n = 4 the back-substitution scales the inverse by 2
+    sol = derive_profile(OracleRef("pow4"), 13, solve_start=4)
+    assert sol.center == 1 and sol.weights == (2,) * 13
+    assert _factor(13, False, 4, 20, 20).denominator not in (1, -1)
 
 
 def test_holdout_runs_twenty_indices():
