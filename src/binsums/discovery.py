@@ -75,19 +75,20 @@ class ProfileSolution:
 
 
 def _equation_rows(period: int, row_odd: bool, ns: list[int] | range):
-    """Integer coefficient row of the sum at each n of the ascending ns, as
-    a tuple, from one sweep of core.class_sums.
+    """Integer coefficient row (C(row, n), *coeffs) of the sum at each n of
+    the ascending ns, from one sweep of core.class_sums: the center
+    coefficient, then one per weight w_0, ..., w_(M-1).
 
-    Even rows have period + 1 unknowns [center, w_0, ..., w_(M-1)]; odd rows
-    have no center column (C(2n+1, n) duplicates the k = 1 column), so only
-    the M weights are solved for.
+    Odd rows have no center column (C(2n+1, n) duplicates the k = 1
+    column), so their center coefficient is 0 and only the M weights are
+    solved for.
     """
     sums = class_sums(period, row_odd)
     at = 0
     for n in ns:
         middle, row = next(islice(sums, n - at, None))
         at = n + 1
-        yield tuple(row) if row_odd else (middle, *row)
+        yield (0 if row_odd else middle, *row)
 
 
 class _System(NamedTuple):
@@ -154,7 +155,7 @@ def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
     pinnable, past = row_odd or period % 2 == 0, 0  # checks counted toward the window
     for _, coeffs in zip(solve_ns, rows):
         slot = period + 1 + len(pivots)
-        row = [*coeffs, 0] if row_odd else [*coeffs[1:], -coeffs[0]]
+        row = [*coeffs[1:], -coeffs[0]]
         row += [0] * (period + 1)
         row[slot] = 1
         for pivot, (prow, nonzero) in pivots.items():
@@ -202,9 +203,8 @@ def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
                     inverse[q] = [scale * a for a in known]
             num = [a // g for a in num]
         inverse[pivot] = num
-    later = tuple((0, *row) for row in rows) if row_odd else tuple(rows)
     return _System(tuple(checks), period, tuple(tuple(inverse[q]) for q in range(period)), d,
-                   later)
+                   tuple(rows))
 
 
 def _target_values(target: OracleRef, ns: list[int] | range,

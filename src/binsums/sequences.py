@@ -4,11 +4,15 @@ Each C-finite oracle (a linear recurrence with constant coefficients, Newton
 power sums of an integer characteristic polynomial included) is defined by
 its ``RecurrenceSpec``; the rest step from index 0 as well (A, B and C from
 core.class_sums(5), scriptL(m) its power sums over m, halfrow and
-halfcentral C(2n, n)), but for scriptLdiag's per-index rule.  All of them
-return exact integers on their domain; one memo keeps what the stepped ones
-yield.  seq_values is the one reader of their values: it reads a list of
-indices in one memo read, reflecting a negative index of fib or lucas by its
-spec's backward rule; seq_eval reads one index through it.
+halfcentral C(2n, n)), but for scriptLdiag's per-index rule, scriptL(n) at
+n.  At even n = 2h that rule reads the power sums of scriptl_poly(h)
+through D_2h(x) = D_h(x^2 - 2), a quarter of the Newton steps of
+scriptl_poly(n); odd n, where D_n is no polynomial in x^2 - 2, keep the
+full-degree route.  All of them return exact integers on their domain; one
+memo keeps what the stepped ones yield.  seq_values is the one reader of
+their values: it reads a list of indices in one memo read, reflecting a
+negative index of fib or lucas by its spec's backward rule; seq_eval reads
+one index through it.
 """
 from __future__ import annotations
 
@@ -167,9 +171,25 @@ def _scriptl_steps(m: int) -> Iterator[int]:
 
 
 def _scriptl_diag(n: int) -> int:
-    # m = n: a spec built for this read would never be read again, so Newton's
-    # identities run up to n and nothing is stored
-    return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
+    # m = n: a spec built for this read would never be read again, so nothing
+    # is stored.  Odd n, where D_n is no polynomial in x^2 - 2, run Newton's
+    # identities on scriptl_poly(n) up to n, about 3n^2/8 multiply-adds.
+    # Even n = 2h halve the degree: D_2h(x) = D_h(x^2 - 2), so the roots of
+    # scriptl_poly(n) are 2 + z over the roots z of D_h, which come in +-
+    # pairs (and 0 for odd h).  Their odd power sums vanish, q_0 = h and
+    # q_2i = 2 p_i(scriptl_poly(h)), and the sum of (2 + z)^n is
+    # sum_i C(n, 2i) 4^(h-i) q_2i, summed by Horner's rule in 4.  Newton's
+    # identities then run on degree h // 2 up to h, about 3n^2/32 of them.
+    # D_1 = x has only the root 0, so h = 1 has no p_i.
+    if n % 2:
+        return _divide_by_m(power_sums(scriptl_poly(n), n)[n], n, n)
+    h = n // 2
+    p = power_sums(scriptl_poly(h), h) if h > 1 else [0, 0]
+    total, c = h, 1  # q_0 and C(n, 0); c steps to C(n, 2i) by exact ratios
+    for i in range(1, h + 1):
+        c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // ((2 * i - 1) * 2 * i)
+        total = 4 * total + 2 * c * p[i]
+    return _divide_by_m(total, n, n)
 
 
 def _central() -> Iterator[int]:

@@ -147,6 +147,23 @@ def test_chebyshev_closed_form_matches_the_recurrence():
         chebyshev_monic(0)
 
 
+def _composed_with_x2_minus_2(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """P(x^2 - 2) for P ascending, by Horner's rule in plain integer
+    polynomial multiplication."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        out = [a - 2 * b for a, b in zip([0, 0, *out], [*out, 0, 0])]  # out * (x^2 - 2)
+        out[0] += c
+    return tuple(out)
+
+
+def test_chebyshev_doubles_by_composing_with_x2_minus_2():
+    # D_2h(x) = D_h(x^2 - 2): 2cos(2t) = (2cos t)^2 - 2, so T_2h = T_h o T_2
+    for h in range(1, 101):
+        assert chebyshev_monic(2 * h).coeffs == _composed_with_x2_minus_2(
+            chebyshev_monic(h).coeffs), h
+
+
 def _power_sums_by_newton(coeffs: tuple[int, ...], upto: int) -> list[int]:
     """Newton's identities term by term: p_k = -k*a_k - sum a_i p_(k-i)."""
     d = len(coeffs) - 1

@@ -566,6 +566,18 @@ def comb_equation(n, period, row_odd):
     return coeffs
 
 
+def test_equation_rows_of_both_parities_lead_with_the_center_coefficient():
+    # (C(2n, n), *weights) on even rows, (0, *weights) on odd rows, which
+    # have no center column
+    ns = [0, 1, 2, 5, 9, 20]
+    for period in range(1, 9):
+        for row_odd in (False, True):
+            rows = list(_equation_rows(period, row_odd, ns))
+            want = [(0, *comb_equation(n, period, True)) if row_odd
+                    else tuple(comb_equation(n, period, False)) for n in ns]
+            assert rows == want, (period, row_odd)
+
+
 def reference_derive(target, period, row_odd):
     """derive_profile's default ranges, solved and held out in Fractions."""
     solve_stop = period + 4
@@ -753,7 +765,8 @@ def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
         for period in range(1, 21):
             for row_odd in (False, True):
                 ns = [*([] if row_odd else anchor), *range(1, period + 5)]
-                equations = [(coeffs, target.value(n))
+                # an odd row's leading center coefficient is 0, with no column here
+                equations = [(coeffs[row_odd:], target.value(n))
                              for n, coeffs in zip(ns, _equation_rows(period, row_odd, ns))]
                 outcome, _ = eliminate_alongside(period if row_odd else period + 1, equations,
                                                  fractions=False)
@@ -814,7 +827,8 @@ def eliminator_derive(target, period, row_odd=False, solve_start=1, solve_stop=N
         else:
             ns.insert(0, 0)
     hold_ns = range(hold[0], hold[1] + 1)
-    rows = _equation_rows(period, row_odd, [*ns, *hold_ns])
+    # an odd row's leading center coefficient is 0, with no column here
+    rows = (coeffs[row_odd:] for coeffs in _equation_rows(period, row_odd, [*ns, *hold_ns]))
     out = {"target": target, "period": period, "row_odd": row_odd, "solve_range": solve}
     for n, coeffs, value in zip(ns, rows, probing_target_values(target, ns, "solve", solve)):
         if not elim.add(coeffs, value):
