@@ -21,22 +21,21 @@ coefficient C(row, n) rides along as a second right side, so one system
 serves every target: the center is the target's value at n = 0 where it
 has one (that row has no weight term), 0 on odd rows, and otherwise the
 first dependent equation whose center coefficients do not cancel pins it.
-A dependent equation keeps the integer combination of right sides and
-center that must vanish for it to hold, and so do as many solve equations
-past full rank as there are unknowns, counted from the first check that
-can pin the center: deciding that many costs no more than forming the
-solution, and reducing more equations would only slow the factoring of a
-long solve range.  At full rank an integer back-substitution gives D and
-X with D*w = X*(center, *b), b the pivot equations' right sides.  A target
-then costs a few dot products: one per check, z = X*(center, *b) once all
-pass, and (C(row, n), *coeffs) . (center * D, *z) == D * b_n for each
-later equation, held out or not; the weights are z / D.  The factored
-systems live in one least-recently-used cache of _FACTORS entries, shared
-by every caller and never changed once built.
+Every solve equation that depends on earlier ones keeps, as its check,
+the integer combination of right sides and center that must vanish for it
+to hold, so each is decided by one dot product.  At full rank an
+integer back-substitution gives D and X with D*w = X*(center, *b), b the
+pivot equations' right sides.  A target then costs a few dot products: one
+per check, z = X*(center, *b) once all pass with the center known, and
+(C(row, n), *coeffs) . z == D * b_n for each held-out equation; the
+weights are z / D.  The factored systems live in one least-recently-used
+cache of _FACTORS entries, shared by every caller and never changed once
+built.
 
 The target is read in one bulk read per range, the solve range first and
-the holdout only at full rank, each up to the first n where the domain
-rule of sequences.SequenceOracle.domain gives it no value.
+the holdout only once that passes at full rank with the center known,
+each up to the first n where the domain rule of
+sequences.SequenceOracle.domain gives it no value.
 """
 from __future__ import annotations
 
@@ -74,20 +73,16 @@ class ProfileSolution:
     holdout_range: tuple[int, int] = (0, 0)
 
 
-def _equation_rows(period: int, row_odd: bool, ns: list[int] | range):
-    """Integer coefficient row (C(row, n), *coeffs) of the sum at each n of
-    the ascending ns, from one sweep of core.class_sums: the center
+def _equation_rows(period: int, row_odd: bool, start: int):
+    """Integer coefficient row (C(row, n), *coeffs) of the sum at each n
+    from start on, from one sweep of core.class_sums: the center
     coefficient, then one per weight w_0, ..., w_(M-1).
 
     Odd rows have no center column (C(2n+1, n) duplicates the k = 1
     column), so their center coefficient is 0 and only the M weights are
     solved for.
     """
-    sums = class_sums(period, row_odd)
-    at = 0
-    for n in ns:
-        middle, row = next(islice(sums, n - at, None))
-        at = n + 1
+    for middle, row in islice(class_sums(period, row_odd), start, None):
         yield (0 if row_odd else middle, *row)
 
 
@@ -97,21 +92,17 @@ class _System(NamedTuple):
     coefficient gamma_n = C(row, n), 0 on odd rows, rides along beside its
     right side.
 
-    checks has one entry per solve equation, in order, up to the end of the
-    window _factor describes (all of them if the solve range ends first or
-    no equation brings full rank).  It is None where the equation adds a
-    pivot.
+    checks has one entry per solve equation, in order.  It is None where
+    the equation adds a pivot.
     Where the equation depends on earlier ones it is a pair (vec, own), vec
     = (-g, *lam): the equation holds exactly when vec . (center, *b) + own *
     v == 0, b the right sides of the pivot equations before it and v its
     own, and g = lam . gamma_pivots + own * gamma_n.  A check with g != 0
     pins a center not known before it.  rank is the rank of the weight
-    columns those equations reach.  At full rank the weights are inverse .
-    (center, *b) / denominator, inverse having one integer row per weight
-    over the center and all the pivot equations, and rows holds the rows
-    (gamma_n, *coeffs) of the equations after the last check: the rest of
-    the solve range, then the holdout.  Below full rank inverse and rows are
-    empty.
+    columns.  At full rank the weights are inverse . (center, *b) /
+    denominator, inverse having one integer row per weight over the center
+    and all the pivot equations, and rows holds the holdout's rows
+    (gamma_n, *coeffs).  Below full rank inverse and rows are empty.
     """
 
     checks: tuple[tuple[tuple[int, ...], int] | None, ...]
@@ -136,24 +127,12 @@ def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
     and this one, and the -gamma entry is the same combination of their
     center coefficients.  A reduced row is divided by its content (the gcd
     of its entries).  Where the coefficients reduce to zero the rest of the
-    row is the equation's check.
-
-    Reduction stops once as many checks as the problem has unknowns (P + 1
-    with the center, P on odd rows) come past full rank and past the first
-    check that can pin the center.  Where none ever could, they count from
-    full rank: odd rows have no center, and for an even period C(2n, n) =
-    -2 sum_{k>=1} (-1)^k C(2n, n+k) for every n >= 1, so every equation past
-    full rank has g = 0.  So an equation after the checks never pins the
-    center.
+    row is the equation's check; every solve equation is reduced.
     """
-    solve_ns = range(solve_start, solve_stop + 1)
-    hold_ns = range(solve_stop + 1, solve_stop + holdout + 1)
-    rows = _equation_rows(period, row_odd, [*solve_ns, *hold_ns])
+    rows = _equation_rows(period, row_odd, solve_start)
     pivots: dict[int, tuple[list[int], list[int]]] = {}  # column -> (row, its nonzero columns)
     checks: list[tuple[tuple[int, ...], int] | None] = []
-    window = period if row_odd else period + 1
-    pinnable, past = row_odd or period % 2 == 0, 0  # checks counted toward the window
-    for _, coeffs in zip(solve_ns, rows):
+    for coeffs in islice(rows, solve_stop - solve_start + 1):
         slot = period + 1 + len(pivots)
         row = [*coeffs[1:], -coeffs[0]]
         row += [0] * (period + 1)
@@ -172,11 +151,6 @@ def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
             row = [a // g for a in row]
         if pivot is None:
             checks.append((tuple(row[period:slot]), row[slot]))
-            if pinnable and len(pivots) == period:
-                past += 1
-                if past == window:
-                    break
-            pinnable = pinnable or row[period] != 0
             continue
         pivots[pivot] = row, [j for j, a in enumerate(row) if a]
         checks.append(None)
@@ -204,7 +178,7 @@ def _factor(period: int, row_odd: bool, solve_start: int, solve_stop: int,
             num = [a // g for a in num]
         inverse[pivot] = num
     return _System(tuple(checks), period, tuple(tuple(inverse[q]) for q in range(period)), d,
-                   tuple(rows))
+                   tuple(islice(rows, holdout)))
 
 
 def _target_values(target: OracleRef, ns: list[int] | range,
@@ -250,9 +224,10 @@ def derive_profile(
     binomial vanishes) fixes the center coefficient at the target's value
     there; for even periods the center is otherwise entangled with the
     alternating-sign row identity.  Equations are decided in order of n,
-    the solve range and then, at full rank, the `holdout` indices after it;
-    the first one that contradicts those before it makes the profile
-    infeasible, and only a system that passes them all is solved.
+    the solve range and then, at full rank with the center known, the
+    `holdout` indices after it; the first one that contradicts those before
+    it makes the profile infeasible, and only a system that passes them all
+    is solved.
     An unknown name raises KeyError and a refused parameter ValueError, both
     up front; a target with no value in either range raises ValueError.
     """
@@ -282,7 +257,6 @@ def derive_profile(
     p, q = values[0] if zero else 0, 1
     known = zero or row_odd
     b = [p]
-    done = zero + len(system.checks)
     for n, check, value in zip(ns[zero:], system.checks, values[zero:]):
         if check is None:
             b.append(q * value)
@@ -298,23 +272,15 @@ def derive_profile(
             known = True
         elif e:
             return result("infeasible", violated_n=n)
-    # z decides the solve equations after the checks and, once the center is
-    # known, the holdout.  An unknown center stays 0 there: no equation after
-    # the checks can pin it (see _factor).
-    full = system.rank == period and (known or done < len(ns))
-    if full:
-        d = system.denominator
-        z = [p * d, *(sum(map(mul, row, b)) for row in system.inverse)]
-        d *= q  # the solution is z / d
-        for n, coeffs, value in zip(ns[done:], system.rows, values[done:]):
-            if sum(map(mul, coeffs, z)) != d * value:
-                return result("infeasible", violated_n=n)
     _raise_if_short(target, ns, values, "solve", solve)
-    if not (full and known):
+    if system.rank < period or not known:
         return result("underdetermined", dimension=period - system.rank + (not known))
+    d = system.denominator
+    z = [p * d, *(sum(map(mul, row, b)) for row in system.inverse)]
+    d *= q  # the solution is z / d
     hold_ns = range(hold[0], hold[1] + 1)
     hold_values = _target_values(target, hold_ns, domain)
-    for n, coeffs, value in zip(hold_ns, system.rows[len(ns) - done:], hold_values):
+    for n, coeffs, value in zip(hold_ns, system.rows, hold_values):
         if sum(map(mul, coeffs, z)) != d * value:
             return result("infeasible", violated_n=n, holdout_range=hold)
     _raise_if_short(target, hold_ns, hold_values, "holdout", hold)

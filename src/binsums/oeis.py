@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .sequences import get_oracle, seq_eval
+from .sequences import get_oracle, seq_values
 
 #: the fewest agreeing terms that make a match, and so the fewest a comparison
 #: may ask for: short coincidences between distinct sequences are common
@@ -83,24 +83,24 @@ def load_fixture(seq_id: str) -> dict[int, int]:
 def compare(sequence: str, table: dict[int, int], count: int = 50, param: int | None = None) -> AlignmentReport:
     """Align a registered oracle against a b-file's index -> value map.
 
-    Shifts in [-3, 3] between local and b-file indexing are tried and the
-    longest initial agreement wins; comparison is exact integer equality.
+    The oracle is read once, at count indices from its start; shifts in
+    [-3, 3] between local and b-file indexing are tried and the longest
+    initial agreement wins; comparison is exact integer equality.
     """
     if count < MIN_MATCH:
         raise ValueError(f"count must be >= {MIN_MATCH} for a meaningful comparison")
     start = get_oracle(sequence).start
+    local = seq_values(sequence, range(start, start + count), param)
     best: AlignmentReport | None = None
     for shift in range(-3, 4):
         matched = 0
         mismatch = None
-        for i in range(count):
-            n = start + i
+        for n, value in enumerate(local, start):
             j = n + shift
             if j not in table:
                 break
-            local = seq_eval(sequence, n, param)
-            if local != table[j]:
-                mismatch = (n, local, table[j])
+            if value != table[j]:
+                mismatch = (n, value, table[j])
                 break
             matched += 1
         report = AlignmentReport(shift, matched, mismatch)

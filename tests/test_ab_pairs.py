@@ -86,3 +86,22 @@ def test_a_summary_is_appended_to_the_trend_file(tmp_path):
 
 def test_the_state_of_a_directory_outside_git_is_null(tmp_path):
     assert ab_pairs.git_state(str(tmp_path)) == {"commit": None, "dirty": None}
+
+
+def test_the_printed_summary_says_its_setup_s_compiles_every_module(tmp_path, monkeypatch,
+                                                                    capsys):
+    # main() on two stand-in runs per pair: no benchmark and no git call
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    summary = {"failed": 0, "attempted": 1,
+               "metrics": {m["name"]: {"value": 1.0} for m in END_TO_END}}
+    monkeypatch.setattr(ab_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(ab_pairs, "run_once", lambda *args: (summary, [1.0]))
+    monkeypatch.setattr(ab_pairs, "git_state", lambda checkout: {"commit": None, "dirty": None})
+    monkeypatch.setattr("sys.argv", ["ab_pairs.py", str(tmp_path), str(tmp_path), "--workload",
+                                     "w", "--pairs", "2", "--seconds", "1", "--seed0", "1"])
+    assert ab_pairs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    setup = next(i for i, line in enumerate(lines) if line.startswith("setup_s "))
+    assert "empty bytecode cache" in lines[setup + 1]
+    assert "not comparable with the setup_s of a direct perfbench/run.py run" in lines[setup + 1]
+    assert (tmp_path / "BENCH_w.json").exists()

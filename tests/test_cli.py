@@ -233,6 +233,21 @@ def test_derive_infeasible_exits_1(capsys):
     assert "no profile exists" in out
 
 
+def test_derive_underdetermined_exits_1_and_gives_the_dimension(capsys):
+    # halfcentral has no value at n = 0, and at an even period no equation
+    # pins the center, so one dimension is left
+    argv = ("derive", "--target", "halfcentral", "--period", "2")
+    code, out = invoke(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == ["target halfcentral period 2 rows 2n: underdetermined",
+                                "solution space dimension 1"]
+    code, out = invoke(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["status"], doc["dimension"], doc["solve_range"]) == ("underdetermined", 1, [1, 6])
+    assert "weights" not in doc and "violated_n" not in doc
+
+
 def test_derive_unknown_target_exits_2(capsys):
     code, _ = invoke(capsys, "derive", "--target", "nope", "--period", "5")
     assert code == 2

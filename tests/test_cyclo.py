@@ -121,6 +121,12 @@ def test_polynomials_refuse_inexact_coefficients(coeffs):
         IntPolynomial(coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 2), (-1, 0, 3), (0, -1), (1,), ()], ids=repr)
+def test_polynomials_must_be_monic_of_degree_at_least_one(coeffs):
+    with pytest.raises(ValueError, match="polynomial must be monic of degree >= 1"):
+        IntPolynomial(coeffs)
+
+
 def test_power_sums_satisfy_the_recurrence():
     for coeffs in [(-1, -1, 1), (1, -2, -1, 1), (-1, 6, -5, 1)]:
         poly = IntPolynomial(coeffs)

@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import count, islice
 from math import comb, gcd, lcm
 
 import pytest
@@ -109,26 +110,26 @@ def test_the_last_held_out_index_is_fed(monkeypatch):
         assert sol.holdout_range == (10, 29)
 
 
-def test_full_rank_is_followed_by_checks_for_as_many_equations_as_unknowns(monkeypatch):
+def test_every_solve_equation_past_full_rank_keeps_a_check(monkeypatch):
     # fib(2n) at its period 5 has 6 unknowns, the center and 5 weights; its
     # value at n = 0 fixes the center, which enters each check as a leading
     # pivot value.  Of the solve range 1..40 the first 5 equations are the
-    # weights' pivots.  The next 7 (n = 6..12) keep stored checks: the first,
-    # which pins the center of a target with no value at 0, and 6 more.  The
-    # other 28 solve equations and the 20 held out keep their rows
-    # (C(2n, n), *coeffs).  A target value moved by 1 inside those checks, at
-    # their edges or past them makes the profile infeasible at that n, as it
-    # does for the eliminator that decides every equation the same way.
+    # weights' pivots, and the other 35 (n = 6..40) keep stored checks: the
+    # first pins the center of a target with no value at 0.  Only the 20
+    # held out keep their rows (C(2n, n), *coeffs).  A target value moved by
+    # 1 at any check or held-out n makes the profile infeasible at that n, as
+    # it does for the eliminator that decides every equation the same way.
     fib2 = OracleRef("fib", a=2)
     system = _factor(5, False, 1, 40, 20)
-    assert [check is None for check in system.checks] == [True] * 5 + [False] * 7
-    assert [len(check[0]) for check in system.checks[5:]] == [6] * 7  # center and 5 pivots
+    assert [check is None for check in system.checks] == [True] * 5 + [False] * 35
+    assert [len(check[0]) for check in system.checks[5:]] == [6] * 35  # center and 5 pivots
     assert system.checks[5][0][0] != 0  # the check that pins a center not yet known
-    assert system.rank == 5 and len(system.rows) == 28 + 20
-    assert [len(row) for row in system.rows] == [6] * 48
+    assert system.rank == 5 and len(system.rows) == 20
+    assert [len(row) for row in system.rows] == [6] * 20
     assert [len(row) for row in system.inverse] == [6] * 5  # the center and each pivot equation
-    odd = _factor(5, True, 1, 40, 20)  # no center: 5 pivots and 5 checks
-    assert [check is None for check in odd.checks] == [True] * 5 + [False] * 5
+    odd = _factor(5, True, 1, 40, 20)  # no center: 5 pivots and 35 checks
+    assert [check is None for check in odd.checks] == [True] * 5 + [False] * 35
+    assert len(odd.rows) == 20
     assert derive_profile(fib2, 5, solve_stop=40).status == "unique"
     real = discovery.seq_values
     for moved in (6, 8, 11, 12, 13, 30, 60):
@@ -275,8 +276,10 @@ def test_a_center_with_no_value_at_zero_is_pinned_by_a_check_at_odd_periods(monk
     for period in (1, 3, 5, 7):
         system = _factor(period, False, 1, period + 4, 20)
         assert system.checks[period][0][0] != 0  # its entry for the center
-        # past the pivots, that check and period + 1 more
-        assert len(_factor(period, False, 1, 40, 20).checks) == 2 * period + 2
+        # one check for each solve equation past the pivots; rows only held out
+        long = _factor(period, False, 1, 40, 20)
+        assert len(long.checks) == 40 and long.checks.count(None) == period
+        assert len(long.rows) == 20
         sol = derive_profile(target, period)
         assert (sol.status, sol.center, set(sol.weights)) == ("unique", Fraction(1, 2), {0})
         assert sol == eliminator_derive(target, period)
@@ -294,13 +297,14 @@ def test_a_center_never_pinned_leaves_an_even_period_underdetermined(monkeypatch
     # At an even period every equation from n = 1 on has center coefficients
     # that cancel (C(2n, n) = -2 sum_{k>=1} (-1)^k C(2n, n+k)), so without a
     # value at 0 the center is never pinned: one more dimension than the
-    # weights leave.  The equations past the checks still decide, with the
-    # center left at 0, where they cancel it.
+    # weights leave.  Every solve equation past the pivots keeps a check that
+    # cancels the center, and decides with the center left at 0.
     target = OracleRef("halfcentral")
     for period, solve_stop in ((2, 6), (2, 40), (4, 8), (6, 30)):
         system = _factor(period, False, 1, solve_stop, 20)
-        assert system.rank == period  # past the pivots, period + 1 checks
-        assert len(system.checks) == min(solve_stop, 2 * period + 1)
+        assert system.rank == period and len(system.rows) == 20
+        # a check for each solve equation past the pivots
+        assert len(system.checks) == solve_stop and system.checks.count(None) == period
         assert all(check[0][0] == 0 for check in system.checks if check is not None)
         sol = derive_profile(target, period, solve_stop=solve_stop)
         assert (sol.status, sol.dimension) == ("underdetermined", 1)
@@ -320,9 +324,8 @@ def plant(monkeypatch):
     """plant(table) makes derive and the eliminator read the even row
     table(n) at each n; the factor cache is emptied before and after."""
     def plant(table):
-        def rows(period, row_odd, ns):
-            for n in ns:
-                yield table(n)
+        def rows(period, row_odd, start):
+            return map(table, count(start))
         monkeypatch.setattr(discovery, "_equation_rows", rows)
         monkeypatch.setitem(globals(), "_equation_rows", rows)
         _factor.cache_clear()
@@ -330,10 +333,10 @@ def plant(monkeypatch):
     _factor.cache_clear()
 
 
-def pinnable_past_the_window(n):
+def pinned_after_full_rank(n):
     # (C(2n, n)'s place, coeffs) for halfcentral = 1/2 * that + 0 * coeffs:
-    # the center coefficients cancel in the checks at n = 2, 3, as many as
-    # the unknowns past full rank, and first fail to at n = 4.
+    # the center coefficients cancel in the checks at n = 2, 3, past full
+    # rank, and first fail to at n = 4.
     v = comb(2 * n - 1, n - 1)
     return 2 * v, v + (n >= 4)
 
@@ -346,16 +349,16 @@ def pinned_before_full_rank(n):
 
 
 @pytest.mark.parametrize("period, table, weights, pins", [
-    (1, pinnable_past_the_window, (0,), [False, False, True, True]),
+    (1, pinned_after_full_rank, (0,), [False, False, True, True]),
     (2, pinned_before_full_rank, (1, -1), [True, True, True, True]),
 ])
 def test_a_center_pinned_where_no_real_system_pins_it(monkeypatch, plant, period, table, weights,
                                                       pins):
     # Planted rows give halfcentral the profile center 1/2 and the weights
-    # given, and the eliminator reads the same rows.  Reduction goes on until
-    # a check can pin the center, since no equation after the checks could;
-    # a center pinned before full rank scales the pivots' right sides after
-    # it.  Each solve value moved by 1 gives what the eliminator gives.
+    # given, and the eliminator reads the same rows.  A check past full rank
+    # can still pin the center, and a center pinned before full rank scales
+    # the pivots' right sides after it.  Each solve value moved by 1 gives
+    # what the eliminator gives.
     target = OracleRef("halfcentral")
     plant(table)
     system = _factor(period, False, 1, period + 4, 20)
@@ -568,14 +571,24 @@ def comb_equation(n, period, row_odd):
 
 def test_equation_rows_of_both_parities_lead_with_the_center_coefficient():
     # (C(2n, n), *weights) on even rows, (0, *weights) on odd rows, which
-    # have no center column
-    ns = [0, 1, 2, 5, 9, 20]
+    # have no center column, at each n from the start on
     for period in range(1, 9):
         for row_odd in (False, True):
-            rows = list(_equation_rows(period, row_odd, ns))
-            want = [(0, *comb_equation(n, period, True)) if row_odd
-                    else tuple(comb_equation(n, period, False)) for n in ns]
-            assert rows == want, (period, row_odd)
+            for start in (0, 1, 5):
+                rows = list(islice(_equation_rows(period, row_odd, start), 16))
+                want = [(0, *comb_equation(n, period, True)) if row_odd
+                        else tuple(comb_equation(n, period, False))
+                        for n in range(start, start + 16)]
+                assert rows == want, (period, row_odd, start)
+
+
+def rows_at(period, row_odd, ns):
+    """_equation_rows at each n of the ascending ns, from one sweep that
+    starts at the first."""
+    rows, at = _equation_rows(period, row_odd, ns[0]), ns[0]
+    for n in ns:
+        yield next(islice(rows, n - at, None))
+        at = n + 1
 
 
 def reference_derive(target, period, row_odd):
@@ -767,7 +780,7 @@ def test_integer_eliminator_equals_the_dense_reference_on_derive_rows():
                 ns = [*([] if row_odd else anchor), *range(1, period + 5)]
                 # an odd row's leading center coefficient is 0, with no column here
                 equations = [(coeffs[row_odd:], target.value(n))
-                             for n, coeffs in zip(ns, _equation_rows(period, row_odd, ns))]
+                             for n, coeffs in zip(ns, rows_at(period, row_odd, ns))]
                 outcome, _ = eliminate_alongside(period if row_odd else period + 1, equations,
                                                  fractions=False)
                 seen.add(outcome)
@@ -828,7 +841,7 @@ def eliminator_derive(target, period, row_odd=False, solve_start=1, solve_stop=N
             ns.insert(0, 0)
     hold_ns = range(hold[0], hold[1] + 1)
     # an odd row's leading center coefficient is 0, with no column here
-    rows = (coeffs[row_odd:] for coeffs in _equation_rows(period, row_odd, [*ns, *hold_ns]))
+    rows = (coeffs[row_odd:] for coeffs in rows_at(period, row_odd, [*ns, *hold_ns]))
     out = {"target": target, "period": period, "row_odd": row_odd, "solve_range": solve}
     for n, coeffs, value in zip(ns, rows, probing_target_values(target, ns, "solve", solve)):
         if not elim.add(coeffs, value):

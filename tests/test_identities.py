@@ -61,6 +61,8 @@ def test_rhs_eval_examples():
     # an identity with no terms sums to 0 at every n
     empty = Identity(family="no-terms", lhs=OracleRef("pow2"), terms=())
     assert rhs_values(empty, range(8)) == [ref.rhs_eval(empty, n) for n in range(8)] == [0] * 8
+    # at no n the right side, with or without terms, is the empty list
+    assert rhs_values(empty, []) == rhs_values(find("fib-even")[0], []) == []
 
 
 def test_displayed_fibonacci_expansions():
@@ -239,6 +241,29 @@ def test_powers_of_zero_with_a_non_negative_exponent_and_the_registry_powers_bui
 def test_period_below_one_is_refused():
     with pytest.raises(ValueError, match="period >= 1"):
         CenteredSum((), 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CenteredSum((1, 2), 3), "weight table must have exactly `period` entries"),
+    (lambda: CenteredSum((1,), 1, sign="(-1)^m"), "unknown sign rule '(-1)^m'"),
+    (lambda: ScaledBinomial(1, "C(2n+1,n)"), "unknown binomial shape 'C(2n+1,n)'"),
+], ids=["table-length", "sign-rule", "binomial-shape"])
+def test_a_term_of_unknown_shape_is_refused_when_built(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_find_of_an_unknown_family_lists_the_families():
+    with pytest.raises(KeyError) as info:
+        find("nosuch")
+    assert info.value.args[0] == f"unknown identity 'nosuch'; known: {', '.join(FAMILIES)}"
+
+
+def test_a_foreign_term_has_no_json_form():
+    foreign = Identity("synthetic", OracleRef("fib"), (object(),))
+    with pytest.raises(TypeError, match="unknown term <object object at "):
+        identity_json(foreign)
 
 
 def test_terms_at_folds_the_weight_oracle_into_each_coefficient():
@@ -731,6 +756,12 @@ def test_unfoldable_terms_are_rejected():
         folded_profile(find("lewis-family")[0])  # oracle-weighted
     with pytest.raises(ValueError):
         folded_profile(find("sury-diagonal")[0])  # not a centered sum
+    alternating = CenteredSum((1,), 1, sign=SIGN_ALT_NK)
+    with pytest.raises(ValueError, match="n-dependent signs cannot be folded"):
+        folded_profile(Identity("synthetic", OracleRef("fib"), (alternating,)))
+    for power in (Power(1, 3, 2), Power(1, 2, 1), Power(1, 4, 1)):
+        with pytest.raises(ValueError, match=r"only powers 2\^\(2n\+e\) fold"):
+            folded_profile(Identity("synthetic", OracleRef("fib"), (power,)))
 
 
 def test_json_export():

@@ -2,6 +2,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+from binsums import oeis
 from binsums.oeis import (
     FIXTURES,
     MIN_MATCH,
@@ -91,6 +92,16 @@ def test_qr_difference_alignment():
     assert report.is_match and report.shift == 0
 
 
+@pytest.mark.parametrize("offset, shift", [(-3, -3), (3, 3), (-4, None), (4, None)])
+def test_shifts_from_minus_three_to_three_are_tried(offset, shift):
+    # pell's own b-file with every index moved by offset
+    table = {n + offset: v for n, v in load_fixture("A000129").items()}
+    report = compare("pell", table, count=50)
+    assert report.is_match == (shift is not None)
+    if shift is not None:
+        assert (report.shift, report.matched) == (shift, 50)
+
+
 def test_wrong_pairing_reports_divergence():
     report = compare("pellX", load_fixture("A001353"), count=50)
     assert not report.is_match
@@ -114,6 +125,34 @@ def test_compare_requires_enough_terms():
         compare("pellX", load_fixture("A001075"), count=MIN_MATCH - 1)
     assert compare("pellX", load_fixture("A001075"), count=MIN_MATCH).is_match
     assert not AlignmentReport(0, MIN_MATCH - 1, None).is_match
+
+
+@pytest.mark.parametrize("table", [{}, {0: 1}, "A080937"], ids=["empty", "one-index", "fixture"])
+@pytest.mark.parametrize("sequence, param, message", [
+    ("Q", 2, "sequence Q takes no parameter"),
+    ("genlucas", None, "sequence genlucas needs parameter m"),
+    ("scriptL", 1, "scriptL: m must be >= 2"),
+])
+def test_a_refused_parameter_is_raised_before_any_comparison(table, sequence, param, message):
+    # even a table with no index to compare against reads the oracle first
+    table = load_fixture(table) if isinstance(table, str) else table
+    with pytest.raises(ValueError) as info:
+        compare(sequence, table, param=param)
+    assert str(info.value) == message
+
+
+def test_compare_reads_its_oracle_once(monkeypatch):
+    real, reads = oeis.seq_values, []
+
+    def counting(name, indices, param=None):
+        reads.append((name, indices, param))
+        return real(name, indices, param)
+
+    monkeypatch.setattr(oeis, "seq_values", counting)
+    report = compare("scriptL", load_fixture("A007052"), count=40, param=4)
+    start = oeis.get_oracle("scriptL").start
+    assert reads == [("scriptL", range(start, start + 40), 4)]
+    assert report.is_match
 
 
 def test_an_alignment_report_holds_only_the_alignment():

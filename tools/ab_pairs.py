@@ -13,7 +13,8 @@ each side's median and quartiles, and the pairs the change wins under the
 metric's `better` direction, ties counting for neither.  A gain is marked
 where the change wins at least nine tenths of the pairs and the medians
 differ, in its favour, by more than the distance between the parent's
-quartiles.
+quartiles.  The setup_s line says that its runs compile every module, so
+it compares only with other runs of this script.
 
 The summary is then appended, as one entry, to the trend file
 BENCH_<workload>.json at the root of the repository that holds this script:
@@ -161,6 +162,10 @@ def main() -> int:
         print(f"{row['name']} ({row['better']} is better): parent {p2:.4g} [{p1:.4g}, {p3:.4g}]"
               f" change {c2:.4g} [{c1:.4g}, {c3:.4g}] change wins {row['wins']}/{row['pairs']}"
               f"{' GAIN' if row['gain'] else ''}")
+        if row["name"] == "setup_s":
+            print("  setup_s here starts from an empty bytecode cache, so each run compiles every"
+                  " module it imports, the standard library's too; it is not comparable with the"
+                  " setup_s of a direct perfbench/run.py run")
     path = os.path.join(ROOT, f"BENCH_{args.workload}.json")
     append_trend(path, trend_entry(
         rows, parent=git_state(args.parent), change=git_state(args.change),
