@@ -9,9 +9,10 @@ checks them against independent recurrence oracles and bundled OEIS
 b-files, and can solve exactly for the weight table that fits a target
 sequence.
 """
+from importlib import import_module
+
 from .core import RecurrenceSpec, binomial, kronecker
 from .cyclo import IntPolynomial, chebyshev_monic, power_sums
-from .discovery import ProfileSolution, derive_profile, identity_from_profile
 from .identities import (
     Identity,
     OracleRef,
@@ -23,8 +24,25 @@ from .identities import (
     rhs_values,
     verify,
 )
-from .oeis import AlignmentReport, compare, load_fixture, parse_bfile
 from .sequences import SequenceOracle, registry, seq_eval
+
+# names of the modules that only `derive` and `oeis-check` run, imported on
+# first read, so that no other command compiles them
+_LAZY = {
+    "ProfileSolution": "discovery",
+    "derive_profile": "discovery",
+    "identity_from_profile": "discovery",
+    "AlignmentReport": "oeis",
+    "compare": "oeis",
+    "load_fixture": "oeis",
+    "parse_bfile": "oeis",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 
-from . import discovery, identities, oeis
+from . import identities
 from .identities import OracleRef, builtin_registry, verify
 from .sequences import get_oracle, seq_values
 
@@ -116,6 +116,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
+    from . import discovery  # only derive compiles it
     a, b = args.index
     target = OracleRef(args.target, param=args.m, a=a, b=b)
     row_odd = args.row == "odd"
@@ -137,6 +138,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
+    from . import oeis  # only oeis-check compiles it
     get_oracle(args.sequence)
     if args.bfile:
         with open(args.bfile, "r", encoding="ascii") as fh:

@@ -1,6 +1,7 @@
 """Exact integer kernels: binomial coefficients, Kronecker symbols, linear recurrences.
 
 Everything in this module is exact; no floating point is used anywhere.
+Frozen, the immutable base of the package's value classes, lives here too.
 """
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import numbers
 import operator
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import comb
 
 
@@ -23,6 +23,35 @@ def _integer(*xs) -> None:
     for x in xs:
         if not _is_integer(x):
             raise TypeError(f"an integer field must be an int, not {x!r}")
+
+
+class Frozen:
+    """Base of the package's immutable values.  A subclass's __init__ checks
+    and normalises its arguments, then passes them to _set by keyword, in
+    field order.  As on a frozen dataclass, the fields then compare and hash
+    as one tuple, equal only within one class, print as Name(field=value,
+    ...), and can be neither assigned nor deleted."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def binomial(n: int, k: int) -> int:
@@ -163,27 +192,22 @@ def kronecker(a: int, m: int) -> int:
 _NEGATIVE_RULES = ("odd", "even")
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Frozen):
     """Linear recurrence a(n) = coeffs[0] a(n-1) + ... + coeffs[d-1] a(n-d).
 
     ``seeds`` are a(0), ..., a(d-1).  ``negative_rule`` optionally extends the
     sequence to negative indices by a sign reflection.
     """
 
-    name: str
-    coeffs: tuple[int, ...]
-    seeds: tuple[int, ...]
-    negative_rule: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        _integer(*self.coeffs, *self.seeds)
-        if len(self.seeds) != len(self.coeffs) or not self.coeffs:
+    def __init__(self, name: str, coeffs: tuple[int, ...], seeds: tuple[int, ...],
+                 negative_rule: str | None = None) -> None:
+        coeffs, seeds = tuple(coeffs), tuple(seeds)
+        _integer(*coeffs, *seeds)
+        if len(seeds) != len(coeffs) or not coeffs:
             raise ValueError("need len(seeds) == len(coeffs) >= 1")
-        if self.negative_rule is not None and self.negative_rule not in _NEGATIVE_RULES:
-            raise ValueError(f"unknown negative rule {self.negative_rule!r}")
+        if negative_rule is not None and negative_rule not in _NEGATIVE_RULES:
+            raise ValueError(f"unknown negative rule {negative_rule!r}")
+        self._set(name=name, coeffs=coeffs, seeds=seeds, negative_rule=negative_rule)
 
     def reflection_sign(self, n: int) -> int:
         """The sign s with a(n) = s a(-n), for n < 0, by the negative rule."""

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
-
-from .core import _integer
+from .core import Frozen, _integer
 
 
 def cos_product_resultants() -> Iterator[int]:
@@ -37,17 +35,15 @@ def cos_product_resultants() -> Iterator[int]:
             a, b = -b, a + 3 * b
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Monic polynomial with integer coefficients, stored ascending."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        _integer(*self.coeffs)
-        if len(self.coeffs) < 2 or self.coeffs[-1] != 1:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        coeffs = tuple(coeffs)
+        _integer(*coeffs)
+        if len(coeffs) < 2 or coeffs[-1] != 1:
             raise ValueError("polynomial must be monic of degree >= 1")
+        self._set(coeffs=coeffs)
 
     @property
     def degree(self) -> int:

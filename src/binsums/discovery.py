@@ -42,13 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
-from .core import class_sums
+from .core import Frozen, class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
 from .sequences import get_oracle, seq_values
 
@@ -57,20 +56,18 @@ from .sequences import get_oracle, seq_values
 _FACTORS = 64
 
 
-@dataclass(frozen=True)
-class ProfileSolution:
-    """Outcome of a profile derivation."""
+class ProfileSolution(Frozen):
+    """Outcome of a profile derivation; status is "unique",
+    "underdetermined" or "infeasible"."""
 
-    target: OracleRef
-    period: int
-    row_odd: bool
-    status: str  # "unique" | "underdetermined" | "infeasible"
-    center: Fraction | None = None
-    weights: tuple[Fraction, ...] | None = None
-    dimension: int = 0
-    violated_n: int | None = None
-    solve_range: tuple[int, int] = (0, 0)
-    holdout_range: tuple[int, int] = (0, 0)
+    def __init__(self, target: OracleRef, period: int, row_odd: bool, status: str,
+                 center: Fraction | None = None, weights: tuple[Fraction, ...] | None = None,
+                 dimension: int = 0, violated_n: int | None = None,
+                 solve_range: tuple[int, int] = (0, 0),
+                 holdout_range: tuple[int, int] = (0, 0)) -> None:
+        self._set(target=target, period=period, row_odd=row_odd, status=status, center=center,
+                  weights=weights, dimension=dimension, violated_n=violated_n,
+                  solve_range=solve_range, holdout_range=holdout_range)
 
 
 def _equation_rows(period: int, row_odd: bool, start: int):

@@ -26,12 +26,10 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import ClassVar
 
-from .core import _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
+from .core import Frozen, _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
 from .cyclo import cos_product_resultants
 from .sequences import get_oracle, seq_eval, seq_values
 
@@ -84,20 +82,15 @@ def _pick(values, ns: list[int]) -> list:
     return [read[n] for n in ns]
 
 
-@dataclass(frozen=True)
-class OracleRef:
+class OracleRef(Frozen):
     """A sequence evaluated along an affine index a*v + b of the running
     variable (n for identity sides, k or j inside sum terms)."""
 
-    name: str
-    param: int | None = None
-    a: int = 1
-    b: int = 0
-
-    def __post_init__(self) -> None:
-        _integer(self.a, self.b)
-        if self.param is not None:
-            _integer(self.param)
+    def __init__(self, name: str, param: int | None = None, a: int = 1, b: int = 0) -> None:
+        _integer(a, b)
+        if param is not None:
+            _integer(param)
+        self._set(name=name, param=param, a=a, b=b)
 
     def value(self, v: int) -> int:
         return seq_eval(self.name, self.a * v + self.b, self.param)
@@ -106,34 +99,30 @@ class OracleRef:
         return _affine_str({var: self.a}, self.b)
 
 
-@dataclass(frozen=True)
-class CenteredSum:
-    """Periodic weighted slice of a centered binomial row."""
+class CenteredSum(Frozen):
+    """Periodic weighted slice of a centered binomial row; a weight oracle,
+    affine in k, is an extra factor of each summand."""
 
-    weights: tuple
-    period: int
-    row_odd: bool = False
-    center: Fraction = Fraction(0)
-    sign: str = SIGN_NONE
-    weight_oracle: OracleRef | None = None  # extra factor, affine in k
-
-    def __post_init__(self) -> None:
-        _integer(self.period)
-        if self.period < 1:
-            raise ValueError(f"a weight table needs period >= 1, not {self.period}")
-        if len(self.weights) != self.period:
+    def __init__(self, weights: tuple, period: int, row_odd: bool = False,
+                 center: Fraction = Fraction(0), sign: str = SIGN_NONE,
+                 weight_oracle: OracleRef | None = None) -> None:
+        _integer(period)
+        if period < 1:
+            raise ValueError(f"a weight table needs period >= 1, not {period}")
+        if len(weights) != period:
             raise ValueError("weight table must have exactly `period` entries")
-        if self.sign not in _SIGNS:
-            raise ValueError(f"unknown sign rule {self.sign!r}")
-        object.__setattr__(self, "center", _rational(self.center))
-        object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
-        if (ref := self.weight_oracle) is not None:  # values steps it by its recurrence
+        if sign not in _SIGNS:
+            raise ValueError(f"unknown sign rule {sign!r}")
+        center, weights = _rational(center), tuple(map(_rational, weights))
+        if (ref := weight_oracle) is not None:  # values steps it by its recurrence
             spec = get_oracle(ref.name).spec(ref.param)
             why = ("it has no recurrence" if spec is None else
                    "its recurrence's last coefficient is 0" if not spec.coeffs[-1] else
                    f"its index {ref.index_str('k')} needs a >= 1" if ref.a < 1 else None)
             if why:
                 raise ValueError(f"weight oracle {ref.name}: {why}, so no sum can step it")
+        self._set(weights=weights, period=period, row_odd=row_odd, center=center, sign=sign,
+                  weight_oracle=weight_oracle)
 
     def signed_table(self) -> tuple:
         """The weight table with the k-dependent sign folded in, over period
@@ -172,20 +161,16 @@ class CenteredSum:
         return [totals[n] for n in ns] if d == 1 else [Fraction(totals[n], d) for n in ns]
 
 
-@dataclass(frozen=True)
-class ScaledBinomial:
+class ScaledBinomial(Frozen):
     """coeff * C(...) for one of the three fixed column shapes, each C(2n, n)
     over a divisor from its first n."""
 
-    coeff: Fraction
-    which: str
-
     _SHAPES = {"C(2n,n)": (1, 0), "C(2n-1,n)": (2, 1), "C(2n-1,n-1)": (2, 1)}
 
-    def __post_init__(self) -> None:
-        if self.which not in self._SHAPES:
-            raise ValueError(f"unknown binomial shape {self.which!r}")
-        object.__setattr__(self, "coeff", _rational(self.coeff))
+    def __init__(self, coeff: Fraction, which: str) -> None:
+        if which not in self._SHAPES:
+            raise ValueError(f"unknown binomial shape {which!r}")
+        self._set(coeff=_rational(coeff), which=which)
 
     def values(self, ns: list[int]) -> list:
         """C(2n, n) stepped by one exact ratio per n, times coeff over the
@@ -198,21 +183,16 @@ class ScaledBinomial:
         return [v // d if (v := p * central[n]) % d == 0 else Fraction(v, d) for n in ns]
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Frozen):
     """coeff * base^(ea*n + eb); negative exponents give exact rationals."""
 
-    coeff: Fraction
-    base: int
-    ea: int
-    eb: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", _rational(self.coeff))
-        _integer(self.base, self.ea, self.eb)
-        if self.base == 0 and (self.ea < 0 or self.eb < 0):
+    def __init__(self, coeff: Fraction, base: int, ea: int, eb: int = 0) -> None:
+        coeff = _rational(coeff)
+        _integer(base, ea, eb)
+        if base == 0 and (ea < 0 or eb < 0):
             raise ValueError(f"a power of base 0 needs an exponent that is never negative, "
-                             f"not {_affine_str({'n': self.ea}, self.eb)}")
+                             f"not {_affine_str({'n': ea}, eb)}")
+        self._set(coeff=coeff, base=base, ea=ea, eb=eb)
 
     def values(self, ns: list[int]) -> list:
         coeff, base = _exact(self.coeff), self.base
@@ -220,45 +200,34 @@ class Power:
                 else self.coeff * Fraction(base) ** e for n in ns]
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _rational(self.value))
+class Constant(Frozen):
+    def __init__(self, value: Fraction) -> None:
+        self._set(value=_rational(value))
 
     def values(self, ns: list[int]) -> list:
         return [_exact(self.value)] * len(ns)
 
 
-@dataclass(frozen=True)
-class ScaledOracle:
+class ScaledOracle(Frozen):
     """coeff * oracle(a*n + b): lets a right side cite another sequence."""
 
-    coeff: Fraction
-    oracle: OracleRef
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", _rational(self.coeff))
+    def __init__(self, coeff: Fraction, oracle: OracleRef) -> None:
+        self._set(coeff=_rational(coeff), oracle=oracle)
 
     def values(self, ns: list[int]) -> list:
         coeff, ref = _exact(self.coeff), self.oracle
         return [coeff * v for v in seq_values(ref.name, [ref.a * n + ref.b for n in ns], ref.param)]
 
 
-@dataclass(frozen=True)
-class BinomialTransform:
+class BinomialTransform(Frozen):
     """sum_{j >= 0} C(n, stride*j + offset) * oracle(j)."""
 
-    oracle: OracleRef
-    stride: int = 1
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        _integer(self.stride, self.offset)
-        if self.stride < 1 or self.offset < 0:
+    def __init__(self, oracle: OracleRef, stride: int = 1, offset: int = 0) -> None:
+        _integer(stride, offset)
+        if stride < 1 or offset < 0:
             raise ValueError(f"a binomial transform needs stride >= 1 and offset >= 0, "
-                             f"not {self.stride} and {self.offset}")
+                             f"not {stride} and {offset}")
+        self._set(oracle=oracle, stride=stride, offset=offset)
 
     def values(self, ns: list[int]) -> list[int]:
         """The transform at every n in ns: entry 0 of row n of
@@ -271,21 +240,16 @@ class BinomialTransform:
         return _pick((row[0] for row in pascal_rows(g)), ns)
 
 
-@dataclass(frozen=True)
-class SignedRowConvolution:
+class SignedRowConvolution(Frozen):
     """sum_{k=0}^{2n+1} (-1)^k C(2n+1, k) * oracle(an*n + ak*k + c).
 
     The oracle index may run negative for large k, so the cited sequence
     must carry a backward extension rule.
     """
 
-    oracle_name: str
-    an: int
-    ak: int
-    c: int = 0
-
-    def __post_init__(self) -> None:
-        _integer(self.an, self.ak, self.c)
+    def __init__(self, oracle_name: str, an: int, ak: int, c: int = 0) -> None:
+        _integer(an, ak, c)
+        self._set(oracle_name=oracle_name, an=an, ak=ak, c=c)
 
     def values(self, ns: list[int]) -> list[int]:
         """The convolution at every n in ns, by core.pascal_rows over the oracle.
@@ -319,14 +283,12 @@ class SignedRowConvolution:
                       for n, row in enumerate(rows)), ns)
 
 
-@dataclass(frozen=True)
-class DiagonalSum:
+class DiagonalSum(Frozen):
     """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r); no kernel steps it."""
 
-    base: int = 5
-
-    def __post_init__(self) -> None:
-        _integer(self.base)
+    def __init__(self, base: int = 5) -> None:
+        _integer(base)
+        self._set(base=base)
 
     def values(self, ns: list[int]) -> list[int]:
         """The sum at each n in ints by Horner's rule in the base, stepping
@@ -342,8 +304,7 @@ class DiagonalSum:
         return out
 
 
-@dataclass(frozen=True)
-class CosProduct:
+class CosProduct(Frozen):
     """prod_{s=1}^n (3 - 2cos(2 pi s/(2n+1))), evaluated exactly.
 
     Factors s and 2n+1-s are equal, so the product over s = 1..2n, the
@@ -364,22 +325,18 @@ class CosProduct:
         return out
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Integer index range, optionally restricted to even n."""
+class Domain(Frozen):
+    """Integer index range, its stop inclusive, optionally restricted to even n."""
 
-    start: int = 0
-    stop: int | None = None  # inclusive
-    even_only: bool = False
-
-    def __post_init__(self) -> None:
-        _integer(self.start)
-        if self.start < 0:
-            raise ValueError(f"a domain starts at n >= 0, not {self.start}")
-        if self.stop is not None:
-            _integer(self.stop)
-        if self.stop is not None and self.stop < self.start:
-            raise ValueError(f"a domain cannot stop at {self.stop}, before its start {self.start}")
+    def __init__(self, start: int = 0, stop: int | None = None, even_only: bool = False) -> None:
+        _integer(start)
+        if start < 0:
+            raise ValueError(f"a domain starts at n >= 0, not {start}")
+        if stop is not None:
+            _integer(stop)
+        if stop is not None and stop < start:
+            raise ValueError(f"a domain cannot stop at {stop}, before its start {start}")
+        self._set(start=start, stop=stop, even_only=even_only)
 
     def indices(self, lo: int, hi: int) -> list[int]:
         lo = max(lo, self.start)
@@ -395,16 +352,15 @@ class Domain:
         return f"{self.start}..{upper}{tag}"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Frozen):
     """One verifiable statement: oracle(lhs index) == sum of terms."""
 
-    family: str
-    lhs: OracleRef
-    terms: tuple
-    domain: Domain = field(default_factory=Domain)
-    description: str = ""
-    kind: ClassVar[str] = "sum"  # no other kind; the JSON format and perfbench still read it
+    kind = "sum"  # no other kind; the JSON format and perfbench still read it
+
+    # one Domain() is every default domain, which is safe since no Domain changes
+    def __init__(self, family: str, lhs: OracleRef, terms: tuple, domain: Domain = Domain(),
+                 description: str = "") -> None:
+        self._set(family=family, lhs=lhs, terms=terms, domain=domain, description=description)
 
     @property
     def label(self) -> str:
@@ -423,14 +379,13 @@ class Identity:
         return ns
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    label: str
-    checked: tuple[int, ...]
-    first_divergence: int | None
-    lhs_at_divergence: str | None
-    rhs_at_divergence: str | None
-    elapsed: float
+class VerificationReport(Frozen):
+    def __init__(self, label: str, checked: tuple[int, ...], first_divergence: int | None,
+                 lhs_at_divergence: str | None, rhs_at_divergence: str | None,
+                 elapsed: float) -> None:
+        self._set(label=label, checked=checked, first_divergence=first_divergence,
+                  lhs_at_divergence=lhs_at_divergence, rhs_at_divergence=rhs_at_divergence,
+                  elapsed=elapsed)
 
     @property
     def passed(self) -> bool:
@@ -753,6 +708,7 @@ def perturbed(identity: Identity, residue: int, new_weight) -> Identity:
     cs = next(t for t in identity.terms if isinstance(t, CenteredSum))
     weights = list(cs.weights)
     weights[residue] = new_weight
-    new_cs = replace(cs, weights=tuple(weights))
+    new_cs = CenteredSum(tuple(weights), cs.period, cs.row_odd, cs.center, cs.sign,
+                         cs.weight_oracle)
     terms = tuple(new_cs if t is cs else t for t in identity.terms)
-    return replace(identity, terms=terms)
+    return Identity(identity.family, identity.lhs, terms, identity.domain, identity.description)

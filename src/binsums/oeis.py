@@ -7,9 +7,9 @@ Nothing here opens a network connection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
+from .core import Frozen
 from .sequences import get_oracle, seq_values
 
 #: the fewest agreeing terms that make a match, and so the fewest a comparison
@@ -35,13 +35,14 @@ FIXTURES: dict[str, tuple[str, int | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Outcome of aligning a local oracle against a b-file."""
+class AlignmentReport(Frozen):
+    """Outcome of aligning a local oracle against a b-file: the best shift,
+    the terms that agree at it, and the first (local index, local, b-file)
+    that differs there, or None."""
 
-    shift: int
-    matched: int
-    first_mismatch: tuple[int, int, int] | None  # (local index, local, b-file)
+    def __init__(self, shift: int, matched: int,
+                 first_mismatch: tuple[int, int, int] | None) -> None:
+        self._set(shift=shift, matched=matched, first_mismatch=first_mismatch)
 
     @property
     def is_match(self) -> bool:

@@ -18,32 +18,28 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, count
 from types import MappingProxyType
 
-from .core import RecurrenceSpec, _is_integer, binomial, class_sums, rec_steps
+from .core import Frozen, RecurrenceSpec, _is_integer, binomial, class_sums, rec_steps
 from .cyclo import IntPolynomial, chebyshev_monic, power_sums
 
 
-@dataclass(frozen=True)
-class SequenceOracle:
+class SequenceOracle(Frozen):
     """A named exact sequence, defined by exactly one of ``recurrence`` (a
     RecurrenceSpec, or for a parameterized family a pure function from the
     parameter to one), ``steps(param)``, a new iterator of its values from
     index 0 on, and ``rule(param, n)``, which must be pure."""
 
-    name: str
-    recurrence: RecurrenceSpec | Callable[[int], RecurrenceSpec] | None = None
-    rule: Callable[[int | None, int], int] | None = None
-    start: int = 0
-    param_name: str | None = None
-    param_min: int = 0
-    steps: Callable[[int | None], Iterator[int]] | None = None
-
-    def __post_init__(self) -> None:
-        if [self.recurrence, self.steps, self.rule].count(None) != 2:
-            raise ValueError(f"sequence {self.name} needs exactly one of recurrence, steps, rule")
+    def __init__(self, name: str,
+                 recurrence: RecurrenceSpec | Callable[[int], RecurrenceSpec] | None = None,
+                 rule: Callable[[int | None, int], int] | None = None, start: int = 0,
+                 param_name: str | None = None, param_min: int = 0,
+                 steps: Callable[[int | None], Iterator[int]] | None = None) -> None:
+        if [recurrence, steps, rule].count(None) != 2:
+            raise ValueError(f"sequence {name} needs exactly one of recurrence, steps, rule")
+        self._set(name=name, recurrence=recurrence, rule=rule, start=start,
+                  param_name=param_name, param_min=param_min, steps=steps)
 
     @property
     def negative_ok(self) -> bool:

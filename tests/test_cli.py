@@ -7,7 +7,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,11 +118,14 @@ def test_unknown_identity_lists_the_families_of_the_given_registry(capsys, monke
     assert capsys.readouterr().err == "unknown identity 'lucas-odd'; known: fib-even, pow3\n"
 
 
+FIB_EVEN = builtin_registry()[0]
+
+
 @pytest.mark.parametrize("argv, registry", [
     (["--identity", "central-delight", "--n-max", "1"], None),
     (["--all", "--n-max", "1"], None),
     (["--identity", "fib-even", "--n-max", "10"],
-     [replace(builtin_registry()[0], domain=Domain(20))]),
+     [Identity(FIB_EVEN.family, FIB_EVEN.lhs, FIB_EVEN.terms, Domain(20), FIB_EVEN.description)]),
 ])
 def test_verify_with_an_empty_domain_exits_2(capsys, monkeypatch, argv, registry):
     if registry is not None:

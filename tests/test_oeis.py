@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, fields
-
 import pytest
 
 from binsums import oeis
@@ -156,9 +154,9 @@ def test_compare_reads_its_oracle_once(monkeypatch):
 
 
 def test_an_alignment_report_holds_only_the_alignment():
-    assert [f.name for f in fields(AlignmentReport)] == ["shift", "matched", "first_mismatch"]
     report = compare("pellX", load_fixture("A001075"))
-    with pytest.raises(FrozenInstanceError):
+    assert list(vars(report)) == ["shift", "matched", "first_mismatch"]
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         report.matched = 0
 
 

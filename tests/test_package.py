@@ -147,6 +147,10 @@ NEVER_ENTERED = {
     "identities.perturbed": "read by perfbench's perturbed workload until it has its own copy",
     "identities.folded_profile": "read by perfbench's derive checker until it has its own copy",
     "identities.OracleRef.value": "read by perfbench's derive checker until it has its own copy",
+    "core.Frozen.__setattr__": "refuses an assignment, which no command makes",
+    "core.Frozen.__delattr__": "refuses a deletion, which no command makes",
+    "core.Frozen.__hash__": "no command keys a dict or a set by a value",
+    "core.Frozen.__repr__": "no command prints a value's repr; the tests compare them",
 }
 
 
@@ -173,27 +177,68 @@ def test_the_check_sees_a_function_never_entered(tmp_path):
                                           "lib.Box.unused"]
 
 
-def _threading_importers(sources: dict[str, str]) -> list[str]:
-    """Names of the sources that import threading anywhere in their code."""
-    def imports_threading(node) -> bool:
+def _importers(sources: dict[str, str], module: str) -> list[str]:
+    """Names of the sources that import the module anywhere in their code,
+    a deferred import inside a function included."""
+    def imports(node) -> bool:
         if isinstance(node, ast.Import):
-            return any(a.name.split(".")[0] == "threading" for a in node.names)
-        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading"
+            return any(a.name.split(".")[0] == module for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     return [name for name, source in sources.items()
-            if any(map(imports_threading, ast.walk(ast.parse(source))))]
+            if any(map(imports, ast.walk(ast.parse(source))))]
+
+
+_SOURCES = {p.name: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
 
 
 def test_only_the_one_memo_takes_a_lock():
     # the memo of stepped sequences is the package's only shared state
-    sources = {p.name: p.read_text() for p in sorted(_PACKAGE.glob("*.py"))}
-    assert _threading_importers(sources) == ["sequences.py"]
+    assert _importers(_SOURCES, "threading") == ["sequences.py"]
+
+
+def test_no_module_imports_dataclasses():
+    # core.Frozen is the base of every value: dataclasses costs start-up
+    # time and compiles code at import that no bytecode cache keeps
+    assert _importers(_SOURCES, "dataclasses") == []
 
 
 def test_the_check_sees_a_threading_import():
     sources = {"a.py": "import threading\n", "b.py": "def f():\n    from threading import Lock\n",
                "c.py": "import os, threading as t\n", "d.py": "import os\nthreading = 1\n",
-               "e.py": "from . import threads\n"}
-    assert _threading_importers(sources) == ["a.py", "b.py", "c.py"]
+               "e.py": "from . import threads\n", "f.py": "from dataclasses import dataclass\n"}
+    assert _importers(sources, "threading") == ["a.py", "b.py", "c.py"]
+    assert _importers(sources, "dataclasses") == ["f.py"]
+
+
+# run in a fresh interpreter, so that no other test's import is counted
+_IMPORTED_BY = """
+import contextlib, io, json, sys
+from binsums.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    run(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_after(*argv: str) -> set[str]:
+    """sys.modules of a fresh interpreter after `import binsums.cli` and one
+    run of the command line argv."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED_BY, *argv],
+                          env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_verify_imports_neither_discovery_nor_oeis_nor_dataclasses():
+    # only derive and oeis-check run those modules, and no module needs dataclasses
+    assert _modules_after("verify", "--all") & {
+        "binsums.discovery", "binsums.oeis", "dataclasses"} == set()
+
+
+def test_derive_and_oeis_check_import_their_modules():
+    assert "binsums.discovery" in _modules_after("derive", "--target", "fib", "--index", "2n",
+                                                 "--period", "5")
+    assert "binsums.oeis" in _modules_after("oeis-check", "--sequence", "pell", "--id", "A000129")
 
 
 def _oracle_value_reads(source: str) -> list[str]:
