@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--row", choices=("even", "odd"), default="even")
     p.add_argument("--solve-range", type=_parse_range, default=(), help="A..B")
-    p.add_argument("--index", type=_parse_index, default="n", help="target index map, e.g. 2n or 2n+1")
+    p.add_argument("--index", type=_parse_index, default="n",
+                   help="target index map, e.g. 2n or 2n+1; a leading minus as --index=-n+70")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("oeis-check", help="compare a sequence against a b-file")

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .core import Frozen, class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
-from .sequences import get_oracle, seq_values
+from .sequences import get_oracle
 
 # Factored systems kept at once.  Periods 1..20, each with both row
 # parities, are 40 systems at the default ranges.
@@ -182,10 +182,10 @@ def _target_values(target: OracleRef, ns: list[int] | range,
                    domain: tuple[int, int | None]) -> list[int]:
     """The target at each n of the ascending ns before the first n outside
     its domain (start, stop) from sequences.SequenceOracle.domain, in one
-    seq_values read."""
+    OracleRef.read."""
     start, stop = domain
     cut = 0 if ns and ns[0] < start else len(ns) if stop is None else bisect_right(ns, stop)
-    return seq_values(target.name, [target.a * n + target.b for n in ns[:cut]], target.param)
+    return target.read(ns[:cut])
 
 
 def _raise_if_short(target: OracleRef, ns: list[int] | range, values: list[int], stage: str,
@@ -197,7 +197,7 @@ def _raise_if_short(target: OracleRef, ns: list[int] | range, values: list[int],
     if len(values) < len(ns):
         n = ns[len(values)]
         try:
-            seq_values(target.name, [target.a * n + target.b], target.param)
+            target.read([n])
         except ValueError as exc:
             raise ValueError(
                 f"target {target.name}({target.index_str()}) has no value at n = {n}, "

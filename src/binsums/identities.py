@@ -9,16 +9,16 @@ optionally carrying an extra oracle-valued factor per summand.  The
 center and the weights are rationals and every value is exact, so a
 verification failure is a genuine counterexample, never round-off.
 Every term has one route to its values, `values(ns)`, a list for all the n
-`verify` checks, in ints wherever the term's coefficients are integral.
-A centered sum reads core.class_sums, or core.weighted_class_sums with a
-weight oracle, scales its table and center by D, the lcm of their
-denominators, and divides by D once per n.  The row sums against a
-sequence read core.pascal_rows, and the cosine product
-cyclo.cos_product_resultants.  Each oracle a side reads along a list of
-indices comes from one bulk read, sequences.seq_values; rhs_values sums
-the terms' columns in one pass and checks that the totals are integers
-once per batch.  The tests hold every term to a direct reference of its
-own, in tests/identities_reference.py and tests/cyclo_reference.py.
+`verify` checks, in ints wherever the term's coefficients are integral, and
+writes its own JSON object, `json()`.  A centered sum reads core.class_sums,
+or core.weighted_class_sums with a weight oracle, scales its table and
+center by D, the lcm of their denominators, and divides by D once per n.
+The row sums against a sequence read core.pascal_rows, and the cosine
+product cyclo.cos_product_resultants.  Each oracle a side reads comes from
+one bulk read, sequences.seq_values (OracleRef.read for an index a*n + b);
+rhs_values sums the terms' columns in one pass and checks that the totals
+are integers once per batch.  The tests hold every term to a direct
+reference: tests/identities_reference.py and tests/cyclo_reference.py.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from itertools import accumulate, islice
 
 from .core import Frozen, _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
 from .cyclo import cos_product_resultants
-from .sequences import get_oracle, seq_eval, seq_values
+from .sequences import get_oracle, seq_values
 
 SIGN_NONE = "none"
 SIGN_ALT_K = "(-1)^k"
@@ -92,11 +92,20 @@ class OracleRef(Frozen):
             _integer(param)
         self._set(name=name, param=param, a=a, b=b)
 
+    def read(self, ns: list[int] | range) -> list[int]:
+        """The sequence at a*n + b for each n of ns, in one seq_values read."""
+        return seq_values(self.name, [self.a * n + self.b for n in ns], self.param)
+
     def value(self, v: int) -> int:
-        return seq_eval(self.name, self.a * v + self.b, self.param)
+        return self.read([v])[0]
 
     def index_str(self, var: str = "n") -> str:
         return _affine_str({var: self.a}, self.b)
+
+
+def _oracle_json(ref: OracleRef, var: str) -> dict:
+    """A sequence reference, its index written in the running variable var."""
+    return {"sequence": ref.name, "param": ref.param, "index": ref.index_str(var)}
 
 
 class CenteredSum(Frozen):
@@ -135,6 +144,12 @@ class CenteredSum(Frozen):
             return tuple(self.weights[r % m] * (-1) ** (r // m) for r in range(2 * m))
         return tuple(self.weights[r % m] * (-1) ** r for r in range(math.lcm(m, 2)))
 
+    def json(self) -> dict:
+        return {"kind": "centered-sum", "row": "2n+1" if self.row_odd else "2n",
+                "center": str(self.center), "period": self.period,
+                "weights": [str(w) for w in self.weights], "sign": self.sign,
+                "weight_oracle": self.weight_oracle and _oracle_json(self.weight_oracle, "k")}
+
     def values(self, ns: list[int]) -> list:
         """The sum at every n in ns, in one list pass over n = 0..max(ns).
 
@@ -172,6 +187,9 @@ class ScaledBinomial(Frozen):
             raise ValueError(f"unknown binomial shape {which!r}")
         self._set(coeff=_rational(coeff), which=which)
 
+    def json(self) -> dict:
+        return {"kind": "scaled-binomial", "coeff": str(self.coeff), "which": self.which}
+
     def values(self, ns: list[int]) -> list:
         """C(2n, n) stepped by one exact ratio per n, times coeff over the
         divisor: an int wherever that is integral."""
@@ -194,6 +212,10 @@ class Power(Frozen):
                              f"not {_affine_str({'n': ea}, eb)}")
         self._set(coeff=coeff, base=base, ea=ea, eb=eb)
 
+    def json(self) -> dict:
+        return {"kind": "power", "coeff": str(self.coeff), "base": self.base,
+                "exponent": _affine_str({"n": self.ea}, self.eb)}
+
     def values(self, ns: list[int]) -> list:
         coeff, base = _exact(self.coeff), self.base
         return [coeff * base ** e if (e := self.ea * n + self.eb) >= 0
@@ -203,6 +225,9 @@ class Power(Frozen):
 class Constant(Frozen):
     def __init__(self, value: Fraction) -> None:
         self._set(value=_rational(value))
+
+    def json(self) -> dict:
+        return {"kind": "constant", "value": str(self.value)}
 
     def values(self, ns: list[int]) -> list:
         return [_exact(self.value)] * len(ns)
@@ -214,9 +239,12 @@ class ScaledOracle(Frozen):
     def __init__(self, coeff: Fraction, oracle: OracleRef) -> None:
         self._set(coeff=_rational(coeff), oracle=oracle)
 
+    def json(self) -> dict:
+        return {"kind": "scaled-oracle", "coeff": str(self.coeff), **_oracle_json(self.oracle, "n")}
+
     def values(self, ns: list[int]) -> list:
-        coeff, ref = _exact(self.coeff), self.oracle
-        return [coeff * v for v in seq_values(ref.name, [ref.a * n + ref.b for n in ns], ref.param)]
+        coeff = _exact(self.coeff)
+        return [coeff * v for v in self.oracle.read(ns)]
 
 
 class BinomialTransform(Frozen):
@@ -229,14 +257,16 @@ class BinomialTransform(Frozen):
                              f"not {stride} and {offset}")
         self._set(oracle=oracle, stride=stride, offset=offset)
 
+    def json(self) -> dict:
+        return {"kind": "binomial-transform", "stride": self.stride, "offset": self.offset,
+                **_oracle_json(self.oracle, "j")}
+
     def values(self, ns: list[int]) -> list[int]:
         """The transform at every n in ns: entry 0 of row n of
         core.pascal_rows over g, the oracle read in one bulk read over j
         and placed on column stride*j + offset, with zeros between."""
-        g, ref = [0] * (_max_n(ns) + 1), self.oracle
-        count = len(range(self.offset, len(g), self.stride))
-        g[self.offset::self.stride] = seq_values(
-            ref.name, [ref.a * j + ref.b for j in range(count)], ref.param)
+        g = [0] * (_max_n(ns) + 1)
+        g[self.offset::self.stride] = self.oracle.read(range(len(g[self.offset::self.stride])))
         return _pick((row[0] for row in pascal_rows(g)), ns)
 
 
@@ -250,6 +280,10 @@ class SignedRowConvolution(Frozen):
     def __init__(self, oracle_name: str, an: int, ak: int, c: int = 0) -> None:
         _integer(an, ak, c)
         self._set(oracle_name=oracle_name, an=an, ak=ak, c=c)
+
+    def json(self) -> dict:
+        return {"kind": "signed-row-convolution", "sequence": self.oracle_name, "param": None,
+                "index": _affine_str({"n": self.an, "k": self.ak}, self.c)}
 
     def values(self, ns: list[int]) -> list[int]:
         """The convolution at every n in ns, by core.pascal_rows over the oracle.
@@ -290,6 +324,9 @@ class DiagonalSum(Frozen):
         _integer(base)
         self._set(base=base)
 
+    def json(self) -> dict:
+        return {"kind": "diagonal-sum", "base": self.base}
+
     def values(self, ns: list[int]) -> list[int]:
         """The sum at each n in ints by Horner's rule in the base, stepping
         C(2n-r+1, r-1) to C(2n-r, r) multiplicatively."""
@@ -312,6 +349,9 @@ class CosProduct(Frozen):
     this one; every factor is at least 1, so this product is its positive
     square root.
     """
+
+    def json(self) -> dict:
+        return {"kind": "cos-product"}
 
     def values(self, ns: list[int]) -> list[int]:
         """The product at every n in ns, from one run of the stepped
@@ -360,7 +400,8 @@ class Identity(Frozen):
     # one Domain() is every default domain, which is safe since no Domain changes
     def __init__(self, family: str, lhs: OracleRef, terms: tuple, domain: Domain = Domain(),
                  description: str = "") -> None:
-        self._set(family=family, lhs=lhs, terms=terms, domain=domain, description=description)
+        self._set(family=family, lhs=lhs, terms=tuple(terms), domain=domain,
+                  description=description)
 
     @property
     def label(self) -> str:
@@ -423,10 +464,8 @@ def verify(identity: Identity, n_max: int, n_min: int = 0) -> VerificationReport
     t0 = time.perf_counter()
     ns = identity.indices(n_min, n_max)
     rhs = rhs_values(identity, ns)
-    ref = identity.lhs
-    lhs = seq_values(ref.name, [ref.a * n + ref.b for n in ns], ref.param)
     first = lhs_s = rhs_s = None
-    for n, left, right in zip(ns, lhs, rhs):
+    for n, left, right in zip(ns, identity.lhs.read(ns), rhs):
         if left != right:
             first, lhs_s, rhs_s = n, str(left), str(right)
             break
@@ -452,7 +491,7 @@ def _build_registry() -> tuple[Identity, ...]:
     ids: list[Identity] = []
 
     def add(family, lhs, terms, domain=Domain(), description=""):
-        ids.append(Identity(family, lhs, tuple(terms), domain, description))
+        ids.append(Identity(family, lhs, terms, domain, description))
 
     fifth = Fraction(1, 5)
 
@@ -641,46 +680,6 @@ def folded_profile(identity: Identity) -> tuple[Fraction, tuple[Fraction, ...]]:
 # JSON interchange format
 # ---------------------------------------------------------------------------
 
-def _oracle_json(ref: OracleRef, var: str) -> dict:
-    """A sequence reference, its index written in the running variable var."""
-    return {"sequence": ref.name, "param": ref.param, "index": ref.index_str(var)}
-
-
-def _term_json(term) -> dict:
-    if isinstance(term, CenteredSum):
-        return {
-            "kind": "centered-sum",
-            "row": "2n+1" if term.row_odd else "2n",
-            "center": str(term.center),
-            "period": term.period,
-            "weights": [str(w) for w in term.weights],
-            "sign": term.sign,
-            "weight_oracle": None if term.weight_oracle is None else _oracle_json(
-                term.weight_oracle, "k"),
-        }
-    if isinstance(term, ScaledBinomial):
-        return {"kind": "scaled-binomial", "coeff": str(term.coeff), "which": term.which}
-    if isinstance(term, Power):
-        return {"kind": "power", "coeff": str(term.coeff), "base": term.base,
-                "exponent": _affine_str({"n": term.ea}, term.eb)}
-    if isinstance(term, Constant):
-        return {"kind": "constant", "value": str(term.value)}
-    if isinstance(term, ScaledOracle):
-        return {"kind": "scaled-oracle", "coeff": str(term.coeff),
-                **_oracle_json(term.oracle, "n")}
-    if isinstance(term, BinomialTransform):
-        return {"kind": "binomial-transform", "stride": term.stride, "offset": term.offset,
-                **_oracle_json(term.oracle, "j")}
-    if isinstance(term, SignedRowConvolution):
-        return {"kind": "signed-row-convolution", "sequence": term.oracle_name, "param": None,
-                "index": _affine_str({"n": term.an, "k": term.ak}, term.c)}
-    if isinstance(term, DiagonalSum):
-        return {"kind": "diagonal-sum", "base": term.base}
-    if isinstance(term, CosProduct):
-        return {"kind": "cos-product"}
-    raise TypeError(f"unknown term {term!r}")
-
-
 def identity_json(identity: Identity) -> dict:
     """One identity in the documented interchange format.
 
@@ -692,10 +691,9 @@ def identity_json(identity: Identity) -> dict:
         "param": identity.lhs.param,
         "kind": identity.kind,
         "description": identity.description,
-        "domain": {"start": identity.domain.start, "stop": identity.domain.stop,
-                   "even_only": identity.domain.even_only},
+        "domain": dict(vars(identity.domain)),
         "lhs": _oracle_json(identity.lhs, "n"),
-        "terms": [_term_json(t) for t in identity.terms],
+        "terms": [t.json() for t in identity.terms],
     }
 
 

@@ -281,6 +281,18 @@ def test_derive_with_a_malformed_index_names_the_expected_form(capsys, index):
     assert f"index map {index!r} must read an+b, as in 2n+1" in capsys.readouterr().err
 
 
+def test_an_index_with_a_leading_minus_reaches_derive_joined_to_its_flag(capsys, monkeypatch):
+    # argparse reads "--index -n+70" as a flag with no value, so the help
+    # and the README give the joined form
+    code, out = invoke(capsys, *_DERIVE, "--index=-n+70")
+    assert code == 1 and "infeasible" in out
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run(["derive", "--help"])
+    assert "--index=-n+70" in capsys.readouterr().out
+    assert "`--index=-n+70`" in _readme()
+
+
 def test_derive_flags_parse_to_tuples():
     args = _build_parser().parse_args([*_DERIVE, "--index", "2n+1", "--solve-range", "1..8"])
     assert (args.index, args.solve_range) == ((2, 1), (1, 8))
@@ -492,6 +504,18 @@ def test_readme_cli_lines_run(capsys):
         assert code == 0, argv
         if argv[0] == "table" and comment:
             assert out.strip() == comment, argv
+
+
+def test_the_readme_lists_each_term_kind_with_its_keys_in_order():
+    documented = {m[1]: m[2].split(", ") for m in
+                  re.finditer(r"^- `([a-z-]+)`: (kind(?:, \w+)*)$", _readme(), re.MULTILINE)}
+    kinds = {}
+    for identity in builtin_registry():
+        for term in identity.terms:
+            obj = term.json()
+            assert list(obj) == documented.get(obj["kind"]), type(term).__name__
+            kinds[type(term)] = obj["kind"]
+    assert len(kinds) == 9 and sorted(kinds.values()) == sorted(documented)
 
 
 def test_readme_family_counts_match_the_catalogue():

@@ -7,7 +7,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from binsums import discovery
+from binsums import discovery, identities
 from binsums.discovery import (
     _FACTORS,
     ProfileSolution,
@@ -100,11 +100,11 @@ def test_the_last_held_out_index_is_fed(monkeypatch):
     fib2 = OracleRef("fib", a=2)
     sol = derive_profile(fib2, 5)
     assert sol.status == "unique" and sol.holdout_range == (10, 29)
-    real = discovery.seq_values
+    real = identities.seq_values
     for moved, expected in ((29, ("infeasible", 29)), (30, ("unique", None))):
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == 2 * moved) for i, v in zip(indices, real(name, indices, param))]
-        monkeypatch.setattr(discovery, "seq_values", tampered)
+        monkeypatch.setattr(identities, "seq_values", tampered)
         sol = derive_profile(fib2, 5)
         assert (sol.status, sol.violated_n) == expected
         assert sol.holdout_range == (10, 29)
@@ -131,11 +131,11 @@ def test_every_solve_equation_past_full_rank_keeps_a_check(monkeypatch):
     assert [check is None for check in odd.checks] == [True] * 5 + [False] * 35
     assert len(odd.rows) == 20
     assert derive_profile(fib2, 5, solve_stop=40).status == "unique"
-    real = discovery.seq_values
+    real = identities.seq_values
     for moved in (6, 8, 11, 12, 13, 30, 60):
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == 2 * moved) for i, v in zip(indices, real(name, indices, param))]
-        monkeypatch.setattr(discovery, "seq_values", tampered)
+        monkeypatch.setattr(identities, "seq_values", tampered)
         sol = derive_profile(fib2, 5, solve_stop=40)
         assert (sol.status, sol.violated_n) == ("infeasible", moved)
         assert sol == eliminator_derive(fib2, 5, solve_stop=40)
@@ -283,11 +283,11 @@ def test_a_center_with_no_value_at_zero_is_pinned_by_a_check_at_odd_periods(monk
         sol = derive_profile(target, period)
         assert (sol.status, sol.center, set(sol.weights)) == ("unique", Fraction(1, 2), {0})
         assert sol == eliminator_derive(target, period)
-    real = discovery.seq_values
+    real = identities.seq_values
     for moved, violated_n in ((4, 5), (5, 5), (6, 6), (7, 7), (20, 20)):
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
-        monkeypatch.setattr(discovery, "seq_values", tampered)
+        monkeypatch.setattr(identities, "seq_values", tampered)
         sol = derive_profile(target, 3)
         assert (sol.status, sol.violated_n) == ("infeasible", violated_n), moved
         assert sol == eliminator_derive(target, 3)
@@ -309,11 +309,11 @@ def test_a_center_never_pinned_leaves_an_even_period_underdetermined(monkeypatch
         sol = derive_profile(target, period, solve_stop=solve_stop)
         assert (sol.status, sol.dimension) == ("underdetermined", 1)
         assert sol == eliminator_derive(target, period, solve_stop=solve_stop)
-    real = discovery.seq_values
+    real = identities.seq_values
     for moved in (3, 5, 30):
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
-        monkeypatch.setattr(discovery, "seq_values", tampered)
+        monkeypatch.setattr(identities, "seq_values", tampered)
         sol = derive_profile(target, 2, solve_stop=40)
         assert (sol.status, sol.violated_n) == ("infeasible", moved)
         assert sol == eliminator_derive(target, 2, solve_stop=40)
@@ -366,13 +366,13 @@ def test_a_center_pinned_where_no_real_system_pins_it(monkeypatch, plant, period
     sol = derive_profile(target, period)
     assert (sol.status, sol.center, sol.weights) == ("unique", Fraction(1, 2), weights)
     assert sol == eliminator_derive(target, period)
-    real = discovery.seq_values
+    real = identities.seq_values
     for moved in range(1, period + 5):  # the whole solve range
         def tampered(name, indices, param=None, moved=moved):
             return [v + (i == moved) for i, v in zip(indices, real(name, indices, param))]
-        monkeypatch.setattr(discovery, "seq_values", tampered)
+        monkeypatch.setattr(identities, "seq_values", tampered)
         assert derive_profile(target, period) == eliminator_derive(target, period)
-        monkeypatch.setattr(discovery, "seq_values", real)
+        monkeypatch.setattr(identities, "seq_values", real)
 
 
 @pytest.mark.parametrize("table, dimension", [
@@ -791,11 +791,12 @@ def probing_target_values(target, ns, stage, span):
     """The target at each n of ns, read as derive_profile read it before
     its oracles had a domain rule: one bulk read, and where that raises, one
     read per n as it is asked for, so the first n with no value raises only
-    then.  The bulk read goes through discovery's seq_values, so a test that
-    tampers with that tampers with this too."""
+    then.  The bulk read goes through identities' seq_values, the one
+    OracleRef.read calls, so a test that tampers with that tampers with this
+    too."""
     try:
-        values = discovery.seq_values(target.name, [target.a * n + target.b for n in ns],
-                                      target.param)
+        values = identities.seq_values(target.name, [target.a * n + target.b for n in ns],
+                                       target.param)
     except ValueError:
         values = None
     if values is not None:

@@ -261,8 +261,16 @@ def test_find_of_an_unknown_family_lists_the_families():
 
 def test_a_foreign_term_has_no_json_form():
     foreign = Identity("synthetic", OracleRef("fib"), (object(),))
-    with pytest.raises(TypeError, match="unknown term <object object at "):
+    with pytest.raises(AttributeError, match="'object' object has no attribute 'json'"):
         identity_json(foreign)
+
+
+def test_an_identity_built_from_a_list_of_terms_equals_the_tuple_built_one():
+    ident = builtin_registry()[0]
+    listed = Identity(ident.family, ident.lhs, list(ident.terms), ident.domain,
+                      ident.description)
+    assert listed == ident and hash(listed) == hash(ident) and repr(listed) == repr(ident)
+    assert listed.terms == ident.terms and type(listed.terms) is tuple
 
 
 def test_terms_at_folds_the_weight_oracle_into_each_coefficient():
@@ -777,6 +785,20 @@ def test_json_export():
     fib_even = identity_json(find("fib-even")[0])
     assert fib_even["terms"][0]["weights"] == ["0", "1", "-1", "-1", "1"]
     assert fib_even["lhs"] == {"sequence": "fib", "param": None, "index": "2n"}
+
+
+def test_editing_an_exported_identity_leaves_the_identity_as_it_was():
+    # every dict and list of the JSON is the export's own, so a caller that
+    # edits one (the domain's above all) changes no frozen value
+    def clear(node):
+        for child in node.values() if isinstance(node, dict) else node:
+            if isinstance(child, (dict, list)):
+                clear(child)
+        node.clear()
+
+    before = repr(builtin_registry())
+    clear(registry_json())
+    assert repr(builtin_registry()) == before
 
 
 def test_weight_oracle_index_follows_index_str():

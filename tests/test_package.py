@@ -310,20 +310,15 @@ _SECOND_ROUTES = {"evaluate", "sweep", "terms_at"}
 
 
 def _terms_off_one_route(source: str) -> list[str]:
-    """Term classes (those `_term_json` encodes) that define no `values` or
-    define a second value route (`evaluate`, `sweep`, `terms_at`), and
-    classes that define `values` but are not terms."""
-    tree = ast.parse(source)
-    encoder = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_term_json")
-    terms = {call.args[1].id for call in ast.walk(encoder)
-             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"}
+    """Term classes (those that write their own JSON object, `json`) that
+    define no `values` or define a second value route (`evaluate`, `sweep`,
+    `terms_at`), and classes that define `values` but are not terms."""
     out = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if not isinstance(node, ast.ClassDef):
             continue
         methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-        if node.name in terms:
+        if "json" in methods:
             wrong = "values" not in methods or bool(methods & _SECOND_ROUTES)
         else:
             wrong = "values" in methods
@@ -338,18 +333,16 @@ def test_every_term_has_one_value_route():
 
 def test_the_check_sees_a_term_off_one_route():
     source = ("class Stepped:\n    def values(self, ns): return ns\n"
+              "    def json(self): return {}\n"
               "class Twice:\n    def values(self, ns): return ns\n"
-              "    def evaluate(self, n): return n\n"
+              "    def evaluate(self, n): return n\n    def json(self): return {}\n"
               "class Swept:\n    def sweep(self, ns): return ns\n"
+              "    def json(self): return {}\n"
               "class Listed:\n    def values(self, ns): return ns\n"
-              "    def terms_at(self, n): return []\n"
+              "    def terms_at(self, n): return []\n    def json(self): return {}\n"
               "class Unlisted:\n    def values(self, ns): return ns\n"
               "class Plain:\n    def label(self): return ''\n"
-              "def _term_json(term):\n"
-              "    if isinstance(term, Stepped): return {}\n"
-              "    if isinstance(term, Twice): return {}\n"
-              "    if isinstance(term, Swept): return {}\n"
-              "    if isinstance(term, Listed): return {}\n")
+              "def _oracle_json(ref, var):\n    return {}\n")
     assert _terms_off_one_route(source) == ["Twice", "Swept", "Listed", "Unlisted"]
 
 
