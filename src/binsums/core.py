@@ -139,20 +139,56 @@ def weighted_class_sums(period: int, spec: RecurrenceSpec,
         n += 1
 
 
-def pascal_rows(g: list[int], stride: int = 1, alternate: bool = False) -> Iterator[list[int]]:
-    """For m = 0, 1, 2, ... yield [sum_i s^i C(m, i) g[x + stride*i] for x in
-    range(len(g) - m*stride)], s = -1 if alternate else 1, until it is empty.
+def pascal_rows(g: list[int]) -> Iterator[list[int]]:
+    """For m = 0, 1, 2, ... yield [sum_i C(m, i) g[x + i] for x in
+    range(len(g) - m)], until it is empty.
 
-    By Pascal's rule row m+1 is row m plus s times row m shifted by stride:
-    one addition or subtraction per entry.  Every yielded list is new.
+    By Pascal's rule row m+1 is row m plus row m shifted by one: one
+    addition per entry.  Every yielded list is new.
     """
-    if stride < 1:
-        raise ValueError("pascal_rows requires stride >= 1")
-    step = operator.sub if alternate else operator.add
     row = list(g)
     while row:
         yield row
-        row = list(map(step, row, row[stride:]))
+        row = list(map(operator.add, row, row[1:]))
+
+
+def signed_row_steps(spec: RecurrenceSpec, t: int, s: int, x0: int = 0,
+                     n0: int = 0) -> Iterator[int]:
+    """For n = n0, n0+1, ... (n0 >= 0) yield row 2n+1 of Delta u(x) = u(x) - u(x + s)
+    at x0 + t*n, sum_k (-1)^k C(2n+1, k) u(x0 + t*n + s*k), u the sequence of spec.
+
+    Delta commutes with the shift, so a row has spec's recurrence and is kept
+    as its d values from its read position on: the seeds move to x0 + t*n0
+    and take Delta 2*n0+1 times, then each n moves by t and takes Delta
+    twice, O(d * (|t| + 2|s|)) operations.  A value below the d held is one
+    exact division by the last coefficient; a remainder raises ValueError.
+    """
+    *head, last = coeffs = spec.coeffs
+    if not last or n0 < 0:
+        raise ValueError(f"signed_row_steps of {spec.name} needs a nonzero last coefficient and n0 >= 0")
+    d, b = len(coeffs), min(s, 0)  # Delta reads the row at b..d-1+max(s, 0)
+
+    def extend(w: list[int], lo: int, hi: int) -> list[int]:
+        # the values at lo..hi of the row whose values at 0..d-1 are w; w is extended in place
+        while len(w) <= hi:
+            w.append(sum(map(operator.mul, coeffs, reversed(w[-d:]))))
+        for _ in range(-lo):
+            below, r = divmod(w[d - 1] - sum(map(operator.mul, head, reversed(w[:d - 1]))), last)
+            if r:
+                raise ValueError(f"{spec.name}: a backward step leaves a remainder mod {last}")
+            w.insert(0, below)
+        return w[max(lo, 0):][:hi - lo + 1]
+
+    def delta(w: list[int]) -> list[int]:
+        e = extend(w, b, max(s, 0) + d - 1)
+        return [e[j - b] - e[j + s - b] for j in range(d)]
+
+    w = extend(list(spec.seeds), x0 + t * n0, x0 + t * n0 + d - 1)
+    for _ in range(2 * n0 + 1):
+        w = delta(w)
+    while True:
+        yield w[0]
+        w = delta(delta(extend(w, t, t + d - 1)))
 
 
 def kronecker(a: int, m: int) -> int:

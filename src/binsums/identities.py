@@ -13,7 +13,8 @@ Every term has one route to its values, `values(ns)`, a list for all the n
 writes its own JSON object, `json()`.  A centered sum reads core.class_sums,
 or core.weighted_class_sums with a weight oracle, scales its table and
 center by D, the lcm of their denominators, and divides by D once per n.
-The row sums against a sequence read core.pascal_rows, and the cosine
+A binomial transform reads core.pascal_rows, a row convolution
+core.signed_row_steps along its oracle's recurrence, and the cosine
 product cyclo.cos_product_resultants.  Each oracle a side reads comes from
 one bulk read, sequences.seq_values (OracleRef.read for an index a*n + b);
 rhs_values sums the terms' columns in one pass and checks that the totals
@@ -29,7 +30,8 @@ import time
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .core import Frozen, _integer, class_sums, kronecker, pascal_rows, weighted_class_sums
+from .core import (Frozen, _integer, class_sums, kronecker, pascal_rows, signed_row_steps,
+                   weighted_class_sums)
 from .cyclo import cos_product_resultants
 from .sequences import get_oracle, seq_values
 
@@ -271,14 +273,14 @@ class BinomialTransform(Frozen):
 
 
 class SignedRowConvolution(Frozen):
-    """sum_{k=0}^{2n+1} (-1)^k C(2n+1, k) * oracle(an*n + ak*k + c).
-
-    The oracle index may run negative for large k, so the cited sequence
-    must carry a backward extension rule.
-    """
+    """sum_{k=0}^{2n+1} (-1)^k C(2n+1, k) * oracle(an*n + ak*k + c), the oracle a recurrence
+    with a nonzero last coefficient, and a backward rule where an index runs negative."""
 
     def __init__(self, oracle_name: str, an: int, ak: int, c: int = 0) -> None:
         _integer(an, ak, c)
+        if (spec := get_oracle(oracle_name).spec()) is None or not spec.coeffs[-1]:
+            why = "it has no recurrence" if spec is None else "its recurrence's last coefficient is 0"
+            raise ValueError(f"row convolution oracle {oracle_name}: {why}, so no row can step it")
         self._set(oracle_name=oracle_name, an=an, ak=ak, c=c)
 
     def json(self) -> dict:
@@ -286,35 +288,22 @@ class SignedRowConvolution(Frozen):
                 "index": _affine_str({"n": self.an, "k": self.ak}, self.c)}
 
     def values(self, ns: list[int]) -> list[int]:
-        """The convolution at every n in ns, by core.pascal_rows over the oracle.
-
-        Every index lies on the lattice c + d*Z, d = gcd(an, ak), so the
-        oracle is read once over one window g of it, reversed when the k
-        step is negative so that the step runs up the window.  The value at
-        n is then entry x_n of the alternating row 2n+1 with stride |ak| / d,
-        x_n the place of n's k = 0 summand in g; a row costs one subtraction
-        per entry.
-        """
+        """The convolution at every n in ns, by core.signed_row_steps: row 2n+1 of
+        Delta u(x) = u(x) - u(x + ak/g) at an/g*n - low, g = gcd(an, ak), u(x) the
+        oracle dilated to c + g*(low + x), low the lowest position on the lattice
+        c + g*Z the direct sum reads over ns, so that no step reads below u(0)."""
         # no n, or every summand reads g(an*n + c) and sum_k (-1)^k C(2n+1, k) = 0
         if not (self.ak and ns):
             _max_n(ns)  # a negative n is refused here too
             return [0 * v for v in seq_values(self.oracle_name, [self.an * n + self.c for n in ns])]
-        d = math.gcd(self.an, self.ak)
-        t, s = self.an // d, self.ak // d
-        first, last = min(ns), max(ns)
-        # lattice positions x (oracle index c + d*x) of the first and last
-        # summands at n = first and n = last; every other summand of an n
-        # with first <= n <= last lies between them, so g is defined on the
-        # whole window wherever the direct sum is defined on ns
-        ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
-        lo, hi = min(ends), max(ends)
-        g = seq_values(self.oracle_name, [self.c + d * x for x in range(lo, hi + 1)])
-        if s < 0:
-            g.reverse()
-        rows = islice(pascal_rows(g, abs(s), alternate=True), 1, None, 2)
-        # x_n of a row before n = first can fall outside the window
-        return _pick((row[t * n - lo if s > 0 else hi - t * n] if n >= first else None
-                      for n, row in enumerate(rows)), ns)
+        g = math.gcd(self.an, self.ak)
+        t, s = self.an // g, self.ak // g
+        first, last = min(ns), _max_n(ns)
+        # each summand of first..last lies above the lowest at n = first or last
+        low = min(t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
+        u = get_oracle(self.oracle_name).dilate(None, g, self.c + g * low)
+        rows = list(islice(signed_row_steps(u, t, s, -low, first), last - first + 1))
+        return [rows[n - first] for n in ns]
 
 
 class DiagonalSum(Frozen):

@@ -2,13 +2,15 @@
 arithmetic and one n at a time.
 
 The package evaluates every term by one `values(ns)` route that steps a
-Pascal-rule kernel (core.class_sums, core.weighted_class_sums,
-core.pascal_rows) or a closed rule across all n at once.  These are the slow routes the tests hold those
-values to: each centered-sum summand as its own binomial, each row sum
-term by term in math.comb.  Nothing here reads a kernel.
+kernel (core.class_sums, core.weighted_class_sums, core.pascal_rows,
+core.signed_row_steps) or a closed rule across all n at once.  These are
+the slow routes the tests hold those values to: each centered-sum summand
+as its own binomial, each row sum term by term in math.comb, and a row
+convolution at large n also over one window of its oracle and the
+alternating Pascal triangle.  Nothing here reads a kernel.
 """
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from binsums.identities import (
     SIGN_ALT_J,
@@ -24,7 +26,7 @@ from binsums.identities import (
     ScaledOracle,
     SignedRowConvolution,
 )
-from binsums.sequences import seq_eval
+from binsums.sequences import seq_eval, seq_values
 
 
 def binomial(n: int, k: int) -> int:
@@ -89,6 +91,37 @@ def signed_row_convolution(term: SignedRowConvolution, n: int) -> Fraction:
         total += sign * binomial(row, k) * seq_eval(term.oracle_name,
                                                     term.an * n + term.ak * k + term.c)
     return total
+
+
+def signed_row_convolution_window(term: SignedRowConvolution, ns: list[int]) -> list[int]:
+    """The convolution at every n of ns from one window of the oracle and
+    the alternating Pascal triangle over it, for n where the term-by-term
+    route is too slow.
+
+    Every index lies on the lattice c + g*Z, g = gcd(an, ak), so the oracle
+    is read once over one window w of it, reversed when the k step is
+    negative so that the step runs up the window.  Row m of the triangle is
+    sum_i (-1)^i C(m, i) w(x + q*i), q = |ak| / g, each row from the last by
+    one subtraction per entry, and the value at n is entry x_n of row
+    2n+1, x_n the place of n's k = 0 summand in w.  Nothing is stepped by a
+    recurrence.
+    """
+    g = gcd(term.an, term.ak)
+    t, s = term.an // g, term.ak // g
+    first, last = min(ns), max(ns)
+    # every summand of an n with first <= n <= last lies between the lowest
+    # and the highest of those at n = first and n = last
+    ends = (t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
+    lo, hi = min(ends), max(ends)
+    row = seq_values(term.oracle_name, [term.c + g * x for x in range(lo, hi + 1)])
+    if s < 0:
+        row.reverse()
+    q, at = abs(s), {}
+    for m in range(2 * last + 2):
+        if m % 2 and m // 2 >= first:
+            at[m // 2] = row[t * (m // 2) - lo if s > 0 else hi - t * (m // 2)]
+        row = [a - b for a, b in zip(row, row[q:])]
+    return [at[n] for n in ns]
 
 
 def diagonal_sum(term: DiagonalSum, n: int) -> Fraction:

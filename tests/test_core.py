@@ -2,7 +2,9 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import cache
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -13,6 +15,7 @@ from binsums.core import (
     kronecker,
     pascal_rows,
     rec_steps,
+    signed_row_steps,
     weighted_class_sums,
 )
 from binsums.discovery import _FACTORS, _factor, derive_profile
@@ -407,20 +410,65 @@ def test_weighted_class_sums_refuse_what_they_cannot_step():
         next(weighted_class_sums(2, RecurrenceSpec("stops", (1, 0), (1, 1))))
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("alternate", [False, True])
 @pytest.mark.parametrize("length", [1, 2, 7, 30])
-def test_pascal_rows_equal_the_direct_binomial_sums(stride, alternate, length):
+def test_pascal_rows_equal_the_direct_binomial_sums(length):
     g = [(-2) ** x + 3 * x * x - 5 for x in range(length)]
-    sign = -1 if alternate else 1
-    rows = list(pascal_rows(g, stride, alternate))
-    assert len(rows) == (length - 1) // stride + 1
+    rows = list(pascal_rows(g))
+    assert len(rows) == length
     for m, row in enumerate(rows):
-        assert row == [sum(sign ** i * binomial(m, i) * g[x + stride * i]
-                           for i in range((length - 1 - x) // stride + 1))
-                       for x in range(length - m * stride)], m
+        assert row == [sum(binomial(m, i) * g[x + i] for i in range(length - x))
+                       for x in range(length - m)], m
 
 
-def test_pascal_rows_rejects_a_stride_below_one():
-    with pytest.raises(ValueError, match="stride >= 1"):
-        next(pascal_rows([1, 2, 3], 0))
+def direct_signed_rows(spec, t, s, x0, ns):
+    """sum_k (-1)^k C(2n+1, k) u(x0 + t*n + s*k) for each n of ns, one
+    math.comb binomial per summand, u read by rec_eval: stepped forward
+    from the seeds, and below 0 only by the spec's negative rule."""
+    u = cache(lambda x: rec_eval(spec, x))
+    return [sum((-1) ** k * comb(2 * n + 1, k) * u(x0 + t * n + s * k) for k in range(2 * n + 2))
+            for n in ns]
+
+
+# last coefficients -2 and -5, so a backward value is an exact division
+_ROW_SPECS = [get_oracle("pelltrans").spec(), get_oracle("A094667").spec()]
+
+
+@pytest.mark.parametrize("spec", _ROW_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("s", [-3, -1, 1, 2])
+@pytest.mark.parametrize("t", [-2, 0, 1, 3])
+def test_signed_row_steps_equal_the_direct_sums(spec, t, s):
+    """x0 puts the lowest read over n0..n0+12 at u(0), so every backward
+    step the rows take runs down to u(0) and divides exactly."""
+    for n0 in (0, 1, 4):
+        ns = range(n0, n0 + 13)
+        x0 = -min(t * n + min(0, s * (2 * n + 1)) for n in (ns[0], ns[-1]))
+        rows = list(islice(signed_row_steps(spec, t, s, x0, n0), len(ns)))
+        assert rows == direct_signed_rows(spec, t, s, x0, ns), (n0, x0)
+
+
+@pytest.mark.parametrize("t, s, x0", [(1, -1, -20), (-2, 1, 3), (0, -2, 0), (3, 2, -40)])
+def test_signed_row_steps_read_below_zero_by_the_recurrence_run_backward(t, s, x0):
+    # fib's last coefficient is 1 and its negative rule is its recurrence
+    # run backward, so a row held at negative positions stays exact
+    for n0 in (0, 5):
+        rows = list(islice(signed_row_steps(FIB, t, s, x0, n0), 15))
+        assert rows == direct_signed_rows(FIB, t, s, x0, range(n0, n0 + 15)), n0
+
+
+@pytest.mark.parametrize("spec", _ROW_SPECS, ids=lambda s: s.name)
+def test_signed_row_steps_raise_where_a_backward_value_is_no_integer(spec):
+    # u(-1) is -1/2 for pelltrans and -3/5 for A094667
+    with pytest.raises(ValueError, match="leaves a remainder"):
+        next(signed_row_steps(spec, 0, -1))
+    # at n = 6 the row reads u(-1); the rows up to n = 5 never do
+    rows = signed_row_steps(spec, -1, 1, 5)
+    assert list(islice(rows, 6)) == direct_signed_rows(spec, -1, 1, 5, range(6))
+    with pytest.raises(ValueError, match="leaves a remainder"):
+        next(rows)
+
+
+def test_signed_row_steps_refuse_what_they_cannot_step():
+    with pytest.raises(ValueError, match="nonzero last coefficient"):
+        next(signed_row_steps(RecurrenceSpec("stops", (1, 0), (1, 1)), 1, 1))
+    with pytest.raises(ValueError, match="n0 >= 0"):
+        next(signed_row_steps(FIB, 1, 1, 0, -1))

@@ -519,7 +519,7 @@ def test_fractional_tables_raise_through_verify_like_rhs_eval(n_min):
 
 
 @pytest.mark.parametrize("ns", [list(range(41)), [3, 7, 8, 30]])
-def test_row_convolution_pascal_rows_read_equals_direct_evaluation(ns):
+def test_row_convolution_steps_equal_direct_evaluation(ns):
     """A zero, a negative and a non-dividing k step, a zero n step, and an
     ns with gaps and a late start."""
     for an in (-3, -2, 0, 1, 4):
@@ -530,9 +530,9 @@ def test_row_convolution_pascal_rows_read_equals_direct_evaluation(ns):
                     an, ak, c)
 
 
-def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
+def test_row_convolution_steps_start_at_the_first_n():
     """pell has no backward rule: ns that start late keep every index the
-    table reads at or above the lowest one the reference reads."""
+    rows read at or above the lowest one the reference reads."""
     with pytest.raises(ValueError, match="not defined"):
         ref.signed_row_convolution(SignedRowConvolution("pell", 1, 1, -2), 1)
     for an, ak, c, ns in ((1, 1, -2, [2, 3]), (1, 1, -2, [2, 5, 6, 17]),
@@ -542,24 +542,88 @@ def test_row_convolution_pascal_rows_read_starts_at_the_first_n():
             an, ak, c, ns)
 
 
-def test_a_row_convolution_whose_window_crosses_zero_reads_its_oracle_once(monkeypatch):
-    """The fib window of the convolution at n = 0..200 runs over lattice
-    positions -201..200, fib indices -802..802: its negative indices are
-    reflected inside the one memo read, not read one index at a time."""
-    from binsums import sequences
+def test_a_row_convolution_reads_its_oracle_a_fixed_number_of_times(monkeypatch):
+    """fib(4n - 4k + 2) steps along its dilated recurrence: fib is read at
+    most d + 1 = 3 times, however far the rows run, and core.pascal_rows is
+    never read."""
+    from binsums import identities, sequences
+    term = SignedRowConvolution("fib", 4, -4, 2)
     reads = []
     memo_values = sequences._memo_values
 
     def counted_memo_values(name, param, n):
-        reads.append((name, param, n))
+        if name == "fib":
+            reads.append(n)
         return memo_values(name, param, n)
 
+    def no_rows(*args):
+        raise AssertionError("a row convolution read core.pascal_rows")
+
     monkeypatch.setattr(sequences, "_memo_values", counted_memo_values)
-    term = SignedRowConvolution("fib", 4, -4, 2)
-    ns = list(range(201))
-    values = term.values(ns)
-    assert reads == [("fib", None, 802)]
+    monkeypatch.setattr(identities, "pascal_rows", no_rows)
+    counts = []
+    for n_max in (100, 400):
+        reads.clear()
+        values = term.values(list(range(n_max + 1)))
+        counts.append(len(reads))
+    assert counts[0] == counts[1] <= 3
     assert values[:41] == [ref.signed_row_convolution(term, n) for n in range(41)]
+
+
+@pytest.mark.parametrize("name", ["A", "scriptLdiag"])  # a steps oracle and a rule oracle
+def test_a_row_convolution_oracle_the_kernel_cannot_step_is_refused(name):
+    with pytest.raises(ValueError, match=f"row convolution oracle {name}: it has no recurrence, "
+                                         f"so no row can step it"):
+        SignedRowConvolution(name, 4, -4, 2)
+
+
+def test_a_row_convolution_recurrence_ending_in_zero_is_refused(monkeypatch):
+    from binsums import sequences
+    spec = RecurrenceSpec("stops", (1, 0), (1, 1))
+    monkeypatch.setitem(sequences._REGISTRY, "stops", sequences.SequenceOracle("stops", spec))
+    with pytest.raises(ValueError, match="row convolution oracle stops: its recurrence's last coeff"):
+        SignedRowConvolution("stops", 1, 1)
+
+
+def test_registry_row_convolutions_equal_the_window_route_to_400():
+    ns = list(range(401))
+    for ident in find("lucas1878-odd-power"):
+        (term,) = ident.terms
+        assert term.values(ns) == ref.signed_row_convolution_window(term, ns), ident.label
+
+
+# |s| = 3 with t = 2 (an = 2, ak = 3), |s| = 2 with t = -1 (an = -3, ak = 6),
+# negative t over both signs of s, a zero t, and a k step that divides an
+_ROW_GRID = [(2, 3), (-3, 6), (-3, 1), (-1, -2), (0, -3), (5, -1), (4, -2)]
+
+
+@pytest.mark.parametrize("oracle", ["fib", "lucas"])
+@pytest.mark.parametrize("an, ak", _ROW_GRID)
+def test_row_convolutions_equal_the_window_route_to_60(oracle, an, ak):
+    for c in (-1, 0, 3):
+        term = SignedRowConvolution(oracle, an, ak, c)
+        for ns in (list(range(61)), [4, 9, 10, 33, 60], [60]):
+            assert term.values(ns) == ref.signed_row_convolution_window(term, ns), (c, ns)
+
+
+# no backward rule: pell (order 2, last coefficient 1), pow3 (order 1, last
+# coefficient 3) and A094667 (order 4, last coefficient -5)
+@pytest.mark.parametrize("oracle", ["pell", "pow3", "A094667"])
+@pytest.mark.parametrize("an, ak", _ROW_GRID)
+def test_row_convolutions_equal_the_window_route_where_they_start(oracle, an, ak):
+    """With c the least that keeps every index over ns at or above 0, the
+    lowest read is the oracle at 0, and one less raises on both routes at
+    -1.  Where that lowest read is at the last n, the rows of n + 1 would
+    read below it, which pow3 and A094667 cannot step to: the rows stop at
+    the last n."""
+    for ns in ([20, 21, 45, 60], list(range(37, 61))):
+        c = -min(an * n + ak * k for n in (ns[0], ns[-1]) for k in (0, 2 * n + 1))
+        term = SignedRowConvolution(oracle, an, ak, c)
+        assert term.values(ns) == ref.signed_row_convolution_window(term, ns), ns
+        short = SignedRowConvolution(oracle, an, ak, c - 1)
+        for route in (short.values, lambda ns: ref.signed_row_convolution_window(short, ns)):
+            with pytest.raises(ValueError, match=f"{oracle} is not defined at n = -1$"):
+                route(ns)
 
 
 def test_row_convolution_with_no_k_step_reads_its_oracle():
@@ -846,6 +910,7 @@ def test_row_convolution_index_follows_affine_str():
             "terms"][0]["index"]
 
     assert index(an=1, ak=-1, c=0) == "n-k"
+    assert index(an=2, ak=1) == "2n+k"
     assert index(an=1, ak=1, c=0) == "n+k"
     assert index(an=-2, ak=3, c=-1) == "-2n+3k-1"
     # a zero slope drops its part of the index

@@ -20,6 +20,7 @@ KERNELS = {
     "class_sums": core,
     "weighted_class_sums": core,
     "pascal_rows": core,
+    "signed_row_steps": core,
     "power_sums": cyclo,
     "cos_product_resultants": cyclo,
 }
@@ -92,3 +93,10 @@ def test_central_delight_reads_only_power_sums_on_its_right_side():
     # neither class_sums nor pascal_rows, which sum binomials by residue
     [ident] = find("central-delight")
     assert kernel_reads(ident)["rhs"] == {"power_sums"}
+
+
+@pytest.mark.parametrize("ident", find("lucas1878-odd-power"), ids=lambda i: i.label)
+def test_lucas1878_reads_the_signed_row_steps_on_its_right_side_only(ident):
+    # fiboddpow is first-order and reads no shared kernel; the right side
+    # steps its rows in signed_row_steps along fib dilated by power_sums
+    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"signed_row_steps", "power_sums"}}
