@@ -1,4 +1,5 @@
-"""Exact integer kernels: binomial coefficients, Kronecker symbols, linear recurrences.
+"""Exact integer kernels: binomial coefficients, the Pascal-rule row and
+diagonal sums, Kronecker symbols, linear recurrences.
 
 Everything in this module is exact; no floating point is used anywhere.
 Frozen, the immutable base of the package's value classes, lives here too.
@@ -189,6 +190,21 @@ def signed_row_steps(spec: RecurrenceSpec, t: int, s: int, x0: int = 0,
     while True:
         yield w[0]
         w = delta(delta(extend(w, t, t + d - 1)))
+
+
+def diagonal_steps(base: int) -> Iterator[int]:
+    """For n = 0, 1, 2, ... yield D(n) = sum_r (-1)^r C(2n-r, r) base^(n-r).
+
+    a(m) = sum_r C(m-r, r) t^r has a(m+1) = a(m) + t*a(m-1) by Pascal's rule
+    on the shallow diagonals.  With t = -1/base, D(n) = base^n a(2n) and
+    E(n) = base^n a(2n+1) are integers: E(n) = D(n) - E(n-1) and
+    D(n+1) = base*E(n) - D(n), two integer steps per n, for any base.
+    """
+    d, e = 1, 0  # D(0), E(-1)
+    while True:
+        yield d
+        e = d - e
+        d = base * e - d
 
 
 def kronecker(a: int, m: int) -> int:

@@ -14,11 +14,11 @@ writes its own JSON object, `json()`.  A centered sum reads core.class_sums,
 or core.weighted_class_sums with a weight oracle, scales its table and
 center by D, the lcm of their denominators, and divides by D once per n.
 A binomial transform reads core.pascal_rows, a row convolution
-core.signed_row_steps along its oracle's recurrence, and the cosine
-product cyclo.cos_product_resultants.  Each oracle a side reads comes from
-one bulk read, sequences.seq_values (OracleRef.read for an index a*n + b);
-rhs_values sums the terms' columns in one pass and checks that the totals
-are integers once per batch.  The tests hold every term to a direct
+core.signed_row_steps along its oracle's recurrence, the diagonal sum
+core.diagonal_steps, and the cosine product cyclo.cos_product_resultants.
+Each oracle a side reads comes from one bulk read, sequences.seq_values
+(OracleRef.read for an index a*n + b); rhs_values sums the terms' columns
+in one pass and checks that the totals are integers once per batch.  The tests hold every term to a direct
 reference: tests/identities_reference.py and tests/cyclo_reference.py.
 """
 from __future__ import annotations
@@ -30,8 +30,8 @@ import time
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .core import (Frozen, _integer, class_sums, kronecker, pascal_rows, signed_row_steps,
-                   weighted_class_sums)
+from .core import (Frozen, _integer, class_sums, diagonal_steps, kronecker, pascal_rows,
+                   signed_row_steps, weighted_class_sums)
 from .cyclo import cos_product_resultants
 from .sequences import get_oracle, seq_values
 
@@ -307,7 +307,7 @@ class SignedRowConvolution(Frozen):
 
 
 class DiagonalSum(Frozen):
-    """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r); no kernel steps it."""
+    """sum_{r=0}^n (-1)^r C(2n-r, r) * base^(n-r)."""
 
     def __init__(self, base: int = 5) -> None:
         _integer(base)
@@ -317,17 +317,9 @@ class DiagonalSum(Frozen):
         return {"kind": "diagonal-sum", "base": self.base}
 
     def values(self, ns: list[int]) -> list[int]:
-        """The sum at each n in ints by Horner's rule in the base, stepping
-        C(2n-r+1, r-1) to C(2n-r, r) multiplicatively."""
-        _max_n(ns)  # a negative n is refused before any work
-        out = []
-        for n in ns:
-            total, c = 1, 1
-            for r in range(1, n + 1):
-                c = c * (2 * n - 2 * r + 2) * (2 * n - 2 * r + 1) // ((2 * n - r + 1) * r)
-                total = total * self.base + (-c if r % 2 else c)
-            out.append(total)
-        return out
+        """The sum at every n in ns, from one run of core.diagonal_steps up
+        to max(ns)."""
+        return _pick(diagonal_steps(self.base), ns)
 
 
 class CosProduct(Frozen):

@@ -8,10 +8,12 @@ from math import comb
 
 import pytest
 
+import identities_reference as ref
 from binsums.core import (
     RecurrenceSpec,
     binomial,
     class_sums,
+    diagonal_steps,
     kronecker,
     pascal_rows,
     rec_steps,
@@ -19,7 +21,7 @@ from binsums.core import (
     weighted_class_sums,
 )
 from binsums.discovery import _FACTORS, _factor, derive_profile
-from binsums.identities import OracleRef
+from binsums.identities import DiagonalSum, OracleRef
 from binsums.sequences import _MEMO, get_oracle, seq_eval
 from recurrence_reference import rec_eval
 
@@ -472,3 +474,15 @@ def test_signed_row_steps_refuse_what_they_cannot_step():
         next(signed_row_steps(RecurrenceSpec("stops", (1, 0), (1, 1)), 1, 1))
     with pytest.raises(ValueError, match="n0 >= 0"):
         next(signed_row_steps(FIB, 1, 1, 0, -1))
+
+
+@pytest.mark.parametrize("base", range(-3, 8))
+def test_diagonal_steps_equal_the_direct_binomial_sums(base):
+    direct = [sum((-1) ** r * comb(2 * n - r, r) * base ** (n - r) for r in range(n + 1))
+              for n in range(101)]
+    assert list(islice(diagonal_steps(base), 101)) == direct
+
+
+def test_the_diagonal_sum_far_out_equals_the_binomial_reference():
+    term = DiagonalSum(5)
+    assert term.values([400, 800]) == [ref.diagonal_sum(term, n) for n in (400, 800)]

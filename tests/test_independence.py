@@ -21,6 +21,7 @@ KERNELS = {
     "weighted_class_sums": core,
     "pascal_rows": core,
     "signed_row_steps": core,
+    "diagonal_steps": core,
     "power_sums": cyclo,
     "cos_product_resultants": cyclo,
 }
@@ -100,3 +101,10 @@ def test_lucas1878_reads_the_signed_row_steps_on_its_right_side_only(ident):
     # fiboddpow is first-order and reads no shared kernel; the right side
     # steps its rows in signed_row_steps along fib dilated by power_sums
     assert kernel_reads(ident) == {"lhs": set(), "rhs": {"signed_row_steps", "power_sums"}}
+
+
+def test_sury_diagonal_reads_the_diagonal_steps_on_its_right_side_only():
+    # lucas is read by its recurrence, not a kernel; the right side steps
+    # the shallow diagonals of Pascal's triangle in diagonal_steps
+    [ident] = find("sury-diagonal")
+    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"diagonal_steps"}}
