@@ -1,5 +1,5 @@
-"""Exact integer kernels: binomial coefficients, the Pascal-rule row and
-diagonal sums, Kronecker symbols, linear recurrences.
+"""Exact integer kernels: binomial coefficients, the Pascal-rule class,
+row and diagonal sums, Kronecker symbols, linear recurrences.
 
 Everything in this module is exact; no floating point is used anywhere.
 Frozen, the immutable base of the package's value classes, lives here too.
@@ -140,56 +140,43 @@ def weighted_class_sums(period: int, spec: RecurrenceSpec,
         n += 1
 
 
-def pascal_rows(g: list[int]) -> Iterator[list[int]]:
-    """For m = 0, 1, 2, ... yield [sum_i C(m, i) g[x + i] for x in
-    range(len(g) - m)], until it is empty.
+def row_steps(spec: RecurrenceSpec, s: int, sign: int, b: int, t: int, x0: int,
+              m0: int) -> Iterator[int]:
+    """For n = 0, 1, 2, ... yield (Q^(m0 + b*n) u)(x0 + t*n), u the sequence of
+    spec and Q = 1 + sign*E^s, E the shift u(x) -> u(x + 1), sign = +-1.
 
-    By Pascal's rule row m+1 is row m plus row m shifted by one: one
-    addition per entry.  Every yielded list is new.
+    Q commutes with the shift, so every row Q^m u has spec's recurrence and
+    is held as its d values from its read position on: the seeds move to x0
+    and take Q m0 times, then each n moves by t and takes Q b times, in
+    O(d * (|t| + b*|s|)) operations.  A value above the d held is a dot
+    product, one below them an exact division by the last coefficient: a
+    remainder or a last coefficient of 0 raises ValueError.
     """
-    row = list(g)
-    while row:
-        yield row
-        row = list(map(operator.add, row, row[1:]))
-
-
-def signed_row_steps(spec: RecurrenceSpec, t: int, s: int, x0: int = 0,
-                     n0: int = 0) -> Iterator[int]:
-    """For n = n0, n0+1, ... (n0 >= 0) yield row 2n+1 of Delta u(x) = u(x) - u(x + s)
-    at x0 + t*n, sum_k (-1)^k C(2n+1, k) u(x0 + t*n + s*k), u the sequence of spec.
-
-    Delta commutes with the shift, so a row has spec's recurrence and is kept
-    as its d values from its read position on: the seeds move to x0 + t*n0
-    and take Delta 2*n0+1 times, then each n moves by t and takes Delta
-    twice, O(d * (|t| + 2|s|)) operations.  A value below the d held is one
-    exact division by the last coefficient; a remainder raises ValueError.
-    """
+    if sign not in (1, -1) or b < 0 or m0 < 0:
+        raise ValueError(f"row_steps of {spec.name} needs sign +-1, b >= 0 and m0 >= 0")
     *head, last = coeffs = spec.coeffs
-    if not last or n0 < 0:
-        raise ValueError(f"signed_row_steps of {spec.name} needs a nonzero last coefficient and n0 >= 0")
-    d, b = len(coeffs), min(s, 0)  # Delta reads the row at b..d-1+max(s, 0)
+    d, lo, op = len(coeffs), min(s, 0), operator.add if sign > 0 else operator.sub
 
     def extend(w: list[int], lo: int, hi: int) -> list[int]:
         # the values at lo..hi of the row whose values at 0..d-1 are w; w is extended in place
         while len(w) <= hi:
             w.append(sum(map(operator.mul, coeffs, reversed(w[-d:]))))
         for _ in range(-lo):
+            if not last:
+                raise ValueError(f"{spec.name}: a backward step needs a nonzero last coefficient")
             below, r = divmod(w[d - 1] - sum(map(operator.mul, head, reversed(w[:d - 1]))), last)
             if r:
                 raise ValueError(f"{spec.name}: a backward step leaves a remainder mod {last}")
             w.insert(0, below)
         return w[max(lo, 0):][:hi - lo + 1]
 
-    def delta(w: list[int]) -> list[int]:
-        e = extend(w, b, max(s, 0) + d - 1)
-        return [e[j - b] - e[j + s - b] for j in range(d)]
-
-    w = extend(list(spec.seeds), x0 + t * n0, x0 + t * n0 + d - 1)
-    for _ in range(2 * n0 + 1):
-        w = delta(w)
+    w, times = extend(list(spec.seeds), x0, x0 + d - 1), m0
     while True:
+        for _ in range(times):  # Q once: the row at lo..d-1+max(s, 0), two terms per value
+            e = extend(w, lo, max(s, 0) + d - 1)
+            w = list(map(op, e[-lo:], e[s - lo:]))
         yield w[0]
-        w = delta(delta(extend(w, t, t + d - 1)))
+        w, times = extend(w, t, t + d - 1), b
 
 
 def diagonal_steps(base: int) -> Iterator[int]:

@@ -13,12 +13,12 @@ Every term has one route to its values, `values(ns)`, a list for all the n
 writes its own JSON object, `json()`.  A centered sum reads core.class_sums,
 or core.weighted_class_sums with a weight oracle, scales its table and
 center by D, the lcm of their denominators, and divides by D once per n.
-A binomial transform reads core.pascal_rows, a row convolution
-core.signed_row_steps along its oracle's recurrence, the diagonal sum
-core.diagonal_steps, and the cosine product cyclo.cos_product_resultants.
-Each oracle a side reads comes from one bulk read, sequences.seq_values
-(OracleRef.read for an index a*n + b); rhs_values sums the terms' columns
-in one pass and checks that the totals are integers once per batch.  The tests hold every term to a direct
+A binomial transform and a row convolution read core.row_steps along their
+oracle's recurrence, the diagonal sum core.diagonal_steps, and the cosine
+product cyclo.cos_product_resultants.  Each oracle a side reads comes from
+one bulk read, sequences.seq_values (OracleRef.read for an index a*n + b);
+rhs_values sums the terms' columns in one pass and checks that the totals
+are integers once per batch.  The tests hold every term to a direct
 reference: tests/identities_reference.py and tests/cyclo_reference.py.
 """
 from __future__ import annotations
@@ -30,8 +30,8 @@ import time
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .core import (Frozen, _integer, class_sums, diagonal_steps, kronecker, pascal_rows,
-                   signed_row_steps, weighted_class_sums)
+from .core import (Frozen, RecurrenceSpec, _integer, class_sums, diagonal_steps, kronecker,
+                   row_steps, weighted_class_sums)
 from .cyclo import cos_product_resultants
 from .sequences import get_oracle, seq_values
 
@@ -110,6 +110,17 @@ def _oracle_json(ref: OracleRef, var: str) -> dict:
     return {"sequence": ref.name, "param": ref.param, "index": ref.index_str(var)}
 
 
+def _refuse_unsteppable(ref: OracleRef, var: str, what: str, by: str, backward=True) -> None:
+    """Refuse a `what` oracle no `by` can step: it has no recurrence, a backward
+    step divides by its last coefficient 0, or its index, in var, has a < 1."""
+    spec = get_oracle(ref.name).spec(ref.param)
+    why = ("it has no recurrence" if spec is None else
+           "its recurrence's last coefficient is 0" if backward and not spec.coeffs[-1] else
+           f"its index {ref.index_str(var)} needs a >= 1" if ref.a < 1 else None)
+    if why:
+        raise ValueError(f"{what} oracle {ref.name}: {why}, so no {by} can step it")
+
+
 class CenteredSum(Frozen):
     """Periodic weighted slice of a centered binomial row; a weight oracle,
     affine in k, is an extra factor of each summand."""
@@ -125,13 +136,8 @@ class CenteredSum(Frozen):
         if sign not in _SIGNS:
             raise ValueError(f"unknown sign rule {sign!r}")
         center, weights = _rational(center), tuple(map(_rational, weights))
-        if (ref := weight_oracle) is not None:  # values steps it by its recurrence
-            spec = get_oracle(ref.name).spec(ref.param)
-            why = ("it has no recurrence" if spec is None else
-                   "its recurrence's last coefficient is 0" if not spec.coeffs[-1] else
-                   f"its index {ref.index_str('k')} needs a >= 1" if ref.a < 1 else None)
-            if why:
-                raise ValueError(f"weight oracle {ref.name}: {why}, so no sum can step it")
+        if weight_oracle is not None:  # values steps it by its recurrence
+            _refuse_unsteppable(weight_oracle, "k", "weight", "sum")
         self._set(weights=weights, period=period, row_odd=row_odd, center=center, sign=sign,
                   weight_oracle=weight_oracle)
 
@@ -250,13 +256,15 @@ class ScaledOracle(Frozen):
 
 
 class BinomialTransform(Frozen):
-    """sum_{j >= 0} C(n, stride*j + offset) * oracle(j)."""
+    """sum_{j >= 0} C(n, stride*j + offset) * oracle(j), the oracle a
+    recurrence read at an index a*j + b with a >= 1."""
 
     def __init__(self, oracle: OracleRef, stride: int = 1, offset: int = 0) -> None:
         _integer(stride, offset)
         if stride < 1 or offset < 0:
             raise ValueError(f"a binomial transform needs stride >= 1 and offset >= 0, "
                              f"not {stride} and {offset}")
+        _refuse_unsteppable(oracle, "j", "binomial transform", "row", backward=False)
         self._set(oracle=oracle, stride=stride, offset=offset)
 
     def json(self) -> dict:
@@ -264,12 +272,19 @@ class BinomialTransform(Frozen):
                 **_oracle_json(self.oracle, "j")}
 
     def values(self, ns: list[int]) -> list[int]:
-        """The transform at every n in ns: entry 0 of row n of
-        core.pascal_rows over g, the oracle read in one bulk read over j
-        and placed on column stride*j + offset, with zeros between."""
-        g = [0] * (_max_n(ns) + 1)
-        g[self.offset::self.stride] = self.oracle.read(range(len(g[self.offset::self.stride])))
-        return _pick((row[0] for row in pascal_rows(g)), ns)
+        """The transform at every n in ns, ((1 + E)^n v)(0) by core.row_steps: v is
+        u, the oracle dilated to its index, of order d, on the columns offset +
+        stride*j and 0 elsewhere, a recurrence at lags stride, 2*stride, ... of
+        order stride*(d + offset//stride), so that its seeds hold every column
+        the lags miss.  Its last coefficient may be 0: the row steps forward only."""
+        if _max_n(ns) < self.offset:  # no row reaches a placed column
+            return [0] * len(ns)
+        ref, step = self.oracle, self.stride
+        u = get_oracle(ref.name).dilate(ref.param, ref.a, ref.b)
+        d, q = len(u.coeffs), self.offset // step
+        coeffs, seeds = [0] * (step * (d + q)), [0] * (step * (d + q))
+        coeffs[step - 1:step * d:step], seeds[self.offset::step] = u.coeffs, u.seeds
+        return _pick(row_steps(RecurrenceSpec(u.name, coeffs, seeds), 1, 1, 1, 0, 0, 0), ns)
 
 
 class SignedRowConvolution(Frozen):
@@ -278,9 +293,7 @@ class SignedRowConvolution(Frozen):
 
     def __init__(self, oracle_name: str, an: int, ak: int, c: int = 0) -> None:
         _integer(an, ak, c)
-        if (spec := get_oracle(oracle_name).spec()) is None or not spec.coeffs[-1]:
-            why = "it has no recurrence" if spec is None else "its recurrence's last coefficient is 0"
-            raise ValueError(f"row convolution oracle {oracle_name}: {why}, so no row can step it")
+        _refuse_unsteppable(OracleRef(oracle_name), "k", "row convolution", "row")
         self._set(oracle_name=oracle_name, an=an, ak=ak, c=c)
 
     def json(self) -> dict:
@@ -288,22 +301,21 @@ class SignedRowConvolution(Frozen):
                 "index": _affine_str({"n": self.an, "k": self.ak}, self.c)}
 
     def values(self, ns: list[int]) -> list[int]:
-        """The convolution at every n in ns, by core.signed_row_steps: row 2n+1 of
-        Delta u(x) = u(x) - u(x + ak/g) at an/g*n - low, g = gcd(an, ak), u(x) the
+        """The convolution at every n in ns, by core.row_steps with Q = 1 - E^s:
+        row 2n+1 of Q at an/g*n - low, g = gcd(an, ak) and s = ak/g, of u(x), the
         oracle dilated to c + g*(low + x), low the lowest position on the lattice
         c + g*Z the direct sum reads over ns, so that no step reads below u(0)."""
         # no n, or every summand reads g(an*n + c) and sum_k (-1)^k C(2n+1, k) = 0
         if not (self.ak and ns):
             _max_n(ns)  # a negative n is refused here too
             return [0 * v for v in seq_values(self.oracle_name, [self.an * n + self.c for n in ns])]
-        g = math.gcd(self.an, self.ak)
+        g, first, last = math.gcd(self.an, self.ak), min(ns), _max_n(ns)
         t, s = self.an // g, self.ak // g
-        first, last = min(ns), _max_n(ns)
         # each summand of first..last lies above the lowest at n = first or last
         low = min(t * first, t * first + s * (2 * first + 1), t * last, t * last + s * (2 * last + 1))
         u = get_oracle(self.oracle_name).dilate(None, g, self.c + g * low)
-        rows = list(islice(signed_row_steps(u, t, s, -low, first), last - first + 1))
-        return [rows[n - first] for n in ns]
+        return _pick(row_steps(u, s, -1, 2, t, t * first - low, 2 * first + 1),
+                     [n - first for n in ns])
 
 
 class DiagonalSum(Frozen):

@@ -85,8 +85,9 @@ def compare(sequence: str, table: dict[int, int], count: int = 50, param: int | 
     """Align a registered oracle against a b-file's index -> value map.
 
     The oracle is read once, at count indices from its start; shifts in
-    [-3, 3] between local and b-file indexing are tried and the longest
-    initial agreement wins; comparison is exact integer equality.
+    [-3, 3] between local and b-file indexing are tried from -3 up, and a
+    later one wins only by a longer initial agreement, so a tie, no agreement
+    at all included, goes to the first tried; comparison is exact equality.
     """
     if count < MIN_MATCH:
         raise ValueError(f"count must be >= {MIN_MATCH} for a meaningful comparison")
@@ -94,8 +95,7 @@ def compare(sequence: str, table: dict[int, int], count: int = 50, param: int | 
     local = seq_values(sequence, range(start, start + count), param)
     best: AlignmentReport | None = None
     for shift in range(-3, 4):
-        matched = 0
-        mismatch = None
+        matched, mismatch = 0, None
         for n, value in enumerate(local, start):
             j = n + shift
             if j not in table:

@@ -2,8 +2,8 @@
 arithmetic and one n at a time.
 
 The package evaluates every term by one `values(ns)` route that steps a
-kernel (core.class_sums, core.weighted_class_sums, core.pascal_rows,
-core.signed_row_steps) or a closed rule across all n at once.  These are
+kernel (core.class_sums, core.weighted_class_sums, core.row_steps,
+core.diagonal_steps) or a closed rule across all n at once.  These are
 the slow routes the tests hold those values to: each centered-sum summand
 as its own binomial, each row sum term by term in math.comb, and a row
 convolution at large n also over one window of its oracle and the

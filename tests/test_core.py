@@ -15,9 +15,8 @@ from binsums.core import (
     class_sums,
     diagonal_steps,
     kronecker,
-    pascal_rows,
     rec_steps,
-    signed_row_steps,
+    row_steps,
     weighted_class_sums,
 )
 from binsums.discovery import _FACTORS, _factor, derive_profile
@@ -412,14 +411,70 @@ def test_weighted_class_sums_refuse_what_they_cannot_step():
         next(weighted_class_sums(2, RecurrenceSpec("stops", (1, 0), (1, 1))))
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 30])
-def test_pascal_rows_equal_the_direct_binomial_sums(length):
-    g = [(-2) ** x + 3 * x * x - 5 for x in range(length)]
-    rows = list(pascal_rows(g))
-    assert len(rows) == length
-    for m, row in enumerate(rows):
-        assert row == [sum(binomial(m, i) * g[x + i] for i in range(length - x))
-                       for x in range(length - m)], m
+def direct_rows(u, s, sign, b, t, x0, m0, ns):
+    """sum_k sign^k C(m, k) u(x + s*k) at m = m0 + b*n and x = x0 + t*n for
+    each n of ns, one math.comb binomial per summand."""
+    return [sum(sign ** k * comb(m0 + b * n, k) * u(x0 + t * n + s * k)
+                for k in range(m0 + b * n + 1)) for n in ns]
+
+
+def placed(spec, stride, offset):
+    """spec's sequence on the columns offset + stride*j and 0 elsewhere, as
+    a recurrence at lags stride, 2*stride, ... of order stride*(d + q),
+    q = offset // stride, whose last coefficient is 0 for q > 0; and its
+    values, read directly."""
+    d, q = len(spec.coeffs), offset // stride
+    coeffs = [0] * (stride * (d + q))
+    coeffs[stride - 1:stride * d:stride] = spec.coeffs
+    seeds = [rec_eval(spec, (x - offset) // stride) if x >= offset and (x - offset) % stride == 0
+             else 0 for x in range(len(coeffs))]
+    v = cache(lambda x: rec_eval(spec, (x - offset) // stride)
+              if x >= offset and (x - offset) % stride == 0 else 0)
+    return RecurrenceSpec(f"{spec.name} placed", tuple(coeffs), tuple(seeds)), v
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("offset", [0, 1, 2, 4, 5, 9])
+def test_row_steps_of_a_placed_sequence_equal_the_direct_binomial_sums(stride, offset):
+    """Q = 1 + E, one power per n, read at 0: the binomial transform of a
+    placed sequence, offsets at and past the stride included, where the
+    row steps forward only with a last coefficient of 0."""
+    for spec in (get_oracle("pow5").spec(), FIB, get_oracle("A094667").spec()):
+        v_spec, v = placed(spec, stride, offset)
+        assert (v_spec.coeffs[-1] == 0) == (offset >= stride)
+        rows = list(islice(row_steps(v_spec, 1, 1, 1, 0, 0, 0), 40))
+        assert rows == direct_rows(v, 1, 1, 1, 0, 0, 0, range(40)), spec.name
+
+
+@pytest.mark.parametrize("s, b, t, m0", [(1, 1, 0, 0), (2, 1, 1, 3), (-1, 2, 2, 1),
+                                         (-3, 1, -1, 0), (3, 0, 2, 4), (0, 1, 1, 0)])
+def test_row_steps_with_sign_plus_one_equal_the_direct_sums(s, b, t, m0):
+    # fib reads below 0 by its recurrence run backward; pelltrans starts
+    # where its lowest read is u(0)
+    fib = cache(lambda x: rec_eval(FIB, x))
+    for x0 in (-7, 0, 5):
+        rows = list(islice(row_steps(FIB, s, 1, b, t, x0, m0), 15))
+        assert rows == direct_rows(fib, s, 1, b, t, x0, m0, range(15)), x0
+    spec = get_oracle("pelltrans").spec()
+    x0 = -min(0, 14 * t + min(0, s) * (m0 + 14 * b), min(0, s) * m0)
+    rows = list(islice(row_steps(spec, s, 1, b, t, x0, m0), 15))
+    assert rows == direct_rows(cache(lambda x: rec_eval(spec, x)), s, 1, b, t, x0, m0, range(15))
+
+
+def test_a_row_ending_in_a_zero_coefficient_steps_forward_and_refuses_to_step_back():
+    stops = RecurrenceSpec("stops", (1, 0), (1, 1))  # 1, 1, 1, ... from its seeds on
+    rows = list(islice(row_steps(stops, 2, -1, 2, 1, 3, 1), 12))
+    assert rows == direct_rows(lambda x: rec_eval(stops, x), 2, -1, 2, 1, 3, 1, range(12))
+    # with t = -1 each n reads the row one below the d values held
+    rows = row_steps(stops, 1, 1, 1, -1, 3, 0)
+    assert next(rows) == direct_rows(lambda x: rec_eval(stops, x), 1, 1, 1, -1, 3, 0, [0])[0]
+    with pytest.raises(ValueError, match="stops: a backward step needs a nonzero last coeff"):
+        next(rows)
+
+
+def signed_rows(spec, t, s, x0=0, n0=0):
+    """Row 2n+1 of Delta u(x) = u(x) - u(x + s) at x0 + t*n for n = n0, n0+1, ..."""
+    return row_steps(spec, s, -1, 2, t, x0 + t * n0, 2 * n0 + 1)
 
 
 def direct_signed_rows(spec, t, s, x0, ns):
@@ -444,7 +499,7 @@ def test_signed_row_steps_equal_the_direct_sums(spec, t, s):
     for n0 in (0, 1, 4):
         ns = range(n0, n0 + 13)
         x0 = -min(t * n + min(0, s * (2 * n + 1)) for n in (ns[0], ns[-1]))
-        rows = list(islice(signed_row_steps(spec, t, s, x0, n0), len(ns)))
+        rows = list(islice(signed_rows(spec, t, s, x0, n0), len(ns)))
         assert rows == direct_signed_rows(spec, t, s, x0, ns), (n0, x0)
 
 
@@ -453,7 +508,7 @@ def test_signed_row_steps_read_below_zero_by_the_recurrence_run_backward(t, s, x
     # fib's last coefficient is 1 and its negative rule is its recurrence
     # run backward, so a row held at negative positions stays exact
     for n0 in (0, 5):
-        rows = list(islice(signed_row_steps(FIB, t, s, x0, n0), 15))
+        rows = list(islice(signed_rows(FIB, t, s, x0, n0), 15))
         assert rows == direct_signed_rows(FIB, t, s, x0, range(n0, n0 + 15)), n0
 
 
@@ -461,19 +516,22 @@ def test_signed_row_steps_read_below_zero_by_the_recurrence_run_backward(t, s, x
 def test_signed_row_steps_raise_where_a_backward_value_is_no_integer(spec):
     # u(-1) is -1/2 for pelltrans and -3/5 for A094667
     with pytest.raises(ValueError, match="leaves a remainder"):
-        next(signed_row_steps(spec, 0, -1))
+        next(signed_rows(spec, 0, -1))
     # at n = 6 the row reads u(-1); the rows up to n = 5 never do
-    rows = signed_row_steps(spec, -1, 1, 5)
+    rows = signed_rows(spec, -1, 1, 5)
     assert list(islice(rows, 6)) == direct_signed_rows(spec, -1, 1, 5, range(6))
     with pytest.raises(ValueError, match="leaves a remainder"):
         next(rows)
 
 
 def test_signed_row_steps_refuse_what_they_cannot_step():
+    # a last coefficient of 0 is refused where a row must step below its seeds
     with pytest.raises(ValueError, match="nonzero last coefficient"):
-        next(signed_row_steps(RecurrenceSpec("stops", (1, 0), (1, 1)), 1, 1))
-    with pytest.raises(ValueError, match="n0 >= 0"):
-        next(signed_row_steps(FIB, 1, 1, 0, -1))
+        next(signed_rows(RecurrenceSpec("stops", (1, 0), (1, 1)), 1, -1))
+    with pytest.raises(ValueError, match="m0 >= 0"):
+        next(signed_rows(FIB, 1, 1, 0, -1))
+    with pytest.raises(ValueError, match="sign \\+-1"):
+        next(row_steps(FIB, 1, 2, 1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("base", range(-3, 8))

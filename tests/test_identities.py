@@ -220,6 +220,26 @@ def test_binomial_transform_refuses_a_stride_below_one_or_a_negative_offset(stri
         BinomialTransform(OracleRef("fib"), stride, offset)
 
 
+@pytest.mark.parametrize("oracle, why", [(OracleRef("A"), "it has no recurrence"),
+                                         (OracleRef("scriptLdiag"), "it has no recurrence"),
+                                         (OracleRef("fib", a=0, b=2), "its index 2 needs a >= 1"),
+                                         (OracleRef("pow5", a=-1), "its index -j needs a >= 1")])
+def test_a_binomial_transform_oracle_no_row_can_step_is_refused_when_built(oracle, why):
+    with pytest.raises(ValueError) as info:
+        BinomialTransform(oracle, 2, 1)
+    assert str(info.value) == (f"binomial transform oracle {oracle.name}: {why}, "
+                               f"so no row can step it")
+
+
+def test_a_binomial_transform_steps_a_recurrence_ending_in_zero_forward(monkeypatch):
+    from binsums import sequences
+    spec = RecurrenceSpec("stops", (2, 0), (1, 3))  # 1, then 3 * 2^(j-1)
+    monkeypatch.setitem(sequences._REGISTRY, "stops", sequences.SequenceOracle("stops", spec))
+    for stride, offset in ((1, 0), (2, 3), (3, 1)):
+        term = BinomialTransform(OracleRef("stops", a=2, b=1), stride, offset)
+        assert term.values(list(range(30))) == [ref.binomial_transform(term, n) for n in range(30)]
+
+
 @pytest.mark.parametrize("ea, eb, exponent", [(1, -1, "n-1"), (-1, 0, "-n"), (-2, 5, "-2n+5"),
                                               (0, -3, "-3")])
 def test_a_power_of_zero_that_can_take_a_negative_exponent_is_refused(ea, eb, exponent):
@@ -444,7 +464,7 @@ def test_a_weight_read_below_its_oracles_start_raises_as_in_the_reference():
 def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
     """lewis-family[t=5] steps L(10k) by its order-2 recurrence: the weight
     is read at most d + 1 = 3 times, through OracleRef.value or the memo
-    of stepped sequences, however far the rows run, and core.pascal_rows is
+    of stepped sequences, however far the rows run, and core.row_steps is
     never read."""
     from binsums import identities, sequences
     (ident,) = [i for i in find("lewis-family") if i.lhs.param == 5]
@@ -463,11 +483,11 @@ def test_a_lewis_sum_reads_its_weight_a_fixed_number_of_times(monkeypatch):
         return memo_values(name, param, n)
 
     def no_rows(*args):
-        raise AssertionError("a weight-oracle sum read core.pascal_rows")
+        raise AssertionError("a weight-oracle sum read core.row_steps")
 
     monkeypatch.setattr(OracleRef, "value", counted_value)
     monkeypatch.setattr(sequences, "_memo_values", counted_memo_values)
-    monkeypatch.setattr(identities, "pascal_rows", no_rows)
+    monkeypatch.setattr(identities, "row_steps", no_rows)
     counts = []
     for n_max in (100, 400):
         reads.clear()
@@ -542,32 +562,59 @@ def test_row_convolution_steps_start_at_the_first_n():
             an, ak, c, ns)
 
 
-def test_a_row_convolution_reads_its_oracle_a_fixed_number_of_times(monkeypatch):
-    """fib(4n - 4k + 2) steps along its dilated recurrence: fib is read at
-    most d + 1 = 3 times, however far the rows run, and core.pascal_rows is
-    never read."""
+def _count_reads(monkeypatch, oracle: str) -> tuple[list[int], list[tuple]]:
+    """The memo reads of the oracle, and the runs of core.row_steps the
+    terms start, each recorded as it is made."""
     from binsums import identities, sequences
-    term = SignedRowConvolution("fib", 4, -4, 2)
-    reads = []
-    memo_values = sequences._memo_values
+    reads, runs = [], []
+    memo_values, row_steps = sequences._memo_values, identities.row_steps
 
     def counted_memo_values(name, param, n):
-        if name == "fib":
+        if name == oracle:
             reads.append(n)
         return memo_values(name, param, n)
 
-    def no_rows(*args):
-        raise AssertionError("a row convolution read core.pascal_rows")
+    def counted_row_steps(*args):
+        runs.append(args)
+        return row_steps(*args)
 
     monkeypatch.setattr(sequences, "_memo_values", counted_memo_values)
-    monkeypatch.setattr(identities, "pascal_rows", no_rows)
+    monkeypatch.setattr(identities, "row_steps", counted_row_steps)
+    return reads, runs
+
+
+def test_a_row_convolution_reads_its_oracle_a_fixed_number_of_times(monkeypatch):
+    """fib(4n - 4k + 2) steps along its dilated recurrence: fib is read at
+    most d + 1 = 3 times, however far the rows run, and core.row_steps runs
+    once per values call."""
+    term = SignedRowConvolution("fib", 4, -4, 2)
+    reads, runs = _count_reads(monkeypatch, "fib")
     counts = []
     for n_max in (100, 400):
         reads.clear()
+        runs.clear()
         values = term.values(list(range(n_max + 1)))
         counts.append(len(reads))
+        assert len(runs) == 1
     assert counts[0] == counts[1] <= 3
     assert values[:41] == [ref.signed_row_convolution(term, n) for n in range(41)]
+
+
+def test_a_binomial_transform_reads_its_oracle_a_fixed_number_of_times(monkeypatch):
+    """pow5 on the odd columns steps along its placed recurrence: its seed
+    pow5(0) is all it reads at n_max 100 and 800 alike, in one run of
+    core.row_steps, where a window of its columns would read to n_max/2."""
+    term = BinomialTransform(OracleRef("pow5"), 2, 1)
+    reads, runs = _count_reads(monkeypatch, "pow5")
+    seen = []
+    for n_max in (100, 800):
+        reads.clear()
+        runs.clear()
+        values = term.values(list(range(n_max + 1)))
+        seen.append(list(reads))  # the largest index of each memo read
+        assert len(runs) == 1
+    assert seen[0] == seen[1] == [0]
+    assert values[:61] == [ref.binomial_transform(term, n) for n in range(61)]
 
 
 @pytest.mark.parametrize("name", ["A", "scriptLdiag"])  # a steps oracle and a rule oracle

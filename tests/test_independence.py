@@ -19,8 +19,7 @@ from binsums.sequences import _MEMO
 KERNELS = {
     "class_sums": core,
     "weighted_class_sums": core,
-    "pascal_rows": core,
-    "signed_row_steps": core,
+    "row_steps": core,
     "diagonal_steps": core,
     "power_sums": cyclo,
     "cos_product_resultants": cyclo,
@@ -91,16 +90,24 @@ def test_the_check_sees_a_kernel_read_on_both_sides():
 
 def test_central_delight_reads_only_power_sums_on_its_right_side():
     # scriptLdiag checks C(2n-1, n-1), a binomial filter, so it must reach
-    # neither class_sums nor pascal_rows, which sum binomials by residue
+    # neither class_sums nor row_steps, which sum binomials by residue
     [ident] = find("central-delight")
     assert kernel_reads(ident)["rhs"] == {"power_sums"}
 
 
 @pytest.mark.parametrize("ident", find("lucas1878-odd-power"), ids=lambda i: i.label)
-def test_lucas1878_reads_the_signed_row_steps_on_its_right_side_only(ident):
+def test_lucas1878_reads_the_row_steps_on_its_right_side_only(ident):
     # fiboddpow is first-order and reads no shared kernel; the right side
-    # steps its rows in signed_row_steps along fib dilated by power_sums
-    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"signed_row_steps", "power_sums"}}
+    # steps its rows in row_steps along fib dilated by power_sums
+    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"row_steps", "power_sums"}}
+
+
+@pytest.mark.parametrize("ident", find("lucas1878-F") + find("lucas1878-L"),
+                         ids=lambda i: i.label)
+def test_lucas1878_transforms_read_the_row_steps_on_their_right_side_only(ident):
+    # fibscaled and lucasscaled are read by their recurrences; the right
+    # side steps (1 + E)^n in row_steps along pow5 dilated by power_sums
+    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"row_steps", "power_sums"}}
 
 
 def test_sury_diagonal_reads_the_diagonal_steps_on_its_right_side_only():

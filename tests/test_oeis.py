@@ -9,6 +9,7 @@ from binsums.oeis import (
     load_fixture,
     parse_bfile,
 )
+from binsums.sequences import seq_values
 
 
 def test_parse_basic():
@@ -98,6 +99,19 @@ def test_shifts_from_minus_three_to_three_are_tried(offset, shift):
     assert report.is_match == (shift is not None)
     if shift is not None:
         assert (report.shift, report.matched) == (shift, 50)
+
+
+def test_a_comparison_reads_fifty_terms_by_default():
+    # 60 agreeing entries, and only the default count of them is compared
+    table = dict(enumerate(seq_values("pell", range(60))))
+    assert compare("pell", table) == AlignmentReport(0, 50, None)
+
+
+def test_a_tie_goes_to_the_first_shift_tried():
+    # pell is never -1, so every shift differs at its first index: each
+    # agrees on 0 terms, and the first shift tried, -3, is reported
+    table = {j: -1 for j in range(-3, 60)}
+    assert compare("pell", table) == AlignmentReport(-3, 0, (0, 0, -1))
 
 
 def test_wrong_pairing_reports_divergence():
