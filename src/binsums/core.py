@@ -10,6 +10,7 @@ import numbers
 import operator
 from collections import deque
 from collections.abc import Iterator
+from itertools import count
 from math import comb
 
 
@@ -24,6 +25,12 @@ def _integer(*xs) -> None:
     for x in xs:
         if not _is_integer(x):
             raise TypeError(f"an integer field must be an int, not {x!r}")
+
+
+def _flag(x) -> None:
+    """Refuse a flag field unless it is a bool, so no 2 can stand in for True."""
+    if not isinstance(x, bool):
+        raise TypeError(f"a flag field must be a bool, not {x!r}")
 
 
 class Frozen:
@@ -96,48 +103,30 @@ def class_sums(period: int, row_odd: bool = False) -> Iterator[tuple[int, list[i
         n += 1
 
 
-def weighted_class_sums(period: int, spec: RecurrenceSpec,
-                        row_odd: bool = False) -> Iterator[tuple[int, list[int]]]:
-    """class_sums with each summand C(row, n+k) times g(k), for a C-finite g
-    with g(k+1) = spec(k): the seeds are g(1..d), and g(0) is never read.
+def half_row_steps(spec: RecurrenceSpec, row_odd: bool = False) -> Iterator[tuple[int, int]]:
+    """For n = 0, 1, 2, ... yield (C(row, n), sum of C(row, n+k) h(k) over k >= 1),
+    row = 2n or 2n+1, for a C-finite h with h(k+1) = spec(k): its seeds are h(1..d).
 
-    S_(r,j) = sum of C(2n, n+k) g(k+j) over k >= 1, k = r (mod period),
-    steps for j = 0..d-1 by Pascal's rule applied twice, with c0 and c1 as
-    in class_sums: S_(r,j)(n+1) = S_(r-1,j+1) + 2 S_(r,j) + S_(r+1,j-1)
-    + [r = 1] c0 g(j+1) - [r = 0] c1 g(j).  S_(.,d) is g's recurrence going
-    forward; S_(.,-1) less its k = 1 summand c1 g(0) goes backward over
-    k >= 2, one exact division by the last coefficient.  O(period * d)
-    operations per step; odd rows are read as in class_sums.
+    S_j = sum of C(2n, n+k) h(k+j) over k >= 1, j = 0..d-1, steps by Pascal's rule
+    applied twice, with c0 and c1 as in class_sums: S_j(n+1) = S_(j+1) + 2 S_j +
+    S_(j-1) + c0 h(j+1) - c1 h(j).  S_d is h's recurrence going forward; S_(-1) less
+    its k = 1 summand c1 h(0) goes backward over k >= 2, one exact division by the
+    last coefficient.  O(d) operations per step; odd rows read S_1 + S_0 + c0 h(1).
     """
-    coeffs, g = spec.coeffs, (0, *spec.seeds)  # g[j] = g(j) for j = 1..d
-    *head, last = coeffs
-    if period < 1 or not last:
-        raise ValueError(f"weighted_class_sums of {spec.name} needs period >= 1 and a "
-                         f"nonzero last coefficient, for the backward step")
-    d, one = len(coeffs), 1 % period
-    last_g0 = g[d] - sum(c * g[d - i] for i, c in enumerate(head, 1))  # c_d g(0)
-    s = [[0] * period for _ in range(d)]  # s[j][r] = S_(r,j)
-    c0, c1, n = 1, 0, 0
-    while True:
-        up = [sum(c * s[-i][r] for i, c in enumerate(coeffs, 1)) for r in range(period)]
-        if row_odd:
-            t = [(s[1] if d > 1 else up)[r - 1] + s[0][r] for r in range(period)]
-            t[one] += c0 * g[1]
-            yield c0 + c1, t
-        else:
-            yield c0, s[0]
-        down = [s[-1][r] - sum(c * s[-1 - i][r] for i, c in enumerate(head, 1))
-                for r in range(period)]
-        down[one] -= c1 * last_g0
-        ext = [[x // last for x in down], *s, up]  # ext[j + 1] = S_(., j)
-        s = [[ext[j + 2][r - 1] + 2 * ext[j + 1][r] + ext[j][(r + 1) % period]
-              for r in range(period)] for j in range(d)]
-        for j in range(d):
-            s[j][one] += c0 * g[j + 1]
-            s[j][0] -= c1 * g[j]  # g[0] = 0: ext[0] already left out c1 g(0)
+    *head, last = coeffs = spec.coeffs
+    if not last:
+        raise ValueError(f"{spec.name}: a backward step needs a nonzero last coefficient")
+    h = (0, *spec.seeds)  # h(1..d), and 0 for the h(0) that S_(-1) below leaves out
+    last_h0 = h[-1] - sum(map(operator.mul, head, reversed(h[1:-1])))  # c_d h(0)
+    s, c0, c1 = [0] * len(coeffs), 1, 0  # s[j] = S_j
+    for n in count():
+        down = s[-1] - sum(map(operator.mul, head, reversed(s[:-1]))) - c1 * last_h0
+        ext = [down // last, *s, sum(map(operator.mul, coeffs, reversed(s)))]  # S_(j-1) at j
+        yield (c0 + c1, ext[2] + ext[1] + c0 * h[1]) if row_odd else (c0, s[0])
+        s = [a + 2 * b + c + c0 * x - c1 * y
+             for a, b, c, x, y in zip(ext[2:], ext[1:], ext, h[1:], h)]
         c0 = 2 * (c0 + c1)
         c1 = c0 * (n + 1) // (n + 2)
-        n += 1
 
 
 def row_steps(spec: RecurrenceSpec, s: int, sign: int, b: int, t: int, x0: int,

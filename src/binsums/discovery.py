@@ -47,7 +47,7 @@ from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
-from .core import Frozen, class_sums
+from .core import Frozen, _flag, class_sums
 from .identities import CenteredSum, Domain, Identity, OracleRef, identity_json
 from .sequences import get_oracle
 
@@ -225,9 +225,11 @@ def derive_profile(
     `holdout` indices after it; the first one that contradicts those before
     it makes the profile infeasible, and only a system that passes them all
     is solved.
-    An unknown name raises KeyError and a refused parameter ValueError, both
-    up front; a target with no value in either range raises ValueError.
+    A non-bool row_odd raises TypeError, an unknown name KeyError and a
+    refused parameter ValueError, all up front; a target with no value in
+    either range raises ValueError.
     """
+    _flag(row_odd)
     if period < 1:
         raise ValueError("period must be >= 1")
     if solve_start < 0:

@@ -11,8 +11,8 @@ verification failure is a genuine counterexample, never round-off.
 Every term has one route to its values, `values(ns)`, a list for all the n
 `verify` checks, in ints wherever the term's coefficients are integral, and
 writes its own JSON object, `json()`.  A centered sum reads core.class_sums,
-or core.weighted_class_sums with a weight oracle, scales its table and
-center by D, the lcm of their denominators, and divides by D once per n.
+or core.half_row_steps with a weight oracle, scales its table and center by
+D, the lcm of their denominators, and divides by D once per n.
 A binomial transform and a row convolution read core.row_steps along their
 oracle's recurrence, the diagonal sum core.diagonal_steps, and the cosine
 product cyclo.cos_product_resultants.  Each oracle a side reads comes from
@@ -30,8 +30,8 @@ import time
 from fractions import Fraction
 from itertools import accumulate, islice
 
-from .core import (Frozen, RecurrenceSpec, _integer, class_sums, diagonal_steps, kronecker,
-                   row_steps, weighted_class_sums)
+from .core import (Frozen, RecurrenceSpec, _flag, _integer, class_sums, diagonal_steps,
+                   half_row_steps, kronecker, row_steps)
 from .cyclo import cos_product_resultants
 from .sequences import get_oracle, seq_values
 
@@ -110,13 +110,16 @@ def _oracle_json(ref: OracleRef, var: str) -> dict:
     return {"sequence": ref.name, "param": ref.param, "index": ref.index_str(var)}
 
 
-def _refuse_unsteppable(ref: OracleRef, var: str, what: str, by: str, backward=True) -> None:
-    """Refuse a `what` oracle no `by` can step: it has no recurrence, a backward
-    step divides by its last coefficient 0, or its index, in var, has a < 1."""
+def _refuse_unsteppable(ref: OracleRef, var: str, what: str, by: str, backward=True,
+                        first: int | None = None) -> None:
+    """Refuse a `what` oracle no `by` can step: it has no recurrence, a backward step
+    divides by its last coefficient 0, or its index in var has a < 1 or no value at first."""
     spec = get_oracle(ref.name).spec(ref.param)
     why = ("it has no recurrence" if spec is None else
            "its recurrence's last coefficient is 0" if backward and not spec.coeffs[-1] else
-           f"its index {ref.index_str(var)} needs a >= 1" if ref.a < 1 else None)
+           f"its index {ref.index_str(var)} needs a >= 1" if ref.a < 1 else
+           f"its index {ref.index_str(var)} has no value at {var} = {first}"
+           if first is not None and get_oracle(ref.name).domain(ref.a, ref.b)[0] > first else None)
     if why:
         raise ValueError(f"{what} oracle {ref.name}: {why}, so no {by} can step it")
 
@@ -129,6 +132,7 @@ class CenteredSum(Frozen):
                  center: Fraction = Fraction(0), sign: str = SIGN_NONE,
                  weight_oracle: OracleRef | None = None) -> None:
         _integer(period)
+        _flag(row_odd)
         if period < 1:
             raise ValueError(f"a weight table needs period >= 1, not {period}")
         if len(weights) != period:
@@ -136,8 +140,8 @@ class CenteredSum(Frozen):
         if sign not in _SIGNS:
             raise ValueError(f"unknown sign rule {sign!r}")
         center, weights = _rational(center), tuple(map(_rational, weights))
-        if weight_oracle is not None:  # values steps it by its recurrence
-            _refuse_unsteppable(weight_oracle, "k", "weight", "sum")
+        if weight_oracle is not None:  # values steps it by its recurrence from k = 1
+            _refuse_unsteppable(weight_oracle, "k", "weight", "sum", first=1)
         self._set(weights=weights, period=period, row_odd=row_odd, center=center, sign=sign,
                   weight_oracle=weight_oracle)
 
@@ -161,24 +165,27 @@ class CenteredSum(Frozen):
     def values(self, ns: list[int]) -> list:
         """The sum at every n in ns, in one list pass over n = 0..max(ns).
 
-        The class sums of each row come from a Pascal-step kernel (with a
-        weight oracle, one that steps the weight by its recurrence along
-        the index) and meet the scaled table in one dot product; the (-1)^n
-        of (-1)^(n-k) negates the odd n by slice, and only the totals read
-        at ns are divided by D, unless D is 1.
+        The class sums of core.class_sums meet the scaled table T in one dot
+        product; with a weight g, T(k) g(k) has g's recurrence dilated by T's
+        period P, at lags P, 2P, ..., and core.half_row_steps sums it.  The
+        (-1)^n of (-1)^(n-k) negates the odd n by slice, and only the totals
+        read at ns are divided by D, unless D is 1.
         """
         # D, the lcm of the center's and the table's denominators, makes both integral
         table = self.signed_table()
-        d = math.lcm(*(q.denominator for q in (self.center, *table)))
+        d, top = math.lcm(*(q.denominator for q in (self.center, *table))), _max_n(ns) + 1
         table, center = [(w * d).numerator for w in table], (self.center * d).numerator
         if self.weight_oracle is None:
-            steps = class_sums(len(table), self.row_odd)
+            totals = [center * middle + sum(map(operator.mul, table, sums))
+                      for middle, sums in islice(class_sums(len(table), self.row_odd), top)]
         else:
-            ref = self.weight_oracle  # its recurrence along a*k + b, shifted to k + 1
-            spec = get_oracle(ref.name).dilate(ref.param, ref.a, ref.a + ref.b)
-            steps = weighted_class_sums(len(table), spec, self.row_odd)
-        totals = [center * middle + sum(map(operator.mul, table, sums))
-                  for middle, sums in islice(steps, _max_n(ns) + 1)]
+            ref, p = self.weight_oracle, len(table)
+            g = get_oracle(ref.name).dilate(ref.param, ref.a * p, ref.a + ref.b)
+            coeffs = [c if j == p - 1 else 0 for c in g.coeffs for j in range(p)]  # lags p, 2p, ...
+            seeds = [table[k % p] * v
+                     for k, v in enumerate(ref.read(range(1, len(coeffs) + 1)), 1)]
+            rows = half_row_steps(RecurrenceSpec(g.name, coeffs, seeds), self.row_odd)
+            totals = [center * middle + s for middle, s in islice(rows, top)]
         if self.sign == SIGN_ALT_NK:
             totals[1::2] = [-v for v in totals[1::2]]
         return [totals[n] for n in ns] if d == 1 else [Fraction(totals[n], d) for n in ns]
@@ -363,6 +370,7 @@ class Domain(Frozen):
 
     def __init__(self, start: int = 0, stop: int | None = None, even_only: bool = False) -> None:
         _integer(start)
+        _flag(even_only)
         if start < 0:
             raise ValueError(f"a domain starts at n >= 0, not {start}")
         if stop is not None:

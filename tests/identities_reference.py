@@ -2,11 +2,12 @@
 arithmetic and one n at a time.
 
 The package evaluates every term by one `values(ns)` route that steps a
-kernel (core.class_sums, core.weighted_class_sums, core.row_steps,
+kernel (core.class_sums, core.half_row_steps, core.row_steps,
 core.diagonal_steps) or a closed rule across all n at once.  These are
 the slow routes the tests hold those values to: each centered-sum summand
-as its own binomial, each row sum term by term in math.comb, and a row
-convolution at large n also over one window of its oracle and the
+as its own binomial, times its weight oracle read at that k and not
+stepped by a recurrence, each row sum term by term in math.comb, and a
+row convolution at large n also over one window of its oracle and the
 alternating Pascal triangle.  Nothing here reads a kernel.
 """
 from fractions import Fraction

@@ -14,10 +14,10 @@ from binsums.core import (
     binomial,
     class_sums,
     diagonal_steps,
+    half_row_steps,
     kronecker,
     rec_steps,
     row_steps,
-    weighted_class_sums,
 )
 from binsums.discovery import _FACTORS, _factor, derive_profile
 from binsums.identities import DiagonalSum, OracleRef
@@ -388,27 +388,29 @@ _WEIGHT_SPECS = [RecurrenceSpec("geo", (3,), (2,)), RecurrenceSpec("pellish", (2
 
 
 @pytest.mark.parametrize("spec", _WEIGHT_SPECS, ids=lambda s: s.name)
-def test_weighted_class_sums_match_folded_rows(spec):
+def test_half_row_steps_match_direct_sums(spec):
     # g(1), g(2), ... by the forward recurrence alone, from the seeds
     g = [None, *spec.seeds]
     while len(g) < 64:
         g.append(sum(c * g[-i] for i, c in enumerate(spec.coeffs, 1)))
-    for period in range(1, 8):
+    for lag in range(1, 8):
+        # h(k) = T(k mod lag) g(ceil(k/lag)), T(r) = r - 1 (0 at r = 1), has
+        # spec's recurrence at lags lag, 2*lag, ...: spec placed under a table
+        def h(k):
+            return (k % lag - 1) * g[(k - 1) // lag + 1]
+        coeffs = [0] * (lag * len(spec.coeffs))
+        coeffs[lag - 1::lag] = spec.coeffs
+        placed = RecurrenceSpec(spec.name, coeffs, [h(k) for k in range(1, len(coeffs) + 1)])
         for row_odd in (False, True):
-            steps = weighted_class_sums(period, spec, row_odd)
-            for n, (middle, sums) in zip(range(61), steps):
-                row = TRI[2 * n + 1 if row_odd else 2 * n]
-                folded = [0] * period
-                for k in range(1, len(row) - n):
-                    folded[k % period] += row[n + k] * g[k]
-                assert (middle, sums) == (row[n], folded), (period, row_odd, n)
+            for n, pair in zip(range(61), half_row_steps(placed, row_odd)):
+                row = 2 * n + 1 if row_odd else 2 * n
+                direct = sum(comb(row, n + k) * h(k) for k in range(1, row - n + 1))
+                assert pair == (comb(row, n), direct), (lag, row_odd, n)
 
 
-def test_weighted_class_sums_refuse_what_they_cannot_step():
-    with pytest.raises(ValueError, match="period >= 1"):
-        next(weighted_class_sums(0, _WEIGHT_SPECS[0]))
+def test_half_row_steps_refuse_a_last_coefficient_of_0():
     with pytest.raises(ValueError, match="last coefficient"):
-        next(weighted_class_sums(2, RecurrenceSpec("stops", (1, 0), (1, 1))))
+        next(half_row_steps(RecurrenceSpec("stops", (1, 0), (1, 1))))
 
 
 def direct_rows(u, s, sign, b, t, x0, m0, ns):

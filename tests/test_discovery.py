@@ -153,6 +153,14 @@ def test_negative_holdout_is_rejected_up_front():
     assert derive_profile(OracleRef("fib", a=2), 5, holdout=0).holdout_range == (10, 9)
 
 
+@pytest.mark.parametrize("bad", [2, 1, 0, None, "odd"], ids=repr)
+def test_a_non_bool_row_odd_is_refused_up_front(bad):
+    # before the name is looked up, and before any system is factored
+    for name in ("fib", "no-such-sequence"):
+        with pytest.raises(TypeError, match=f"a flag field must be a bool, not {bad!r}"):
+            derive_profile(OracleRef(name, a=2), 5, row_odd=bad)
+
+
 def test_target_that_runs_out_in_the_holdout_names_it():
     # C vanishes below index 5, so C(4-n) is the zero sum on the solve range
     # 0..4 and solves uniquely; the holdout 5..24 then asks for C(-1)

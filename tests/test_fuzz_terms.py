@@ -4,9 +4,9 @@ tests/identities_reference.py and tests/cyclo_reference.py.
 Each test draws its terms and index lists from a fixed seed, so a failure
 names the term and the list that show it, and reruns the same way.  A
 term's values(ns) must equal the reference at every n of ns, or both must
-raise an exception of one type with one message; a mismatch is allowed only
-under a named entry of KNOWN_MISMATCHES.  Arguments a class refuses must be
-refused, when the term is built, with the message the class documents.
+raise an exception of one type with one message, a type named in RAISES.
+Arguments a class refuses must be refused, when the term is built, with the
+message the class documents.
 """
 import math
 import random
@@ -38,22 +38,13 @@ RECURRENCES = [(name, param) for name, o in registry().items() if o.recurrence i
 # the sum terms, which start at n = 0 and refuse a negative n with one message
 SUMS = (CenteredSum, BinomialTransform, SignedRowConvolution, DiagonalSum, CosProduct)
 
-# name -> reason: the only mismatches between a term and its reference allowed
-KNOWN_MISMATCHES = {
-    "weight below its start": (
-        "a centered sum whose weight oracle has no value at k = 1 reads its seeds "
-        "there, so values raises for every n list, where the reference raises only "
-        "at an n whose nonzero summands reach an index with no value"),
+# exception type -> why a term and its reference may both raise it
+RAISES = {
+    ValueError: "the refusals the terms document: a negative n, an n below a shape's "
+                "first, an oracle index below its start or a refused parameter",
+    ZeroDivisionError: "a power of base 0 at a negative exponent, which only a negative "
+                       "n reaches",
 }
-
-
-def known_mismatch(term, ns: list[int], got, want) -> str | None:
-    """The entry of KNOWN_MISMATCHES that explains got != want, if any."""
-    oracle = getattr(term, "weight_oracle", None)
-    if oracle is not None and get_oracle(oracle.name).domain(oracle.a, oracle.b)[0] > 1:
-        if got == (ValueError, f"{oracle.name} is not defined at n = {oracle.a + oracle.b}"):
-            return "weight below its start"
-    return None
 
 
 def index_lists(rng: random.Random) -> dict[str, list[int]]:
@@ -97,16 +88,14 @@ def outcome(route, ns: list[int]):
     """route(ns), or the type and message of what it raised."""
     try:
         return route(ns)
-    # the refusals the terms document, and a power of base 0 at a negative
-    # exponent, which only a negative n reaches and both routes divide by zero
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except tuple(RAISES) as exc:
         return type(exc), str(exc)
 
 
 def assert_like_the_reference(term, rng: random.Random) -> None:
     for kind, ns in index_lists(rng).items():
-        got, want = outcome(term.values, ns), outcome(lambda ns: reference(term, ns), ns)
-        assert got == want or known_mismatch(term, ns, got, want), (term, kind, ns, got, want)
+        assert outcome(term.values, ns) == outcome(lambda ns: reference(term, ns), ns), (
+            term, kind, ns)
 
 
 def refused(build, message: str) -> None:
@@ -136,14 +125,18 @@ def test_random_centered_sums_equal_the_reference():
     rng = random.Random(3701)
     for _ in range(120):
         period = rng.randint(1, 12)
+        args = (tuple(random_fraction(rng) for _ in range(period)), period,
+                rng.choice((False, True)), random_fraction(rng), rng.choice(_SIGNS))
         oracle = None
         if rng.random() < 0.6:
             name, param = rng.choice(RECURRENCES)
             oracle = OracleRef(name, param, a=rng.randint(1, 3), b=rng.randint(-3, 3))
-        term = CenteredSum(tuple(random_fraction(rng) for _ in range(period)), period,
-                           rng.choice((False, True)), random_fraction(rng), rng.choice(_SIGNS),
-                           oracle)
-        assert_like_the_reference(term, rng)
+            # the sum steps its weight from k = 1, so one with no value there is refused
+            if isinstance(outcome(oracle.read, [1]), tuple):
+                refused(lambda: CenteredSum(*args, oracle), f"weight oracle {name}: its index "
+                        f"{oracle.index_str('k')} has no value at k = 1, so no sum can step it")
+                continue
+        assert_like_the_reference(CenteredSum(*args, oracle), rng)
 
 
 def test_random_binomial_transforms_equal_the_reference():

@@ -214,6 +214,21 @@ def test_non_integer_bases_and_exponents_are_refused_when_the_term_is_built(term
         _TERM_WITH_INTEGER[term](bad)
 
 
+_TERM_WITH_FLAG = {
+    "centered-sum row_odd": lambda x: CenteredSum((1,), 1, row_odd=x),
+    "domain even_only": lambda x: Domain(even_only=x),
+}
+
+
+@pytest.mark.parametrize("bad", [2, 1, 0, None, "yes", 1.0], ids=repr)
+@pytest.mark.parametrize("term", _TERM_WITH_FLAG)
+def test_non_bool_flags_are_refused_when_the_term_is_built(term, bad):
+    # 2 would export as "2n+1" and compare unequal to True
+    with pytest.raises(TypeError, match=f"a flag field must be a bool, not {bad!r}"):
+        _TERM_WITH_FLAG[term](bad)
+    assert _TERM_WITH_FLAG[term](True) != _TERM_WITH_FLAG[term](False)
+
+
 @pytest.mark.parametrize("stride, offset", [(0, 0), (-1, 0), (2, -1), (1, -3)])
 def test_binomial_transform_refuses_a_stride_below_one_or_a_negative_offset(stride, offset):
     with pytest.raises(ValueError, match="stride >= 1 and offset >= 0"):
@@ -435,6 +450,7 @@ def test_weight_oracle_sums_equal_direct_evaluation_to_200():
     (OracleRef("A"), "weight oracle A: it has no recurrence"),
     (OracleRef("lucas", a=0, b=3), "weight oracle lucas: its index 3 needs a >= 1"),
     (OracleRef("fib", a=-2), "weight oracle fib: its index -2k needs a >= 1"),
+    (OracleRef("pell", a=2, b=-3), "weight oracle pell: its index 2k-3 has no value at k = 1"),
 ])
 def test_a_weight_oracle_the_kernel_cannot_step_is_refused(oracle, message):
     with pytest.raises(ValueError, match=message):
@@ -449,15 +465,16 @@ def test_a_weight_recurrence_ending_in_zero_is_refused(monkeypatch):
         CenteredSum((1,), 1, weight_oracle=OracleRef("stops"))
 
 
-def test_a_weight_read_below_its_oracles_start_raises_as_in_the_reference():
-    # A094789 starts at 1, so k = 1 of A094789(k - 1) has no value
-    term = CenteredSum((1,), 1, weight_oracle=OracleRef("A094789", b=-1))
+def test_a_weight_oracle_with_no_value_at_k_1_is_refused():
+    # A094789 starts at 1, so A094789(k - 1) has no value at k = 1, where the
+    # sum reads its seeds, even where the table's weight there is 0
     with pytest.raises(ValueError, match="A094789 is not defined at n = 0"):
-        ref.centered_sum(term, 1)
-    with pytest.raises(ValueError, match="A094789 is not defined at n = 0"):
-        term.values([0, 1, 2])
-    shifted = CenteredSum(term.weights, term.period, term.row_odd, term.center, term.sign,
-                          OracleRef("A094789"))
+        OracleRef("A094789", b=-1).value(1)
+    for weights, row_odd in (((1,), False), ((1, 0), True)):
+        with pytest.raises(ValueError, match=r"weight oracle A094789: its index k-1 has no "
+                                             r"value at k = 1, so no sum can step it"):
+            CenteredSum(weights, len(weights), row_odd, weight_oracle=OracleRef("A094789", b=-1))
+    shifted = CenteredSum((1,), 1, weight_oracle=OracleRef("A094789"))
     assert shifted.values(list(range(30))) == [ref.centered_sum(shifted, n) for n in range(30)]
 
 

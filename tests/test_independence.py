@@ -18,7 +18,7 @@ from binsums.sequences import _MEMO
 # The shared kernels, keyed by name to the module that defines them.
 KERNELS = {
     "class_sums": core,
-    "weighted_class_sums": core,
+    "half_row_steps": core,
     "row_steps": core,
     "diagonal_steps": core,
     "power_sums": cyclo,
@@ -115,3 +115,11 @@ def test_sury_diagonal_reads_the_diagonal_steps_on_its_right_side_only():
     # the shallow diagonals of Pascal's triangle in diagonal_steps
     [ident] = find("sury-diagonal")
     assert kernel_reads(ident) == {"lhs": set(), "rhs": {"diagonal_steps"}}
+
+
+@pytest.mark.parametrize("ident", find("lewis-family"), ids=lambda i: i.label)
+def test_lewis_family_reads_the_half_row_steps_on_its_right_side_only(ident):
+    # lewis(t) is first-order and reads no shared kernel; the right side
+    # steps its Lucas-weighted half rows in half_row_steps along lucas
+    # dilated by power_sums
+    assert kernel_reads(ident) == {"lhs": set(), "rhs": {"half_row_steps", "power_sums"}}
