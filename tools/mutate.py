@@ -22,7 +22,8 @@ counts them.  A survivor listed in the tree's table of equivalent mutants,
 tools/equivalent_mutants.json, is marked with the reason given there; each
 entry names the module, the function ("" at module level), the stripped
 source line, the mutation as printed, and, where one line holds the same
-mutation more than once, the occurrence from 1.
+mutation more than once, the occurrence from 1.  An entry of the module and
+function that names no site is printed first as stale.
 
 Exit status: 0 when every site was killed, hung or is a listed equivalent,
 1 when some other mutant survived, 2 for bad arguments or a tier-1 run that
@@ -155,14 +156,18 @@ class _Finder(ast.NodeVisitor):
             self.add(start, end, self.source[start:end], str(node.value + 1))
 
 
+def inside(name: str, function: str | None) -> bool:
+    """Whether the qualified name is the function or nested in it; every
+    name is inside None."""
+    return function is None or name == function or name.startswith(function + ".")
+
+
 def sites(source: str, function: str | None) -> list[Site]:
     """The sites of a module's source, in source order, all of them or those
     inside one function."""
     finder = _Finder(source)
     finder.visit(ast.parse(source))
-    found = sorted(finder.sites, key=lambda s: s.start)
-    return [s for s in found
-            if function is None or s.function == function or s.function.startswith(function + ".")]
+    return [s for s in sorted(finder.sites, key=lambda s: s.start) if inside(s.function, function)]
 
 
 def mutant(source: str, site: Site) -> str:
@@ -214,10 +219,14 @@ def run(root: Path, module: str, function: str | None, every: int,
         relative = path / "__init__.py"
     source = (root / relative).read_text()
     found = sites(source, function)
-    found = list(zip(found, keys(source, found)))[::every]
+    found = list(zip(found, keys(source, found)))
     if not found:
         raise RuntimeError(f"no site in {module}{':' + function if function else ''}")
     table = equivalents(root, module)
+    for key in sorted(table.keys() - {key for _, key in found}):
+        if inside(key[0], function):
+            print(f"stale {TABLE} entry, no site matches: {key}")
+    found = found[::every]
     counts = Counter()
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         tree = Path(tmp) / "tree"
