@@ -121,7 +121,7 @@ def half_row_steps(spec: RecurrenceSpec, row_odd: bool = False) -> Iterator[tupl
     s, c0, c1 = [0] * len(coeffs), 1, 0  # s[j] = S_j
     for n in count():
         down = s[-1] - sum(map(operator.mul, head, reversed(s[:-1]))) - c1 * last_h0
-        ext = [down // last, *s, sum(map(operator.mul, coeffs, reversed(s)))]  # S_(j-1) at j
+        ext = [down // last, *s, sum(map(operator.mul, coeffs, reversed(s)))]  # ext[j] = S_(j-1)
         yield (c0 + c1, ext[2] + ext[1] + c0 * h[1]) if row_odd else (c0, s[0])
         s = [a + 2 * b + c + c0 * x - c1 * y
              for a, b, c, x, y in zip(ext[2:], ext[1:], ext, h[1:], h)]
